@@ -6,7 +6,9 @@ propagates lambda_n = lambda_{n+1} + (update).  "theta" carries the raw
 stage increments, "mu" carries the pre-Jacobian solve vectors with
 theta = J^T mu, and "ell" runs the reversed method built from the adjoint
 coefficient tableau (which requires every stage weight to be nonzero).
-Implicit-stage solves reuse the forward factorizations transposed.
+Implicit-stage solves reuse the forward factorizations transposed.  Each
+stage applies its Jacobian only as a vector-Jacobian product
+``system.vjp``, so partitions that supply ``vjp`` are never assembled here.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
         for q, i in reverse_schedule:
             t_i = trajectory.stage_time(n, q, i)
             y_stage = trajectory.stage_values[q][n, i]
-            jac_t = system.jac(q, t_i, y_stage).T
             a_ii = float(tableau.coupling[q][q][i, i])
             b_i = float(tableau.weights[q][i])
 
@@ -108,7 +109,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                     coef = abar.coupling[q][m][i, j]
                     if coef != 0.0:
                         acc += (h * coef) * val
-                rhs = jac_t @ acc
+                rhs = system.vjp(q, t_i, y_stage, acc)
                 vec = (_stage_solve(trajectory, n, q, i, h * a_ii, rhs)
                        if a_ii != 0.0 else rhs)
                 ell[(q, i)] = vec
@@ -121,7 +122,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                     if coef != 0.0:
                         acc += coef * val
                 if method == "theta":
-                    rhs = h * (jac_t @ acc)
+                    rhs = h * system.vjp(q, t_i, y_stage, acc)
                     vec = (_stage_solve(trajectory, n, q, i, h * a_ii, rhs)
                            if a_ii != 0.0 else rhs)
                     theta[(q, i)] = vec
@@ -129,7 +130,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                     rhs = h * acc
                     mu_vec = (_stage_solve(trajectory, n, q, i, h * a_ii, rhs)
                               if a_ii != 0.0 else rhs)
-                    vec = jac_t @ mu_vec
+                    vec = system.vjp(q, t_i, y_stage, mu_vec)
                     theta[(q, i)] = vec
                     mu_arr[q][n, i] = mu_vec
                 theta_arr[q][n, i] = vec

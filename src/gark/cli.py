@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -25,8 +26,9 @@ from gark.estimation import estimate_errors, temporal_residuals, \
 from gark.forward import StageSolverConfig, integrate, step
 from gark.mesh import TimeGrid
 from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
-from gark.systems import (GoalFunction, Partition, SplitOdeSystem,
-                          build_problem, default_grid, make_random_nonlinear)
+from gark.systems import (PROBLEM_BUILDERS, GoalFunction, Partition,
+                          SplitOdeSystem, build_problem, default_grid,
+                          make_random_nonlinear)
 from gark.tableau import GAMMA_MINUS, GAMMA_PLUS, adjoint_coefficients, \
     build_imex22
 
@@ -102,12 +104,17 @@ def _make_problem(args: argparse.Namespace):
     grid = default_grid(args.problem, args.nx, args.ny)
     params = {}
     if args.t_final is not None:
+        builder = PROBLEM_BUILDERS[args.problem]
+        if "t_final" not in inspect.signature(builder).parameters:
+            raise SystemExit(
+                f"problem {args.problem!r} does not accept --t-final")
         params["t_final"] = args.t_final
-    try:
-        return build_problem(args.problem, grid, **params)
-    except TypeError:
-        raise SystemExit(
-            f"problem {args.problem!r} does not accept --t-final")
+    return build_problem(args.problem, grid, **params)
+
+
+def _format_accuracy(accuracy: float | None) -> str:
+    """Signed relative accuracy, or n/a when the reference gap is zero."""
+    return "n/a" if accuracy is None else f"{accuracy:+.4f}"
 
 
 def _tableau(args: argparse.Namespace):
@@ -193,7 +200,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                       in zip(report.partition_names, report.e_spatial))
     print(f"goal {report.psi_num:.6e}  reference gap {report.e_ref:.4e}  "
           f"temporal {report.e_temporal:.4e}  spatial [{parts}]  "
-          f"total {report.e_total:.4e}  accuracy {report.accuracy:+.4f}")
+          f"total {report.e_total:.4e}  "
+          f"accuracy {_format_accuracy(report.accuracy)}")
     return 0
 
 
@@ -211,7 +219,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         print(f"stage {entry['stage']}: cells {entry['num_cells']}, "
               f"steps {entry['num_steps']}, e_ref {entry['e_ref']:.4e}, "
               f"total {entry['e_total']:.4e}, "
-              f"accuracy {entry['accuracy']:+.4f}")
+              f"accuracy {_format_accuracy(entry['accuracy'])}")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 States are nodal vectors over a grid's unknowns, species-major for
 multi-species problems.  Every partition exposes its right-hand side and an
-assembled sparse Jacobian; the mass matrix is the identity throughout.
+assembled sparse Jacobian, and may add a matrix-free vector-Jacobian product
+``vjp`` that the adjoint sweep uses instead of assembling; the mass matrix is
+the identity throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class Partition:
     jacobian: Callable[[float, np.ndarray], sp.spmatrix]
     linear: bool = False
     stiff: bool = False
+    vjp: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,13 +58,13 @@ class SplitOdeSystem:
     def jac(self, q: int, t: float, y: np.ndarray) -> sp.spmatrix:
         return self.partitions[q].jacobian(t, y)
 
-    def jac_action(self, q: int, t: float, y: np.ndarray,
-                   v: np.ndarray) -> np.ndarray:
-        return self.jac(q, t, y) @ v
-
-    def jac_transpose_action(self, q: int, t: float, y: np.ndarray,
-                             v: np.ndarray) -> np.ndarray:
-        return self.jac(q, t, y).T @ v
+    def vjp(self, q: int, t: float, y: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+        """J_q(t, y)^T w, assembling J_q only if the partition has no vjp."""
+        vjp = self.partitions[q].vjp
+        if vjp is None:
+            return self.jac(q, t, y).T @ w
+        return vjp(t, y, w)
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,7 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     gq = gx * qy
 
     lap = (nu * discretize_laplacian(grid)).tocsr()
+    lap_t = lap.T
 
     def s(t: float) -> float:
         return (2.0 + math.cos(math.pi * t)) / 30.0
@@ -225,15 +229,23 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
         return y - y ** 3 + forcing(t)
 
+    def reaction_slope(y: np.ndarray) -> np.ndarray:
+        return 1.0 - 3.0 * y ** 2
+
     def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
-        return sp.diags(1.0 - 3.0 * y ** 2, format="csr")
+        return sp.diags(reaction_slope(y), format="csr")
+
+    def reaction_vjp(t: float, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return reaction_slope(y) * w
 
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
             Partition("diffusion", lambda t, y: lap @ y,
-                      lambda t, y: lap, linear=True, stiff=True),
-            Partition("reaction", reaction_rhs, reaction_jac),
+                      lambda t, y: lap, linear=True, stiff=True,
+                      vjp=lambda t, y, w: lap_t @ w),
+            Partition("reaction", reaction_rhs, reaction_jac,
+                      vjp=reaction_vjp),
         ))
 
     def exact(t: float) -> np.ndarray:
@@ -262,6 +274,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     n = grid.num_unknowns
     lap = discretize_laplacian(grid)
     diff = sp.block_diag((du * lap, dv * lap), format="csr")
+    diff_t = diff.T
     decay = feed + kill
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -269,18 +282,29 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
         uvv = u * v * v
         return np.concatenate([-uvv + feed * (1.0 - u), uvv - decay * v])
 
-    def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
+    def reaction_blocks(y: np.ndarray):
+        """Diagonals of the Jacobian blocks [[uu, uv], [vu, vv]]."""
         u, v = y[:n], y[n:]
-        return sp.bmat([[sp.diags(-v * v - feed), sp.diags(-2.0 * u * v)],
-                        [sp.diags(v * v), sp.diags(2.0 * u * v - decay)]],
-                       format="csr")
+        return (-v * v - feed, -2.0 * u * v, v * v, 2.0 * u * v - decay)
+
+    def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
+        uu, uv, vu, vv = reaction_blocks(y)
+        return sp.bmat([[sp.diags(uu), sp.diags(uv)],
+                        [sp.diags(vu), sp.diags(vv)]], format="csr")
+
+    def reaction_vjp(t: float, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        uu, uv, vu, vv = reaction_blocks(y)
+        wu, wv = w[:n], w[n:]
+        return np.concatenate([uu * wu + vu * wv, uv * wu + vv * wv])
 
     system = SplitOdeSystem(
         dim=2 * n,
         partitions=(
             Partition("diffusion", lambda t, y: diff @ y,
-                      lambda t, y: diff, linear=True, stiff=True),
-            Partition("reaction", reaction_rhs, reaction_jac),
+                      lambda t, y: diff, linear=True, stiff=True,
+                      vjp=lambda t, y, w: diff_t @ w),
+            Partition("reaction", reaction_rhs, reaction_jac,
+                      vjp=reaction_vjp),
         ))
 
     coords = grid.unknown_coords()
@@ -319,19 +343,28 @@ def make_bsvd(grid: TensorGrid2D, t_final: float = 7.0) -> ProblemInstance:
     with zero-flux edges and the diffusivity bumps of ``bsvd_diffusivity``."""
     _require_domain(grid, (0.0, 1.0), (0.0, 1.0), NEUMANN, "make_bsvd")
     lap = discretize_laplacian(grid, bsvd_diffusivity)
+    lap_t = lap.T
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
         return 10.0 * (1.0 - y * y) * (y + 0.6)
 
+    def reaction_slope(y: np.ndarray) -> np.ndarray:
+        return 10.0 * (1.0 - 1.2 * y - 3.0 * y * y)
+
     def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
-        return sp.diags(10.0 * (1.0 - 1.2 * y - 3.0 * y * y), format="csr")
+        return sp.diags(reaction_slope(y), format="csr")
+
+    def reaction_vjp(t: float, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return reaction_slope(y) * w
 
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
             Partition("diffusion", lambda t, y: lap @ y,
-                      lambda t, y: lap, linear=True, stiff=True),
-            Partition("reaction", reaction_rhs, reaction_jac),
+                      lambda t, y: lap, linear=True, stiff=True,
+                      vjp=lambda t, y, w: lap_t @ w),
+            Partition("reaction", reaction_rhs, reaction_jac,
+                      vjp=reaction_vjp),
         ))
 
     coords = grid.unknown_coords()

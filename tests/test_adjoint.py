@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,7 @@ from gark.mesh import TimeGrid
 from gark.oracle import (dense_step_propagator, fd_goal_gradient,
                          propagator_chain_adjoint, sensitivity_matrix)
 from gark.systems import (Partition, SplitOdeSystem, default_grid,
-                          make_calvo, make_random_nonlinear)
+                          make_calvo, make_gray_scott, make_random_nonlinear)
 from gark.tableau import UnsupportedTableauError, build_imex22
 
 
@@ -202,6 +204,23 @@ class TestFormulationAgreement:
                                    rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(sweeps[2].lam, sweeps[0].lam,
                                    rtol=1e-12, atol=1e-12 * scale)
+
+    def test_assembled_fallback_matches_vjp(self):
+        problem = make_gray_scott(default_grid("gray_scott", 4, 4),
+                                  t_final=1.0)
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 1.0, 0.1))
+        system = problem.system
+        assembled = SplitOdeSystem(
+            system.dim, tuple(dataclasses.replace(p, vjp=None)
+                              for p in system.partitions))
+        fallback = dataclasses.replace(
+            traj, problem=dataclasses.replace(problem, system=assembled))
+        a = adjoint_sweep(traj, method="mu")
+        b = adjoint_sweep(fallback, method="mu")
+        assert a.lam.tobytes() == b.lam.tobytes()
+        for q in range(system.num_partitions):
+            assert a.mu[q].tobytes() == b.mu[q].tobytes()
 
 
 class TestFiniteDifferenceGradient:

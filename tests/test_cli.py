@@ -5,11 +5,26 @@ import sys
 
 import pytest
 
+import gark.adaptivity
+import gark.cli
 from gark.cli import main
+from gark.systems import PROBLEM_BUILDERS
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def zero_gap(module, monkeypatch):
+    """Make module's estimate_errors report accuracy=None (e_ref == 0)."""
+    real = module.estimate_errors
+
+    def fake(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        bundle.report.accuracy = None
+        return bundle
+
+    monkeypatch.setattr(module, "estimate_errors", fake)
 
 
 class TestConverge:
@@ -58,6 +73,14 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "accuracy" in out
 
+    def test_zero_reference_gap_prints_na(self, tmp_path, capsys,
+                                          monkeypatch):
+        zero_gap(gark.cli, monkeypatch)
+        assert run_cli(["estimate", "--problem", "calvo", "--nx", "8",
+                        "--ny", "4", "--dt", "0.15", "--out",
+                        str(tmp_path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("accuracy n/a")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -81,6 +104,14 @@ class TestRefine:
         assert (tmp_path / "grids" / "stage-0.json").exists()
         assert (tmp_path / "grids" / "stage-1.json").exists()
         assert capsys.readouterr().out.count("stage") == 2
+
+    def test_zero_reference_gap_prints_na(self, tmp_path, capsys,
+                                          monkeypatch):
+        zero_gap(gark.adaptivity, monkeypatch)
+        assert run_cli(["refine", "--problem", "calvo", "--nx", "8",
+                        "--ny", "4", "--dt", "0.15", "--stages", "1",
+                        "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("accuracy n/a")
 
 
 class TestOracleCheck:
@@ -115,6 +146,17 @@ class TestPlumbing:
         with pytest.raises(SystemExit, match="t-final"):
             run_cli(["estimate", "--problem", "calvo", "--nx", "8",
                      "--ny", "4", "--t-final", "2.0", "--out",
+                     str(tmp_path)])
+
+    def test_builder_type_error_is_not_rewritten(self, tmp_path,
+                                                 monkeypatch):
+        def broken(grid, t_final=7.0):
+            raise TypeError("broken builder")
+
+        monkeypatch.setitem(PROBLEM_BUILDERS, "bsvd", broken)
+        with pytest.raises(TypeError, match="broken builder"):
+            run_cli(["estimate", "--problem", "bsvd", "--nx", "4",
+                     "--ny", "4", "--t-final", "0.1", "--out",
                      str(tmp_path)])
 
     def test_module_entry_point(self):

@@ -128,6 +128,7 @@ def jacobian_probe(system, q, t, y, rng, n_probes=10, tol=1e-5):
         jv = jac @ v
         denom = max(np.linalg.norm(jv), 1.0)
         assert np.linalg.norm(fd - jv) / denom < tol
+        assert np.array_equal(system.vjp(q, t, y, v), jac.T @ v)
 
 
 class TestCalvo:
