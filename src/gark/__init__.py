@@ -15,15 +15,14 @@ from gark.systems import (GoalFunction, Partition, ProblemInstance,
                           discretize_laplacian, integral_goal, make_bsvd,
                           make_calvo, make_gray_scott, make_random_nonlinear,
                           rebuild_on)
-from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, AdjointTableau,
-                          GarkTableau, InvalidParameterError,
-                          UnsupportedTableauError, adjoint_coefficients,
-                          build_imex22)
+from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, GarkTableau,
+                          InvalidParameterError, UnsupportedTableauError,
+                          adjoint_coefficients, build_imex22)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA_MINUS", "GAMMA_PLUS", "AdjointTableau", "AdjointTrajectory",
+    "GAMMA_MINUS", "GAMMA_PLUS", "AdjointTrajectory",
     "CampaignResult", "ErrorReport", "EstimateBundle", "ForwardTrajectory",
     "GarkTableau", "GoalFunction", "GridTransfer", "InvalidParameterError",
     "Partition", "ProblemInstance", "RefinementConfig", "SplitOdeSystem",

@@ -21,7 +21,7 @@ from gark.mesh import TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 from gark.tableau import GarkTableau
 
-MARKING_BASES = ("union", "per_partition", "total")
+MARKING_BASES = ("union", "total")
 
 
 def mark_percentile(values: np.ndarray, percentile: float) -> np.ndarray:
@@ -46,7 +46,7 @@ def mark_percentile(values: np.ndarray, percentile: float) -> np.ndarray:
 class RefinementConfig:
     space_percentile: float = 90.0
     time_percentile: float = 80.0
-    marking_basis: str = "union"  # "union" | "per_partition" | "total"
+    marking_basis: str = "union"  # "union" | "total"
     num_stages: int = 4
 
     def __post_init__(self):
@@ -56,21 +56,20 @@ class RefinementConfig:
             raise ValueError("need at least one stage")
 
 
-def _mark_cells(report: ErrorReport, cfg: RefinementConfig):
-    """Marked cells as (ix, iy) pairs, plus the per-partition mask list."""
-    per_partition = []
+def _mark_cells(report: ErrorReport, cfg: RefinementConfig) -> set:
+    """Marked cells as (ix, iy) pairs.
+
+    "total" marks the percentile of the summed per-partition cell maps;
+    "union" marks each partition's map on its own and joins the marks.
+    """
     if cfg.marking_basis == "total":
-        total = np.sum(report.per_cell, axis=0)
-        union = mark_percentile(total, cfg.space_percentile)
-        per_partition.append(union)
+        marked = mark_percentile(np.sum(report.per_cell, axis=0),
+                                 cfg.space_percentile)
     else:
-        union = np.zeros_like(report.per_cell[0], dtype=bool)
+        marked = np.zeros_like(report.per_cell[0], dtype=bool)
         for cell_map in report.per_cell:
-            mask = mark_percentile(cell_map, cfg.space_percentile)
-            per_partition.append(mask)
-            union |= mask
-    cells = {(int(ix), int(iy)) for iy, ix in np.argwhere(union)}
-    return cells, per_partition
+            marked |= mark_percentile(cell_map, cfg.space_percentile)
+    return {(int(ix), int(iy)) for iy, ix in np.argwhere(marked)}
 
 
 @dataclass
@@ -115,7 +114,7 @@ def refine_stage(problem: ProblemInstance, tableau: GarkTableau,
     bundle = estimate_errors(problem, tableau, time_grid, solver_cfg)
     report = bundle.report
 
-    cells, _ = _mark_cells(report, cfg)
+    cells = _mark_cells(report, cfg)
     step_mask = mark_percentile(report.per_step, cfg.time_percentile)
     steps = {int(i) for i in np.nonzero(step_mask)[0]}
 

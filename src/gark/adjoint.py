@@ -6,7 +6,10 @@ propagates lambda_n = lambda_{n+1} + (update).  "theta" carries the raw
 stage increments, "mu" carries the pre-Jacobian solve vectors with
 theta = J^T mu, and "ell" runs the reversed method built from the adjoint
 coefficient tableau (which requires every stage weight to be nonzero).
-Implicit-stage solves reuse the forward factorizations transposed.  Each
+Implicit-stage solves are transposed SuperLU solves taken from the
+trajectory's factor cache: constant-Jacobian stages hit the factors the
+forward run stored, and Newton stages are factored at their stored
+(converged) stage values.  Each
 stage applies its Jacobian only as a vector-Jacobian product
 ``system.vjp``, so partitions that supply ``vjp`` are never assembled here.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gark.forward import ForwardTrajectory, _build_solver
+from gark.forward import ForwardTrajectory
 from gark.systems import GoalFunction
 from gark.tableau import adjoint_coefficients
 
@@ -46,15 +49,14 @@ class AdjointTrajectory:
         return self.lam[0]
 
 
-def _stage_solve(traj: ForwardTrajectory, n: int, q: int, i: int,
-                 coef: float, rhs: np.ndarray) -> np.ndarray:
-    solver = traj.factors.get((n, q, i))
-    if solver is None:
-        t_i = traj.stage_time(n, q, i)
-        y_stage = traj.stage_values[q][n, i]
-        solver = _build_solver(traj.system, q, t_i, y_stage, coef,
-                               traj.config)
-    return solver.solve(rhs, transpose=True)
+def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
+                 y_stage: np.ndarray, coef: float,
+                 rhs: np.ndarray) -> np.ndarray:
+    """(I - coef J^(q))^-T rhs at the stage; rhs itself on explicit stages."""
+    if coef == 0.0:
+        return rhs
+    lu = traj.factors.get(traj.system, q, t_i, y_stage, coef)
+    return lu.solve(rhs, trans="T")
 
 
 def adjoint_sweep(trajectory: ForwardTrajectory,
@@ -100,7 +102,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
         for q, i in reverse_schedule:
             t_i = trajectory.stage_time(n, q, i)
             y_stage = trajectory.stage_values[q][n, i]
-            a_ii = float(tableau.coupling[q][q][i, i])
+            h_aii = h * float(tableau.coupling[q][q][i, i])
             b_i = float(tableau.weights[q][i])
 
             if method == "ell":
@@ -110,8 +112,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                     if coef != 0.0:
                         acc += (h * coef) * val
                 rhs = system.vjp(q, t_i, y_stage, acc)
-                vec = (_stage_solve(trajectory, n, q, i, h * a_ii, rhs)
-                       if a_ii != 0.0 else rhs)
+                vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii, rhs)
                 ell[(q, i)] = vec
                 ell_arr[q][n, i] = vec
                 lambda_arr[q][n, i] = acc + (h * abar.coupling[q][q][i, i]) * vec
@@ -123,13 +124,12 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                         acc += coef * val
                 if method == "theta":
                     rhs = h * system.vjp(q, t_i, y_stage, acc)
-                    vec = (_stage_solve(trajectory, n, q, i, h * a_ii, rhs)
-                           if a_ii != 0.0 else rhs)
+                    vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii, rhs)
                     theta[(q, i)] = vec
                 else:
                     rhs = h * acc
-                    mu_vec = (_stage_solve(trajectory, n, q, i, h * a_ii, rhs)
-                              if a_ii != 0.0 else rhs)
+                    mu_vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii,
+                                          rhs)
                     vec = system.vjp(q, t_i, y_stage, mu_vec)
                     theta[(q, i)] = vec
                     mu_arr[q][n, i] = mu_vec

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from gark.adaptivity import RefinementConfig, run_campaign
+from gark.adaptivity import MARKING_BASES, RefinementConfig, run_campaign
 from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals, \
     assemble_report
-from gark.forward import StageSolverConfig, integrate, step
+from gark.forward import integrate, step
 from gark.mesh import TimeGrid
 from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, GoalFunction, Partition,
@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--stages", type=int, default=4)
     ref.add_argument("--space-pct", type=float, default=90.0)
     ref.add_argument("--time-pct", type=float, default=80.0)
-    ref.add_argument("--basis", default="union",
-                     choices=("union", "per_partition", "total"))
+    ref.add_argument("--basis", default="union", choices=MARKING_BASES)
 
     orc = sub.add_parser("oracle-check",
                          help="self-check against independent formulas")

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
-from gark.forward import (ForwardTrajectory, LinearStageCache,
-                          StageSolverConfig, combine_stage_argument,
-                          integrate, step)
+from gark.forward import (ForwardTrajectory, StageSolverConfig,
+                          combine_stage_argument, integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 
@@ -31,7 +30,8 @@ def temporal_residuals(trajectory: ForwardTrajectory,
 
     reference is either a callable t -> state or a trajectory whose time
     grid contains every node of the coarse grid.  Row n of the result
-    pairs with the adjoint state at node n+1.
+    pairs with the adjoint state at node n+1.  The coarse steps reuse the
+    trajectory's factor cache, whose step sizes they share.
     """
     if callable(reference):
         lookup = lambda t: np.asarray(reference(t), dtype=float)
@@ -41,14 +41,13 @@ def temporal_residuals(trajectory: ForwardTrajectory,
     system = trajectory.system
     grid = trajectory.time_grid
     out = np.empty((grid.num_steps, system.dim))
-    cache = LinearStageCache()
     for n in range(grid.num_steps):
         t, h = float(grid.nodes[n]), float(grid.steps[n])
         x_prev = lookup(t)
         if x_prev.shape != (system.dim,):
             raise ValueError("reference state dimension does not match")
         advanced = step(system, trajectory.tableau, t, h, x_prev,
-                        trajectory.config, cache).y_next
+                        trajectory.config, trajectory.factors).y_next
         out[n] = lookup(float(grid.nodes[n + 1])) - advanced
     return out
 

@@ -1,11 +1,13 @@
 """Forward time stepping for additively split systems.
 
 One step evaluates the tableau's stages in schedule order.  A stage with a
-nonzero own-diagonal coefficient is solved by Newton iteration on
-Y = rhs + h a_ii f^(q)(T_i, Y); everything else is an explicit update.
-Factorizations of I - h a_ii J are cached per (partition, h a_ii) for
-partitions with constant Jacobians, and the factorization belonging to each
-implicit stage is kept so a reversed sweep can reuse it transposed.
+nonzero own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y), in
+one linear solve on a linear partition and by full Newton iteration
+otherwise; everything else is an explicit update.  Every stage system
+I - h a_ii J is factored by SuperLU.  Each trajectory keeps one
+LinearStageCache of the factors for partitions with constant Jacobians,
+keyed per (partition, h a_ii); the reversed sweep reads the same cache and
+solves transposed.
 """
 
 from __future__ import annotations
@@ -38,59 +40,34 @@ class StageSolverConfig:
     newton_rtol: float = 1e-10
     newton_atol: float = 1e-12
     max_newton_iterations: int = 20
-    linear_solver: str = "direct"      # "direct" | "cg"
-    cg_tol: float = 1e-12
-    jacobian_reuse: str = "per_stage"  # "per_stage" | "per_step"
 
 
-class _DirectSolver:
-    def __init__(self, matrix: sp.spmatrix):
-        self.lu = spla.splu(matrix.tocsc())
-
-    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return self.lu.solve(b, trans="T" if transpose else "N")
-
-
-class _CgSolver:
-    def __init__(self, matrix: sp.spmatrix, tol: float):
-        self.matrix = matrix.tocsr()
-        self.tol = tol
-
-    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        m = self.matrix.T if transpose else self.matrix
-        x, info = spla.cg(m, b, rtol=self.tol, atol=0.0)
-        if info != 0:
-            raise StepFailureError("conjugate-gradient stage solve failed",
-                                   iterations=abs(info),
-                                   residual_norm=float("nan"))
-        return x
-
-
-def _build_solver(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
-                  coef: float, cfg: StageSolverConfig):
+def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
+              coef: float):
+    """SuperLU factors of I - coef * J^(q)(t, y)."""
     jac = system.jac(q, t, y)
-    matrix = (sp.identity(system.dim, format="csr") - coef * jac).tocsr()
-    if cfg.linear_solver == "direct":
-        return _DirectSolver(matrix)
-    if cfg.linear_solver == "cg":
-        return _CgSolver(matrix, cfg.cg_tol)
-    raise ValueError(f"unknown linear solver {cfg.linear_solver!r}")
+    matrix = sp.identity(system.dim, format="csr") - coef * jac
+    return spla.splu(matrix.tocsc())
 
 
 class LinearStageCache:
-    """Shared factorizations of I - coef*J for constant-Jacobian partitions.
+    """Factorizations of I - coef*J shared by the stages of one trajectory.
 
-    Keys round coef to 12 significant digits so the last-bit jitter of
-    nominally uniform step sizes maps onto one factorization.
+    Only partitions with constant Jacobians are stored; keys round coef to
+    12 significant digits so the last-bit jitter of nominally uniform step
+    sizes maps onto one factorization.  Other partitions are factored afresh
+    at (t, y) on every call.
     """
 
     def __init__(self):
         self._store: dict[tuple[int, str], object] = {}
 
-    def get(self, system, q, t, y, coef, cfg):
+    def get(self, system, q, t, y, coef):
+        if not system.partitions[q].linear:
+            return factorize(system, q, t, y, coef)
         key = (q, f"{coef:.12e}")
         if key not in self._store:
-            self._store[key] = _build_solver(system, q, t, y, coef, cfg)
+            self._store[key] = factorize(system, q, t, y, coef)
         return self._store[key]
 
 
@@ -150,7 +127,6 @@ class StepResult:
     stage_values: dict
     stage_slopes: dict
     stage_times: dict
-    factors: dict
 
 
 def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
@@ -158,11 +134,10 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
          cache: LinearStageCache | None = None) -> StepResult:
     """Advance one step of size h from (t, y); no partition alignment here."""
     cfg = cfg or StageSolverConfig()
+    cache = cache or LinearStageCache()
     slopes: dict = {}
     values: dict = {}
     times: dict = {}
-    factors: dict = {}
-    frozen_jac: dict = {}
 
     for q, i in tableau.stage_schedule:
         c_i = float(tableau.abscissae(q)[i])
@@ -173,20 +148,15 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
         if a_ii == 0.0:
             y_stage = rhs
             slope = system.f(q, t_i, y_stage)
-        else:
+        elif system.partitions[q].linear:
             coef = h * a_ii
-            linear = system.partitions[q].linear
-            if linear:
-                solver = (cache.get(system, q, t_i, y, coef, cfg) if cache
-                          else _build_solver(system, q, t_i, y, coef, cfg))
-                f0 = system.f(q, t_i, rhs)
-                y_stage = rhs + solver.solve(coef * f0)
-                slope = system.f(q, t_i, y_stage)
-                factors[(q, i)] = solver
-            else:
-                y_stage, slope, solver = _newton_stage(
-                    system, q, t_i, coef, rhs, y, cfg, frozen_jac)
-                factors[(q, i)] = solver
+            lu = cache.get(system, q, t_i, y, coef)
+            f0 = system.f(q, t_i, rhs)
+            y_stage = rhs + lu.solve(coef * f0)
+            slope = system.f(q, t_i, y_stage)
+        else:
+            y_stage, slope = _newton_stage(system, q, t_i, h * a_ii, rhs, y,
+                                           cfg)
         values[(q, i)] = y_stage
         slopes[(q, i)] = slope
         times[(q, i)] = t_i
@@ -196,13 +166,11 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
         b = tableau.weights[q][i]
         if b != 0.0:
             y_next += (h * b) * slopes[(q, i)]
-    return StepResult(y_next, values, slopes, times, factors)
+    return StepResult(y_next, values, slopes, times)
 
 
-def _newton_stage(system, q, t_i, coef, rhs, predictor, cfg, frozen_jac):
+def _newton_stage(system, q, t_i, coef, rhs, predictor, cfg):
     y = predictor.copy()
-    freeze = cfg.jacobian_reuse == "per_step"
-    solver = None
     res = float("inf")
     for it in range(cfg.max_newton_iterations + 1):
         f_val = system.f(q, t_i, y)
@@ -211,23 +179,10 @@ def _newton_stage(system, q, t_i, coef, rhs, predictor, cfg, frozen_jac):
         tol = cfg.newton_atol + cfg.newton_rtol * max(1.0,
                                                       float(np.linalg.norm(y)))
         if res <= tol:
-            if not freeze and cfg.linear_solver == "direct":
-                # factor at the converged point so a reversed sweep can
-                # reuse it transposed
-                solver = _build_solver(system, q, t_i, y, coef, cfg)
-            elif freeze:
-                solver = None
-            return y, f_val, solver
+            return y, f_val
         if it == cfg.max_newton_iterations:
             break
-        if freeze:
-            if q not in frozen_jac:
-                frozen_jac[q] = _build_solver(system, q, t_i, predictor,
-                                              coef, cfg)
-            solver = frozen_jac[q]
-        else:
-            solver = _build_solver(system, q, t_i, y, coef, cfg)
-        y = y + solver.solve(-residual)
+        y = y + factorize(system, q, t_i, y, coef).solve(-residual)
     raise StepFailureError(
         f"stage ({q + 1}) Newton stalled at residual {res:.3e}",
         iterations=cfg.max_newton_iterations, residual_norm=res)
@@ -238,7 +193,9 @@ class ForwardTrajectory:
     """States and stage data of one forward integration.
 
     stage_values[q] and stage_slopes[q] have shape (num_steps, s_q, dim);
-    they are None when the run was made with store_stages=False.
+    they are None when the run was made with store_stages=False.  factors
+    holds the run's stage factorizations; a loaded trajectory starts with an
+    empty cache.
     """
 
     problem: ProblemInstance
@@ -248,7 +205,7 @@ class ForwardTrajectory:
     stage_values: list | None
     stage_slopes: list | None
     config: StageSolverConfig
-    factors: dict = field(default_factory=dict)
+    factors: LinearStageCache = field(default_factory=LinearStageCache)
 
     @property
     def system(self) -> SplitOdeSystem:
@@ -329,8 +286,8 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     """Integrate the problem over the time grid.
 
     The tableau is validated and aligned to the system's partitions first.
-    The trajectory keeps every state and (by default) all stage values and
-    slopes, plus the implicit-stage factorizations for adjoint reuse.
+    The trajectory keeps every state, (by default) all stage values and
+    slopes, and the cache of constant-Jacobian stage factorizations.
     """
     cfg = cfg or StageSolverConfig()
     report = tableau.validate()
@@ -356,7 +313,6 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
                   for q in range(tableau.num_partitions)]
 
     cache = LinearStageCache()
-    factors: dict = {}
     for n in range(n_steps):
         t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])
         try:
@@ -370,11 +326,8 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
                 values[q][n, i] = val
             for (q, i), slope in result.stage_slopes.items():
                 slopes[q][n, i] = slope
-        for (q, i), solver in result.factors.items():
-            if solver is not None:
-                factors[(n, q, i)] = solver
 
     return ForwardTrajectory(problem=problem, tableau=tableau,
                              time_grid=time_grid, states=states,
                              stage_values=values, stage_slopes=slopes,
-                             config=cfg, factors=factors)
+                             config=cfg, factors=cache)

@@ -232,33 +232,14 @@ class GarkTableau:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True, eq=False)
-class AdjointTableau:
-    """Coefficients of the reversed-sweep companion of a GarkTableau.
-
-    coupling[q][m] holds abar^{q,m}; weights[q] holds bbar^(q) (equal to the
-    forward weights).  stage_schedule is the forward schedule reversed.
-    """
-
-    coupling: tuple[tuple[np.ndarray, ...], ...]
-    weights: tuple[np.ndarray, ...]
-    stage_schedule: tuple[tuple[int, int], ...]
-    name: str = ""
-
-    __post_init__ = GarkTableau.__post_init__
-    num_partitions = GarkTableau.num_partitions
-    stage_counts = GarkTableau.stage_counts
-
-    def is_implicit_stage(self, q: int, i: int) -> bool:
-        return self.coupling[q][q][i, i] != 0.0
-
-
-def adjoint_coefficients(tableau) -> AdjointTableau:
+def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
     """Transform forward coefficients into reversed-sweep coefficients.
 
-    abar^{q,m}_{i,j} = b^(m)_j a^{m,q}_{j,i} / b^(q)_i and bbar = b.  Every
-    weight must be nonzero for the division to make sense.  Applying the
-    transform twice recovers the original coefficients.
+    abar^{q,m}_{i,j} = b^(m)_j a^{m,q}_{j,i} / b^(q)_i and bbar = b, with
+    the forward schedule reversed.  Every weight must be nonzero for the
+    division to make sense.  Applying the transform twice recovers the
+    original coefficients.  The result keeps the declared order but claims
+    neither internal consistency nor stiff accuracy.
     """
     P = len(tableau.weights)
     for q in range(P):
@@ -274,8 +255,10 @@ def adjoint_coefficients(tableau) -> AdjointTableau:
         for q in range(P))
     weights = tuple(np.array(b, dtype=float) for b in tableau.weights)
     schedule = tuple(reversed(tableau.stage_schedule))
-    return AdjointTableau(coupling, weights, schedule,
-                          name=(tableau.name + "-adjoint") if tableau.name else "")
+    return GarkTableau(coupling, weights, schedule,
+                       declared_order=tableau.declared_order,
+                       internally_consistent=False, stiffly_accurate=False,
+                       name=(tableau.name + "-adjoint") if tableau.name else "")
 
 
 def build_imex22(gamma: float = GAMMA_MINUS, alpha: float | None = None,

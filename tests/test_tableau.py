@@ -146,6 +146,13 @@ def test_adjoint_transform_is_involutive():
     assert back.stage_schedule == t.stage_schedule
 
 
+@pytest.mark.parametrize("alpha", [None, 0.39, 0.47])
+def test_adjoint_tableau_validates(alpha):
+    adj = adjoint_coefficients(build_imex22(alpha=alpha))
+    assert isinstance(adj, GarkTableau)
+    assert adj.validate().ok
+
+
 def test_adjoint_rejects_zero_weight():
     t = build_imex22()
     crooked = GarkTableau(t.coupling, (np.array([1.0, 0.0]), t.weights[1]),
