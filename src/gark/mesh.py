@@ -9,7 +9,7 @@ nodal injection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,14 +43,17 @@ class TimeGrid:
     """Strictly increasing time nodes t_0 < t_1 < ... < t_N."""
 
     nodes: np.ndarray
+    steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = _frozen_array(self.nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need at least two time nodes")
-        if not np.all(np.diff(nodes) > 0):
+        steps = _frozen_array(np.diff(nodes))
+        if not np.all(steps > 0):
             raise ValueError("time nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def uniform(cls, t0: float, t_final: float, dt: float) -> "TimeGrid":
@@ -67,10 +70,6 @@ class TimeGrid:
         return len(self.nodes) - 1
 
     @property
-    def steps(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
     def t0(self) -> float:
         return float(self.nodes[0])
 
@@ -83,7 +82,7 @@ class TimeGrid:
         old = self.nodes
         out = np.empty(2 * len(old) - 1)
         out[::2] = old
-        out[1::2] = old[:-1] + 0.5 * np.diff(old)
+        out[1::2] = old[:-1] + 0.5 * self.steps
         return TimeGrid(out)
 
     def halve_marked(self, marked) -> "TimeGrid":
@@ -284,19 +283,24 @@ def _bisect_some(coords: np.ndarray, intervals: set) -> np.ndarray:
 
 def _match_indices(coarse: np.ndarray, fine: np.ndarray, axis: str) -> np.ndarray:
     """Index of each coarse coordinate inside the fine coordinate array."""
-    idx = np.searchsorted(fine, coarse)
-    out = np.empty(len(coarse), dtype=int)
-    for k, (i, c) in enumerate(zip(idx, coarse)):
-        scale = max(abs(c), 1.0)
-        hit = -1
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(fine) and abs(fine[j] - c) <= 1e-12 * scale:
-                hit = j
-                break
-        if hit < 0:
-            raise TransferError(f"coarse {axis}={c!r} is not a fine grid line")
-        out[k] = hit
-    return out
+    near = np.searchsorted(fine, coarse)[:, None] + np.array([-1, 0, 1])
+    inside = (near >= 0) & (near < len(fine))
+    gap = np.abs(fine[np.clip(near, 0, len(fine) - 1)] - coarse[:, None])
+    hit = inside & (gap <= 1e-12 * np.maximum(np.abs(coarse), 1.0)[:, None])
+    found = hit.any(axis=1)
+    if not found.all():
+        c = coarse[np.argmin(found)]
+        raise TransferError(f"coarse {axis}={c!r} is not a fine grid line")
+    return near[np.arange(len(coarse)), hit.argmax(axis=1)]
+
+
+def _bilinear_weights(fine: np.ndarray, coarse: np.ndarray):
+    """Per fine coordinate: the containing coarse interval j and the weights
+    (1 - t, t) of its two ends."""
+    j = np.clip(np.searchsorted(coarse, fine, side="right") - 1, 0,
+                len(coarse) - 2)
+    t = (fine - coarse[j]) / (coarse[j + 1] - coarse[j])
+    return j, np.stack([1.0 - t, t], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,49 +327,32 @@ class GridTransfer:
         coarse_idx = coarse.unknown_index()
         n_fine, n_coarse = fine.num_unknowns, coarse.num_unknowns
 
-        rows, cols = [], []
-        for jy, fy in enumerate(iys):
-            for jx, fx in enumerate(ixs):
-                c = coarse_idx[jy, jx]
-                if c < 0:
-                    continue
-                f = fine_idx[fy, fx]
-                if f < 0:
-                    raise TransferError(
-                        f"coarse unknown at ({coarse.xs[jx]}, {coarse.ys[jy]}) "
-                        "maps to an excluded fine node")
-                rows.append(c)
-                cols.append(f)
+        injected = fine_idx[np.ix_(iys, ixs)]
+        unknown = coarse_idx >= 0
+        orphans = np.argwhere(unknown & (injected < 0))
+        if len(orphans):
+            jy, jx = orphans[0]
+            raise TransferError(
+                f"coarse unknown at ({coarse.xs[jx]}, {coarse.ys[jy]}) "
+                "maps to an excluded fine node")
         restriction = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n_coarse, n_fine))
+            (np.ones(int(unknown.sum())),
+             (coarse_idx[unknown], injected[unknown])),
+            shape=(n_coarse, n_fine))
 
-        # bilinear weights from the coarse cell containing each fine node
-        rows, cols, vals = [], [], []
-        cxs, cys = coarse.xs, coarse.ys
-        for fy, y in enumerate(fine.ys):
-            jy = min(max(int(np.searchsorted(cys, y, side="right")) - 1, 0),
-                     len(cys) - 2)
-            ty = (y - cys[jy]) / (cys[jy + 1] - cys[jy])
-            for fx, x in enumerate(fine.xs):
-                f = fine_idx[fy, fx]
-                if f < 0:
-                    continue
-                jx = min(max(int(np.searchsorted(cxs, x, side="right")) - 1, 0),
-                         len(cxs) - 2)
-                tx = (x - cxs[jx]) / (cxs[jx + 1] - cxs[jx])
-                for (dy, wy) in ((0, 1.0 - ty), (1, ty)):
-                    for (dx, wx) in ((0, 1.0 - tx), (1, tx)):
-                        w = wx * wy
-                        if w == 0.0:
-                            continue
-                        c = coarse_idx[jy + dy, jx + dx]
-                        if c < 0:
-                            continue  # Dirichlet corner contributes zero
-                        rows.append(f)
-                        cols.append(c)
-                        vals.append(w)
+        # bilinear weights from the coarse cell containing each fine node;
+        # entries run over fine node (row-major), then dy, then dx
+        jy, wy = _bilinear_weights(fine.ys, coarse.ys)
+        jx, wx = _bilinear_weights(fine.xs, coarse.xs)
+        corner = coarse_idx[(jy[:, None] + [0, 1])[:, None, :, None],
+                            (jx[:, None] + [0, 1])[None, :, None, :]]
+        weight = wx[None, :, None, :] * wy[:, None, :, None]
+        rows = np.broadcast_to(fine_idx[:, :, None, None], corner.shape)
+        # a Dirichlet corner contributes zero
+        keep = (rows >= 0) & (weight != 0.0) & (corner >= 0)
         prolongation = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n_fine, n_coarse))
+            (weight[keep], (rows[keep], corner[keep])),
+            shape=(n_fine, n_coarse))
         return cls(fine, coarse, restriction, prolongation)
 
     def restrict(self, v: np.ndarray) -> np.ndarray:

@@ -116,38 +116,28 @@ def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
     idx = grid.unknown_index()
     hx, hy = np.diff(grid.xs), np.diff(grid.ys)
     wx, wy = trapezoid_weights(grid.xs), trapezoid_weights(grid.ys)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    every, head, tail = slice(None), slice(None, -1), slice(1, None)
+    # faces E, W, N, S: (nodes that have the face, their neighbours, h * w)
+    faces = (((every, head), (every, tail), hx * wx[:-1]),
+             ((every, tail), (every, head), hx * wx[1:]),
+             ((head, every), (tail, every), (hy * wy[:-1])[:, None]),
+             ((tail, every), (head, every), (hy * wy[1:])[:, None]))
+    has_face = np.zeros((ny, nx, 4), dtype=bool)
+    neighbor = np.full((ny, nx, 4), -1)
+    coef = np.zeros((ny, nx, 4))
+    for f, (here, there, hw) in enumerate(faces):
+        has_face[here + (f,)] = True
+        neighbor[here + (f,)] = idx[there]
+        coef[here + (f,)] = 0.5 * (D[here] + D[there]) / hw
 
-    def face(k, neighbor, d_face, h, w):
-        coef = d_face / (h * w)
-        rows.append(k)
-        cols.append(k)
-        vals.append(-coef)
-        if neighbor >= 0:
-            rows.append(k)
-            cols.append(neighbor)
-            vals.append(coef)
-
-    for r in range(ny):
-        for c in range(nx):
-            k = idx[r, c]
-            if k < 0:
-                continue
-            if c + 1 < nx:
-                face(k, idx[r, c + 1], 0.5 * (D[r, c] + D[r, c + 1]),
-                     hx[c], wx[c])
-            if c - 1 >= 0:
-                face(k, idx[r, c - 1], 0.5 * (D[r, c] + D[r, c - 1]),
-                     hx[c - 1], wx[c])
-            if r + 1 < ny:
-                face(k, idx[r + 1, c], 0.5 * (D[r, c] + D[r + 1, c]),
-                     hy[r], wy[r])
-            if r - 1 >= 0:
-                face(k, idx[r - 1, c], 0.5 * (D[r, c] + D[r - 1, c]),
-                     hy[r - 1], wy[r])
-
+    # Triplets per node, face, then (diagonal, neighbour): the same order as
+    # a node-by-node loop, so duplicates on the diagonal sum in that order.
+    keep = has_face & (idx >= 0)[:, :, None]
+    keep = np.stack([keep, keep & (neighbor >= 0)], axis=-1)
+    rows = np.broadcast_to(idx[:, :, None, None], keep.shape)[keep]
+    cols = np.stack([np.broadcast_to(idx[:, :, None], neighbor.shape),
+                     neighbor], axis=-1)[keep]
+    vals = np.stack([-coef, coef], axis=-1)[keep]
     n = grid.num_unknowns
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 

@@ -84,3 +84,113 @@ def nonlinear_stiff(dim: int = 4, rate: float = 30.0) -> SplitOdeSystem:
                        stiff=True),
              Partition(name="drift", rhs=drift_rhs, jacobian=drift_jac))
     return SplitOdeSystem(dim=dim, partitions=parts)
+
+
+# --- node-by-node assembly loops: oracles for the vectorized operators ------
+
+def loop_laplacian(grid, D: np.ndarray) -> sp.csr_matrix:
+    """Flux-form div(D grad u) assembled one node and one face at a time;
+    D is the nodal coefficient field of shape grid.node_shape."""
+    from gark.mesh import trapezoid_weights
+
+    ny, nx = grid.node_shape
+    idx = grid.unknown_index()
+    hx, hy = np.diff(grid.xs), np.diff(grid.ys)
+    wx, wy = trapezoid_weights(grid.xs), trapezoid_weights(grid.ys)
+    rows, cols, vals = [], [], []
+
+    def face(k, neighbor, d_face, h, w):
+        coef = d_face / (h * w)
+        rows.append(k)
+        cols.append(k)
+        vals.append(-coef)
+        if neighbor >= 0:
+            rows.append(k)
+            cols.append(neighbor)
+            vals.append(coef)
+
+    for r in range(ny):
+        for c in range(nx):
+            k = idx[r, c]
+            if k < 0:
+                continue
+            if c + 1 < nx:
+                face(k, idx[r, c + 1], 0.5 * (D[r, c] + D[r, c + 1]),
+                     hx[c], wx[c])
+            if c - 1 >= 0:
+                face(k, idx[r, c - 1], 0.5 * (D[r, c] + D[r, c - 1]),
+                     hx[c - 1], wx[c])
+            if r + 1 < ny:
+                face(k, idx[r + 1, c], 0.5 * (D[r, c] + D[r + 1, c]),
+                     hy[r], wy[r])
+            if r - 1 >= 0:
+                face(k, idx[r - 1, c], 0.5 * (D[r, c] + D[r - 1, c]),
+                     hy[r - 1], wy[r])
+
+    n = grid.num_unknowns
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _loop_match_indices(coarse, fine):
+    out = np.empty(len(coarse), dtype=int)
+    for k, (i, c) in enumerate(zip(np.searchsorted(fine, coarse), coarse)):
+        hits = [j for j in (i - 1, i, i + 1) if 0 <= j < len(fine)
+                and abs(fine[j] - c) <= 1e-12 * max(abs(c), 1.0)]
+        out[k] = hits[0]
+    return out
+
+
+def loop_transfer(fine, coarse):
+    """(restriction, prolongation) between nested grids, one node at a time."""
+    ixs = _loop_match_indices(coarse.xs, fine.xs)
+    iys = _loop_match_indices(coarse.ys, fine.ys)
+    fine_idx = fine.unknown_index()
+    coarse_idx = coarse.unknown_index()
+    n_fine, n_coarse = fine.num_unknowns, coarse.num_unknowns
+
+    rows, cols = [], []
+    for jy, fy in enumerate(iys):
+        for jx, fx in enumerate(ixs):
+            c = coarse_idx[jy, jx]
+            if c >= 0:
+                rows.append(c)
+                cols.append(fine_idx[fy, fx])
+    restriction = sp.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(n_coarse, n_fine))
+
+    rows, cols, vals = [], [], []
+    cxs, cys = coarse.xs, coarse.ys
+    for fy, y in enumerate(fine.ys):
+        jy = min(max(int(np.searchsorted(cys, y, side="right")) - 1, 0),
+                 len(cys) - 2)
+        ty = (y - cys[jy]) / (cys[jy + 1] - cys[jy])
+        for fx, x in enumerate(fine.xs):
+            f = fine_idx[fy, fx]
+            if f < 0:
+                continue
+            jx = min(max(int(np.searchsorted(cxs, x, side="right")) - 1, 0),
+                     len(cxs) - 2)
+            tx = (x - cxs[jx]) / (cxs[jx + 1] - cxs[jx])
+            for (dy, wy) in ((0, 1.0 - ty), (1, ty)):
+                for (dx, wx) in ((0, 1.0 - tx), (1, tx)):
+                    w = wx * wy
+                    if w == 0.0:
+                        continue
+                    c = coarse_idx[jy + dy, jx + dx]
+                    if c < 0:
+                        continue
+                    rows.append(f)
+                    cols.append(c)
+                    vals.append(w)
+    prolongation = sp.csr_matrix(
+        (vals, (rows, cols)), shape=(n_fine, n_coarse))
+    return restriction, prolongation
+
+
+def nested_grids(name: str) -> list:
+    """A problem's default 8x6 grid and two successive refine_marked grids."""
+    from gark.systems import default_grid
+
+    base = default_grid(name, 8, 6)
+    once = base.refine_marked({(1, 1), (2, 1), (7, 5)})
+    return [base, once, once.refine_marked({(0, 0), (4, 3), (5, 3), (9, 7)})]

@@ -11,9 +11,10 @@ from helpers import (linear_pair, nonlinear_stiff, scalar_split,
 
 from gark.estimation import temporal_residuals
 from gark.forward import (ForwardTrajectory, StageSolverConfig,
-                          StepFailureError, align_tableau, integrate, step)
+                          StepFailureError, align_tableau, factorize,
+                          integrate, step)
 from gark.mesh import TimeGrid
-from gark.systems import (Partition, SplitOdeSystem, default_grid,
+from gark.systems import (Partition, SplitOdeSystem, default_grid, make_bsvd,
                           make_calvo)
 from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
 
@@ -199,6 +200,14 @@ class TestIntegrate:
         # the coarse steps of the residual reuse the trajectory's factors
         temporal_residuals(traj, fine)
         assert calls == []
+
+    def test_stage_factors_use_a_fill_reducing_symmetric_ordering(self):
+        problem = make_bsvd(default_grid("bsvd", 40, 40))
+        system, y, q = problem.system, problem.y0, 0  # q: diffusion
+        matrix = sp.identity(system.dim) - 0.01 * system.jac(q, 0.0, y)
+        lu = factorize(system, q, 0.0, y, 0.01)
+        default = scipy.sparse.linalg.splu(sp.csc_matrix(matrix))
+        assert lu.L.nnz + lu.U.nnz < 0.7 * (default.L.nnz + default.U.nnz)
 
     def test_newton_failure_reports_step_index(self):
         system = nonlinear_stiff()

@@ -3,6 +3,7 @@ import pytest
 
 from gark.mesh import (GridTransfer, TensorGrid2D, TimeGrid, TransferError,
                        trapezoid_weights)
+from helpers import loop_transfer, nested_grids
 
 
 class TestTimeGrid:
@@ -51,6 +52,13 @@ class TestTimeGrid:
         base = TimeGrid.uniform(0.0, 1.0, 0.25)
         assert base.halve_all_steps().contains(base)
         assert not base.contains(base.halve_all_steps())
+
+    def test_steps_are_computed_once_and_frozen(self):
+        g = TimeGrid(np.array([0.0, 0.1, 0.3, 0.7]))
+        assert g.steps is g.steps
+        np.testing.assert_array_equal(g.steps, np.diff(g.nodes))
+        with pytest.raises(ValueError):
+            g.steps[0] = 1.0
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
@@ -217,6 +225,17 @@ class TestGridTransfer:
         v = np.arange(coarse.num_unknowns, dtype=float)
         np.testing.assert_allclose(tr.restrict(tr.prolong(v)), v,
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["calvo", "gray_scott", "bsvd"])
+    def test_matches_node_loop_bitwise(self, name):
+        base, once, twice = nested_grids(name)
+        for fine, coarse in ((once, base), (twice, once), (twice, base)):
+            tr = GridTransfer.between(fine, coarse)
+            for got, want in zip((tr.restriction, tr.prolongation),
+                                 loop_transfer(fine, coarse)):
+                for attr in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(got, attr),
+                                                  getattr(want, attr))
 
     def test_species_stacked_state(self):
         coarse = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gark.mesh import TensorGrid2D
+from helpers import loop_laplacian, nested_grids
 from gark.systems import (_calvo_g, _calvo_gxx, bsvd_diffusivity, build_problem,
                           default_grid, discretize_laplacian, integral_goal,
                           make_bsvd, make_calvo, make_gray_scott,
@@ -75,6 +76,22 @@ class TestLaplacian:
             hs.append(1.0 / n)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
+
+    @pytest.mark.parametrize("name", ["calvo", "gray_scott", "bsvd"])
+    @pytest.mark.parametrize("coefficient", [None, "bsvd", "array"])
+    def test_matches_node_loop_bitwise(self, name, coefficient):
+        rng = np.random.default_rng(5)
+        for g in nested_grids(name):
+            X, Y = np.meshgrid(g.xs, g.ys)
+            field = {None: np.ones(g.node_shape),
+                     "bsvd": bsvd_diffusivity(X, Y),
+                     "array": rng.uniform(0.1, 2.0, g.node_shape)}[coefficient]
+            arg = {None: None, "bsvd": bsvd_diffusivity,
+                   "array": field}[coefficient]
+            got, want = discretize_laplacian(g, arg), loop_laplacian(g, field)
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr),
+                                              getattr(want, attr))
 
     def test_bad_coefficient_shape_rejected(self):
         g = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
