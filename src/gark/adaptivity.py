@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gark.estimation import ErrorReport, EstimateBundle, estimate_errors
+from gark.estimation import ErrorReport, estimate_errors
 from gark.forward import StageSolverConfig
 from gark.mesh import TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
@@ -84,13 +84,13 @@ class StageRecord:
     marked_steps: set
     next_space_grid: TensorGrid2D
     next_time_grid: TimeGrid
-    bundle: EstimateBundle | None = None
 
     def summary_dict(self) -> dict:
         r = self.report
         return {
             "stage": self.stage,
             "num_cells": list(self.space_grid.num_cells),
+            "num_unknowns": self.space_grid.num_unknowns,
             "num_steps": self.time_grid.num_steps,
             "psi_num": r.psi_num,
             "psi_ref": r.psi_ref,
@@ -108,11 +108,10 @@ def refine_stage(problem: ProblemInstance, tableau: GarkTableau,
                  time_grid: TimeGrid,
                  cfg: RefinementConfig | None = None,
                  solver_cfg: StageSolverConfig | None = None,
-                 stage: int = 0, keep_bundle: bool = False) -> StageRecord:
+                 stage: int = 0) -> StageRecord:
     """Estimate, mark, and build the next grids for one stage."""
     cfg = cfg or RefinementConfig()
-    bundle = estimate_errors(problem, tableau, time_grid, solver_cfg)
-    report = bundle.report
+    report = estimate_errors(problem, tableau, time_grid, solver_cfg).report
 
     cells = _mark_cells(report, cfg)
     step_mask = mark_percentile(report.per_step, cfg.time_percentile)
@@ -123,8 +122,7 @@ def refine_stage(problem: ProblemInstance, tableau: GarkTableau,
     return StageRecord(stage=stage, space_grid=problem.grid,
                        time_grid=time_grid, report=report,
                        marked_cells=cells, marked_steps=steps,
-                       next_space_grid=next_space, next_time_grid=next_time,
-                       bundle=bundle if keep_bundle else None)
+                       next_space_grid=next_space, next_time_grid=next_time)
 
 
 @dataclass

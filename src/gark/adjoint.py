@@ -65,8 +65,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
     """Propagate the goal gradient backwards through the trajectory."""
     if method not in METHODS:
         raise ValueError(f"unknown adjoint method {method!r}")
-    if trajectory.stage_values is None:
-        raise ValueError("adjoint sweep needs a trajectory with stored stages")
+    trajectory.require_stored("adjoint sweep")
 
     system = trajectory.system
     tableau = trajectory.tableau

@@ -305,8 +305,7 @@ def _check_telescoping(seed: int) -> bool:
     grid = TimeGrid.uniform(0.0, 0.6, 0.1)
     traj = integrate(problem, build_imex22(), grid)
     fine = integrate(problem, build_imex22(),
-                     grid.halve_all_steps().halve_all_steps(),
-                     store_stages=False)
+                     grid.halve_all_steps().halve_all_steps())
     adj = adjoint_sweep(traj, method="mu")
     report = assemble_report(traj, adj, temporal_residuals(traj, fine))
     gap = goal.evaluate(fine.states[-1]) - goal.evaluate(traj.states[-1])

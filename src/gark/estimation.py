@@ -7,6 +7,11 @@ far the restricted fine-grid stages are from satisfying the coarse
 semi-discrete equations; weighting them with the pre-Jacobian stage
 adjoints gives one spatial contribution per partition.  The signed total
 estimates Q(reference) - Q(numerical).
+
+Only the numerical run is stored whole, for the adjoint sweep.  The other
+three runs are streamed into step consumers that keep what the residuals
+read: time-refined states at coarse nodes, space-refined states and slopes
+restricted to the coarse grid (RestrictedRun), and the final reference state.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
-from gark.forward import (ForwardTrajectory, StageSolverConfig,
+from gark.forward import (ForwardTrajectory, StageSolverConfig, StepResult,
                           combine_stage_argument, integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
@@ -28,15 +33,15 @@ def temporal_residuals(trajectory: ForwardTrajectory,
                        reference) -> np.ndarray:
     """r_n = x(t_{n+1}) - onestep(x(t_n)) for the coarse step map.
 
-    reference is either a callable t -> state or a trajectory whose time
-    grid contains every node of the coarse grid.  Row n of the result
+    reference is either a callable t -> state or a stored trajectory whose
+    time grid contains every node of the coarse grid.  Row n of the result
     pairs with the adjoint state at node n+1.  The coarse steps reuse the
     trajectory's factor cache, whose step sizes they share.
     """
     if callable(reference):
         lookup = lambda t: np.asarray(reference(t), dtype=float)
     else:
-        lookup = lambda t: reference.states[reference.time_grid.locate(t)]
+        lookup = lambda t: reference.state(reference.time_grid.locate(t))
 
     system = trajectory.system
     grid = trajectory.time_grid
@@ -52,35 +57,56 @@ def temporal_residuals(trajectory: ForwardTrajectory,
     return out
 
 
-def spatial_residuals(coarse: ForwardTrajectory, fine: ForwardTrajectory,
-                      transfer: GridTransfer,
-                      num_species: int = 1) -> list:
-    """Per-partition stage residuals of the restricted fine solution.
+class RestrictedRun:
+    """Step consumer keeping a fine run's y_n and stage slopes restricted to
+    the coarse space grid, in arrays shaped like the coarse trajectory's."""
 
-    Both trajectories must share the time grid and the (aligned) tableau;
-    fine lives on the refined space grid that transfer restricts from.
-    Restricted fine slopes are recombined into stage states with the same
-    accumulation the forward step uses, so a coarse trajectory checked
-    against itself gives bitwise zeros on explicit stages.
-    """
+    def __init__(self, coarse: ForwardTrajectory, transfer: GridTransfer,
+                 num_species: int = 1):
+        self.transfer, self.num_species = transfer, num_species
+        dim, n_steps = coarse.system.dim, coarse.num_steps
+        self.states = np.empty((n_steps, dim))
+        self.slopes = [np.empty((n_steps, s, dim))
+                       for s in coarse.tableau.stage_counts]
+
+    def __call__(self, n: int, y_n: np.ndarray, result: StepResult) -> None:
+        self.states[n] = self.transfer.restrict_state(y_n, self.num_species)
+        for (q, i), slope in result.stage_slopes.items():
+            self.slopes[q][n, i] = self.transfer.restrict_state(
+                slope, self.num_species)
+
+
+def restrict_run(coarse: ForwardTrajectory, fine: ForwardTrajectory,
+                 transfer: GridTransfer,
+                 num_species: int = 1) -> RestrictedRun:
+    """A stored fine run on the coarse trajectory's time grid, restricted
+    step by step exactly as a streamed one is."""
     if coarse.num_steps != fine.num_steps:
         raise ValueError("trajectories must share the time grid")
+    restricted = RestrictedRun(coarse, transfer, num_species)
+    fine.replay(restricted)
+    return restricted
+
+
+def spatial_residuals(coarse: ForwardTrajectory, fine: RestrictedRun) -> list:
+    """Per-partition stage residuals of the restricted fine solution.
+
+    fine is a fine run on the coarse trajectory's time grid and (aligned)
+    tableau, restricted to the coarse space grid.  Restricted fine slopes
+    are recombined into stage states with the same accumulation the forward
+    step uses, so a coarse trajectory checked against itself gives bitwise
+    zeros on explicit stages.
+    """
     tableau = coarse.tableau
     system = coarse.system
-    counts = tableau.stage_counts
-    out = [np.empty((coarse.num_steps, counts[q], system.dim))
-           for q in range(tableau.num_partitions)]
-
+    out = [np.empty_like(s) for s in fine.slopes]
     for n in range(coarse.num_steps):
         h = float(coarse.time_grid.steps[n])
-        y_nt = transfer.restrict_state(fine.states[n], num_species)
-        slopes = {}
+        slopes = {(q, i): fine.slopes[q][n, i]
+                  for q, i in tableau.stage_schedule}
         for q, i in tableau.stage_schedule:
-            slopes[(q, i)] = transfer.restrict_state(
-                fine.stage_slopes[q][n, i], num_species)
-        for q, i in tableau.stage_schedule:
-            y_stage = combine_stage_argument(y_nt, h, tableau, q, i, slopes,
-                                             include_self=True)
+            y_stage = combine_stage_argument(fine.states[n], h, tableau, q, i,
+                                             slopes, include_self=True)
             t_i = coarse.stage_time(n, q, i)
             out[q][n, i] = slopes[(q, i)] - system.f(q, t_i, y_stage)
     return out
@@ -196,6 +222,7 @@ def assemble_report(trajectory: ForwardTrajectory,
                 nodal = pointwise.sum(axis=(0, 1))
                 cells.append(_per_cell_map(problem.grid,
                                            problem.num_species, nodal))
+            del pointwise  # one product alive at a time
         e_spatial = tuple(totals)
         per_cell = tuple(cells) if cells else None
 
@@ -229,10 +256,11 @@ def estimate_errors(problem: ProblemInstance, tableau,
                     cfg: StageSolverConfig | None = None) -> EstimateBundle:
     """Run the four solutions and assemble the split goal-error report.
 
-    numerical: given grids; time-refined: halved steps on the coarse space
-    grid; space-refined: uniformly refined space grid on the given steps;
-    reference: both refinements.  The reference goal value uses the fine
-    grid's own quadrature.
+    numerical: given grids, stored whole; time-refined: halved steps on the
+    coarse space grid; space-refined: uniformly refined space grid on the
+    given steps; reference: both refinements.  The three companion runs are
+    streamed: the bundle holds them with their final states only.  The
+    reference goal value uses the fine grid's own quadrature.
     """
     if problem.grid is None:
         raise ValueError("four-solution estimate needs a grid problem")
@@ -243,17 +271,26 @@ def estimate_errors(problem: ProblemInstance, tableau,
     fine_time = time_grid.halve_all_steps()
 
     numerical = integrate(problem, tableau, time_grid, cfg)
-    time_refined = integrate(problem, tableau, fine_time, cfg,
-                             store_stages=False)
-    space_refined = integrate(fine_problem, tableau, time_grid, cfg)
-    reference = integrate(fine_problem, tableau, fine_time, cfg,
-                          store_stages=False)
+    at_nodes = np.empty((time_grid.num_steps + 1, problem.system.dim))
 
-    adjoint = adjoint_sweep(numerical, method="mu")
+    def keep_coarse_nodes(n, y_n, result):  # halving keeps node k at 2k
+        if n % 2 == 0:
+            at_nodes[n // 2] = y_n
+
+    time_refined = integrate(problem, tableau, fine_time, cfg,
+                             consumer=keep_coarse_nodes)
+    at_nodes[-1] = time_refined.states[-1]
+    temporal = temporal_residuals(
+        numerical, lambda t: at_nodes[time_grid.locate(t)])
     transfer = GridTransfer.between(fine_grid, problem.grid)
-    temporal = temporal_residuals(numerical, time_refined)
-    spatial = spatial_residuals(numerical, space_refined, transfer,
-                                problem.num_species)
+    restricted = RestrictedRun(numerical, transfer, problem.num_species)
+    space_refined = integrate(fine_problem, tableau, time_grid, cfg,
+                              consumer=restricted)
+    spatial = spatial_residuals(numerical, restricted)
+    del at_nodes, restricted  # read by the residuals only; free them now
+    reference = integrate(fine_problem, tableau, fine_time, cfg,
+                          consumer=lambda n, y_n, result: None)
+    adjoint = adjoint_sweep(numerical, method="mu")
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
     report = assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
     return EstimateBundle(report=report, numerical=numerical,

@@ -8,6 +8,8 @@ I - h a_ii J is factored by SuperLU with a symmetric minimum-degree column
 ordering (MMD on A^T + A).  Each trajectory keeps one LinearStageCache of
 the factors for partitions with constant Jacobians, keyed per (partition,
 h a_ii); the reversed sweep reads the same cache and solves transposed.
+integrate stores a run whole for the adjoint sweep, or hands each finished
+step to a consumer and keeps only y_N; replay feeds a stored run to one.
 """
 
 from __future__ import annotations
@@ -197,10 +199,10 @@ def _newton_stage(system, q, t_i, coef, rhs, predictor, cfg):
 class ForwardTrajectory:
     """States and stage data of one forward integration.
 
-    stage_values[q] and stage_slopes[q] have shape (num_steps, s_q, dim);
-    they are None when the run was made with store_stages=False.  factors
-    holds the run's stage factorizations; a loaded trajectory starts with an
-    empty cache.
+    stage_values[q] and stage_slopes[q] have shape (num_steps, s_q, dim).
+    A run made with a step consumer keeps only states = [y_N], no stage
+    arrays and an empty factor cache.  factors holds the run's stage
+    factorizations; a loaded trajectory starts with an empty cache.
     """
 
     problem: ProblemInstance
@@ -220,15 +222,36 @@ class ForwardTrajectory:
     def num_steps(self) -> int:
         return self.time_grid.num_steps
 
+    def require_stored(self, what: str) -> None:
+        """Raise ValueError when the run was streamed (final state only)."""
+        if self.stage_slopes is None:
+            raise ValueError(
+                f"{what} needs stored stages and states, but this run handed "
+                "its steps to a consumer and kept only its final state")
+
     def state(self, n: int) -> np.ndarray:
+        self.require_stored("state(n)")
         return self.states[n]
 
     def stage_time(self, n: int, q: int, i: int) -> float:
         return float(self.time_grid.nodes[n]
                      + self.tableau.abscissae(q)[i] * self.time_grid.steps[n])
 
+    def replay(self, consumer) -> None:
+        """Hand each stored step to consumer(n, y_n, StepResult) in order,
+        as integrate does while the run is made."""
+        self.require_stored("replay")
+        schedule = self.tableau.stage_schedule
+        for n in range(self.num_steps):
+            consumer(n, self.states[n], StepResult(
+                self.states[n + 1],
+                {(q, i): self.stage_values[q][n, i] for q, i in schedule},
+                {(q, i): self.stage_slopes[q][n, i] for q, i in schedule},
+                {(q, i): self.stage_time(n, q, i) for q, i in schedule}))
+
     def step_identity_residual(self) -> float:
         """max_n |y_{n+1} - y_n - h_n sum b k| over the whole trajectory."""
+        self.require_stored("step_identity_residual")
         worst = 0.0
         for n in range(self.num_steps):
             acc = self.states[n].copy()
@@ -242,6 +265,7 @@ class ForwardTrajectory:
 
     def stage_consistency_residual(self) -> float:
         """max |Y - (y_n + h sum a k)| over all stages; solver-tolerance small."""
+        self.require_stored("stage_consistency_residual")
         worst = 0.0
         for n in range(self.num_steps):
             h = self.time_grid.steps[n]
@@ -255,15 +279,15 @@ class ForwardTrajectory:
         return worst
 
     def save_npz(self, path) -> None:
+        self.require_stored("save_npz")
         payload = {
             "nodes": self.time_grid.nodes,
             "states": self.states,
             "tableau_json": np.array(json.dumps(self.tableau.to_json_dict())),
         }
-        if self.stage_values is not None:
-            for q in range(self.tableau.num_partitions):
-                payload[f"stage_values_{q}"] = self.stage_values[q]
-                payload[f"stage_slopes_{q}"] = self.stage_slopes[q]
+        for q in range(self.tableau.num_partitions):
+            payload[f"stage_values_{q}"] = self.stage_values[q]
+            payload[f"stage_slopes_{q}"] = self.stage_slopes[q]
         np.savez_compressed(path, **payload)
 
     @classmethod
@@ -274,12 +298,10 @@ class ForwardTrajectory:
                 json.loads(str(data["tableau_json"])))
             grid = TimeGrid(data["nodes"])
             states = data["states"]
-            values = slopes = None
-            if f"stage_values_0" in data:
-                values = [data[f"stage_values_{q}"]
-                          for q in range(tableau.num_partitions)]
-                slopes = [data[f"stage_slopes_{q}"]
-                          for q in range(tableau.num_partitions)]
+            values = [data[f"stage_values_{q}"]
+                      for q in range(tableau.num_partitions)]
+            slopes = [data[f"stage_slopes_{q}"]
+                      for q in range(tableau.num_partitions)]
         return cls(problem, tableau, grid, states, values, slopes,
                    cfg or StageSolverConfig())
 
@@ -287,12 +309,14 @@ class ForwardTrajectory:
 def integrate(problem: ProblemInstance, tableau: GarkTableau,
               time_grid: TimeGrid, cfg: StageSolverConfig | None = None,
               y0: np.ndarray | None = None,
-              store_stages: bool = True) -> ForwardTrajectory:
+              consumer=None) -> ForwardTrajectory:
     """Integrate the problem over the time grid.
 
     The tableau is validated and aligned to the system's partitions first.
-    The trajectory keeps every state, (by default) all stage values and
-    slopes, and the cache of constant-Jacobian stage factorizations.
+    Without a consumer the trajectory keeps every state, all stage values
+    and slopes, and the cache of constant-Jacobian stage factorizations.
+    With one, consumer(n, y_n, StepResult) is called as each step finishes
+    and the returned trajectory is streamed: it keeps only y_N.
     """
     cfg = cfg or StageSolverConfig()
     report = tableau.validate()
@@ -307,31 +331,33 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
                          f"expected ({system.dim},)")
 
     n_steps = time_grid.num_steps
-    states = np.empty((n_steps + 1, system.dim))
-    states[0] = y
-    counts = tableau.stage_counts
-    values = slopes = None
-    if store_stages:
-        values = [np.empty((n_steps, counts[q], system.dim))
-                  for q in range(tableau.num_partitions)]
-        slopes = [np.empty((n_steps, counts[q], system.dim))
-                  for q in range(tableau.num_partitions)]
-
     cache = LinearStageCache()
-    for n in range(n_steps):
-        t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])
-        try:
-            result = step(system, tableau, t, h, states[n], cfg, cache)
-        except StepFailureError as err:
-            err.step_index = n
-            raise
-        states[n + 1] = result.y_next
-        if store_stages:
+    stored = consumer is None
+    if stored:
+        states = np.empty((n_steps + 1, system.dim))
+        states[0] = y
+        values, slopes = ([np.empty((n_steps, s, system.dim))
+                           for s in tableau.stage_counts] for _ in range(2))
+
+        def consumer(n, y_n, result):
+            states[n + 1] = result.y_next
             for (q, i), val in result.stage_values.items():
                 values[q][n, i] = val
             for (q, i), slope in result.stage_slopes.items():
                 slopes[q][n, i] = slope
 
+    for n in range(n_steps):
+        t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])
+        try:
+            result = step(system, tableau, t, h, y, cfg, cache)
+        except StepFailureError as err:
+            err.step_index = n
+            raise
+        consumer(n, y, result)
+        y = result.y_next
+
+    if not stored:
+        states, values, slopes, cache = y[None], None, None, LinearStageCache()
     return ForwardTrajectory(problem=problem, tableau=tableau,
                              time_grid=time_grid, states=states,
                              stage_values=values, stage_slopes=slopes,

@@ -23,8 +23,7 @@ def dense_step_propagator(trajectory: ForwardTrajectory, n: int) -> np.ndarray:
     if system.dim > MAX_DENSE_DIM:
         raise ValueError(f"dense propagator capped at {MAX_DENSE_DIM} "
                          f"unknowns, got {system.dim}")
-    if trajectory.stage_values is None:
-        raise ValueError("dense propagator needs stored stage values")
+    trajectory.require_stored("dense propagator")
     tableau = trajectory.tableau
     h = float(trajectory.time_grid.steps[n])
     dim = system.dim
@@ -87,7 +86,7 @@ def fd_goal_gradient(problem: ProblemInstance, tableau, time_grid,
             shifted = base.copy()
             shifted[j] += sign * delta
             traj = integrate(problem, tableau, time_grid, cfg, y0=shifted,
-                             store_stages=False)
+                             consumer=lambda n, y_n, result: None)
             value = problem.goal.evaluate(traj.states[-1])
             if slot == 0:
                 plus = value

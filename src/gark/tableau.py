@@ -82,6 +82,8 @@ class GarkTableau:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "stage_schedule",
                            tuple((int(q), int(i)) for q, i in self.stage_schedule))
+        object.__setattr__(self, "_abscissae", tuple(
+            tuple(_freeze(a.sum(axis=1)) for a in row) for row in coupling))
 
     @property
     def num_partitions(self) -> int:
@@ -92,10 +94,8 @@ class GarkTableau:
         return tuple(len(b) for b in self.weights)
 
     def abscissae(self, q: int, m: int | None = None) -> np.ndarray:
-        """Row sums c^{q,m} = A^{q,m} 1; m defaults to q (own abscissae)."""
-        if m is None:
-            m = q
-        return self.coupling[q][m].sum(axis=1)
+        """Row sums c^{q,m} = A^{q,m} 1, m defaulting to q; summed at build."""
+        return self._abscissae[q][q if m is None else m]
 
     def is_implicit_stage(self, q: int, i: int) -> bool:
         return self.coupling[q][q][i, i] != 0.0

@@ -3,7 +3,8 @@
 import numpy as np
 import scipy.sparse as sp
 
-from gark.systems import GoalFunction, Partition, ProblemInstance, SplitOdeSystem
+from gark.systems import (GoalFunction, Partition, ProblemInstance,
+                          SplitOdeSystem, rebuild_on)
 
 
 def sum_goal(dim: int) -> GoalFunction:
@@ -194,3 +195,32 @@ def nested_grids(name: str) -> list:
     base = default_grid(name, 8, 6)
     once = base.refine_marked({(1, 1), (2, 1), (7, 5)})
     return [base, once, once.refine_marked({(0, 0), (4, 3), (5, 3), (9, 7)})]
+
+
+# --- the four-solution estimate with every run stored: streaming's oracle ---
+
+def stored_estimate(problem, tableau, time_grid, cfg=None):
+    """ErrorReport of the estimate with all four runs stored whole; the
+    space-refined run is restricted after the fact by restrict_run."""
+    from gark.adjoint import adjoint_sweep
+    from gark.estimation import (assemble_report, restrict_run,
+                                 spatial_residuals, temporal_residuals)
+    from gark.forward import integrate
+    from gark.mesh import GridTransfer
+
+    fine_grid = problem.grid.refine_uniform()
+    fine_problem = rebuild_on(problem, fine_grid)
+    fine_time = time_grid.halve_all_steps()
+
+    numerical = integrate(problem, tableau, time_grid, cfg)
+    time_refined = integrate(problem, tableau, fine_time, cfg)
+    space_refined = integrate(fine_problem, tableau, time_grid, cfg)
+    reference = integrate(fine_problem, tableau, fine_time, cfg)
+
+    adjoint = adjoint_sweep(numerical, method="mu")
+    transfer = GridTransfer.between(fine_grid, problem.grid)
+    temporal = temporal_residuals(numerical, time_refined)
+    spatial = spatial_residuals(numerical, restrict_run(
+        numerical, space_refined, transfer, problem.num_species))
+    psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
+    return assemble_report(numerical, adjoint, temporal, spatial, psi_ref)

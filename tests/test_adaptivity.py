@@ -128,10 +128,6 @@ class TestRefineStage:
         assert len(sparse.marked_steps) < len(all_marked.marked_steps)
         assert len(sparse.marked_cells) < len(all_marked.marked_cells)
 
-    def test_bundle_kept_only_on_request(self):
-        assert self.make_record().bundle is None
-        assert self.make_record(keep_bundle=True).bundle is not None
-
 
 class TestCampaign:
     def test_single_stage_equals_refine_stage(self):
@@ -167,6 +163,11 @@ class TestCampaign:
         assert entries[1]["num_cells"][0] > entries[0]["num_cells"][0]
         assert {"psi_num", "e_ref", "e_total", "accuracy"} <= \
             set(entries[0])
+        for entry in entries:
+            cells = entry["num_cells"]
+            # calvo's Dirichlet sides hold no unknowns
+            assert entry["num_unknowns"] == (cells[0] - 1) * (cells[1] - 1)
+        assert entries[1]["num_unknowns"] > entries[0]["num_unknowns"]
         for stage in (0, 1):
             payload = json.loads(
                 (tmp_path / "grids" / f"stage-{stage}.json").read_text())

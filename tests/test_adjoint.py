@@ -62,7 +62,8 @@ class TestDegenerate:
     def test_needs_stored_stages(self):
         problem = wrap(scalar_split(-1.0, 0.0), [1.0], t_final=0.1)
         traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.1, 0.1), store_stages=False)
+                         TimeGrid.uniform(0.0, 0.1, 0.1),
+                         consumer=lambda n, y_n, result: None)
         with pytest.raises(ValueError, match="stored stages"):
             adjoint_sweep(traj)
 

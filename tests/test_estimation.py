@@ -1,20 +1,23 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import linear_pair, nonlinear_stiff, scalar_split, wrap
+from helpers import (linear_pair, nonlinear_stiff, scalar_split,
+                     stored_estimate, wrap)
 
 from gark.adjoint import adjoint_sweep
 from gark.estimation import (ErrorReport, assemble_report, estimate_errors,
-                             spatial_residuals, temporal_residuals)
+                             restrict_run, spatial_residuals,
+                             temporal_residuals)
 from gark.forward import integrate
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import (Partition, ProblemInstance, SplitOdeSystem,
-                          default_grid, discretize_laplacian, integral_goal,
-                          make_calvo)
+                          build_problem, default_grid, discretize_laplacian,
+                          integral_goal, make_calvo)
 from gark.tableau import build_imex22
 
 
@@ -84,8 +87,7 @@ class TestTemporalResiduals:
         system = nonlinear_stiff()
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.4)
         fine = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.4, 0.005 / 16),
-                         store_stages=False)
+                         TimeGrid.uniform(0.0, 0.4, 0.005 / 16))
         norms, dts = [], [0.02, 0.01, 0.005]
         for dt in dts:
             traj = integrate(problem, build_imex22(),
@@ -99,8 +101,7 @@ class TestTemporalResiduals:
         problem = wrap(nonlinear_stiff(), np.full(4, 0.4), t_final=0.2)
         grid = TimeGrid.uniform(0.0, 0.2, 0.05)
         traj = integrate(problem, build_imex22(), grid)
-        fine = integrate(problem, build_imex22(), grid.halve_all_steps(),
-                         store_stages=False)
+        fine = integrate(problem, build_imex22(), grid.halve_all_steps())
         as_traj = temporal_residuals(traj, fine)
         as_call = temporal_residuals(
             traj, lambda t: fine.states[fine.time_grid.locate(t)])
@@ -132,8 +133,7 @@ class TestLinearTelescoping:
         grid = TimeGrid.uniform(0.0, 0.8, 0.1)
         traj = integrate(problem, build_imex22(), grid)
         fine = integrate(problem, build_imex22(),
-                         grid.halve_all_steps().halve_all_steps(),
-                         store_stages=False)
+                         grid.halve_all_steps().halve_all_steps())
         adj = adjoint_sweep(traj, method="mu")
         res = temporal_residuals(traj, fine)
         report = assemble_report(traj, adj, res,
@@ -149,8 +149,7 @@ class TestLinearTelescoping:
         problem = wrap(system, np.ones(5), t_final=0.5)
         grid = TimeGrid.uniform(0.0, 0.5, 0.1)
         traj = integrate(problem, build_imex22(), grid)
-        fine = integrate(problem, build_imex22(), grid.halve_all_steps(),
-                         store_stages=False)
+        fine = integrate(problem, build_imex22(), grid.halve_all_steps())
         adj = adjoint_sweep(traj, method="mu")
         report = assemble_report(traj, adj, temporal_residuals(traj, fine))
         assert report.per_step.shape == (5,)
@@ -164,7 +163,7 @@ class TestSpatialResiduals:
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
         transfer = GridTransfer.between(problem.grid, problem.grid)
-        res = spatial_residuals(traj, traj, transfer)
+        res = spatial_residuals(traj, restrict_run(traj, traj, transfer))
         # explicit reaction stages recombine bitwise; implicit diffusion
         # stages sit at the linear-solve round-off level
         assert np.all(res[1] == 0.0)
@@ -178,7 +177,7 @@ class TestSpatialResiduals:
         traj_c = integrate(pointwise_problem(coarse), build_imex22(), grid)
         traj_f = integrate(pointwise_problem(fine), build_imex22(), grid)
         transfer = GridTransfer.between(fine, coarse)
-        res = spatial_residuals(traj_c, traj_f, transfer)
+        res = spatial_residuals(traj_c, restrict_run(traj_c, traj_f, transfer))
         scale = np.max(np.abs(traj_c.states))
         for q in range(2):
             assert np.max(np.abs(res[q])) < 1e-12 * scale
@@ -191,7 +190,7 @@ class TestSpatialResiduals:
                       TimeGrid.uniform(0.0, 1.5, 0.075))
         transfer = GridTransfer.between(problem.grid, problem.grid)
         with pytest.raises(ValueError, match="time grid"):
-            spatial_residuals(a, b, transfer)
+            restrict_run(a, b, transfer)
 
 
 class TestAssembleReport:
@@ -201,7 +200,7 @@ class TestAssembleReport:
                          TimeGrid.uniform(0.0, 1.5, 0.15))
         adj = adjoint_sweep(traj, method="theta")
         transfer = GridTransfer.between(problem.grid, problem.grid)
-        res = spatial_residuals(traj, traj, transfer)
+        res = spatial_residuals(traj, restrict_run(traj, traj, transfer))
         temporal = temporal_residuals(traj, traj)
         with pytest.raises(ValueError, match="mu"):
             assemble_report(traj, adj, temporal, res)
@@ -211,8 +210,7 @@ class TestAssembleReport:
         problem = wrap(system, np.ones(4), t_final=0.4)
         grid = TimeGrid.uniform(0.0, 0.4, 0.1)
         traj = integrate(problem, build_imex22(), grid)
-        fine = integrate(problem, build_imex22(), grid.halve_all_steps(),
-                         store_stages=False)
+        fine = integrate(problem, build_imex22(), grid.halve_all_steps())
         adj = adjoint_sweep(traj, method="mu")
         psi_ref = 12.5
         report = assemble_report(traj, adj, temporal_residuals(traj, fine),
@@ -251,7 +249,7 @@ class TestFourSolutionPipeline:
         traj_f = integrate(linear_heat(fine), build_imex22(), grid)
         transfer = GridTransfer.between(fine, coarse)
         adj = adjoint_sweep(traj_c, method="mu")
-        res = spatial_residuals(traj_c, traj_f, transfer)
+        res = spatial_residuals(traj_c, restrict_run(traj_c, traj_f, transfer))
         report = assemble_report(traj_c, adj,
                                  temporal_residuals(traj_c, traj_c), res)
         goal = traj_c.problem.goal
@@ -317,3 +315,45 @@ class TestFourSolutionPipeline:
                                    report.e_temporal, rtol=1e-3)
         np.testing.assert_allclose(float(parsed["total_error"]),
                                    report.e_total, rtol=1e-3)
+
+
+class TestStreamedCompanionRuns:
+    @pytest.mark.parametrize("name, cells, t_final, dt", [
+        ("gray_scott", 4, 1.0, 0.05), ("bsvd", 6, 0.5, 0.05)])
+    def test_report_equals_the_all_stored_estimate_bitwise(self, name, cells,
+                                                           t_final, dt):
+        problem = build_problem(name, default_grid(name, cells, cells),
+                                t_final=t_final)
+        grid = TimeGrid.uniform(0.0, t_final, dt)
+        bundle = estimate_errors(problem, build_imex22(), grid)
+        streamed, stored = bundle.report, stored_estimate(
+            problem, build_imex22(), grid)
+        for field in ("psi_num", "psi_ref", "e_ref", "e_temporal",
+                      "e_spatial", "e_total", "accuracy"):
+            assert getattr(streamed, field) == getattr(stored, field), field
+        np.testing.assert_array_equal(streamed.per_step, stored.per_step)
+        for mine, theirs in zip(streamed.per_cell, stored.per_cell,
+                                strict=True):
+            np.testing.assert_array_equal(mine, theirs)
+        for run in (bundle.time_refined, bundle.space_refined,
+                    bundle.reference):
+            assert run.stage_slopes is None
+            assert run.states.shape == (1, run.system.dim)
+
+    def test_peak_stays_below_the_fine_stage_arrays(self):
+        problem = build_problem("gray_scott", default_grid("gray_scott", 8, 8),
+                                t_final=1.0)
+        grid = TimeGrid.uniform(0.0, 1.0, 0.02)
+        tableau = build_imex22()
+        fine_dim = (problem.grid.refine_uniform().num_unknowns
+                    * problem.num_species)
+        # stage values and slopes of the space-refined run, if it were stored
+        fine_stage_bytes = 2 * grid.num_steps * sum(
+            tableau.stage_counts) * fine_dim * 8
+        tracemalloc.start()
+        try:
+            estimate_errors(problem, tableau, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fine_stage_bytes

@@ -194,8 +194,7 @@ class TestIntegrate:
         traj = integrate(problem, build_imex22(), grid)
         # both implicit stages share h*gamma, so four steps factor once
         assert len(calls) == 1
-        fine = integrate(problem, build_imex22(), grid.halve_all_steps(),
-                         store_stages=False)
+        fine = integrate(problem, build_imex22(), grid.halve_all_steps())
         calls.clear()
         # the coarse steps of the residual reuse the trajectory's factors
         temporal_residuals(traj, fine)
@@ -239,14 +238,65 @@ class TestIntegrate:
             integrate(wrap(system, [1.0], t_final=0.1), bad,
                       TimeGrid.uniform(0.0, 0.1, 0.1))
 
-    def test_store_stages_false_keeps_states_only(self):
-        system = scalar_split(-1.0, -0.5)
-        problem = wrap(system, [1.0], t_final=0.2)
+    def test_streamed_run_hands_each_step_to_the_consumer(self):
+        system = nonlinear_stiff()
+        problem = wrap(system, np.full(system.dim, 0.4), t_final=0.2)
+        grid = TimeGrid.uniform(0.0, 0.2, 0.05)
+        stored = integrate(problem, build_imex22(), grid)
+        seen = []
+        streamed = integrate(problem, build_imex22(), grid,
+                             consumer=lambda n, y_n, result:
+                             seen.append((n, y_n, result)))
+        assert [n for n, _, _ in seen] == list(range(grid.num_steps))
+        for n, y_n, result in seen:
+            np.testing.assert_array_equal(y_n, stored.states[n])
+            np.testing.assert_array_equal(result.y_next, stored.states[n + 1])
+            for (q, i), slope in result.stage_slopes.items():
+                np.testing.assert_array_equal(slope,
+                                              stored.stage_slopes[q][n, i])
+        np.testing.assert_array_equal(streamed.states[-1], stored.states[-1])
+        assert streamed.states.shape == (1, system.dim)
+        assert streamed.stage_values is None
+        assert streamed.stage_slopes is None
+
+    def test_replay_matches_the_streamed_steps(self):
+        system = stiff_relaxation()
+        problem = wrap(system, np.full(system.dim, 0.5), t_final=0.2)
+        grid = TimeGrid.uniform(0.0, 0.2, 0.05)
+        live, replayed = [], []
+        stored = integrate(problem, build_imex22(), grid)
+        integrate(problem, build_imex22(), grid,
+                  consumer=lambda *step: live.append(step))
+        stored.replay(lambda *step: replayed.append(step))
+        assert len(live) == len(replayed) == grid.num_steps
+        for (n, y_n, a), (m, y_m, b) in zip(live, replayed):
+            assert n == m
+            np.testing.assert_array_equal(y_n, y_m)
+            np.testing.assert_array_equal(a.y_next, b.y_next)
+            assert a.stage_times == b.stage_times
+            for qi in a.stage_slopes:
+                np.testing.assert_array_equal(a.stage_values[qi],
+                                              b.stage_values[qi])
+                np.testing.assert_array_equal(a.stage_slopes[qi],
+                                              b.stage_slopes[qi])
+
+    @pytest.mark.parametrize("use", [
+        lambda traj, tmp: traj.state(0),
+        lambda traj, tmp: traj.step_identity_residual(),
+        lambda traj, tmp: traj.stage_consistency_residual(),
+        lambda traj, tmp: traj.save_npz(tmp / "traj.npz"),
+        lambda traj, tmp: traj.replay(lambda *step: None),
+        lambda traj, tmp: temporal_residuals(traj, traj),
+    ], ids=["state", "step_identity", "stage_consistency", "save_npz",
+            "replay", "temporal_reference"])
+    def test_streamed_run_refuses_stored_reads(self, use, tmp_path):
+        problem = wrap(scalar_split(-1.0, -0.5), [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.2, 0.05), store_stages=False)
-        assert traj.stage_values is None
-        assert traj.stage_slopes is None
-        assert traj.states.shape == (5, 1)
+                         TimeGrid.uniform(0.0, 0.2, 0.05),
+                         consumer=lambda n, y_n, result: None)
+        with pytest.raises(ValueError, match="kept only its final state"):
+            use(traj, tmp_path)
+        assert not (tmp_path / "traj.npz").exists()
 
     def test_stage_time_accessor(self):
         system = scalar_split(-1.0, -0.5)
@@ -288,12 +338,12 @@ class TestCalvoForward:
         problem = make_calvo(default_grid("calvo", 20, 10))
         ref = integrate(problem, build_imex22(),
                         TimeGrid.uniform(0.0, 1.5, 0.15 / 2 ** 7),
-                        store_stages=False)
+                        consumer=lambda n, y_n, result: None)
         errors, dts = [], [0.0375, 0.075, 0.15]
         for dt in dts:
             traj = integrate(problem, build_imex22(),
                              TimeGrid.uniform(0.0, 1.5, dt),
-                             store_stages=False)
+                             consumer=lambda n, y_n, result: None)
             errors.append(np.linalg.norm(traj.states[-1] - ref.states[-1])
                           / np.linalg.norm(ref.states[-1]))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]

@@ -36,6 +36,19 @@ def test_imex22_default_coefficients():
     np.testing.assert_allclose(t.abscissae(1), [g, 1.0], rtol=0, atol=1e-15)
 
 
+def test_abscissae_are_summed_once_and_frozen():
+    t = build_imex22(alpha=0.37)
+    for q in range(2):
+        for m in (None, 0, 1):
+            first, again = t.abscissae(q, m), t.abscissae(q, m)
+            np.testing.assert_array_equal(first, again)
+            np.testing.assert_array_equal(
+                first, t.coupling[q][q if m is None else m].sum(axis=1))
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+
+
 def test_imex22_alpha_half():
     t = build_imex22(alpha=0.5)
     assert t.coupling[0][0][1, 0] == pytest.approx(1.0, abs=0.0)
