@@ -7,8 +7,8 @@ from gark.adjoint import AdjointTrajectory, adjoint_sweep
 from gark.estimation import (ErrorReport, EstimateBundle, assemble_report,
                              estimate_errors, restrict_run,
                              spatial_residuals, temporal_residuals)
-from gark.forward import (ForwardTrajectory, StageSolverConfig,
-                          StepFailureError, align_tableau, integrate, step)
+from gark.forward import (ForwardTrajectory, StepFailureError, align_tableau,
+                          integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import (GoalFunction, Partition, ProblemInstance,
                           SplitOdeSystem, build_problem, default_grid,
@@ -26,7 +26,7 @@ __all__ = [
     "CampaignResult", "ErrorReport", "EstimateBundle", "ForwardTrajectory",
     "GarkTableau", "GoalFunction", "GridTransfer", "InvalidParameterError",
     "Partition", "ProblemInstance", "RefinementConfig", "SplitOdeSystem",
-    "StageRecord", "StageSolverConfig", "StepFailureError", "TensorGrid2D",
+    "StageRecord", "StepFailureError", "TensorGrid2D",
     "TimeGrid", "UnsupportedTableauError", "adjoint_coefficients",
     "adjoint_sweep", "align_tableau", "assemble_report", "build_imex22",
     "build_problem", "default_grid", "discretize_laplacian",

@@ -2,8 +2,9 @@
 
 Each stage runs the four-solution estimate, marks the cells and steps that
 carry the largest absolute error contributions by a nearest-rank
-percentile rule, and bisects the marked tensor lines and steps.  A
-campaign chains stages, rebuilding the problem on each new grid.
+percentile rule (cells on the per-partition cell maps summed), and bisects
+the marked tensor lines and steps.  A campaign chains stages, rebuilding
+the problem on each new grid.
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from gark.estimation import ErrorReport, estimate_errors
-from gark.forward import StageSolverConfig
 from gark.mesh import TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 from gark.tableau import GarkTableau
-
-MARKING_BASES = ("union", "total")
 
 
 def mark_percentile(values: np.ndarray, percentile: float) -> np.ndarray:
@@ -46,30 +44,11 @@ def mark_percentile(values: np.ndarray, percentile: float) -> np.ndarray:
 class RefinementConfig:
     space_percentile: float = 90.0
     time_percentile: float = 80.0
-    marking_basis: str = "union"  # "union" | "total"
     num_stages: int = 4
 
     def __post_init__(self):
-        if self.marking_basis not in MARKING_BASES:
-            raise ValueError(f"unknown marking basis {self.marking_basis!r}")
         if self.num_stages < 1:
             raise ValueError("need at least one stage")
-
-
-def _mark_cells(report: ErrorReport, cfg: RefinementConfig) -> set:
-    """Marked cells as (ix, iy) pairs.
-
-    "total" marks the percentile of the summed per-partition cell maps;
-    "union" marks each partition's map on its own and joins the marks.
-    """
-    if cfg.marking_basis == "total":
-        marked = mark_percentile(np.sum(report.per_cell, axis=0),
-                                 cfg.space_percentile)
-    else:
-        marked = np.zeros_like(report.per_cell[0], dtype=bool)
-        for cell_map in report.per_cell:
-            marked |= mark_percentile(cell_map, cfg.space_percentile)
-    return {(int(ix), int(iy)) for iy, ix in np.argwhere(marked)}
 
 
 @dataclass
@@ -107,13 +86,14 @@ class StageRecord:
 def refine_stage(problem: ProblemInstance, tableau: GarkTableau,
                  time_grid: TimeGrid,
                  cfg: RefinementConfig | None = None,
-                 solver_cfg: StageSolverConfig | None = None,
                  stage: int = 0) -> StageRecord:
     """Estimate, mark, and build the next grids for one stage."""
     cfg = cfg or RefinementConfig()
-    report = estimate_errors(problem, tableau, time_grid, solver_cfg).report
+    report = estimate_errors(problem, tableau, time_grid).report
 
-    cells = _mark_cells(report, cfg)
+    cell_mask = mark_percentile(np.sum(report.per_cell, axis=0),
+                                cfg.space_percentile)
+    cells = {(int(ix), int(iy)) for iy, ix in np.argwhere(cell_mask)}
     step_mask = mark_percentile(report.per_step, cfg.time_percentile)
     steps = {int(i) for i in np.nonzero(step_mask)[0]}
 
@@ -136,7 +116,6 @@ class CampaignResult:
 
 def run_campaign(problem: ProblemInstance, tableau: GarkTableau,
                  time_grid: TimeGrid, cfg: RefinementConfig | None = None,
-                 solver_cfg: StageSolverConfig | None = None,
                  out_dir=None) -> CampaignResult:
     """Chain refinement stages, optionally logging each one to disk.
 
@@ -155,8 +134,7 @@ def run_campaign(problem: ProblemInstance, tableau: GarkTableau,
         log_path.write_text("")
 
     for stage in range(cfg.num_stages):
-        record = refine_stage(problem, tableau, time_grid, cfg, solver_cfg,
-                              stage=stage)
+        record = refine_stage(problem, tableau, time_grid, cfg, stage=stage)
         result.records.append(record)
         if out_dir is not None:
             with open(log_path, "a") as handle:

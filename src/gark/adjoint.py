@@ -1,16 +1,16 @@
 """Discrete adjoint sweeps over a stored forward trajectory.
 
-Three algebraically equivalent stage recursions are implemented side by
-side; each walks the stages of every step in reverse schedule order and
-propagates lambda_n = lambda_{n+1} + (update).  "theta" carries the raw
-stage increments, "mu" carries the pre-Jacobian solve vectors with
-theta = J^T mu, and "ell" runs the reversed method built from the adjoint
-coefficient tableau (which requires every stage weight to be nonzero).
-Implicit-stage solves are transposed SuperLU solves taken from the
-trajectory's factor cache: constant-Jacobian stages hit the factors the
-forward run stored, and Newton stages are factored at their stored
-(converged) stage values.  Each
-stage applies its Jacobian only as a vector-Jacobian product
+Three algebraically equivalent stage recursions walk the stages of every
+step in reverse schedule order and propagate lambda_n = lambda_{n+1} +
+(update).  "theta" carries the raw stage increments and "mu" the
+pre-Jacobian solve vectors with theta = J^T mu; both read each stage's
+transposed couplings from the stage plan's read_by.  "ell" runs the
+reversed method, whose adjoint coefficient tableau needs every stage weight
+nonzero; its plan is the forward one reversed, read through its reads.
+Implicit-stage solves are transposed SuperLU solves from the trajectory's
+factor cache: constant-Jacobian stages hit the factors the forward run
+stored, and Newton stages are factored at their stored (converged) stage
+values.  Each stage applies its Jacobian only as a vector-Jacobian product
 ``system.vjp``, so partitions that supply ``vjp`` are never assembled here.
 """
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from gark.forward import ForwardTrajectory
-from gark.systems import GoalFunction
 from gark.tableau import adjoint_coefficients
 
 METHODS = ("theta", "mu", "ell")
@@ -44,10 +43,6 @@ class AdjointTrajectory:
     ell: list | None = None
     stage_adjoint: list | None = None
 
-    @property
-    def initial(self) -> np.ndarray:
-        return self.lam[0]
-
 
 def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
                  y_stage: np.ndarray, coef: float,
@@ -59,10 +54,10 @@ def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
     return lu.solve(rhs, trans="T")
 
 
-def adjoint_sweep(trajectory: ForwardTrajectory,
-                  goal: GoalFunction | None = None, method: str = "mu",
+def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
                   terminal: np.ndarray | None = None) -> AdjointTrajectory:
-    """Propagate the goal gradient backwards through the trajectory."""
+    """Propagate terminal, by default the problem's goal gradient at y_N,
+    backwards through the trajectory."""
     if method not in METHODS:
         raise ValueError(f"unknown adjoint method {method!r}")
     trajectory.require_stored("adjoint sweep")
@@ -74,18 +69,19 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
 
     lam = np.empty((n_steps + 1, dim))
     if terminal is None:
-        goal = goal or trajectory.problem.goal
-        lam[n_steps] = goal.gradient(trajectory.states[n_steps])
+        lam[n_steps] = trajectory.problem.goal.gradient(
+            trajectory.states[n_steps])
     else:
         lam[n_steps] = np.asarray(terminal, dtype=float)
 
-    abar = adjoint_coefficients(tableau) if method == "ell" else None
-    reverse_schedule = tuple(reversed(tableau.stage_schedule))
-    counts = tableau.stage_counts
-    num_p = tableau.num_partitions
+    reverse_plan = tuple(reversed(tableau.plan))
+    # the reversed method's stages come in reverse_plan's order; only ell
+    # reads them
+    abar_plan = (adjoint_coefficients(tableau).plan if method == "ell"
+                 else reverse_plan)
 
     def make_store():
-        return [np.zeros((n_steps, counts[q], dim)) for q in range(num_p)]
+        return [np.zeros((n_steps, s, dim)) for s in tableau.stage_counts]
 
     theta_arr = make_store() if method in ("theta", "mu") else None
     mu_arr = make_store() if method == "mu" else None
@@ -93,34 +89,31 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
     lambda_arr = make_store() if method == "ell" else None
 
     for n in range(n_steps - 1, -1, -1):
+        t = float(trajectory.time_grid.nodes[n])
         h = float(trajectory.time_grid.steps[n])
         lam_next = lam[n + 1]
         theta: dict = {}
         ell: dict = {}
 
-        for q, i in reverse_schedule:
-            t_i = trajectory.stage_time(n, q, i)
+        for stage, abar in zip(reverse_plan, abar_plan):
+            q, i = stage.q, stage.i
+            t_i = t + stage.c * h
             y_stage = trajectory.stage_values[q][n, i]
-            h_aii = h * float(tableau.coupling[q][q][i, i])
-            b_i = float(tableau.weights[q][i])
+            h_aii = h * stage.a_ii
 
             if method == "ell":
                 acc = lam_next.copy()
-                for (m, j), val in ell.items():
-                    coef = abar.coupling[q][m][i, j]
-                    if coef != 0.0:
-                        acc += (h * coef) * val
+                for m, j, coef in abar.reads:
+                    acc += (h * coef) * ell[(m, j)]
                 rhs = system.vjp(q, t_i, y_stage, acc)
                 vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii, rhs)
                 ell[(q, i)] = vec
                 ell_arr[q][n, i] = vec
-                lambda_arr[q][n, i] = acc + (h * abar.coupling[q][q][i, i]) * vec
+                lambda_arr[q][n, i] = acc + (h * abar.a_ii) * vec
             else:
-                acc = b_i * lam_next
-                for (m, j), val in theta.items():
-                    coef = tableau.coupling[m][q][j, i]
-                    if coef != 0.0:
-                        acc += coef * val
+                acc = stage.b * lam_next
+                for m, j, coef in stage.read_by:
+                    acc += coef * theta[(m, j)]
                 if method == "theta":
                     rhs = h * system.vjp(q, t_i, y_stage, acc)
                     vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii, rhs)
@@ -135,14 +128,11 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                 theta_arr[q][n, i] = vec
 
         lam_n = lam_next.copy()
-        if method == "ell":
-            for q, i in reverse_schedule:
-                b_i = tableau.weights[q][i]
-                if b_i != 0.0:
-                    lam_n += (h * b_i) * ell[(q, i)]
-        else:
-            for q, i in reverse_schedule:
-                lam_n += theta[(q, i)]
+        for stage in reverse_plan:
+            if method != "ell":
+                lam_n += theta[(stage.q, stage.i)]
+            elif stage.b != 0.0:
+                lam_n += (h * stage.b) * ell[(stage.q, stage.i)]
         lam[n] = lam_n
 
     return AdjointTrajectory(forward=trajectory, method=method, lam=lam,

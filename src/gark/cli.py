@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gark.adaptivity import MARKING_BASES, RefinementConfig, run_campaign
+from gark.adaptivity import RefinementConfig, run_campaign
 from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals, \
     assemble_report
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--stages", type=int, default=4)
     ref.add_argument("--space-pct", type=float, default=90.0)
     ref.add_argument("--time-pct", type=float, default=80.0)
-    ref.add_argument("--basis", default="union", choices=MARKING_BASES)
 
     orc = sub.add_parser("oracle-check",
                          help="self-check against independent formulas")
@@ -209,7 +208,6 @@ def cmd_refine(args: argparse.Namespace) -> int:
     grid = TimeGrid.uniform(problem.t0, problem.t_final, args.dt)
     cfg = RefinementConfig(space_percentile=args.space_pct,
                            time_percentile=args.time_pct,
-                           marking_basis=args.basis,
                            num_stages=args.stages)
     campaign = run_campaign(problem, _tableau(args), grid, cfg,
                             out_dir=args.out)

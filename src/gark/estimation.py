@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
-from gark.forward import (ForwardTrajectory, StageSolverConfig, StepResult,
+from gark.forward import (ForwardTrajectory, StepResult,
                           combine_stage_argument, integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
@@ -52,7 +52,7 @@ def temporal_residuals(trajectory: ForwardTrajectory,
         if x_prev.shape != (system.dim,):
             raise ValueError("reference state dimension does not match")
         advanced = step(system, trajectory.tableau, t, h, x_prev,
-                        trajectory.config, trajectory.factors).y_next
+                        trajectory.factors).y_next
         out[n] = lookup(float(grid.nodes[n + 1])) - advanced
     return out
 
@@ -97,18 +97,19 @@ def spatial_residuals(coarse: ForwardTrajectory, fine: RestrictedRun) -> list:
     step uses, so a coarse trajectory checked against itself gives bitwise
     zeros on explicit stages.
     """
-    tableau = coarse.tableau
+    plan = coarse.tableau.plan
     system = coarse.system
     out = [np.empty_like(s) for s in fine.slopes]
     for n in range(coarse.num_steps):
+        t = float(coarse.time_grid.nodes[n])
         h = float(coarse.time_grid.steps[n])
-        slopes = {(q, i): fine.slopes[q][n, i]
-                  for q, i in tableau.stage_schedule}
-        for q, i in tableau.stage_schedule:
-            y_stage = combine_stage_argument(fine.states[n], h, tableau, q, i,
-                                             slopes, include_self=True)
-            t_i = coarse.stage_time(n, q, i)
-            out[q][n, i] = slopes[(q, i)] - system.f(q, t_i, y_stage)
+        slopes = {(st.q, st.i): fine.slopes[st.q][n, st.i] for st in plan}
+        for stage in plan:
+            q, i = stage.q, stage.i
+            y_stage = combine_stage_argument(fine.states[n], h, stage, slopes,
+                                             include_self=True)
+            out[q][n, i] = slopes[(q, i)] - system.f(q, t + stage.c * h,
+                                                     y_stage)
     return out
 
 
@@ -252,8 +253,7 @@ class EstimateBundle:
 
 
 def estimate_errors(problem: ProblemInstance, tableau,
-                    time_grid: TimeGrid,
-                    cfg: StageSolverConfig | None = None) -> EstimateBundle:
+                    time_grid: TimeGrid) -> EstimateBundle:
     """Run the four solutions and assemble the split goal-error report.
 
     numerical: given grids, stored whole; time-refined: halved steps on the
@@ -264,31 +264,30 @@ def estimate_errors(problem: ProblemInstance, tableau,
     """
     if problem.grid is None:
         raise ValueError("four-solution estimate needs a grid problem")
-    cfg = cfg or StageSolverConfig()
 
     fine_grid = problem.grid.refine_uniform()
     fine_problem = rebuild_on(problem, fine_grid)
     fine_time = time_grid.halve_all_steps()
 
-    numerical = integrate(problem, tableau, time_grid, cfg)
+    numerical = integrate(problem, tableau, time_grid)
     at_nodes = np.empty((time_grid.num_steps + 1, problem.system.dim))
 
     def keep_coarse_nodes(n, y_n, result):  # halving keeps node k at 2k
         if n % 2 == 0:
             at_nodes[n // 2] = y_n
 
-    time_refined = integrate(problem, tableau, fine_time, cfg,
+    time_refined = integrate(problem, tableau, fine_time,
                              consumer=keep_coarse_nodes)
     at_nodes[-1] = time_refined.states[-1]
     temporal = temporal_residuals(
         numerical, lambda t: at_nodes[time_grid.locate(t)])
     transfer = GridTransfer.between(fine_grid, problem.grid)
     restricted = RestrictedRun(numerical, transfer, problem.num_species)
-    space_refined = integrate(fine_problem, tableau, time_grid, cfg,
+    space_refined = integrate(fine_problem, tableau, time_grid,
                               consumer=restricted)
     spatial = spatial_residuals(numerical, restricted)
     del at_nodes, restricted  # read by the residuals only; free them now
-    reference = integrate(fine_problem, tableau, fine_time, cfg,
+    reference = integrate(fine_problem, tableau, fine_time,
                           consumer=lambda n, y_n, result: None)
     adjoint = adjoint_sweep(numerical, method="mu")
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))

@@ -1,15 +1,17 @@
 """Forward time stepping for additively split systems.
 
-One step evaluates the tableau's stages in schedule order.  A stage with a
-nonzero own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y), in
-one linear solve on a linear partition and by full Newton iteration
-otherwise; everything else is an explicit update.  Every stage system
-I - h a_ii J is factored by SuperLU with a symmetric minimum-degree column
-ordering (MMD on A^T + A).  Each trajectory keeps one LinearStageCache of
-the factors for partitions with constant Jacobians, keyed per (partition,
-h a_ii); the reversed sweep reads the same cache and solves transposed.
-integrate stores a run whole for the adjoint sweep, or hands each finished
-step to a consumer and keeps only y_N; replay feeds a stored run to one.
+One step walks the tableau's stage plan in schedule order, each stage
+combining only the earlier slopes it reads.  A stage with a nonzero
+own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y), in one
+linear solve on a linear partition and by full Newton iteration (fixed
+tolerances, below) otherwise; everything else is an explicit update.
+Every stage system I - h a_ii J is factored by SuperLU with a symmetric
+minimum-degree column ordering (MMD on A^T + A).  Each trajectory keeps one
+LinearStageCache of the factors for partitions with constant Jacobians,
+keyed per (partition, h a_ii); the reversed sweep reads the same cache and
+solves transposed.  integrate stores a run whole for the adjoint sweep, or
+hands each finished step to a consumer and keeps only y_N; replay feeds a
+stored run to one.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ import scipy.sparse.linalg as spla
 
 from gark.mesh import TimeGrid
 from gark.systems import ProblemInstance, SplitOdeSystem
-from gark.tableau import GarkTableau, UnsupportedTableauError
+from gark.tableau import GarkTableau, PlannedStage, UnsupportedTableauError
+
+# Newton stops when |Y - rhs - coef f(Y)| <= ATOL + RTOL max(1, |Y|).
+NEWTON_RTOL = 1e-10
+NEWTON_ATOL = 1e-12
+MAX_NEWTON_ITERATIONS = 20
 
 
 class StepFailureError(RuntimeError):
-    """Newton iteration on an implicit stage did not converge."""
+    """Newton iteration on an implicit stage did not converge; the message
+    names the stage, and integrate adds the step index."""
 
     def __init__(self, message: str, iterations: int, residual_norm: float,
                  step_index: int | None = None):
@@ -36,12 +44,9 @@ class StepFailureError(RuntimeError):
         self.residual_norm = residual_norm
         self.step_index = step_index
 
-
-@dataclass(frozen=True)
-class StageSolverConfig:
-    newton_rtol: float = 1e-10
-    newton_atol: float = 1e-12
-    max_newton_iterations: int = 20
+    def __str__(self) -> str:
+        where = "" if self.step_index is None else f"step {self.step_index}, "
+        return where + self.args[0]
 
 
 def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
@@ -109,22 +114,25 @@ def align_tableau(tableau: GarkTableau, system: SplitOdeSystem) -> GarkTableau:
     return tableau.permute_partitions(tuple(perm))
 
 
-def combine_stage_argument(y: np.ndarray, h: float, tableau: GarkTableau,
-                           q: int, i: int, slopes: dict,
-                           include_self: bool) -> np.ndarray:
-    """y + h * sum a^{q,m}_{i,j} k^(m)_j accumulated in schedule order."""
+def combine_stage_argument(y: np.ndarray, h: float, stage: PlannedStage,
+                           slopes: dict, include_self: bool) -> np.ndarray:
+    """y + h * sum a^{q,m}_{i,j} k^(m)_j over the slopes the stage reads,
+    in schedule order, then its own slope when include_self is set."""
     out = y.copy()
-    for m, j in tableau.stage_schedule:
-        a = tableau.coupling[q][m][i, j]
-        if a == 0.0:
-            continue
-        if (m, j) == (q, i) and not include_self:
-            continue
-        if (m, j) not in slopes:
-            raise UnsupportedTableauError(
-                f"stage ({q + 1},{i + 1}) needs slope ({m + 1},{j + 1}) "
-                "which is not available yet")
+    for m, j, a in stage.reads:
         out += (h * a) * slopes[(m, j)]
+    if include_self and stage.a_ii != 0.0:
+        out += (h * stage.a_ii) * slopes[(stage.q, stage.i)]
+    return out
+
+
+def combine_step(y: np.ndarray, h: float, plan: tuple,
+                 slopes: dict) -> np.ndarray:
+    """y + h * sum b^(q)_i k^(q)_i over the plan's nonzero weights."""
+    out = y.copy()
+    for stage in plan:
+        if stage.b != 0.0:
+            out += (h * stage.b) * slopes[(stage.q, stage.i)]
     return out
 
 
@@ -133,66 +141,57 @@ class StepResult:
     y_next: np.ndarray
     stage_values: dict
     stage_slopes: dict
-    stage_times: dict
 
 
 def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
-         y: np.ndarray, cfg: StageSolverConfig | None = None,
-         cache: LinearStageCache | None = None) -> StepResult:
+         y: np.ndarray, cache: LinearStageCache | None = None) -> StepResult:
     """Advance one step of size h from (t, y); no partition alignment here."""
-    cfg = cfg or StageSolverConfig()
     cache = cache or LinearStageCache()
     slopes: dict = {}
     values: dict = {}
-    times: dict = {}
 
-    for q, i in tableau.stage_schedule:
-        c_i = float(tableau.abscissae(q)[i])
-        t_i = t + c_i * h
-        a_ii = float(tableau.coupling[q][q][i, i])
-        rhs = combine_stage_argument(y, h, tableau, q, i, slopes,
-                                     include_self=False)
-        if a_ii == 0.0:
+    for stage in tableau.plan:
+        q = stage.q
+        t_i = t + stage.c * h
+        rhs = combine_stage_argument(y, h, stage, slopes, include_self=False)
+        if stage.a_ii == 0.0:
             y_stage = rhs
             slope = system.f(q, t_i, y_stage)
         elif system.partitions[q].linear:
-            coef = h * a_ii
+            coef = h * stage.a_ii
             lu = cache.get(system, q, t_i, y, coef)
             f0 = system.f(q, t_i, rhs)
             y_stage = rhs + lu.solve(coef * f0)
             slope = system.f(q, t_i, y_stage)
         else:
-            y_stage, slope = _newton_stage(system, q, t_i, h * a_ii, rhs, y,
-                                           cfg)
-        values[(q, i)] = y_stage
-        slopes[(q, i)] = slope
-        times[(q, i)] = t_i
+            y_stage, slope = _newton_stage(system, stage, t_i,
+                                           h * stage.a_ii, rhs, y)
+        values[(q, stage.i)] = y_stage
+        slopes[(q, stage.i)] = slope
 
-    y_next = y.copy()
-    for q, i in tableau.stage_schedule:
-        b = tableau.weights[q][i]
-        if b != 0.0:
-            y_next += (h * b) * slopes[(q, i)]
-    return StepResult(y_next, values, slopes, times)
+    return StepResult(combine_step(y, h, tableau.plan, slopes), values,
+                      slopes)
 
 
-def _newton_stage(system, q, t_i, coef, rhs, predictor, cfg):
+def _newton_stage(system, stage, t_i, coef, rhs, predictor):
+    q = stage.q
     y = predictor.copy()
     res = float("inf")
-    for it in range(cfg.max_newton_iterations + 1):
+    for it in range(MAX_NEWTON_ITERATIONS + 1):
         f_val = system.f(q, t_i, y)
         residual = y - rhs - coef * f_val
         res = float(np.linalg.norm(residual))
-        tol = cfg.newton_atol + cfg.newton_rtol * max(1.0,
-                                                      float(np.linalg.norm(y)))
+        tol = NEWTON_ATOL + NEWTON_RTOL * max(1.0, float(np.linalg.norm(y)))
         if res <= tol:
             return y, f_val
-        if it == cfg.max_newton_iterations:
+        if it == MAX_NEWTON_ITERATIONS:
             break
         y = y + factorize(system, q, t_i, y, coef).solve(-residual)
     raise StepFailureError(
-        f"stage ({q + 1}) Newton stalled at residual {res:.3e}",
-        iterations=cfg.max_newton_iterations, residual_norm=res)
+        f"stage ({q + 1},{stage.i + 1}) of partition "
+        f"{system.partitions[q].name!r} at t_i = {t_i:.6g}: Newton stalled "
+        f"at residual {res:.3e} after {MAX_NEWTON_ITERATIONS} iterations",
+        iterations=MAX_NEWTON_ITERATIONS, residual_norm=res)
 
 
 @dataclass
@@ -211,7 +210,6 @@ class ForwardTrajectory:
     states: np.ndarray
     stage_values: list | None
     stage_slopes: list | None
-    config: StageSolverConfig
     factors: LinearStageCache = field(default_factory=LinearStageCache)
 
     @property
@@ -241,26 +239,25 @@ class ForwardTrajectory:
         """Hand each stored step to consumer(n, y_n, StepResult) in order,
         as integrate does while the run is made."""
         self.require_stored("replay")
-        schedule = self.tableau.stage_schedule
         for n in range(self.num_steps):
-            consumer(n, self.states[n], StepResult(
-                self.states[n + 1],
-                {(q, i): self.stage_values[q][n, i] for q, i in schedule},
-                {(q, i): self.stage_slopes[q][n, i] for q, i in schedule},
-                {(q, i): self.stage_time(n, q, i) for q, i in schedule}))
+            consumer(n, self.states[n], self._stored_step(n))
+
+    def _stored_step(self, n: int) -> StepResult:
+        plan = self.tableau.plan
+        return StepResult(
+            self.states[n + 1],
+            {(st.q, st.i): self.stage_values[st.q][n, st.i] for st in plan},
+            {(st.q, st.i): self.stage_slopes[st.q][n, st.i] for st in plan})
 
     def step_identity_residual(self) -> float:
         """max_n |y_{n+1} - y_n - h_n sum b k| over the whole trajectory."""
         self.require_stored("step_identity_residual")
         worst = 0.0
         for n in range(self.num_steps):
-            acc = self.states[n].copy()
-            h = self.time_grid.steps[n]
-            for q, i in self.tableau.stage_schedule:
-                b = self.tableau.weights[q][i]
-                if b != 0.0:
-                    acc += (h * b) * self.stage_slopes[q][n, i]
-            worst = max(worst, float(np.max(np.abs(acc - self.states[n + 1]))))
+            stored = self._stored_step(n)
+            acc = combine_step(self.states[n], self.time_grid.steps[n],
+                               self.tableau.plan, stored.stage_slopes)
+            worst = max(worst, float(np.max(np.abs(acc - stored.y_next))))
         return worst
 
     def stage_consistency_residual(self) -> float:
@@ -268,14 +265,13 @@ class ForwardTrajectory:
         self.require_stored("stage_consistency_residual")
         worst = 0.0
         for n in range(self.num_steps):
-            h = self.time_grid.steps[n]
-            slopes = {(q, i): self.stage_slopes[q][n, i]
-                      for q, i in self.tableau.stage_schedule}
-            for q, i in self.tableau.stage_schedule:
-                rec = combine_stage_argument(self.states[n], h, self.tableau,
-                                             q, i, slopes, include_self=True)
-                worst = max(worst, float(np.max(
-                    np.abs(rec - self.stage_values[q][n, i]))))
+            stored = self._stored_step(n)
+            for stage in self.tableau.plan:
+                rec = combine_stage_argument(
+                    self.states[n], self.time_grid.steps[n], stage,
+                    stored.stage_slopes, include_self=True)
+                value = stored.stage_values[(stage.q, stage.i)]
+                worst = max(worst, float(np.max(np.abs(rec - value))))
         return worst
 
     def save_npz(self, path) -> None:
@@ -291,8 +287,7 @@ class ForwardTrajectory:
         np.savez_compressed(path, **payload)
 
     @classmethod
-    def load_npz(cls, path, problem: ProblemInstance,
-                 cfg: StageSolverConfig | None = None) -> "ForwardTrajectory":
+    def load_npz(cls, path, problem: ProblemInstance) -> "ForwardTrajectory":
         with np.load(path, allow_pickle=False) as data:
             tableau = GarkTableau.from_json_dict(
                 json.loads(str(data["tableau_json"])))
@@ -302,13 +297,11 @@ class ForwardTrajectory:
                       for q in range(tableau.num_partitions)]
             slopes = [data[f"stage_slopes_{q}"]
                       for q in range(tableau.num_partitions)]
-        return cls(problem, tableau, grid, states, values, slopes,
-                   cfg or StageSolverConfig())
+        return cls(problem, tableau, grid, states, values, slopes)
 
 
 def integrate(problem: ProblemInstance, tableau: GarkTableau,
-              time_grid: TimeGrid, cfg: StageSolverConfig | None = None,
-              y0: np.ndarray | None = None,
+              time_grid: TimeGrid, y0: np.ndarray | None = None,
               consumer=None) -> ForwardTrajectory:
     """Integrate the problem over the time grid.
 
@@ -318,7 +311,6 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     With one, consumer(n, y_n, StepResult) is called as each step finishes
     and the returned trajectory is streamed: it keeps only y_N.
     """
-    cfg = cfg or StageSolverConfig()
     report = tableau.validate()
     if not report.ok:
         raise UnsupportedTableauError(f"invalid tableau: {report}")
@@ -343,13 +335,12 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
             states[n + 1] = result.y_next
             for (q, i), val in result.stage_values.items():
                 values[q][n, i] = val
-            for (q, i), slope in result.stage_slopes.items():
-                slopes[q][n, i] = slope
+                slopes[q][n, i] = result.stage_slopes[(q, i)]
 
     for n in range(n_steps):
         t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])
         try:
-            result = step(system, tableau, t, h, y, cfg, cache)
+            result = step(system, tableau, t, h, y, cache)
         except StepFailureError as err:
             err.step_index = n
             raise
@@ -361,4 +352,4 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     return ForwardTrajectory(problem=problem, tableau=tableau,
                              time_grid=time_grid, states=states,
                              stage_values=values, stage_slopes=slopes,
-                             config=cfg, factors=cache)
+                             factors=cache)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gark.forward import (ForwardTrajectory, StageSolverConfig, integrate)
+from gark.forward import ForwardTrajectory, integrate
 from gark.systems import ProblemInstance
 
 MAX_DENSE_DIM = 64
@@ -74,7 +74,6 @@ def sensitivity_matrix(trajectory: ForwardTrajectory) -> np.ndarray:
 
 
 def fd_goal_gradient(problem: ProblemInstance, tableau, time_grid,
-                     cfg: StageSolverConfig | None = None,
                      y0: np.ndarray | None = None,
                      rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of Q(y_N) with respect to y_0."""
@@ -85,7 +84,7 @@ def fd_goal_gradient(problem: ProblemInstance, tableau, time_grid,
         for sign, slot in ((1.0, 0), (-1.0, 1)):
             shifted = base.copy()
             shifted[j] += sign * delta
-            traj = integrate(problem, tableau, time_grid, cfg, y0=shifted,
+            traj = integrate(problem, tableau, time_grid, y0=shifted,
                              consumer=lambda n, y_n, result: None)
             value = problem.goal.evaluate(traj.states[-1])
             if slot == 0:

@@ -3,7 +3,9 @@
 A method acting on a P-way additive split y' = sum_q f^(q)(t, y) is described
 by coupling matrices A^{q,m} (how the stages of partition q read the slopes of
 partition m), one weight vector b^(q) per partition, and a stage schedule that
-fixes the evaluation order across partitions.
+fixes the evaluation order across partitions.  GarkTableau.plan lists the
+scheduled stages once with their nonzero couplings: the slopes each stage
+reads (forward step, residuals) and the stages that read it (reverse sweep).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +62,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class PlannedStage(NamedTuple):
+    """One scheduled stage (q, i) and the nonzero couplings around it.
+
+    reads holds (m, j, a^{q,m}_{ij}) for the earlier stages this one reads,
+    in schedule order; read_by holds (m, j, a^{m,q}_{ji}) for the later
+    stages that read this one, in reverse schedule order.
+    """
+
+    q: int
+    i: int
+    c: float
+    a_ii: float
+    b: float
+    reads: tuple
+    read_by: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class GarkTableau:
     """Coefficients of one generalized additive Runge-Kutta method.
@@ -97,8 +118,30 @@ class GarkTableau:
         """Row sums c^{q,m} = A^{q,m} 1, m defaulting to q; summed at build."""
         return self._abscissae[q][q if m is None else m]
 
-    def is_implicit_stage(self, q: int, i: int) -> bool:
-        return self.coupling[q][q][i, i] != 0.0
+    @cached_property
+    def plan(self) -> tuple[PlannedStage, ...]:
+        """The scheduled stages in order, built once; raises
+        UnsupportedTableauError if a stage reads a slope scheduled later."""
+        schedule = self.stage_schedule
+        reads = [[] for _ in schedule]
+        read_by = [[] for _ in schedule]
+        for k, (q, i) in enumerate(schedule):
+            for p, (m, j) in enumerate(schedule):
+                a = float(self.coupling[q][m][i, j])
+                if a == 0.0 or p == k:
+                    continue
+                if p > k:
+                    raise UnsupportedTableauError(
+                        f"stage ({q + 1},{i + 1}) needs slope ({m + 1},"
+                        f"{j + 1}) which the schedule evaluates later")
+                reads[k].append((m, j, a))
+                read_by[p].insert(0, (q, i, a))  # later readers first
+        return tuple(
+            PlannedStage(q, i, float(self.abscissae(q)[i]),
+                         float(self.coupling[q][q][i, i]),
+                         float(self.weights[q][i]), tuple(reads[k]),
+                         tuple(read_by[k]))
+            for k, (q, i) in enumerate(schedule))
 
     def validate(self, tol: float = 1e-12) -> ValidationReport:
         """Check structure and order conditions; report, never raise."""
@@ -147,18 +190,10 @@ class GarkTableau:
                 "schedule", "stage schedule is not a permutation of all stages",
                 float(len(expected.symmetric_difference(scheduled)))))
         else:
-            position = {qi: p for p, qi in enumerate(self.stage_schedule)}
-            for q, i in self.stage_schedule:
-                for m in range(P):
-                    for j in np.nonzero(self.coupling[q][m][i, :])[0]:
-                        dep = (m, int(j))
-                        if dep == (q, i):
-                            continue
-                        if position[dep] > position[(q, i)]:
-                            bad.append(Violation(
-                                "schedule-order",
-                                f"stage ({q + 1},{i + 1}) reads slope "
-                                f"({m + 1},{int(j) + 1}) scheduled later", 1.0))
+            try:
+                self.plan
+            except UnsupportedTableauError as err:
+                bad.append(Violation("schedule-order", str(err), 1.0))
 
         if self.stiffly_accurate and self.stage_schedule:
             q_last, i_last = self.stage_schedule[-1]

@@ -199,7 +199,7 @@ def nested_grids(name: str) -> list:
 
 # --- the four-solution estimate with every run stored: streaming's oracle ---
 
-def stored_estimate(problem, tableau, time_grid, cfg=None):
+def stored_estimate(problem, tableau, time_grid):
     """ErrorReport of the estimate with all four runs stored whole; the
     space-refined run is restricted after the fact by restrict_run."""
     from gark.adjoint import adjoint_sweep
@@ -212,10 +212,10 @@ def stored_estimate(problem, tableau, time_grid, cfg=None):
     fine_problem = rebuild_on(problem, fine_grid)
     fine_time = time_grid.halve_all_steps()
 
-    numerical = integrate(problem, tableau, time_grid, cfg)
-    time_refined = integrate(problem, tableau, fine_time, cfg)
-    space_refined = integrate(fine_problem, tableau, time_grid, cfg)
-    reference = integrate(fine_problem, tableau, fine_time, cfg)
+    numerical = integrate(problem, tableau, time_grid)
+    time_refined = integrate(problem, tableau, fine_time)
+    space_refined = integrate(fine_problem, tableau, time_grid)
+    reference = integrate(fine_problem, tableau, fine_time)
 
     adjoint = adjoint_sweep(numerical, method="mu")
     transfer = GridTransfer.between(fine_grid, problem.grid)
@@ -224,3 +224,157 @@ def stored_estimate(problem, tableau, time_grid, cfg=None):
         numerical, space_refined, transfer, problem.num_species))
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
     return assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
+
+
+# --- stage loops that scan the whole tableau: oracles for the stage plan ----
+
+def plan_cases():
+    """(id, problem, time grid, tableau) on which the planned stage loops
+    are checked against the scanning ones: three problems, equal and
+    unequal weights, and both partition orders.  Stiff flags are cleared so
+    integrate runs each tableau as given: the plain tableau treats
+    partition 1 implicitly, the permuted one partition 0."""
+    import dataclasses
+
+    from gark.mesh import TimeGrid
+    from gark.systems import build_problem, default_grid
+    from gark.tableau import build_imex22
+
+    def nonstiff(problem):
+        parts = tuple(dataclasses.replace(p, stiff=False)
+                      for p in problem.system.partitions)
+        return dataclasses.replace(problem, system=SplitOdeSystem(
+            dim=problem.system.dim, partitions=parts))
+
+    grid = TimeGrid.uniform(0.0, 0.2, 0.02)
+    problems = (
+        ("nonlinear_stiff", wrap(nonlinear_stiff(), np.full(4, 0.4), 0.2),
+         grid),
+        ("stiff_relaxation", wrap(stiff_relaxation(), np.full(5, 0.5), 0.2),
+         grid),
+        ("gray_scott", build_problem("gray_scott",
+                                     default_grid("gray_scott", 4, 4)),
+         TimeGrid.uniform(0.0, 2.0, 0.25)))
+    cases = []
+    for name, problem, time_grid in problems:
+        for alpha in (None, 0.33):
+            for permuted in (False, True):
+                tableau = build_imex22(alpha=alpha)
+                if permuted:
+                    tableau = tableau.permute_partitions((1, 0))
+                cases.append((f"{name}-alpha{alpha}-"
+                              f"{'permuted' if permuted else 'plain'}",
+                              nonstiff(problem), time_grid, tableau))
+    return cases
+
+
+def scan_step(system, tableau, t, h, y, cache):
+    """One forward step that looks every coefficient up in the coupling
+    matrices, scanning the whole schedule per stage; returns (y_next,
+    stage_values, stage_slopes)."""
+    from gark import forward
+
+    def combine(q, i, slopes):
+        out = y.copy()
+        for m, j in tableau.stage_schedule:
+            a = tableau.coupling[q][m][i, j]
+            if a != 0.0 and (m, j) != (q, i):
+                out += (h * a) * slopes[(m, j)]
+        return out
+
+    values, slopes = {}, {}
+    for q, i in tableau.stage_schedule:
+        t_i = t + float(tableau.abscissae(q)[i]) * h
+        a_ii = float(tableau.coupling[q][q][i, i])
+        rhs = combine(q, i, slopes)
+        if a_ii == 0.0:
+            y_stage = rhs
+        elif system.partitions[q].linear:
+            coef = h * a_ii
+            lu = cache.get(system, q, t_i, y, coef)
+            y_stage = rhs + lu.solve(coef * system.f(q, t_i, rhs))
+        else:
+            coef, y_stage = h * a_ii, y.copy()
+            for _ in range(forward.MAX_NEWTON_ITERATIONS + 1):
+                residual = y_stage - rhs - coef * system.f(q, t_i, y_stage)
+                if np.linalg.norm(residual) <= forward.NEWTON_ATOL \
+                        + forward.NEWTON_RTOL * max(
+                            1.0, float(np.linalg.norm(y_stage))):
+                    break
+                y_stage = y_stage + forward.factorize(
+                    system, q, t_i, y_stage, coef).solve(-residual)
+        values[(q, i)] = y_stage
+        slopes[(q, i)] = system.f(q, t_i, y_stage)
+
+    y_next = y.copy()
+    for q, i in tableau.stage_schedule:
+        b = tableau.weights[q][i]
+        if b != 0.0:
+            y_next += (h * b) * slopes[(q, i)]
+    return y_next, values, slopes
+
+
+def scan_adjoint_sweep(trajectory, method):
+    """The three reverse sweeps with coefficients looked up per stage in the
+    coupling matrices (ell: in adjoint_coefficients); returns lam and the
+    per-stage stores by name."""
+    from gark.tableau import adjoint_coefficients
+
+    system, tableau = trajectory.system, trajectory.tableau
+    n_steps, dim = trajectory.num_steps, system.dim
+    abar = adjoint_coefficients(tableau) if method == "ell" else None
+    reverse_schedule = tuple(reversed(tableau.stage_schedule))
+    names = {"theta": ("theta",), "mu": ("theta", "mu"),
+             "ell": ("ell", "stage_adjoint")}[method]
+    stores = {name: [np.zeros((n_steps, s, dim))
+                     for s in tableau.stage_counts] for name in names}
+    lam = np.empty((n_steps + 1, dim))
+    lam[n_steps] = trajectory.problem.goal.gradient(trajectory.states[-1])
+
+    def solve(q, t_i, y_stage, coef, rhs):
+        if coef == 0.0:
+            return rhs
+        lu = trajectory.factors.get(system, q, t_i, y_stage, coef)
+        return lu.solve(rhs, trans="T")
+
+    for n in range(n_steps - 1, -1, -1):
+        h = float(trajectory.time_grid.steps[n])
+        lam_next, theta, ell = lam[n + 1], {}, {}
+        for q, i in reverse_schedule:
+            t_i = trajectory.stage_time(n, q, i)
+            y_stage = trajectory.stage_values[q][n, i]
+            h_aii = h * float(tableau.coupling[q][q][i, i])
+            if method == "ell":
+                acc = lam_next.copy()
+                for (m, j), val in ell.items():
+                    coef = abar.coupling[q][m][i, j]
+                    if coef != 0.0:
+                        acc += (h * coef) * val
+                vec = solve(q, t_i, y_stage, h_aii,
+                            system.vjp(q, t_i, y_stage, acc))
+                ell[(q, i)] = stores["ell"][q][n, i] = vec
+                stores["stage_adjoint"][q][n, i] = \
+                    acc + (h * abar.coupling[q][q][i, i]) * vec
+                continue
+            acc = float(tableau.weights[q][i]) * lam_next
+            for (m, j), val in theta.items():
+                coef = tableau.coupling[m][q][j, i]
+                if coef != 0.0:
+                    acc += coef * val
+            if method == "theta":
+                vec = solve(q, t_i, y_stage, h_aii,
+                            h * system.vjp(q, t_i, y_stage, acc))
+            else:
+                mu = stores["mu"][q][n, i] = solve(q, t_i, y_stage, h_aii,
+                                                   h * acc)
+                vec = system.vjp(q, t_i, y_stage, mu)
+            theta[(q, i)] = stores["theta"][q][n, i] = vec
+
+        lam_n = lam_next.copy()
+        for q, i in reverse_schedule:
+            if method != "ell":
+                lam_n += theta[(q, i)]
+            elif tableau.weights[q][i] != 0.0:
+                lam_n += (h * tableau.weights[q][i]) * ell[(q, i)]
+        lam[n] = lam_n
+    return lam, stores

@@ -71,11 +71,6 @@ class TestMarking:
 
 
 class TestConfig:
-    def test_unknown_basis_rejected(self):
-        for basis in ("quantile", "per_partition"):
-            with pytest.raises(ValueError, match="basis"):
-                RefinementConfig(marking_basis=basis)
-
     def test_stage_count_validated(self):
         with pytest.raises(ValueError, match="stage"):
             RefinementConfig(num_stages=0)
@@ -111,10 +106,6 @@ class TestRefineStage:
         _, ny = record.space_grid.num_cells
         flipped = {(ix, ny - 1 - iy) for ix, iy in record.marked_cells}
         assert flipped == record.marked_cells
-
-    def test_marking_bases_agree_on_union_semantics(self):
-        total = self.make_record(cfg=RefinementConfig(marking_basis="total"))
-        assert total.marked_cells
 
     def test_percentile_extremes_control_mark_counts(self):
         all_marked = self.make_record(

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (linear_pair, nonlinear_stiff, scalar_split,
-                     stiff_relaxation, wrap)
+from helpers import (linear_pair, nonlinear_stiff, plan_cases, scalar_split,
+                     scan_adjoint_sweep, stiff_relaxation, wrap)
 
-from gark.adjoint import adjoint_sweep
+from gark.adjoint import METHODS, adjoint_sweep
 from gark.forward import ForwardTrajectory, integrate, step
 from gark.mesh import TimeGrid
 from gark.oracle import (dense_step_propagator, fd_goal_gradient,
@@ -27,6 +27,21 @@ def zero_system(dim: int = 3) -> SplitOdeSystem:
 
 def explicit_growth(z: float) -> float:
     return 1.0 + z + z * z / 2.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
+def test_planned_sweeps_match_schedule_scan(case, method):
+    # each sweep must equal, bitwise, one that looks every coefficient up
+    # in the coupling matrices (ell: in the adjoint coefficients)
+    _, problem, grid, tableau = case
+    traj = integrate(problem, tableau, grid)
+    adj = adjoint_sweep(traj, method=method)
+    lam, stores = scan_adjoint_sweep(traj, method)
+    np.testing.assert_array_equal(adj.lam, lam)
+    for name, arrays in stores.items():
+        for q, expected in enumerate(arrays):
+            np.testing.assert_array_equal(getattr(adj, name)[q], expected)
 
 
 class TestDegenerate:

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,7 +162,12 @@ class TestPlumbing:
                      str(tmp_path)])
 
     def test_module_entry_point(self):
+        # the child imports the same gark as this process, installed or not
+        src = str(Path(gark.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "gark.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "converge" in proc.stdout

@@ -6,11 +6,11 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import (linear_pair, nonlinear_stiff, scalar_split,
-                     stiff_relaxation, sum_goal, wrap)
+from helpers import (linear_pair, nonlinear_stiff, plan_cases, scalar_split,
+                     scan_step, stiff_relaxation, sum_goal, wrap)
 
 from gark.estimation import temporal_residuals
-from gark.forward import (ForwardTrajectory, StageSolverConfig,
+from gark.forward import (ForwardTrajectory, LinearStageCache,
                           StepFailureError, align_tableau, factorize,
                           integrate, step)
 from gark.mesh import TimeGrid
@@ -61,24 +61,56 @@ class TestSingleStep:
         assert abs(result.y_next[0]) < 1.0
 
     def test_stage_times_use_own_abscissae(self):
-        tableau = build_imex22()
-        system = scalar_split(-1.0, -1.0)
-        result = step(system, tableau, 2.0, 0.5, np.array([1.0]))
-        alpha = GAMMA_MINUS
-        assert result.stage_times[(0, 0)] == 2.0
-        np.testing.assert_allclose(result.stage_times[(0, 1)],
-                                   2.0 + 0.5 / (2.0 * alpha))
-        np.testing.assert_allclose(result.stage_times[(1, 0)],
-                                   2.0 + 0.5 * GAMMA_MINUS)
-        np.testing.assert_allclose(result.stage_times[(1, 1)], 2.5)
+        # each partition's rhs must be called at its own stage times:
+        # partition 0 is explicit (one call per stage), partition 1 is
+        # linear implicit (the stage solve and the slope, both at T_i)
+        seen = ([], [])
+
+        def partition(q):
+            def rhs(t, y):
+                seen[q].append(t)
+                return -y
+            return Partition(name=f"p{q}", rhs=rhs, linear=True,
+                             jacobian=lambda t, y: sp.csr_matrix([[-1.0]]))
+
+        system = SplitOdeSystem(dim=1, partitions=(partition(0),
+                                                   partition(1)))
+        step(system, build_imex22(), 2.0, 0.5, np.array([1.0]))
+        assert len(seen[0]) == 2 and len(seen[1]) == 4
+        assert seen[0][0] == 2.0
+        np.testing.assert_allclose(seen[0][1], 2.0 + 0.5 / (2.0 * GAMMA_MINUS))
+        np.testing.assert_allclose(seen[1][:2], 2.0 + 0.5 * GAMMA_MINUS)
+        np.testing.assert_allclose(seen[1][2:], 2.5)
 
     def test_schedule_missing_dependency_raises(self):
         tableau = build_imex22()
         bad = dataclasses.replace(tableau,
                                   stage_schedule=((0, 1), (0, 0), (1, 0), (1, 1)))
+        with pytest.raises(UnsupportedTableauError, match="needs slope"):
+            bad.plan
         system = scalar_split(-1.0, -1.0)
         with pytest.raises(UnsupportedTableauError, match="needs slope"):
             step(system, bad, 0.0, 0.1, np.array([1.0]))
+
+
+@pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
+def test_planned_step_matches_schedule_scan(case):
+    # the stored run must equal, bitwise, steps that look every
+    # coefficient up in the coupling matrices
+    _, problem, grid, tableau = case
+    traj = integrate(problem, tableau, grid)
+    assert traj.tableau is tableau
+    cache = LinearStageCache()
+    for n in range(traj.num_steps):
+        t, h = float(grid.nodes[n]), float(grid.steps[n])
+        y_next, values, slopes = scan_step(traj.system, tableau, t, h,
+                                           traj.states[n], cache)
+        np.testing.assert_array_equal(y_next, traj.states[n + 1])
+        assert len(values) == len(slopes) == len(tableau.plan)
+        for (q, i), value in values.items():
+            np.testing.assert_array_equal(value, traj.stage_values[q][n, i])
+            np.testing.assert_array_equal(slopes[(q, i)],
+                                          traj.stage_slopes[q][n, i])
 
 
 class TestAlignment:
@@ -208,13 +240,17 @@ class TestIntegrate:
         default = scipy.sparse.linalg.splu(sp.csc_matrix(matrix))
         assert lu.L.nnz + lu.U.nnz < 0.7 * (default.L.nnz + default.U.nnz)
 
-    def test_newton_failure_reports_step_index(self):
+    def test_newton_failure_reports_step_index(self, monkeypatch):
         system = nonlinear_stiff()
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.3)
-        cfg = StageSolverConfig(max_newton_iterations=0)
-        with pytest.raises(StepFailureError) as err:
+        monkeypatch.setattr("gark.forward.MAX_NEWTON_ITERATIONS", 0)
+        # aligned, the stiff partition is scheme 1; its first stage sits
+        # at t_0 + gamma h
+        where = (r"^step 0, stage \(1,1\) of partition 'stiff' at "
+                 r"t_i = 0\.0087868: Newton stalled at residual ")
+        with pytest.raises(StepFailureError, match=where) as err:
             integrate(problem, build_imex22(),
-                      TimeGrid.uniform(0.0, 0.3, 0.03), cfg)
+                      TimeGrid.uniform(0.0, 0.3, 0.03))
         assert err.value.step_index == 0
         assert err.value.iterations == 0
         assert np.isfinite(err.value.residual_norm)
@@ -273,7 +309,6 @@ class TestIntegrate:
             assert n == m
             np.testing.assert_array_equal(y_n, y_m)
             np.testing.assert_array_equal(a.y_next, b.y_next)
-            assert a.stage_times == b.stage_times
             for qi in a.stage_slopes:
                 np.testing.assert_array_equal(a.stage_values[qi],
                                               b.stage_values[qi])

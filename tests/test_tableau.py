@@ -195,7 +195,8 @@ def test_permute_partitions_round_trip_and_validity():
     p = t.permute_partitions((1, 0))
     assert p.validate().ok
     # the implicit scheme now sits in partition 1
-    assert p.is_implicit_stage(0, 0) and not p.is_implicit_stage(1, 0)
+    stages = {(st.q, st.i): st for st in p.plan}
+    assert stages[(0, 0)].a_ii != 0.0 and stages[(1, 0)].a_ii == 0.0
     np.testing.assert_array_equal(p.coupling[0][0], t.coupling[1][1])
     np.testing.assert_array_equal(p.coupling[0][1], t.coupling[1][0])
     assert p.stage_schedule == ((1, 0), (0, 0), (1, 1), (0, 1))
@@ -204,3 +205,34 @@ def test_permute_partitions_round_trip_and_validity():
         for m in range(2):
             np.testing.assert_array_equal(back.coupling[q][m], t.coupling[q][m])
     assert back.stage_schedule == t.stage_schedule
+
+
+@pytest.mark.parametrize("tableau", [
+    build_imex22(), build_imex22(alpha=0.33),
+    build_imex22(alpha=0.33).permute_partitions((1, 0))],
+    ids=["equal-weights", "unequal-weights", "permuted"])
+def test_stage_plan_lists_the_nonzero_couplings(tableau):
+    plan = tableau.plan
+    assert plan is tableau.plan
+    schedule = tableau.stage_schedule
+    assert [(st.q, st.i) for st in plan] == list(schedule)
+    for k, st in enumerate(plan):
+        q, i = st.q, st.i
+        assert st.c == tableau.abscissae(q)[i]
+        assert st.a_ii == tableau.coupling[q][q][i, i]
+        assert st.b == tableau.weights[q][i]
+        # reads: earlier stages in schedule order; read_by: later stages in
+        # reverse schedule order
+        assert st.reads == tuple(
+            (m, j, tableau.coupling[q][m][i, j]) for m, j in schedule[:k]
+            if tableau.coupling[q][m][i, j] != 0.0)
+        assert st.read_by == tuple(
+            (m, j, tableau.coupling[m][q][j, i])
+            for m, j in reversed(schedule[k + 1:])
+            if tableau.coupling[m][q][j, i] != 0.0)
+    # read_by is exactly the transpose of reads
+    reads = {((st.q, st.i), (m, j), a) for st in plan for m, j, a in st.reads}
+    read_by = {((m, j), (st.q, st.i), a)
+               for st in plan for m, j, a in st.read_by}
+    assert reads == read_by
+    assert sum(len(st.reads) for st in plan) == len(reads) > 0
