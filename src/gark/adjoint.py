@@ -7,11 +7,13 @@ pre-Jacobian solve vectors with theta = J^T mu; both read each stage's
 transposed couplings from the stage plan's read_by.  "ell" runs the
 reversed method, whose adjoint coefficient tableau needs every stage weight
 nonzero; its plan is the forward one reversed, read through its reads.
-Implicit-stage solves are transposed SuperLU solves from the trajectory's
-factor cache: constant-Jacobian stages hit the factors the forward run
-stored, and Newton stages are factored at their stored (converged) stage
-values.  Each stage applies its Jacobian only as a vector-Jacobian product
-``system.vjp``, so partitions that supply ``vjp`` are never assembled here.
+Implicit-stage solves with (I - h a_ii J)^T use SuperLU's plain kernel on
+the trajectory's factor cache, which holds the factors of those transposes
+(the forward run solves with its transposed kernel): constant-Jacobian
+stages hit the factors the forward run stored, and Newton stages are
+factored at their stored (converged) stage values.  Each stage applies its
+Jacobian only as a vector-Jacobian product ``system.vjp``, so partitions
+that supply ``vjp`` are never assembled here.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ class AdjointTrajectory:
     produced by the chosen method are set.
     """
 
-    forward: ForwardTrajectory
-    method: str
     lam: np.ndarray
     theta: list | None = None
     mu: list | None = None
@@ -47,11 +47,12 @@ class AdjointTrajectory:
 def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
                  y_stage: np.ndarray, coef: float,
                  rhs: np.ndarray) -> np.ndarray:
-    """(I - coef J^(q))^-T rhs at the stage; rhs itself on explicit stages."""
+    """(I - coef J^(q))^-T rhs at the stage; rhs itself on explicit stages.
+    The cache holds factors of the transpose, so this is a plain solve."""
     if coef == 0.0:
         return rhs
     lu = traj.factors.get(traj.system, q, t_i, y_stage, coef)
-    return lu.solve(rhs, trans="T")
+    return lu.solve(rhs)
 
 
 def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
@@ -135,6 +136,5 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
                 lam_n += (h * stage.b) * ell[(stage.q, stage.i)]
         lam[n] = lam_n
 
-    return AdjointTrajectory(forward=trajectory, method=method, lam=lam,
-                             theta=theta_arr, mu=mu_arr, ell=ell_arr,
-                             stage_adjoint=lambda_arr)
+    return AdjointTrajectory(lam=lam, theta=theta_arr, mu=mu_arr,
+                             ell=ell_arr, stage_adjoint=lambda_arr)

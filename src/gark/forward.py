@@ -2,14 +2,17 @@
 
 One step walks the tableau's stage plan in schedule order, each stage
 combining only the earlier slopes it reads.  A stage with a nonzero
-own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y), in one
-linear solve on a linear partition and by full Newton iteration (fixed
-tolerances, below) otherwise; everything else is an explicit update.
-Every stage system I - h a_ii J is factored by SuperLU with a symmetric
-minimum-degree column ordering (MMD on A^T + A).  Each trajectory keeps one
-LinearStageCache of the factors for partitions with constant Jacobians,
-keyed per (partition, h a_ii); the reversed sweep reads the same cache and
-solves transposed.  integrate stores a run whole for the adjoint sweep, or
+own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y): on a
+linear partition its slope k = f(Y) comes from one solve,
+(I - h a_ii J) k = f(rhs), so the stage makes one f call and Y = rhs +
+h a_ii k; otherwise by full Newton iteration (fixed tolerances, below).
+Everything else is an explicit update.  SuperLU factors the transpose
+(I - h a_ii J)^T of every stage matrix, with a symmetric minimum-degree
+column ordering (MMD on A^T + A): forward solves take SuperLU's faster
+transposed kernel, and the adjoint, with far fewer solves, the plain one.
+Each trajectory keeps one LinearStageCache of the factors for partitions
+with constant Jacobians, keyed per (partition, h a_ii); the reversed sweep
+reads the same cache.  integrate stores a run whole for the adjoint sweep, or
 hands each finished step to a consumer and keeps only y_N; replay feeds a
 stored run to one.
 """
@@ -51,19 +54,21 @@ class StepFailureError(RuntimeError):
 
 def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
               coef: float):
-    """SuperLU factors of I - coef * J^(q)(t, y).
+    """SuperLU factors of the transpose (I - coef * J^(q)(t, y))^T.
 
-    The columns are ordered by minimum degree on the structure of A^T + A,
-    which fits the structurally symmetric diffusion stencils better than
-    SuperLU's default COLAMD.
+    solve(b, trans="T") solves the stage system (I - coef J) x = b, and
+    solve(b) its transpose.  The columns are ordered by minimum degree on
+    the structure of A^T + A, which fits the structurally symmetric
+    diffusion stencils better than SuperLU's default COLAMD.
     """
     jac = system.jac(q, t, y)
     matrix = sp.identity(system.dim, format="csr") - coef * jac
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return spla.splu(matrix.T.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 class LinearStageCache:
-    """Factorizations of I - coef*J shared by the stages of one trajectory.
+    """Factorizations of (I - coef*J)^T shared by the stages of one
+    trajectory (see factorize for the solve directions).
 
     Only partitions with constant Jacobians are stored; keys round coef to
     13 significant digits so the last-bit jitter of nominally uniform step
@@ -158,11 +163,11 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
             y_stage = rhs
             slope = system.f(q, t_i, y_stage)
         elif system.partitions[q].linear:
+            # (I - coef J) k = f(rhs) gives k = f(rhs + coef k) = f(Y)
             coef = h * stage.a_ii
             lu = cache.get(system, q, t_i, y, coef)
-            f0 = system.f(q, t_i, rhs)
-            y_stage = rhs + lu.solve(coef * f0)
-            slope = system.f(q, t_i, y_stage)
+            slope = lu.solve(system.f(q, t_i, rhs), trans="T")
+            y_stage = rhs + coef * slope
         else:
             y_stage, slope = _newton_stage(system, stage, t_i,
                                            h * stage.a_ii, rhs, y)
@@ -186,7 +191,8 @@ def _newton_stage(system, stage, t_i, coef, rhs, predictor):
             return y, f_val
         if it == MAX_NEWTON_ITERATIONS:
             break
-        y = y + factorize(system, q, t_i, y, coef).solve(-residual)
+        y = y + factorize(system, q, t_i, y, coef).solve(-residual,
+                                                           trans="T")
     raise StepFailureError(
         f"stage ({q + 1},{stage.i + 1}) of partition "
         f"{system.partitions[q].name!r} at t_i = {t_i:.6g}: Newton stalled "
@@ -261,7 +267,9 @@ class ForwardTrajectory:
         return worst
 
     def stage_consistency_residual(self) -> float:
-        """max |Y - (y_n + h sum a k)| over all stages; solver-tolerance small."""
+        """max |Y - (y_n + h sum a k)| over all stages: exactly 0 on
+        explicit and linear implicit stages, Newton-tolerance small on the
+        others."""
         self.require_stored("stage_consistency_residual")
         worst = 0.0
         for n in range(self.num_steps):

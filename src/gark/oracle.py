@@ -15,6 +15,8 @@ from gark.forward import ForwardTrajectory, integrate
 from gark.systems import ProblemInstance
 
 MAX_DENSE_DIM = 64
+# central differences shift y_0[j] by FD_REL_STEP * (1 + |y_0[j]|)
+FD_REL_STEP = 1e-6
 
 
 def dense_step_propagator(trajectory: ForwardTrajectory, n: int) -> np.ndarray:
@@ -74,13 +76,12 @@ def sensitivity_matrix(trajectory: ForwardTrajectory) -> np.ndarray:
 
 
 def fd_goal_gradient(problem: ProblemInstance, tableau, time_grid,
-                     y0: np.ndarray | None = None,
-                     rel_step: float = 1e-6) -> np.ndarray:
+                     y0: np.ndarray | None = None) -> np.ndarray:
     """Central-difference gradient of Q(y_N) with respect to y_0."""
     base = np.array(problem.y0 if y0 is None else y0, dtype=float)
     grad = np.empty_like(base)
     for j in range(base.size):
-        delta = rel_step * (1.0 + abs(base[j]))
+        delta = FD_REL_STEP * (1.0 + abs(base[j]))
         for sign, slot in ((1.0, 0), (-1.0, 1)):
             shifted = base.copy()
             shifted[j] += sign * delta

@@ -289,10 +289,12 @@ def scan_step(system, tableau, t, h, y, cache):
         rhs = combine(q, i, slopes)
         if a_ii == 0.0:
             y_stage = rhs
+            slope = system.f(q, t_i, y_stage)
         elif system.partitions[q].linear:
             coef = h * a_ii
             lu = cache.get(system, q, t_i, y, coef)
-            y_stage = rhs + lu.solve(coef * system.f(q, t_i, rhs))
+            slope = lu.solve(system.f(q, t_i, rhs), trans="T")
+            y_stage = rhs + coef * slope
         else:
             coef, y_stage = h * a_ii, y.copy()
             for _ in range(forward.MAX_NEWTON_ITERATIONS + 1):
@@ -302,9 +304,11 @@ def scan_step(system, tableau, t, h, y, cache):
                             1.0, float(np.linalg.norm(y_stage))):
                     break
                 y_stage = y_stage + forward.factorize(
-                    system, q, t_i, y_stage, coef).solve(-residual)
+                    system, q, t_i, y_stage, coef).solve(-residual,
+                                                         trans="T")
+            slope = system.f(q, t_i, y_stage)
         values[(q, i)] = y_stage
-        slopes[(q, i)] = system.f(q, t_i, y_stage)
+        slopes[(q, i)] = slope
 
     y_next = y.copy()
     for q, i in tableau.stage_schedule:
@@ -335,7 +339,7 @@ def scan_adjoint_sweep(trajectory, method):
         if coef == 0.0:
             return rhs
         lu = trajectory.factors.get(system, q, t_i, y_stage, coef)
-        return lu.solve(rhs, trans="T")
+        return lu.solve(rhs)
 
     for n in range(n_steps - 1, -1, -1):
         h = float(trajectory.time_grid.steps[n])

@@ -9,13 +9,14 @@ import scipy.sparse.linalg
 from helpers import (linear_pair, nonlinear_stiff, plan_cases, scalar_split,
                      scan_step, stiff_relaxation, sum_goal, wrap)
 
+from gark.adjoint import _stage_solve
 from gark.estimation import temporal_residuals
 from gark.forward import (ForwardTrajectory, LinearStageCache,
                           StepFailureError, align_tableau, factorize,
                           integrate, step)
 from gark.mesh import TimeGrid
 from gark.systems import (Partition, SplitOdeSystem, default_grid, make_bsvd,
-                          make_calvo)
+                          make_calvo, make_random_nonlinear)
 from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
 
 
@@ -62,8 +63,8 @@ class TestSingleStep:
 
     def test_stage_times_use_own_abscissae(self):
         # each partition's rhs must be called at its own stage times:
-        # partition 0 is explicit (one call per stage), partition 1 is
-        # linear implicit (the stage solve and the slope, both at T_i)
+        # partition 0 is explicit and partition 1 linear implicit, one call
+        # per stage each (a linear stage's slope comes from its solve)
         seen = ([], [])
 
         def partition(q):
@@ -76,11 +77,11 @@ class TestSingleStep:
         system = SplitOdeSystem(dim=1, partitions=(partition(0),
                                                    partition(1)))
         step(system, build_imex22(), 2.0, 0.5, np.array([1.0]))
-        assert len(seen[0]) == 2 and len(seen[1]) == 4
+        assert len(seen[0]) == 2 and len(seen[1]) == 2
         assert seen[0][0] == 2.0
         np.testing.assert_allclose(seen[0][1], 2.0 + 0.5 / (2.0 * GAMMA_MINUS))
-        np.testing.assert_allclose(seen[1][:2], 2.0 + 0.5 * GAMMA_MINUS)
-        np.testing.assert_allclose(seen[1][2:], 2.5)
+        np.testing.assert_allclose(seen[1][0], 2.0 + 0.5 * GAMMA_MINUS)
+        np.testing.assert_allclose(seen[1][1], 2.5)
 
     def test_schedule_missing_dependency_raises(self):
         tableau = build_imex22()
@@ -188,6 +189,23 @@ class TestIntegrate:
                          TimeGrid.uniform(0.0, 0.4, 0.02))
         assert traj.stage_consistency_residual() < 1e-9
 
+    def test_linear_stage_slope_comes_from_its_solve(self):
+        # bsvd: linear implicit diffusion, explicit reaction; Y is built
+        # from the solved slope with the very sums the check recombines
+        problem = make_bsvd(default_grid("bsvd", 8, 8))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 0.2, 0.02))
+        assert traj.stage_consistency_residual() == 0.0
+        system, q = traj.system, 0  # q: diffusion after alignment
+        assert system.partitions[q].linear
+        for n in range(traj.num_steps):
+            for i in range(traj.tableau.stage_counts[q]):
+                slope = traj.stage_slopes[q][n, i]
+                f_val = system.f(q, traj.stage_time(n, q, i),
+                                 traj.stage_values[q][n, i])
+                assert np.linalg.norm(slope - f_val) \
+                    <= 1e-13 * np.linalg.norm(f_val)
+
     def test_stiffly_accurate_last_stage_equals_state(self):
         system = stiff_relaxation()
         problem = wrap(system, np.full(system.dim, 0.5), t_final=0.5)
@@ -237,8 +255,25 @@ class TestIntegrate:
         system, y, q = problem.system, problem.y0, 0  # q: diffusion
         matrix = sp.identity(system.dim) - 0.01 * system.jac(q, 0.0, y)
         lu = factorize(system, q, 0.0, y, 0.01)
-        default = scipy.sparse.linalg.splu(sp.csc_matrix(matrix))
+        default = scipy.sparse.linalg.splu(sp.csc_matrix(matrix.T))
         assert lu.L.nnz + lu.U.nnz < 0.7 * (default.L.nnz + default.U.nnz)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_solve_directions_on_non_symmetric_stage_matrix(self, seed):
+        # the cache holds factors of (I - cJ)^T: the forward solve must meet
+        # the stage system and the adjoint solve its transpose
+        problem = make_random_nonlinear(seed)
+        system, q, t, coef = problem.system, 1, 0.2, 0.3
+        traj = integrate(problem, build_imex22(), TimeGrid.uniform(0.0, 0.1,
+                                                                   0.05))
+        y = traj.stage_values[q][0, 0]
+        matrix = np.eye(system.dim) - coef * system.jac(q, t, y).toarray()
+        assert np.max(np.abs(matrix - matrix.T)) > 0.1
+        b = np.random.default_rng(seed).standard_normal(system.dim)
+        forward_x = factorize(system, q, t, y, coef).solve(b, trans="T")
+        adjoint_x = _stage_solve(traj, q, t, y, coef, b)
+        for m, x in ((matrix, forward_x), (matrix.T, adjoint_x)):
+            assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
 
     def test_newton_failure_reports_step_index(self, monkeypatch):
         system = nonlinear_stiff()
