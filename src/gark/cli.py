@@ -3,15 +3,13 @@
 Subcommands: converge (time-convergence study of the forward and adjoint
 solutions), estimate (four-solution split error report), refine
 (adaptive refinement campaign), oracle-check (self-diagnostics against
-independent formulas).  All outputs are deterministic; reference runs for
-converge are cached under <out>/cache keyed by a content hash of the
-run's descriptor.
+independent formulas).  All outputs are deterministic: a rerun with the
+same settings writes byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import json
 import sys
@@ -49,7 +47,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, default=GAMMA_MINUS)
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override flags")
 
@@ -119,31 +116,11 @@ def _tableau(args: argparse.Namespace):
     return build_imex22(gamma=args.gamma, alpha=args.alpha)
 
 
-def _descriptor_digest(desc: dict) -> str:
-    blob = json.dumps(desc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _reference_pair(args, problem, tableau, ref_dt: float):
-    """Final state and adjoint seed state of the reference run, cached."""
-    desc = {
-        "problem": args.problem, "nx": args.nx, "ny": args.ny,
-        "dt": repr(ref_dt), "t0": problem.t0, "t_final": problem.t_final,
-        "gamma": repr(args.gamma),
-        "alpha": repr(args.alpha) if args.alpha is not None else None,
-        "record": "final-state-and-initial-adjoint",
-    }
-    cache_dir = args.out / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"ref-{_descriptor_digest(desc)}.npz"
-    if path.exists():
-        with np.load(path) as data:
-            return data["y_final"], data["lam0"]
+def _reference_pair(problem, tableau, ref_dt: float):
+    """Final state and adjoint seed state of the reference run."""
     grid = TimeGrid.uniform(problem.t0, problem.t_final, ref_dt)
     traj = integrate(problem, tableau, grid)
-    lam0 = adjoint_sweep(traj, method="mu").lam[0]
-    np.savez_compressed(path, y_final=traj.states[-1], lam0=lam0)
-    return traj.states[-1], lam0
+    return traj.states[-1], adjoint_sweep(traj, method="mu").lam[0]
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -151,7 +128,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     tableau = _tableau(args)
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
-    y_ref, lam0_ref = _reference_pair(args, problem, tableau, ref_dt)
+    y_ref, lam0_ref = _reference_pair(problem, tableau, ref_dt)
 
     rows = []
     for level in range(args.levels):
@@ -295,7 +272,7 @@ def _check_telescoping(seed: int) -> bool:
     system = SplitOdeSystem(dim=dim, partitions=parts)
     w = np.ones(dim)
     goal = GoalFunction(evaluate=lambda y: float(w @ y),
-                        gradient=lambda y: w.copy(), weights=w)
+                        gradient=lambda y: w.copy())
     from gark.systems import ProblemInstance
     problem = ProblemInstance(name="check", system=system, grid=None,
                               y0=rng.standard_normal(dim), t0=0.0,

@@ -164,8 +164,8 @@ class ErrorReport:
             "partition_names": list(self.partition_names),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ErrorReport":

@@ -19,7 +19,6 @@ stored run to one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,7 +206,7 @@ class ForwardTrajectory:
     stage_values[q] and stage_slopes[q] have shape (num_steps, s_q, dim).
     A run made with a step consumer keeps only states = [y_N], no stage
     arrays and an empty factor cache.  factors holds the run's stage
-    factorizations; a loaded trajectory starts with an empty cache.
+    factorizations.
     """
 
     problem: ProblemInstance
@@ -281,31 +280,6 @@ class ForwardTrajectory:
                 value = stored.stage_values[(stage.q, stage.i)]
                 worst = max(worst, float(np.max(np.abs(rec - value))))
         return worst
-
-    def save_npz(self, path) -> None:
-        self.require_stored("save_npz")
-        payload = {
-            "nodes": self.time_grid.nodes,
-            "states": self.states,
-            "tableau_json": np.array(json.dumps(self.tableau.to_json_dict())),
-        }
-        for q in range(self.tableau.num_partitions):
-            payload[f"stage_values_{q}"] = self.stage_values[q]
-            payload[f"stage_slopes_{q}"] = self.stage_slopes[q]
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load_npz(cls, path, problem: ProblemInstance) -> "ForwardTrajectory":
-        with np.load(path, allow_pickle=False) as data:
-            tableau = GarkTableau.from_json_dict(
-                json.loads(str(data["tableau_json"])))
-            grid = TimeGrid(data["nodes"])
-            states = data["states"]
-            values = [data[f"stage_values_{q}"]
-                      for q in range(tableau.num_partitions)]
-            slopes = [data[f"stage_slopes_{q}"]
-                      for q in range(tableau.num_partitions)]
-        return cls(problem, tableau, grid, states, values, slopes)
 
 
 def integrate(problem: ProblemInstance, tableau: GarkTableau,

@@ -8,7 +8,6 @@ nodal injection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,22 +246,12 @@ class TensorGrid2D:
         return {"kind": "tensor_grid", "xs": self.xs.tolist(),
                 "ys": self.ys.tolist(), "bc": dict(self.bc)}
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "TensorGrid2D":
         if data.get("kind") != "tensor_grid":
             raise ValueError("not a tensor_grid document")
         return cls(np.asarray(data["xs"], dtype=float),
                    np.asarray(data["ys"], dtype=float), data["bc"])
-
-    @classmethod
-    def from_json(cls, path) -> "TensorGrid2D":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _bisect_all(coords: np.ndarray) -> np.ndarray:
@@ -365,9 +354,4 @@ class GridTransfer:
         """Restrict a species-major stacked state vector."""
         n = self.fine.num_unknowns
         blocks = [self.restrict(v[s * n:(s + 1) * n]) for s in range(num_species)]
-        return np.concatenate(blocks)
-
-    def prolong_state(self, v: np.ndarray, num_species: int = 1) -> np.ndarray:
-        n = self.coarse.num_unknowns
-        blocks = [self.prolong(v[s * n:(s + 1) * n]) for s in range(num_species)]
         return np.concatenate(blocks)

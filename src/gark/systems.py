@@ -73,8 +73,6 @@ class GoalFunction:
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    weights: np.ndarray | None = None
-    description: str = ""
 
 
 @dataclass
@@ -153,9 +151,22 @@ def integral_goal(grid: TensorGrid2D, num_species: int = 1,
         w[s * n:(s + 1) * n] = wg
     w.setflags(write=False)
     return GoalFunction(evaluate=lambda y: float(w @ y),
-                        gradient=lambda y: w.copy(),
-                        weights=w,
-                        description=f"trapezoid integral, species={species}")
+                        gradient=lambda y: w.copy())
+
+
+def _diffusion(op: sp.csr_matrix) -> Partition:
+    """The stiff linear partition y' = op y, its transpose built once."""
+    op_t = op.T
+    return Partition("diffusion", lambda t, y: op @ y, lambda t, y: op,
+                     linear=True, stiff=True, vjp=lambda t, y, w: op_t @ w)
+
+
+def _pointwise_reaction(rhs, slope) -> Partition:
+    """A reaction rhs(t, y) acting node by node, with diagonal Jacobian
+    slope(y)."""
+    return Partition("reaction", rhs,
+                     lambda t, y: sp.diags(slope(y), format="csr"),
+                     vjp=lambda t, y, w: slope(y) * w)
 
 
 def _require_domain(grid: TensorGrid2D, x_span, y_span, bc: str, name: str):
@@ -202,9 +213,6 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     qy = yc * yc - 1.0
     gq = gx * qy
 
-    lap = (nu * discretize_laplacian(grid)).tocsr()
-    lap_t = lap.T
-
     def s(t: float) -> float:
         return (2.0 + math.cos(math.pi * t)) / 30.0
 
@@ -219,23 +227,11 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
         return y - y ** 3 + forcing(t)
 
-    def reaction_slope(y: np.ndarray) -> np.ndarray:
-        return 1.0 - 3.0 * y ** 2
-
-    def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
-        return sp.diags(reaction_slope(y), format="csr")
-
-    def reaction_vjp(t: float, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return reaction_slope(y) * w
-
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
-            Partition("diffusion", lambda t, y: lap @ y,
-                      lambda t, y: lap, linear=True, stiff=True,
-                      vjp=lambda t, y, w: lap_t @ w),
-            Partition("reaction", reaction_rhs, reaction_jac,
-                      vjp=reaction_vjp),
+            _diffusion((nu * discretize_laplacian(grid)).tocsr()),
+            _pointwise_reaction(reaction_rhs, lambda y: 1.0 - 3.0 * y ** 2),
         ))
 
     def exact(t: float) -> np.ndarray:
@@ -263,8 +259,6 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     _require_domain(grid, (0.0, 2.0), (0.0, 2.0), NEUMANN, "make_gray_scott")
     n = grid.num_unknowns
     lap = discretize_laplacian(grid)
-    diff = sp.block_diag((du * lap, dv * lap), format="csr")
-    diff_t = diff.T
     decay = feed + kill
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -290,9 +284,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     system = SplitOdeSystem(
         dim=2 * n,
         partitions=(
-            Partition("diffusion", lambda t, y: diff @ y,
-                      lambda t, y: diff, linear=True, stiff=True,
-                      vjp=lambda t, y, w: diff_t @ w),
+            _diffusion(sp.block_diag((du * lap, dv * lap), format="csr")),
             Partition("reaction", reaction_rhs, reaction_jac,
                       vjp=reaction_vjp),
         ))
@@ -332,29 +324,13 @@ def make_bsvd(grid: TensorGrid2D, t_final: float = 7.0) -> ProblemInstance:
     """Bistable front u_t = div(D grad u) + 10 (1 - u^2)(u + 0.6) on [0,1]^2
     with zero-flux edges and the diffusivity bumps of ``bsvd_diffusivity``."""
     _require_domain(grid, (0.0, 1.0), (0.0, 1.0), NEUMANN, "make_bsvd")
-    lap = discretize_laplacian(grid, bsvd_diffusivity)
-    lap_t = lap.T
-
-    def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return 10.0 * (1.0 - y * y) * (y + 0.6)
-
-    def reaction_slope(y: np.ndarray) -> np.ndarray:
-        return 10.0 * (1.0 - 1.2 * y - 3.0 * y * y)
-
-    def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
-        return sp.diags(reaction_slope(y), format="csr")
-
-    def reaction_vjp(t: float, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return reaction_slope(y) * w
-
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
-            Partition("diffusion", lambda t, y: lap @ y,
-                      lambda t, y: lap, linear=True, stiff=True,
-                      vjp=lambda t, y, w: lap_t @ w),
-            Partition("reaction", reaction_rhs, reaction_jac,
-                      vjp=reaction_vjp),
+            _diffusion(discretize_laplacian(grid, bsvd_diffusivity)),
+            _pointwise_reaction(
+                lambda t, y: 10.0 * (1.0 - y * y) * (y + 0.6),
+                lambda y: 10.0 * (1.0 - 1.2 * y - 3.0 * y * y)),
         ))
 
     coords = grid.unknown_coords()
@@ -393,8 +369,7 @@ def make_random_nonlinear(seed: int, dim: int = 8, num_partitions: int = 2,
     m = 0.5 * rng.standard_normal(dim)
     goal = GoalFunction(
         evaluate=lambda y: float(w @ y + 0.5 * (m * y) @ y),
-        gradient=lambda y: w + m * y,
-        description="quadratic test goal")
+        gradient=lambda y: w + m * y)
 
     return ProblemInstance(name=f"random-{seed}",
                            system=SplitOdeSystem(dim, tuple(partitions)),

@@ -10,7 +10,6 @@ reads (forward step, residuals) and the stages that read it (reverse sweep).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -94,7 +93,6 @@ class GarkTableau:
     declared_order: int = 2
     internally_consistent: bool = True
     stiffly_accurate: bool = False
-    name: str = ""
 
     def __post_init__(self):
         coupling = tuple(tuple(_freeze(a) for a in row) for row in self.coupling)
@@ -225,46 +223,7 @@ class GarkTableau:
         return GarkTableau(coupling, weights, schedule,
                            declared_order=self.declared_order,
                            internally_consistent=self.internally_consistent,
-                           stiffly_accurate=self.stiffly_accurate,
-                           name=self.name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "gark_tableau",
-            "name": self.name,
-            "num_partitions": self.num_partitions,
-            "stage_counts": list(self.stage_counts),
-            "coupling": [[a.tolist() for a in row] for row in self.coupling],
-            "weights": [b.tolist() for b in self.weights],
-            "stage_schedule": [list(qi) for qi in self.stage_schedule],
-            "declared_order": self.declared_order,
-            "internally_consistent": self.internally_consistent,
-            "stiffly_accurate": self.stiffly_accurate,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GarkTableau":
-        if data.get("kind") != "gark_tableau":
-            raise InvalidParameterError("not a gark_tableau document")
-        coupling = tuple(tuple(np.asarray(a, dtype=float) for a in row)
-                         for row in data["coupling"])
-        weights = tuple(np.asarray(b, dtype=float) for b in data["weights"])
-        schedule = tuple((int(q), int(i)) for q, i in data["stage_schedule"])
-        return cls(coupling, weights, schedule,
-                   declared_order=int(data["declared_order"]),
-                   internally_consistent=bool(data["internally_consistent"]),
-                   stiffly_accurate=bool(data["stiffly_accurate"]),
-                   name=data.get("name", ""))
-
-    @classmethod
-    def from_json(cls, path) -> "GarkTableau":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+                           stiffly_accurate=self.stiffly_accurate)
 
 
 def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
@@ -292,12 +251,11 @@ def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
     schedule = tuple(reversed(tableau.stage_schedule))
     return GarkTableau(coupling, weights, schedule,
                        declared_order=tableau.declared_order,
-                       internally_consistent=False, stiffly_accurate=False,
-                       name=(tableau.name + "-adjoint") if tableau.name else "")
+                       internally_consistent=False, stiffly_accurate=False)
 
 
-def build_imex22(gamma: float = GAMMA_MINUS, alpha: float | None = None,
-                 name: str = "imex22") -> GarkTableau:
+def build_imex22(gamma: float = GAMMA_MINUS,
+                 alpha: float | None = None) -> GarkTableau:
     """Two-stage implicit-explicit pair: partition 1 explicit, partition 2
     a stiffly accurate two-stage singly diagonally implicit scheme.
 
@@ -325,5 +283,4 @@ def build_imex22(gamma: float = GAMMA_MINUS, alpha: float | None = None,
                        stage_schedule=schedule,
                        declared_order=2,
                        internally_consistent=True,
-                       stiffly_accurate=True,
-                       name=name)
+                       stiffly_accurate=True)

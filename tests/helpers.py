@@ -10,8 +10,7 @@ from gark.systems import (GoalFunction, Partition, ProblemInstance,
 def sum_goal(dim: int) -> GoalFunction:
     w = np.ones(dim)
     return GoalFunction(evaluate=lambda y: float(w @ y),
-                        gradient=lambda y: w.copy(),
-                        weights=w, description="component sum")
+                        gradient=lambda y: w.copy())
 
 
 def wrap(system: SplitOdeSystem, y0, t_final: float, t0: float = 0.0,

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import (linear_pair, nonlinear_stiff, plan_cases, scalar_split,
-                     scan_adjoint_sweep, stiff_relaxation, wrap)
+                     scan_adjoint_sweep, wrap)
 
 from gark.adjoint import METHODS, adjoint_sweep
-from gark.forward import ForwardTrajectory, integrate, step
+from gark.forward import integrate, step
 from gark.mesh import TimeGrid
 from gark.oracle import (dense_step_propagator, fd_goal_gradient,
                          propagator_chain_adjoint, sensitivity_matrix)
@@ -238,35 +238,6 @@ class TestFormulationAgreement:
         assert a.lam.tobytes() == b.lam.tobytes()
         for q in range(system.num_partitions):
             assert a.mu[q].tobytes() == b.mu[q].tobytes()
-
-
-class TestReloadedTrajectory:
-    """A trajectory loaded from disk sweeps with an empty factor cache."""
-
-    def sweep_both(self, tmp_path, system, y0, method):
-        problem = wrap(system, np.full(system.dim, y0), t_final=0.3)
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.3, 0.03))
-        path = tmp_path / "traj.npz"
-        traj.save_npz(path)
-        loaded = ForwardTrajectory.load_npz(path, problem)
-        return (adjoint_sweep(traj, method=method).lam,
-                adjoint_sweep(loaded, method=method).lam)
-
-    @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
-    def test_newton_stages_refactor_bitwise(self, tmp_path, method):
-        # Newton stages are factored at the stored stage value both times
-        in_memory, reloaded = self.sweep_both(tmp_path, nonlinear_stiff(),
-                                              0.4, method)
-        np.testing.assert_array_equal(reloaded, in_memory)
-
-    @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
-    def test_linear_stages_refactor_to_rounding(self, tmp_path, method):
-        # the reloaded sweep first meets the last step, whose h*a_ii may
-        # differ from the first step's in the last bit
-        in_memory, reloaded = self.sweep_both(tmp_path, stiff_relaxation(),
-                                              0.5, method)
-        np.testing.assert_allclose(reloaded, in_memory, rtol=1e-14, atol=0.0)
 
 
 class TestFiniteDifferenceGradient:

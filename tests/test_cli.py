@@ -46,18 +46,16 @@ class TestConverge:
         assert 1.7 <= slopes["adjoint_slope"] <= 2.3
         assert "slope" in capsys.readouterr().out
 
-    def test_reference_cache_reused(self, tmp_path):
+    def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
         argv = ["converge", "--problem", "calvo", "--nx", "8", "--ny", "4",
                 "--dt", "0.15", "--levels", "2", "--ref-exponent", "4",
                 "--out", str(tmp_path)]
         assert run_cli(argv) == 0
-        cache = list((tmp_path / "cache").glob("ref-*.npz"))
-        assert len(cache) == 1
-        stamp = cache[0].stat().st_mtime_ns
         first = (tmp_path / "convergence.csv").read_bytes()
         assert run_cli(argv) == 0
-        assert cache[0].stat().st_mtime_ns == stamp
         assert (tmp_path / "convergence.csv").read_bytes() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["convergence.csv", "convergence.json"]
 
 
 class TestEstimate:
@@ -143,6 +141,14 @@ class TestPlumbing:
         cfg.write_text(json.dumps({"step_size": 0.1}))
         with pytest.raises(SystemExit, match="step_size"):
             run_cli(["estimate", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
+    def test_seed_is_an_oracle_check_flag_only(self, command, tmp_path,
+                                               capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "--seed", "1", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_calvo_rejects_time_override(self, tmp_path):
         with pytest.raises(SystemExit, match="t-final"):

@@ -11,9 +11,8 @@ from helpers import (linear_pair, nonlinear_stiff, plan_cases, scalar_split,
 
 from gark.adjoint import _stage_solve
 from gark.estimation import temporal_residuals
-from gark.forward import (ForwardTrajectory, LinearStageCache,
-                          StepFailureError, align_tableau, factorize,
-                          integrate, step)
+from gark.forward import (LinearStageCache, StepFailureError, align_tableau,
+                          factorize, integrate, step)
 from gark.mesh import TimeGrid
 from gark.systems import (Partition, SplitOdeSystem, default_grid, make_bsvd,
                           make_calvo, make_random_nonlinear)
@@ -351,22 +350,20 @@ class TestIntegrate:
                                               b.stage_slopes[qi])
 
     @pytest.mark.parametrize("use", [
-        lambda traj, tmp: traj.state(0),
-        lambda traj, tmp: traj.step_identity_residual(),
-        lambda traj, tmp: traj.stage_consistency_residual(),
-        lambda traj, tmp: traj.save_npz(tmp / "traj.npz"),
-        lambda traj, tmp: traj.replay(lambda *step: None),
-        lambda traj, tmp: temporal_residuals(traj, traj),
-    ], ids=["state", "step_identity", "stage_consistency", "save_npz",
-            "replay", "temporal_reference"])
-    def test_streamed_run_refuses_stored_reads(self, use, tmp_path):
+        lambda traj: traj.state(0),
+        lambda traj: traj.step_identity_residual(),
+        lambda traj: traj.stage_consistency_residual(),
+        lambda traj: traj.replay(lambda *step: None),
+        lambda traj: temporal_residuals(traj, traj),
+    ], ids=["state", "step_identity", "stage_consistency", "replay",
+            "temporal_reference"])
+    def test_streamed_run_refuses_stored_reads(self, use):
         problem = wrap(scalar_split(-1.0, -0.5), [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.2, 0.05),
                          consumer=lambda n, y_n, result: None)
         with pytest.raises(ValueError, match="kept only its final state"):
-            use(traj, tmp_path)
-        assert not (tmp_path / "traj.npz").exists()
+            use(traj)
 
     def test_stage_time_accessor(self):
         system = scalar_split(-1.0, -0.5)
@@ -375,23 +372,6 @@ class TestIntegrate:
                          TimeGrid.uniform(0.0, 0.2, 0.1))
         np.testing.assert_allclose(traj.stage_time(1, 1, 0),
                                    0.1 + 0.1 * GAMMA_MINUS)
-
-    def test_npz_round_trip(self, tmp_path):
-        system = nonlinear_stiff()
-        problem = wrap(system, np.full(system.dim, 0.4), t_final=0.2)
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.2, 0.05))
-        path = tmp_path / "traj.npz"
-        traj.save_npz(path)
-        loaded = ForwardTrajectory.load_npz(path, problem)
-        np.testing.assert_array_equal(loaded.states, traj.states)
-        np.testing.assert_array_equal(loaded.time_grid.nodes,
-                                      traj.time_grid.nodes)
-        for q in range(2):
-            np.testing.assert_array_equal(loaded.stage_slopes[q],
-                                          traj.stage_slopes[q])
-            np.testing.assert_array_equal(
-                loaded.tableau.coupling[q][q], traj.tableau.coupling[q][q])
 
 
 class TestCalvoForward:

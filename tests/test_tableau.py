@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -172,22 +171,6 @@ def test_adjoint_rejects_zero_weight():
                           t.stage_schedule, declared_order=1)
     with pytest.raises(UnsupportedTableauError, match=r"\(1,2\)"):
         adjoint_coefficients(crooked)
-
-
-def test_json_round_trip(tmp_path):
-    t = build_imex22(alpha=0.33)
-    path = tmp_path / "tableau.json"
-    t.to_json(path)
-    back = GarkTableau.from_json(path)
-    for q in range(2):
-        np.testing.assert_array_equal(back.weights[q], t.weights[q])
-        for m in range(2):
-            np.testing.assert_array_equal(back.coupling[q][m], t.coupling[q][m])
-    assert back.stage_schedule == t.stage_schedule
-    assert back.stiffly_accurate == t.stiffly_accurate
-    # document is plain JSON
-    data = json.loads(path.read_text())
-    assert data["kind"] == "gark_tableau"
 
 
 def test_permute_partitions_round_trip_and_validity():
