@@ -34,7 +34,8 @@ class AdjointTrajectory:
 
     lam[n] is the adjoint at time node n; lam[-1] is the terminal seed.
     Stage arrays have shape (num_steps, s_q, dim) and only the fields
-    produced by the chosen method are set.
+    produced by the chosen method are set: theta by "theta", mu by "mu"
+    (its theta = J^T mu is not kept), ell and stage_adjoint by "ell".
     """
 
     lam: np.ndarray
@@ -84,7 +85,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
     def make_store():
         return [np.zeros((n_steps, s, dim)) for s in tableau.stage_counts]
 
-    theta_arr = make_store() if method in ("theta", "mu") else None
+    theta_arr = make_store() if method == "theta" else None
     mu_arr = make_store() if method == "mu" else None
     ell_arr = make_store() if method == "ell" else None
     lambda_arr = make_store() if method == "ell" else None
@@ -118,15 +119,14 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
                 if method == "theta":
                     rhs = h * system.vjp(q, t_i, y_stage, acc)
                     vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii, rhs)
-                    theta[(q, i)] = vec
+                    theta_arr[q][n, i] = vec
                 else:
                     rhs = h * acc
                     mu_vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii,
                                           rhs)
                     vec = system.vjp(q, t_i, y_stage, mu_vec)
-                    theta[(q, i)] = vec
                     mu_arr[q][n, i] = mu_vec
-                theta_arr[q][n, i] = vec
+                theta[(q, i)] = vec
 
         lam_n = lam_next.copy()
         for stage in reverse_plan:

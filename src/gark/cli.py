@@ -82,17 +82,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> None:
+    """Override args with the entries of the JSON file args.config.
+
+    Each key must name an option of the subcommand, and each value is
+    parsed as if typed after that option on the command line.
+    """
     if args.config is None:
         return
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {action.dest: action
+               for action in subparsers.choices[args.command]._actions
+               if action.option_strings and action.dest not in ("help",
+                                                                "config")}
     data = json.loads(Path(args.config).read_text())
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise SystemExit(f"config key {key!r} is not a known option")
-        if dest == "out":
-            value = Path(value)
-        setattr(args, dest, value)
+        try:
+            value = (action.type or str)(str(value))
+        except (TypeError, ValueError) as err:
+            raise SystemExit(
+                f"config key {key!r}: invalid value {value!r}") from err
+        if action.choices is not None and value not in action.choices:
+            raise SystemExit(f"config key {key!r}: {value!r} is not one of "
+                             f"{', '.join(action.choices)}")
+        setattr(args, action.dest, value)
 
 
 def _make_problem(args: argparse.Namespace):
@@ -304,8 +322,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _apply_config(parser, args)
     handlers = {
         "converge": cmd_converge,
         "estimate": cmd_estimate,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
-from gark.forward import (ForwardTrajectory, StepResult,
+from gark.forward import (ForwardTrajectory, LinearStageCache, StepResult,
                           combine_stage_argument, integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
@@ -261,6 +261,12 @@ def estimate_errors(problem: ProblemInstance, tableau,
     given steps; reference: both refinements.  The three companion runs are
     streamed: the bundle holds them with their final states only.  The
     reference goal value uses the fine grid's own quadrature.
+
+    Runs on one space grid share one factor cache, so each stage matrix is
+    factored once per (space grid, nominal h a_ii): the time-refined run
+    fills the numerical run's cache, which the temporal residuals and the
+    adjoint sweep read too; the space-refined and reference runs share a
+    fine cache, dropped before the sweep.
     """
     if problem.grid is None:
         raise ValueError("four-solution estimate needs a grid problem")
@@ -277,18 +283,22 @@ def estimate_errors(problem: ProblemInstance, tableau,
             at_nodes[n // 2] = y_n
 
     time_refined = integrate(problem, tableau, fine_time,
-                             consumer=keep_coarse_nodes)
+                             consumer=keep_coarse_nodes,
+                             factors=numerical.factors)
     at_nodes[-1] = time_refined.states[-1]
     temporal = temporal_residuals(
         numerical, lambda t: at_nodes[time_grid.locate(t)])
     transfer = GridTransfer.between(fine_grid, problem.grid)
     restricted = RestrictedRun(numerical, transfer, problem.num_species)
+    fine_factors = LinearStageCache()
     space_refined = integrate(fine_problem, tableau, time_grid,
-                              consumer=restricted)
+                              consumer=restricted, factors=fine_factors)
     spatial = spatial_residuals(numerical, restricted)
     del at_nodes, restricted  # read by the residuals only; free them now
     reference = integrate(fine_problem, tableau, fine_time,
-                          consumer=lambda n, y_n, result: None)
+                          consumer=lambda n, y_n, result: None,
+                          factors=fine_factors)
+    del fine_factors  # the sweep runs on the coarse grid; free them first
     adjoint = adjoint_sweep(numerical, method="mu")
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
     report = assemble_report(numerical, adjoint, temporal, spatial, psi_ref)

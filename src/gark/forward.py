@@ -11,8 +11,9 @@ Everything else is an explicit update.  SuperLU factors the transpose
 column ordering (MMD on A^T + A): forward solves take SuperLU's faster
 transposed kernel, and the adjoint, with far fewer solves, the plain one.
 Each trajectory keeps one LinearStageCache of the factors for partitions
-with constant Jacobians, keyed per (partition, h a_ii); the reversed sweep
-reads the same cache.  integrate stores a run whole for the adjoint sweep, or
+with constant Jacobians, one per (partition, h a_ii) up to step-size
+jitter; the reversed sweep reads the same cache, and runs on the same
+system may share it.  integrate stores a run whole for the adjoint sweep, or
 hands each finished step to a consumer and keeps only y_N; replay feeds a
 stored run to one.
 """
@@ -33,6 +34,9 @@ from gark.tableau import GarkTableau, PlannedStage, UnsupportedTableauError
 NEWTON_RTOL = 1e-10
 NEWTON_ATOL = 1e-12
 MAX_NEWTON_ITERATIONS = 20
+# Stage coefficients h a_ii this close, relatively, share one factorization:
+# step sizes are differences of nodes and jitter by about 1e-14.
+COEF_RTOL = 1e-10
 
 
 class StepFailureError(RuntimeError):
@@ -66,25 +70,42 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
 
 
 class LinearStageCache:
-    """Factorizations of (I - coef*J)^T shared by the stages of one
-    trajectory (see factorize for the solve directions).
+    """Factorizations of (I - coef*J)^T for one system (see factorize for
+    the solve directions), shared by a trajectory's steps, its temporal
+    residuals and its adjoint sweep, and by any other run on the system
+    given the cache through integrate(factors=).
 
-    Only partitions with constant Jacobians are stored; keys round coef to
-    13 significant digits so the last-bit jitter of nominally uniform step
-    sizes maps onto one factorization.  Other partitions are factored afresh
-    at (t, y) on every call.
+    Only partitions with constant Jacobians are stored.  A coefficient
+    reuses the first stored factor of its partition whose coefficient lies
+    within COEF_RTOL of it, searched in insertion order: the jitter of
+    nominally equal step sizes maps onto one factorization, and every solve
+    at a coefficient meets the factor its first solve met.  Other partitions
+    are factored afresh at (t, y) on every call.  A system whose partitions
+    have other Jacobian callables than the first one served raises
+    ValueError: the cache does not hold its stage matrices.
     """
 
     def __init__(self):
-        self._store: dict[tuple[int, str], object] = {}
+        self._jacobians = None
+        self._store: dict[int, list] = {}
 
     def get(self, system, q, t, y, coef):
+        jacobians = tuple(p.jacobian for p in system.partitions)
+        if self._jacobians is None:
+            self._jacobians = jacobians
+        elif jacobians != self._jacobians:
+            raise ValueError(
+                "this factor cache holds the stage factors of another "
+                "system; each system needs its own cache")
         if not system.partitions[q].linear:
             return factorize(system, q, t, y, coef)
-        key = (q, f"{coef:.12e}")
-        if key not in self._store:
-            self._store[key] = factorize(system, q, t, y, coef)
-        return self._store[key]
+        entries = self._store.setdefault(q, [])
+        for stored, lu in entries:
+            if abs(coef - stored) <= COEF_RTOL * abs(stored):
+                return lu
+        lu = factorize(system, q, t, y, coef)
+        entries.append((coef, lu))
+        return lu
 
 
 def align_tableau(tableau: GarkTableau, system: SplitOdeSystem) -> GarkTableau:
@@ -284,14 +305,18 @@ class ForwardTrajectory:
 
 def integrate(problem: ProblemInstance, tableau: GarkTableau,
               time_grid: TimeGrid, y0: np.ndarray | None = None,
-              consumer=None) -> ForwardTrajectory:
+              consumer=None,
+              factors: LinearStageCache | None = None) -> ForwardTrajectory:
     """Integrate the problem over the time grid.
 
     The tableau is validated and aligned to the system's partitions first.
     Without a consumer the trajectory keeps every state, all stage values
     and slopes, and the cache of constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
-    and the returned trajectory is streamed: it keeps only y_N.
+    and the returned trajectory is streamed: it keeps only y_N.  factors, a
+    cache of the same system, is read and filled instead of a new one, so
+    runs at shared step sizes factor each stage matrix once; a streamed run
+    does not keep it.
     """
     report = tableau.validate()
     if not report.ok:
@@ -305,7 +330,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
                          f"expected ({system.dim},)")
 
     n_steps = time_grid.num_steps
-    cache = LinearStageCache()
+    cache = LinearStageCache() if factors is None else factors
     stored = consumer is None
     if stored:
         states = np.empty((n_steps + 1, system.dim))

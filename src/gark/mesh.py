@@ -345,13 +345,14 @@ class GridTransfer:
         return cls(fine, coarse, restriction, prolongation)
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
-        return self.restriction @ v
+        """Injection along the last axis.  Each row of restriction holds one
+        unit entry, so this indexes; + 0.0 turns -0.0 into 0.0 as the
+        sparse product does."""
+        return v[..., self.restriction.indices] + 0.0
 
     def prolong(self, v: np.ndarray) -> np.ndarray:
         return self.prolongation @ v
 
     def restrict_state(self, v: np.ndarray, num_species: int = 1) -> np.ndarray:
         """Restrict a species-major stacked state vector."""
-        n = self.fine.num_unknowns
-        blocks = [self.restrict(v[s * n:(s + 1) * n]) for s in range(num_species)]
-        return np.concatenate(blocks)
+        return self.restrict(v.reshape(num_species, -1)).reshape(-1)

@@ -225,6 +225,22 @@ def stored_estimate(problem, tableau, time_grid):
     return assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
 
 
+def mu_theta(trajectory, adjoint):
+    """theta = J^T mu of a mu sweep, which the sweep does not keep: the
+    vector-Jacobian product it takes at each stored stage value, so the
+    arrays equal the sweep's bitwise."""
+    system, grid = trajectory.system, trajectory.time_grid
+    theta = [np.empty_like(mu) for mu in adjoint.mu]
+    for n in range(trajectory.num_steps):
+        t, h = float(grid.nodes[n]), float(grid.steps[n])
+        for stage in trajectory.tableau.plan:
+            q, i = stage.q, stage.i
+            theta[q][n, i] = system.vjp(q, t + stage.c * h,
+                                        trajectory.stage_values[q][n, i],
+                                        adjoint.mu[q][n, i])
+    return theta
+
+
 # --- stage loops that scan the whole tableau: oracles for the stage plan ----
 
 def plan_cases():
@@ -327,7 +343,7 @@ def scan_adjoint_sweep(trajectory, method):
     n_steps, dim = trajectory.num_steps, system.dim
     abar = adjoint_coefficients(tableau) if method == "ell" else None
     reverse_schedule = tuple(reversed(tableau.stage_schedule))
-    names = {"theta": ("theta",), "mu": ("theta", "mu"),
+    names = {"theta": ("theta",), "mu": ("mu",),
              "ell": ("ell", "stage_adjoint")}[method]
     stores = {name: [np.zeros((n_steps, s, dim))
                      for s in tableau.stage_counts] for name in names}
@@ -365,13 +381,14 @@ def scan_adjoint_sweep(trajectory, method):
                 if coef != 0.0:
                     acc += coef * val
             if method == "theta":
-                vec = solve(q, t_i, y_stage, h_aii,
-                            h * system.vjp(q, t_i, y_stage, acc))
+                vec = stores["theta"][q][n, i] = solve(
+                    q, t_i, y_stage, h_aii,
+                    h * system.vjp(q, t_i, y_stage, acc))
             else:
                 mu = stores["mu"][q][n, i] = solve(q, t_i, y_stage, h_aii,
                                                    h * acc)
                 vec = system.vjp(q, t_i, y_stage, mu)
-            theta[(q, i)] = stores["theta"][q][n, i] = vec
+            theta[(q, i)] = vec
 
         lam_n = lam_next.copy()
         for q, i in reverse_schedule:

@@ -23,7 +23,7 @@ from gark.systems import (build_problem, default_grid, make_calvo,
                           make_random_nonlinear)
 from gark.tableau import GAMMA_PLUS, build_imex22
 
-from helpers import nonlinear_stiff, wrap
+from helpers import mu_theta, nonlinear_stiff, wrap
 
 TABLEAU = build_imex22()
 
@@ -141,9 +141,10 @@ def test_criterion_4_formulation_equivalence(capsys):
                           np.max(np.abs(other.lam - th.lam)) / lam_scale)
         steps = traj.time_grid.steps[:, None]
         theta_scale = max(np.max(np.abs(t)) for t in th.theta)
+        theta_from_mu = mu_theta(traj, mu)
         for q, i in traj.tableau.stage_schedule:
             b_i = traj.tableau.weights[q][i]
-            via_mu = np.max(np.abs(mu.theta[q][:, i] - th.theta[q][:, i]))
+            via_mu = np.max(np.abs(theta_from_mu[q][:, i] - th.theta[q][:, i]))
             via_ell = np.max(np.abs(steps * b_i * el.ell[q][:, i]
                                     - th.theta[q][:, i]))
             stage_rel = max(stage_rel, via_mu / theta_scale,

@@ -142,6 +142,25 @@ class TestPlumbing:
         with pytest.raises(SystemExit, match="step_size"):
             run_cli(["estimate", "--config", str(cfg)])
 
+    def test_config_key_of_no_option_rejected(self, tmp_path):
+        # "command" is a namespace attribute but no option of estimate
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "converge"}))
+        with pytest.raises(SystemExit, match="'command' is not a known"):
+            run_cli(["estimate", "--config", str(cfg)])
+
+    def test_config_values_parse_like_flags(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"nx": "4", "ny": 2, "dt": "0.5",
+                                   "problem": "calvo", "out": str(out)}))
+        assert run_cli(["estimate", "--config", str(cfg)]) == 0
+        assert (out / "report.json").is_file()
+        for bad in ({"nx": "x"}, {"nx": 2.5}, {"problem": "heat"}):
+            cfg.write_text(json.dumps(bad))
+            key = next(iter(bad))
+            with pytest.raises(SystemExit, match=f"config key '{key}'"):
+                run_cli(["estimate", "--config", str(cfg)])
+
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     def test_seed_is_an_oracle_check_flag_only(self, command, tmp_path,
                                                capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from helpers import (linear_pair, nonlinear_stiff, scalar_split,
                      stored_estimate, wrap)
@@ -339,6 +340,20 @@ class TestStreamedCompanionRuns:
                     bundle.reference):
             assert run.stage_slopes is None
             assert run.states.shape == (1, run.system.dim)
+
+    def test_one_factorization_per_grid_and_step_size(self, monkeypatch):
+        # steps dt and dt/2 here, dt/2 and dt/4 halved: three nominal h*gamma
+        # on each space grid, whichever of the four runs meets them first
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        problem = build_problem("bsvd", default_grid("bsvd", 6, 6),
+                                t_final=0.5)
+        grid = TimeGrid.uniform(0.0, 0.5, 0.05).halve_marked([1, 4, 5, 8])
+        bundle = estimate_errors(problem, build_imex22(), grid)
+        assert len(calls) == 2 * 3
+        assert np.isfinite(bundle.report.e_total)
 
     def test_peak_stays_below_the_fine_stage_arrays(self):
         problem = build_problem("gray_scott", default_grid("gray_scott", 8, 8),

@@ -249,6 +249,49 @@ class TestIntegrate:
         temporal_residuals(traj, fine)
         assert calls == []
 
+    def test_jittered_coefficients_share_one_factorization(self,
+                                                           monkeypatch):
+        # gamma * 0.01 as two node differences give: they straddle a
+        # rounding boundary of 13 significant digits
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        system = stiff_relaxation()
+        y, cache = np.zeros(system.dim), LinearStageCache()
+        first = cache.get(system, 0, 0.0, y, 0.0029289321881345244)
+        assert cache.get(system, 0, 0.0, y, 0.0029289321881344945) is first
+        assert len(calls) == 1
+        # a different step size is a different stage matrix
+        assert cache.get(system, 0, 0.0, y, 0.0029289321881345244 / 2) \
+            is not first
+        assert len(calls) == 2
+
+    def test_cache_refuses_a_second_system(self):
+        cache = LinearStageCache()
+        one, other = stiff_relaxation(), stiff_relaxation()
+        cache.get(one, 0, 0.0, np.zeros(one.dim), 0.01)
+        with pytest.raises(ValueError, match="another system"):
+            cache.get(other, 0, 0.0, np.zeros(other.dim), 0.01)
+
+    def test_runs_given_one_cache_share_its_factors(self, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        system = stiff_relaxation()
+        problem = wrap(system, np.full(system.dim, 0.5), t_final=0.2)
+        grid = TimeGrid.uniform(0.0, 0.2, 0.05)
+        traj = integrate(problem, build_imex22(), grid)
+        streamed = integrate(problem, build_imex22(), grid,
+                             consumer=lambda n, y_n, result: None,
+                             factors=traj.factors)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(streamed.states[-1], traj.states[-1])
+        with pytest.raises(ValueError, match="another system"):
+            integrate(wrap(stiff_relaxation(), problem.y0, t_final=0.2),
+                      build_imex22(), grid, factors=traj.factors)
+
     def test_stage_factors_use_a_fill_reducing_symmetric_ordering(self):
         problem = make_bsvd(default_grid("bsvd", 40, 40))
         system, y, q = problem.system, problem.y0, 0  # q: diffusion

@@ -238,6 +238,22 @@ class TestGridTransfer:
                     np.testing.assert_array_equal(getattr(got, attr),
                                                   getattr(want, attr))
 
+    @pytest.mark.parametrize("name", ["calvo", "gray_scott", "bsvd"])
+    def test_restrict_equals_the_sparse_product_bitwise(self, name):
+        # injection by index, signed zeros included
+        base, once, twice = nested_grids(name)
+        rng = np.random.default_rng(5)
+        for fine, coarse in ((once, base), (twice, once), (twice, base)):
+            tr = GridTransfer.between(fine, coarse)
+            v = rng.standard_normal((2, fine.num_unknowns))
+            v[:, ::3] = -0.0
+            for rows in (v[0], v):
+                got = tr.restrict(rows)
+                want = (tr.restriction @ rows.T).T
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got),
+                                              np.signbit(want))
+
     def test_species_stacked_state(self):
         coarse = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
         fine = coarse.refine_uniform()
