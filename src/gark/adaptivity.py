@@ -65,19 +65,12 @@ class StageRecord:
     next_time_grid: TimeGrid
 
     def summary_dict(self) -> dict:
-        r = self.report
         return {
             "stage": self.stage,
             "num_cells": list(self.space_grid.num_cells),
             "num_unknowns": self.space_grid.num_unknowns,
             "num_steps": self.time_grid.num_steps,
-            "psi_num": r.psi_num,
-            "psi_ref": r.psi_ref,
-            "e_ref": r.e_ref,
-            "e_temporal": r.e_temporal,
-            "e_spatial": list(r.e_spatial),
-            "e_total": r.e_total,
-            "accuracy": r.accuracy,
+            **self.report.totals(),
             "marked_cells": len(self.marked_cells),
             "marked_steps": len(self.marked_steps),
         }
@@ -130,6 +123,8 @@ def run_campaign(problem: ProblemInstance, tableau: GarkTableau,
         out_dir.mkdir(parents=True, exist_ok=True)
         grids_dir = out_dir / "grids"
         grids_dir.mkdir(exist_ok=True)
+        for stale in grids_dir.glob("stage-*.json"):
+            stale.unlink()
         log_path = out_dir / "campaign.jsonl"
         log_path.write_text("")
 

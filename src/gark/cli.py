@@ -30,7 +30,7 @@ from gark.systems import (PROBLEM_BUILDERS, GoalFunction, Partition,
 from gark.tableau import GAMMA_MINUS, GAMMA_PLUS, adjoint_coefficients, \
     build_imex22
 
-PROBLEM_CHOICES = ("calvo", "gray_scott", "bsvd")
+PROBLEM_CHOICES = tuple(PROBLEM_BUILDERS)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

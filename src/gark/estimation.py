@@ -148,9 +148,9 @@ class ErrorReport:
     per_cell: tuple | None
     partition_names: tuple
 
-    def to_json_dict(self) -> dict:
+    def totals(self) -> dict:
+        """The scalar figures, in the order every output lists them."""
         return {
-            "kind": "error_report",
             "psi_num": self.psi_num,
             "psi_ref": self.psi_ref,
             "e_ref": self.e_ref,
@@ -158,6 +158,12 @@ class ErrorReport:
             "e_spatial": list(self.e_spatial),
             "e_total": self.e_total,
             "accuracy": self.accuracy,
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "error_report",
+            **self.totals(),
             "per_step": self.per_step.tolist(),
             "per_cell": (None if self.per_cell is None
                          else [m.tolist() for m in self.per_cell]),
@@ -166,21 +172,6 @@ class ErrorReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ErrorReport":
-        if data.get("kind") != "error_report":
-            raise ValueError("not an error report")
-        return cls(
-            psi_num=data["psi_num"], psi_ref=data["psi_ref"],
-            e_ref=data["e_ref"], e_temporal=data["e_temporal"],
-            e_spatial=tuple(data["e_spatial"]), e_total=data["e_total"],
-            accuracy=data["accuracy"],
-            per_step=np.asarray(data["per_step"], dtype=float),
-            per_cell=(None if data["per_cell"] is None else
-                      tuple(np.asarray(m, dtype=float)
-                            for m in data["per_cell"])),
-            partition_names=tuple(data["partition_names"]))
 
     def write_csv(self, path) -> None:
         header = ["goal_num", "goal_ref", "ref_error", "temporal_error"]
@@ -241,15 +232,13 @@ def assemble_report(trajectory: ForwardTrajectory,
 
 @dataclass
 class EstimateBundle:
-    """Everything the four-solution estimate produced."""
+    """The four-solution report and the four runs behind it."""
 
     report: ErrorReport
     numerical: ForwardTrajectory
     time_refined: ForwardTrajectory
     space_refined: ForwardTrajectory
     reference: ForwardTrajectory
-    adjoint: AdjointTrajectory
-    transfer: GridTransfer
 
 
 def estimate_errors(problem: ProblemInstance, tableau,
@@ -304,5 +293,4 @@ def estimate_errors(problem: ProblemInstance, tableau,
     report = assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
     return EstimateBundle(report=report, numerical=numerical,
                           time_refined=time_refined,
-                          space_refined=space_refined, reference=reference,
-                          adjoint=adjoint, transfer=transfer)
+                          space_refined=space_refined, reference=reference)

@@ -106,22 +106,8 @@ class TimeGrid:
                 return k
         raise KeyError(f"t={t!r} is not a node of this grid")
 
-    def contains(self, other: "TimeGrid") -> bool:
-        try:
-            for t in other.nodes:
-                self.locate(float(t))
-        except KeyError:
-            return False
-        return True
-
     def to_json_dict(self) -> dict:
         return {"kind": "time_grid", "nodes": self.nodes.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TimeGrid":
-        if data.get("kind") != "time_grid":
-            raise ValueError("not a time_grid document")
-        return cls(np.asarray(data["nodes"], dtype=float))
 
 
 def _normalize_bc(bc) -> dict:
@@ -172,9 +158,6 @@ class TensorGrid2D:
         """(rows, columns) = (len(ys), len(xs)) of the nodal array."""
         return len(self.ys), len(self.xs)
 
-    def cell_areas(self) -> np.ndarray:
-        return np.outer(np.diff(self.ys), np.diff(self.xs))
-
     def unknown_mask(self) -> np.ndarray:
         """Boolean (ny+1, nx+1) array marking non-Dirichlet nodes."""
         ny, nx = self.node_shape
@@ -213,10 +196,6 @@ class TensorGrid2D:
         out[mask] = v
         return out
 
-    def gather(self, nodal: np.ndarray) -> np.ndarray:
-        """Full nodal array -> unknown vector."""
-        return np.asarray(nodal)[self.unknown_mask()]
-
     def quadrature_weights(self) -> np.ndarray:
         """Trapezoid weights per unknown (Dirichlet nodes carry zero value)."""
         w = np.outer(trapezoid_weights(self.ys), trapezoid_weights(self.xs))
@@ -245,13 +224,6 @@ class TensorGrid2D:
     def to_json_dict(self) -> dict:
         return {"kind": "tensor_grid", "xs": self.xs.tolist(),
                 "ys": self.ys.tolist(), "bc": dict(self.bc)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TensorGrid2D":
-        if data.get("kind") != "tensor_grid":
-            raise ValueError("not a tensor_grid document")
-        return cls(np.asarray(data["xs"], dtype=float),
-                   np.asarray(data["ys"], dtype=float), data["bc"])
 
 
 def _bisect_all(coords: np.ndarray) -> np.ndarray:

@@ -67,14 +67,6 @@ def propagator_chain_adjoint(trajectory: ForwardTrajectory,
     return lam
 
 
-def sensitivity_matrix(trajectory: ForwardTrajectory) -> np.ndarray:
-    """d y_N / d y_0 as the ordered product of the step propagators."""
-    total = np.eye(trajectory.system.dim)
-    for n in range(trajectory.num_steps):
-        total = dense_step_propagator(trajectory, n) @ total
-    return total
-
-
 def fd_goal_gradient(problem: ProblemInstance, tableau, time_grid,
                      y0: np.ndarray | None = None) -> np.ndarray:
     """Central-difference gradient of Q(y_N) with respect to y_0."""

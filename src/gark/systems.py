@@ -45,10 +45,6 @@ class SplitOdeSystem:
         return tuple(p.stiff for p in self.partitions)
 
     @property
-    def linear_flags(self) -> tuple[bool, ...]:
-        return tuple(p.linear for p in self.partitions)
-
-    @property
     def partition_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.partitions)
 
@@ -169,16 +165,23 @@ def _pointwise_reaction(rhs, slope) -> Partition:
                      vjp=lambda t, y, w: slope(y) * w)
 
 
-def _require_domain(grid: TensorGrid2D, x_span, y_span, bc: str, name: str):
-    ok = (math.isclose(grid.xs[0], x_span[0], abs_tol=1e-12)
-          and math.isclose(grid.xs[-1], x_span[1], abs_tol=1e-12)
-          and math.isclose(grid.ys[0], y_span[0], abs_tol=1e-12)
-          and math.isclose(grid.ys[-1], y_span[1], abs_tol=1e-12))
-    if not ok:
-        raise ValueError(f"{name} expects the domain "
-                         f"[{x_span[0]},{x_span[1]}]x[{y_span[0]},{y_span[1]}]")
+# x span, y span and the tag of every edge, per grid problem
+PROBLEM_DOMAINS = {
+    "calvo": ((-1.0, 3.0), (-1.0, 1.0), DIRICHLET),
+    "gray_scott": ((0.0, 2.0), (0.0, 2.0), NEUMANN),
+    "bsvd": ((0.0, 1.0), (0.0, 1.0), NEUMANN),
+}
+
+
+def _require_domain(grid: TensorGrid2D, name: str) -> None:
+    (x0, x1), (y0, y1), bc = PROBLEM_DOMAINS[name]
+    ends = (grid.xs[0], grid.xs[-1], grid.ys[0], grid.ys[-1])
+    if not all(math.isclose(a, b, abs_tol=1e-12)
+               for a, b in zip(ends, (x0, x1, y0, y1))):
+        raise ValueError(f"make_{name} expects the domain "
+                         f"[{x0},{x1}]x[{y0},{y1}]")
     if any(tag != bc for tag in grid.bc.values()):
-        raise ValueError(f"{name} expects {bc} edges everywhere")
+        raise ValueError(f"make_{name} expects {bc} edges everywhere")
 
 
 # --- manufactured reaction-diffusion problem -------------------------------
@@ -206,7 +209,7 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     conventional choice for this setup, not part of the solution.
     Domain [-1,3]x[-1,1], zero Dirichlet edges, t in [0, 1.5].
     """
-    _require_domain(grid, (-1.0, 3.0), (-1.0, 1.0), DIRICHLET, "make_calvo")
+    _require_domain(grid, "calvo")
     coords = grid.unknown_coords()
     xc, yc = coords[:, 0], coords[:, 1]
     gx, gxxc = _calvo_g(xc), _calvo_gxx(xc)
@@ -256,7 +259,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     State is species-major: all u unknowns, then all v unknowns.  The goal
     integrates the u species only.
     """
-    _require_domain(grid, (0.0, 2.0), (0.0, 2.0), NEUMANN, "make_gray_scott")
+    _require_domain(grid, "gray_scott")
     n = grid.num_unknowns
     lap = discretize_laplacian(grid)
     decay = feed + kill
@@ -323,7 +326,7 @@ def bsvd_diffusivity(x, y):
 def make_bsvd(grid: TensorGrid2D, t_final: float = 7.0) -> ProblemInstance:
     """Bistable front u_t = div(D grad u) + 10 (1 - u^2)(u + 0.6) on [0,1]^2
     with zero-flux edges and the diffusivity bumps of ``bsvd_diffusivity``."""
-    _require_domain(grid, (0.0, 1.0), (0.0, 1.0), NEUMANN, "make_bsvd")
+    _require_domain(grid, "bsvd")
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
@@ -381,12 +384,6 @@ def make_random_nonlinear(seed: int, dim: int = 8, num_partitions: int = 2,
 
 
 # --- registry ---------------------------------------------------------------
-
-PROBLEM_DOMAINS = {
-    "calvo": ((-1.0, 3.0), (-1.0, 1.0), DIRICHLET),
-    "gray_scott": ((0.0, 2.0), (0.0, 2.0), NEUMANN),
-    "bsvd": ((0.0, 1.0), (0.0, 1.0), NEUMANN),
-}
 
 PROBLEM_BUILDERS = {
     "calvo": make_calvo,

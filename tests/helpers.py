@@ -7,6 +7,14 @@ from gark.systems import (GoalFunction, Partition, ProblemInstance,
                           SplitOdeSystem, rebuild_on)
 
 
+def assert_bitwise(actual, expected) -> None:
+    """Equal floats or float arrays, down to the sign of zero."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 def sum_goal(dim: int) -> GoalFunction:
     w = np.ones(dim)
     return GoalFunction(evaluate=lambda y: float(w @ y),

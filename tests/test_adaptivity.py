@@ -9,6 +9,7 @@ from gark.adaptivity import (RefinementConfig, mark_percentile,
 from gark.mesh import TimeGrid
 from gark.systems import build_problem, default_grid, make_calvo
 from gark.tableau import build_imex22
+from helpers import assert_bitwise
 
 
 def brute_mark(values, pct):
@@ -96,7 +97,8 @@ class TestRefineStage:
         xs = record.space_grid.xs
         assert set(np.round(xs, 12)).issubset(
             set(np.round(record.next_space_grid.xs, 12)))
-        assert record.next_time_grid.contains(record.time_grid)
+        # refinement never moves a node, so inclusion holds bitwise
+        assert set(record.time_grid.nodes) <= set(record.next_time_grid.nodes)
         assert record.next_time_grid.num_steps > record.time_grid.num_steps
 
     def test_symmetric_problem_marks_symmetrically(self):
@@ -144,17 +146,23 @@ class TestCampaign:
 
     def test_campaign_logs(self, tmp_path):
         problem = make_calvo(default_grid("calvo", 8, 4))
-        run_campaign(problem, build_imex22(),
-                     TimeGrid.uniform(0.0, 1.5, 0.15),
-                     RefinementConfig(num_stages=2), out_dir=tmp_path)
+        campaign = run_campaign(problem, build_imex22(),
+                                TimeGrid.uniform(0.0, 1.5, 0.15),
+                                RefinementConfig(num_stages=2),
+                                out_dir=tmp_path)
         lines = (tmp_path / "campaign.jsonl").read_text().splitlines()
         assert len(lines) == 2
         entries = [json.loads(line) for line in lines]
         assert entries[0]["stage"] == 0
         assert entries[1]["num_cells"][0] > entries[0]["num_cells"][0]
-        assert {"psi_num", "e_ref", "e_total", "accuracy"} <= \
-            set(entries[0])
-        for entry in entries:
+        for entry, record in zip(entries, campaign.records, strict=True):
+            assert list(entry) == [
+                "stage", "num_cells", "num_unknowns", "num_steps", "psi_num",
+                "psi_ref", "e_ref", "e_temporal", "e_spatial", "e_total",
+                "accuracy", "marked_cells", "marked_steps"]
+            for name in ("psi_num", "psi_ref", "e_ref", "e_temporal",
+                         "e_spatial", "e_total", "accuracy"):
+                assert_bitwise(entry[name], getattr(record.report, name))
             cells = entry["num_cells"]
             # calvo's Dirichlet sides hold no unknowns
             assert entry["num_unknowns"] == (cells[0] - 1) * (cells[1] - 1)
@@ -164,3 +172,16 @@ class TestCampaign:
                 (tmp_path / "grids" / f"stage-{stage}.json").read_text())
             assert payload["space"]["kind"] == "tensor_grid"
             assert payload["time"]["kind"] == "time_grid"
+
+    def test_rerun_with_fewer_stages_leaves_only_its_grid_files(self,
+                                                                tmp_path):
+        problem = make_calvo(default_grid("calvo", 8, 4))
+        grid = TimeGrid.uniform(0.0, 1.5, 0.15)
+        for stages in (3, 1):
+            run_campaign(problem, build_imex22(), grid,
+                         RefinementConfig(num_stages=stages),
+                         out_dir=tmp_path)
+        assert len((tmp_path / "campaign.jsonl").read_text()
+                   .splitlines()) == 1
+        assert sorted(p.name for p in (tmp_path / "grids").iterdir()) \
+            == ["stage-0.json"]

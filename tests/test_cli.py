@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import gark
 import gark.adaptivity
 import gark.cli
 from gark.cli import main
@@ -185,6 +186,11 @@ class TestPlumbing:
             run_cli(["estimate", "--problem", "bsvd", "--nx", "4",
                      "--ny", "4", "--t-final", "0.1", "--out",
                      str(tmp_path)])
+
+    def test_every_export_resolves(self):
+        # a stale name in __all__ breaks only `from gark import *`
+        assert [name for name in gark.__all__ if not hasattr(gark, name)] \
+            == []
 
     def test_module_entry_point(self):
         # the child imports the same gark as this process, installed or not

@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import (linear_pair, nonlinear_stiff, scalar_split,
-                     stored_estimate, wrap)
+from helpers import (assert_bitwise, linear_pair, nonlinear_stiff,
+                     scalar_split, stored_estimate, wrap)
 
 from gark.adjoint import adjoint_sweep
-from gark.estimation import (ErrorReport, assemble_report, estimate_errors,
-                             restrict_run, spatial_residuals,
-                             temporal_residuals)
+from gark.cli import main
+from gark.estimation import (assemble_report, estimate_errors, restrict_run,
+                             spatial_residuals, temporal_residuals)
 from gark.forward import integrate
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import (Partition, ProblemInstance, SplitOdeSystem,
@@ -265,10 +265,12 @@ class TestFourSolutionPipeline:
         bundle = self.make_bundle()
         report = bundle.report
         goal = bundle.numerical.problem.goal
+        transfer = GridTransfer.between(bundle.space_refined.problem.grid,
+                                        bundle.numerical.problem.grid)
         temporal_gap = (goal.evaluate(bundle.time_refined.states[-1])
                         - report.psi_num)
         spatial_gap = (goal.evaluate(
-            bundle.transfer.restrict(bundle.space_refined.states[-1]))
+            transfer.restrict(bundle.space_refined.states[-1]))
             - report.psi_num)
         assert abs(report.e_temporal - temporal_gap) \
             <= 0.1 * abs(temporal_gap) + 1e-8
@@ -289,17 +291,24 @@ class TestFourSolutionPipeline:
             estimate_errors(problem, build_imex22(),
                             TimeGrid.uniform(0.0, 0.3, 0.05))
 
-    def test_json_round_trip_is_exact(self):
+    def test_json_round_trip_is_exact(self, tmp_path):
+        # what `gark estimate` writes decodes to the in-memory report bitwise
+        assert main(["estimate", "--problem", "calvo", "--nx", "8", "--ny",
+                     "4", "--dt", "0.15", "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "report.json").read_text())
         report = self.make_bundle().report
-        recovered = ErrorReport.from_json_dict(
-            json.loads(report.to_json()))
-        assert recovered.psi_num == report.psi_num
-        assert recovered.e_spatial == report.e_spatial
-        assert recovered.accuracy == report.accuracy
-        np.testing.assert_array_equal(recovered.per_step, report.per_step)
-        for q in range(2):
-            np.testing.assert_array_equal(recovered.per_cell[q],
-                                          report.per_cell[q])
+        assert list(written) == ["kind", "psi_num", "psi_ref", "e_ref",
+                                 "e_temporal", "e_spatial", "e_total",
+                                 "accuracy", "per_step", "per_cell",
+                                 "partition_names"]
+        assert written["kind"] == "error_report"
+        for name in ("psi_num", "psi_ref", "e_ref", "e_temporal",
+                     "e_spatial", "e_total", "accuracy", "per_step"):
+            assert_bitwise(written[name], getattr(report, name))
+        for mine, theirs in zip(written["per_cell"], report.per_cell,
+                                strict=True):
+            assert_bitwise(mine, theirs)
+        assert tuple(written["partition_names"]) == report.partition_names
 
     def test_csv_row(self, tmp_path):
         report = self.make_bundle().report

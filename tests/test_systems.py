@@ -226,7 +226,8 @@ class TestCalvo:
         p = make_calvo(self.grid())
         assert p.system.partition_names == ("diffusion", "reaction")
         assert p.system.stiff_flags == (True, False)
-        assert p.system.linear_flags == (True, False)
+        assert tuple(part.linear for part in p.system.partitions) \
+            == (True, False)
 
     def test_jacobians_match_fd(self):
         p = make_calvo(self.grid(8, 4))
