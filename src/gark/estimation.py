@@ -30,30 +30,23 @@ from gark.systems import ProblemInstance, rebuild_on
 
 
 def temporal_residuals(trajectory: ForwardTrajectory,
-                       reference) -> np.ndarray:
+                       at_nodes: np.ndarray) -> np.ndarray:
     """r_n = x(t_{n+1}) - onestep(x(t_n)) for the coarse step map.
 
-    reference is either a callable t -> state or a stored trajectory whose
-    time grid contains every node of the coarse grid.  Row n of the result
-    pairs with the adjoint state at node n+1.  The coarse steps reuse the
-    trajectory's factor cache, whose step sizes they share.
+    at_nodes holds the reference states x(t_n) at the trajectory's nodes,
+    shape (num_steps + 1, dim).  Row n of the result pairs with the adjoint
+    state at node n+1.  The coarse steps reuse the trajectory's factor
+    cache, whose step sizes they share.
     """
-    if callable(reference):
-        lookup = lambda t: np.asarray(reference(t), dtype=float)
-    else:
-        lookup = lambda t: reference.state(reference.time_grid.locate(t))
-
-    system = trajectory.system
-    grid = trajectory.time_grid
+    system, grid = trajectory.system, trajectory.time_grid
+    if at_nodes.shape != (grid.num_steps + 1, system.dim):
+        raise ValueError(f"reference states of shape {at_nodes.shape} "
+                         f"do not match ({grid.num_steps + 1}, {system.dim})")
     out = np.empty((grid.num_steps, system.dim))
     for n in range(grid.num_steps):
         t, h = float(grid.nodes[n]), float(grid.steps[n])
-        x_prev = lookup(t)
-        if x_prev.shape != (system.dim,):
-            raise ValueError("reference state dimension does not match")
-        advanced = step(system, trajectory.tableau, t, h, x_prev,
-                        trajectory.factors).y_next
-        out[n] = lookup(float(grid.nodes[n + 1])) - advanced
+        out[n] = at_nodes[n + 1] - step(system, trajectory.tableau, t, h,
+                                        at_nodes[n], trajectory.factors).y_next
     return out
 
 
@@ -61,29 +54,26 @@ class RestrictedRun:
     """Step consumer keeping a fine run's y_n and stage slopes restricted to
     the coarse space grid, in arrays shaped like the coarse trajectory's."""
 
-    def __init__(self, coarse: ForwardTrajectory, transfer: GridTransfer,
-                 num_species: int = 1):
-        self.transfer, self.num_species = transfer, num_species
+    def __init__(self, coarse: ForwardTrajectory, transfer: GridTransfer):
+        self.transfer = transfer
         dim, n_steps = coarse.system.dim, coarse.num_steps
         self.states = np.empty((n_steps, dim))
         self.slopes = [np.empty((n_steps, s, dim))
                        for s in coarse.tableau.stage_counts]
 
     def __call__(self, n: int, y_n: np.ndarray, result: StepResult) -> None:
-        self.states[n] = self.transfer.restrict_state(y_n, self.num_species)
+        self.states[n] = self.transfer.restrict_state(y_n)
         for (q, i), slope in result.stage_slopes.items():
-            self.slopes[q][n, i] = self.transfer.restrict_state(
-                slope, self.num_species)
+            self.slopes[q][n, i] = self.transfer.restrict_state(slope)
 
 
 def restrict_run(coarse: ForwardTrajectory, fine: ForwardTrajectory,
-                 transfer: GridTransfer,
-                 num_species: int = 1) -> RestrictedRun:
+                 transfer: GridTransfer) -> RestrictedRun:
     """A stored fine run on the coarse trajectory's time grid, restricted
     step by step exactly as a streamed one is."""
     if coarse.num_steps != fine.num_steps:
         raise ValueError("trajectories must share the time grid")
-    restricted = RestrictedRun(coarse, transfer, num_species)
+    restricted = RestrictedRun(coarse, transfer)
     fine.replay(restricted)
     return restricted
 
@@ -113,18 +103,22 @@ def spatial_residuals(coarse: ForwardTrajectory, fine: RestrictedRun) -> list:
     return out
 
 
-def _per_cell_map(grid: TensorGrid2D, num_species: int,
-                  nodal: np.ndarray) -> np.ndarray:
-    """Split per-unknown contributions onto cells via shared corners."""
-    per_node = nodal.reshape(num_species, -1).sum(axis=0)
+def _per_cell_map(grid: TensorGrid2D, nodal: np.ndarray) -> np.ndarray:
+    """Split per-unknown contributions onto cells via shared corners; a
+    species-major stacked vector sums its species first."""
+    per_node = nodal.reshape(-1, grid.num_unknowns).sum(axis=0)
     full = grid.scatter(per_node, fill=0.0)
-    ny1, nx1 = full.shape
-    cx = np.full(nx1, 2.0)
-    cx[0] = cx[-1] = 1.0
-    cy = np.full(ny1, 2.0)
-    cy[0] = cy[-1] = 1.0
+    # a node is shared by two cells along an axis, one at the ends
+    cy, cx = (np.r_[1.0, np.full(k - 2, 2.0), 1.0] for k in full.shape)
     w = full / (cy[:, None] * cx[None, :])
     return w[:-1, :-1] + w[:-1, 1:] + w[1:, :-1] + w[1:, 1:]
+
+
+# The scalar figures of a report, in the order every output lists them,
+# each with its report.csv column name.
+_TOTALS = {"psi_num": "goal_num", "psi_ref": "goal_ref", "e_ref": "ref_error",
+           "e_temporal": "temporal_error", "e_spatial": "spatial_error",
+           "e_total": "total_error", "accuracy": "accuracy"}
 
 
 @dataclass
@@ -150,15 +144,9 @@ class ErrorReport:
 
     def totals(self) -> dict:
         """The scalar figures, in the order every output lists them."""
-        return {
-            "psi_num": self.psi_num,
-            "psi_ref": self.psi_ref,
-            "e_ref": self.e_ref,
-            "e_temporal": self.e_temporal,
-            "e_spatial": list(self.e_spatial),
-            "e_total": self.e_total,
-            "accuracy": self.accuracy,
-        }
+        out = {name: getattr(self, name) for name in _TOTALS}
+        out["e_spatial"] = list(self.e_spatial)
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,18 +162,17 @@ class ErrorReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def write_csv(self, path) -> None:
-        header = ["goal_num", "goal_ref", "ref_error", "temporal_error"]
-        header += [f"spatial_error_{name}" for name in self.partition_names]
-        header += ["total_error", "accuracy"]
+        """totals() in one row; a list spans one column per partition."""
         fmt = lambda v: "" if v is None else f"{v:.4e}"
-        row = [fmt(self.psi_num), fmt(self.psi_ref), fmt(self.e_ref),
-               fmt(self.e_temporal)]
-        row += [fmt(v) for v in self.e_spatial]
-        row += [fmt(self.e_total), fmt(self.accuracy)]
+        columns = {}
+        for name, value in self.totals().items():
+            if isinstance(value, list):
+                columns.update((f"{_TOTALS[name]}_{part}", fmt(v)) for part, v
+                               in zip(self.partition_names, value))
+            else:
+                columns[_TOTALS[name]] = fmt(value)
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerow(row)
+            csv.writer(handle).writerows([list(columns), columns.values()])
 
 
 def assemble_report(trajectory: ForwardTrajectory,
@@ -212,8 +199,7 @@ def assemble_report(trajectory: ForwardTrajectory,
             totals.append(float(np.sum(pointwise)))
             if problem.grid is not None:
                 nodal = pointwise.sum(axis=(0, 1))
-                cells.append(_per_cell_map(problem.grid,
-                                           problem.num_species, nodal))
+                cells.append(_per_cell_map(problem.grid, nodal))
             del pointwise  # one product alive at a time
         e_spatial = tuple(totals)
         per_cell = tuple(cells) if cells else None
@@ -275,10 +261,9 @@ def estimate_errors(problem: ProblemInstance, tableau,
                              consumer=keep_coarse_nodes,
                              factors=numerical.factors)
     at_nodes[-1] = time_refined.states[-1]
-    temporal = temporal_residuals(
-        numerical, lambda t: at_nodes[time_grid.locate(t)])
+    temporal = temporal_residuals(numerical, at_nodes)
     transfer = GridTransfer.between(fine_grid, problem.grid)
-    restricted = RestrictedRun(numerical, transfer, problem.num_species)
+    restricted = RestrictedRun(numerical, transfer)
     fine_factors = LinearStageCache()
     space_refined = integrate(fine_problem, tableau, time_grid,
                               consumer=restricted, factors=fine_factors)

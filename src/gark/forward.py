@@ -253,10 +253,6 @@ class ForwardTrajectory:
                 f"{what} needs stored stages and states, but this run handed "
                 "its steps to a consumer and kept only its final state")
 
-    def state(self, n: int) -> np.ndarray:
-        self.require_stored("state(n)")
-        return self.states[n]
-
     def stage_time(self, n: int, q: int, i: int) -> float:
         return float(self.time_grid.nodes[n]
                      + self.tableau.abscissae(q)[i] * self.time_grid.steps[n])

@@ -56,6 +56,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, t_final: float, dt: float) -> "TimeGrid":
+        if not dt > 0:
+            raise ValueError(f"dt={dt} must be positive")
         span = t_final - t0
         n = int(round(span / dt))
         if n < 1 or abs(n * dt - span) > 1e-9 * max(abs(span), 1.0):
@@ -96,15 +98,6 @@ class TimeGrid:
                                                       - self.nodes[n])])
             pieces.append(self.nodes[n + 1:n + 2])
         return TimeGrid(np.concatenate(pieces))
-
-    def locate(self, t: float) -> int:
-        """Index of the node equal to t (bitwise or within round-off)."""
-        idx = int(np.searchsorted(self.nodes, t))
-        scale = max(abs(t), 1.0)
-        for k in (idx - 1, idx, idx + 1):
-            if 0 <= k < len(self.nodes) and abs(self.nodes[k] - t) <= 1e-12 * scale:
-                return k
-        raise KeyError(f"t={t!r} is not a node of this grid")
 
     def to_json_dict(self) -> dict:
         return {"kind": "time_grid", "nodes": self.nodes.tolist()}
@@ -325,6 +318,9 @@ class GridTransfer:
     def prolong(self, v: np.ndarray) -> np.ndarray:
         return self.prolongation @ v
 
-    def restrict_state(self, v: np.ndarray, num_species: int = 1) -> np.ndarray:
-        """Restrict a species-major stacked state vector."""
-        return self.restrict(v.reshape(num_species, -1)).reshape(-1)
+    def restrict_state(self, v: np.ndarray) -> np.ndarray:
+        """Restrict a species-major stacked state vector.  Its length gives
+        the species count: reshape raises ValueError unless it is a multiple
+        of the fine unknown count."""
+        n_fine = self.restriction.shape[1]
+        return self.restrict(v.reshape(-1, n_fine)).reshape(-1)

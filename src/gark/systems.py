@@ -83,7 +83,6 @@ class ProblemInstance:
     t_final: float
     goal: GoalFunction
     exact_solution: Callable[[float], np.ndarray] | None = None
-    num_species: int = 1
     params: dict = field(default_factory=dict)
 
 
@@ -305,7 +304,6 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
                            y0=np.concatenate([u0, v0]), t0=0.0,
                            t_final=t_final,
                            goal=integral_goal(grid, num_species=2, species=0),
-                           num_species=2,
                            params={"feed": feed, "kill": kill, "du": du,
                                    "dv": dv, "t_final": t_final})
 

@@ -15,6 +15,16 @@ def assert_bitwise(actual, expected) -> None:
     assert actual.tobytes() == expected.tobytes()
 
 
+def at_coarse_nodes(run, coarse_grid) -> np.ndarray:
+    """The states of a stored finer run at the nodes of coarse_grid, each of
+    which must be a node of the run's time grid within 1e-12 relative."""
+    nodes, coarse = run.time_grid.nodes, coarse_grid.nodes
+    idx = np.abs(nodes[:, None] - coarse).argmin(axis=0)
+    assert np.all(np.abs(nodes[idx] - coarse)
+                  <= 1e-12 * np.maximum(np.abs(coarse), 1.0))
+    return run.states[idx]
+
+
 def sum_goal(dim: int) -> GoalFunction:
     w = np.ones(dim)
     return GoalFunction(evaluate=lambda y: float(w @ y),
@@ -226,9 +236,10 @@ def stored_estimate(problem, tableau, time_grid):
 
     adjoint = adjoint_sweep(numerical, method="mu")
     transfer = GridTransfer.between(fine_grid, problem.grid)
-    temporal = temporal_residuals(numerical, time_refined)
+    temporal = temporal_residuals(numerical,
+                                  at_coarse_nodes(time_refined, time_grid))
     spatial = spatial_residuals(numerical, restrict_run(
-        numerical, space_refined, transfer, problem.num_species))
+        numerical, space_refined, transfer))
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
     return assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
 

@@ -47,6 +47,23 @@ class TestConverge:
         assert 1.7 <= slopes["adjoint_slope"] <= 2.3
         assert "slope" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--levels", "0"], "--levels"), (["--levels", "1"], "--levels"),
+        (["--levels", "3", "--ref-exponent", "2"], "--ref-exponent")])
+    def test_level_counts_that_fit_no_slope_rejected(self, flags, named,
+                                                     tmp_path):
+        with pytest.raises(SystemExit, match=named):
+            run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--out", str(tmp_path), *flags])
+        assert not (tmp_path / "convergence.json").exists()
+
+    def test_level_checks_read_the_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": 1}))
+        with pytest.raises(SystemExit, match="--levels"):
+            run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--out", str(tmp_path), "--config", str(cfg)])
+
     def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
         argv = ["converge", "--problem", "calvo", "--nx", "8", "--ny", "4",
                 "--dt", "0.15", "--levels", "2", "--ref-exponent", "4",
@@ -81,6 +98,11 @@ class TestEstimate:
                         "--ny", "4", "--dt", "0.15", "--out",
                         str(tmp_path)]) == 0
         assert capsys.readouterr().out.rstrip().endswith("accuracy n/a")
+
+    def test_zero_step_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="dt=0.0 must be positive"):
+            run_cli(["estimate", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--dt", "0", "--out", str(tmp_path)])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -148,6 +170,14 @@ class TestPlumbing:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "converge"}))
         with pytest.raises(SystemExit, match="'command' is not a known"):
+            run_cli(["estimate", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "{\"dt\": "])
+    def test_config_file_that_is_no_json_object_rejected(self, text,
+                                                         tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit, match="cfg.json"):
             run_cli(["estimate", "--config", str(cfg)])
 
     def test_config_values_parse_like_flags(self, tmp_path):

@@ -41,6 +41,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.uniform(0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+    def test_uniform_rejects_non_positive_step(self, dt):
+        with pytest.raises(ValueError, match="positive"):
+            TimeGrid.uniform(0.0, 1.0, dt)
+
     def test_halve_all_steps_uniform(self):
         g = TimeGrid(np.array([0.0, 1.0])).halve_all_steps()
         np.testing.assert_array_equal(g.nodes, [0.0, 0.5, 1.0])
@@ -64,13 +69,6 @@ class TestTimeGrid:
         np.testing.assert_array_equal(out.nodes, g.nodes)
         with pytest.raises(ValueError):
             g.halve_marked({3})
-
-    def test_locate(self):
-        g = TimeGrid.uniform(0.0, 1.0, 0.1)
-        assert g.locate(0.0) == 0
-        assert g.locate(float(g.nodes[7])) == 7
-        with pytest.raises(KeyError):
-            g.locate(0.05)
 
     def test_steps_are_computed_once_and_frozen(self):
         g = TimeGrid(np.array([0.0, 0.1, 0.3, 0.7]))
@@ -267,12 +265,22 @@ class TestGridTransfer:
                                               np.signbit(want))
 
     def test_species_stacked_state(self):
+        # the species count comes from the state's length
         coarse = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
         fine = coarse.refine_uniform()
         tr = GridTransfer.between(fine, coarse)
+        n_f = fine.num_unknowns
         rng = np.random.default_rng(3)
-        state = rng.standard_normal(2 * fine.num_unknowns)
-        out = tr.restrict_state(state, num_species=2)
-        n_f, n_c = fine.num_unknowns, coarse.num_unknowns
-        np.testing.assert_array_equal(out[:n_c], tr.restrict(state[:n_f]))
-        np.testing.assert_array_equal(out[n_c:], tr.restrict(state[n_f:]))
+        for species in (1, 2, 3):
+            state = rng.standard_normal(species * n_f)
+            each = np.concatenate([tr.restrict(part)
+                                   for part in state.reshape(species, n_f)])
+            assert_bitwise(tr.restrict_state(state), each)
+
+    def test_state_length_off_the_fine_unknowns_rejected(self):
+        coarse = TensorGrid2D.uniform(0, 1, 3, 0, 1, 2, "dirichlet")
+        tr = GridTransfer.between(coarse.refine_uniform(), coarse)
+        n_f = tr.fine.num_unknowns
+        for length in (n_f - 1, n_f + 1, 2 * n_f + 3):
+            with pytest.raises(ValueError, match="reshape"):
+                tr.restrict_state(np.ones(length))

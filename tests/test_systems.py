@@ -290,7 +290,7 @@ class TestGrayScott:
         assert p.params["du"] == 8.0e-2
         assert p.params["dv"] == 4.0e-2
         assert p.t_final == 50.0
-        assert p.num_species == 2
+        assert p.system.dim == 2 * p.grid.num_unknowns
 
 
 class TestBsvd:
