@@ -5,8 +5,8 @@ from gark.adaptivity import (CampaignResult, RefinementConfig, StageRecord,
                              mark_percentile, refine_stage, run_campaign)
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
 from gark.estimation import (ErrorReport, EstimateBundle, assemble_report,
-                             estimate_errors, restrict_run,
-                             spatial_residuals, temporal_residuals)
+                             estimate_errors, spatial_residuals,
+                             temporal_residuals)
 from gark.forward import (ForwardTrajectory, StepFailureError, align_tableau,
                           integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
@@ -32,7 +32,6 @@ __all__ = [
     "build_problem", "default_grid", "discretize_laplacian",
     "estimate_errors", "integral_goal", "integrate", "make_bsvd",
     "make_calvo", "make_gray_scott", "make_random_nonlinear",
-    "mark_percentile", "rebuild_on", "refine_stage", "restrict_run",
-    "run_campaign",
+    "mark_percentile", "rebuild_on", "refine_stage", "run_campaign",
     "spatial_residuals", "step", "temporal_residuals",
 ]

@@ -47,6 +47,9 @@ class RefinementConfig:
     num_stages: int = 4
 
     def __post_init__(self):
+        for name in ("space_percentile", "time_percentile"):
+            if not 0.0 <= getattr(self, name) <= 100.0:
+                raise ValueError(f"{name} must lie in [0, 100]")
         if self.num_stages < 1:
             raise ValueError("need at least one stage")
 

@@ -152,15 +152,20 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if args.ref_exponent < args.levels:
         raise SystemExit("--ref-exponent must be at least --levels")
     problem = _make_problem(args)
+    try:  # halvings of a step that divides [t0, T] divide it too
+        grids = [TimeGrid.uniform(problem.t0, problem.t_final,
+                                  args.dt / 2 ** level)
+                 for level in range(args.levels)]
+    except ValueError as err:
+        raise SystemExit(f"--dt: {err}") from err
     tableau = _tableau(args)
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
     y_ref, lam0_ref = _reference_pair(problem, tableau, ref_dt)
 
     rows = []
-    for level in range(args.levels):
+    for level, grid in enumerate(grids):
         dt = args.dt / 2 ** level
-        grid = TimeGrid.uniform(problem.t0, problem.t_final, dt)
         traj = integrate(problem, tableau, grid)
         lam0 = adjoint_sweep(traj, method="mu").lam[0]
         rows.append((dt,
@@ -208,6 +213,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
+    for flag, pct in (("--space-pct", args.space_pct),
+                      ("--time-pct", args.time_pct)):
+        if not 0.0 <= pct <= 100.0:
+            raise SystemExit(f"{flag} must lie in [0, 100], not {pct}")
+    if args.stages < 1:
+        raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
     grid = TimeGrid.uniform(problem.t0, problem.t_final, args.dt)
     cfg = RefinementConfig(space_percentile=args.space_pct,

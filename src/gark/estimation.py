@@ -52,30 +52,30 @@ def temporal_residuals(trajectory: ForwardTrajectory,
 
 class RestrictedRun:
     """Step consumer keeping a fine run's y_n and stage slopes restricted to
-    the coarse space grid, in arrays shaped like the coarse trajectory's."""
+    the coarse space grid, in arrays shaped like the coarse trajectory's.
+
+    The fine run must step on the coarse trajectory's time grid: a step
+    past its last raises ValueError at once, and spatial_residuals refuses
+    a run that ended early.  num_steps counts the steps handed in.
+    """
 
     def __init__(self, coarse: ForwardTrajectory, transfer: GridTransfer):
         self.transfer = transfer
         dim, n_steps = coarse.system.dim, coarse.num_steps
+        self.num_steps = 0
         self.states = np.empty((n_steps, dim))
         self.slopes = [np.empty((n_steps, s, dim))
                        for s in coarse.tableau.stage_counts]
 
     def __call__(self, n: int, y_n: np.ndarray, result: StepResult) -> None:
+        if n >= len(self.states):
+            raise ValueError(
+                f"fine run step {n} lies past the coarse time grid's "
+                f"{len(self.states)} steps; the runs must share the time grid")
         self.states[n] = self.transfer.restrict_state(y_n)
         for (q, i), slope in result.stage_slopes.items():
             self.slopes[q][n, i] = self.transfer.restrict_state(slope)
-
-
-def restrict_run(coarse: ForwardTrajectory, fine: ForwardTrajectory,
-                 transfer: GridTransfer) -> RestrictedRun:
-    """A stored fine run on the coarse trajectory's time grid, restricted
-    step by step exactly as a streamed one is."""
-    if coarse.num_steps != fine.num_steps:
-        raise ValueError("trajectories must share the time grid")
-    restricted = RestrictedRun(coarse, transfer)
-    fine.replay(restricted)
-    return restricted
+        self.num_steps = n + 1
 
 
 def spatial_residuals(coarse: ForwardTrajectory, fine: RestrictedRun) -> list:
@@ -85,8 +85,13 @@ def spatial_residuals(coarse: ForwardTrajectory, fine: RestrictedRun) -> list:
     tableau, restricted to the coarse space grid.  Restricted fine slopes
     are recombined into stage states with the same accumulation the forward
     step uses, so a coarse trajectory checked against itself gives bitwise
-    zeros on explicit stages.
+    zeros on explicit stages.  A fine run of another step count raises
+    ValueError.
     """
+    if fine.num_steps != coarse.num_steps:
+        raise ValueError(
+            f"fine run made {fine.num_steps} steps, the coarse run "
+            f"{coarse.num_steps}; the runs must share the time grid")
     plan = coarse.tableau.plan
     system = coarse.system
     out = [np.empty_like(s) for s in fine.slopes]

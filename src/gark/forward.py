@@ -13,9 +13,10 @@ transposed kernel, and the adjoint, with far fewer solves, the plain one.
 Each trajectory keeps one LinearStageCache of the factors for partitions
 with constant Jacobians, one per (partition, h a_ii) up to step-size
 jitter; the reversed sweep reads the same cache, and runs on the same
-system may share it.  integrate stores a run whole for the adjoint sweep, or
-hands each finished step to a consumer and keeps only y_N; replay feeds a
-stored run to one.
+system may share it.  integrate stores what the adjoint sweep reads (every
+state and stage value, and the factors), or hands each finished step, its
+stage slopes included, to a consumer and keeps only y_N.  A consumer is
+the only reader of the slopes: no run stores them.
 """
 
 from __future__ import annotations
@@ -222,12 +223,12 @@ def _newton_stage(system, stage, t_i, coef, rhs, predictor):
 
 @dataclass
 class ForwardTrajectory:
-    """States and stage data of one forward integration.
+    """States and stage values of one forward integration.
 
-    stage_values[q] and stage_slopes[q] have shape (num_steps, s_q, dim).
-    A run made with a step consumer keeps only states = [y_N], no stage
-    arrays and an empty factor cache.  factors holds the run's stage
-    factorizations.
+    states has shape (num_steps + 1, dim) and stage_values[q] shape
+    (num_steps, s_q, dim): what the adjoint sweep reads.  factors holds the
+    run's stage factorizations.  A run made with a step consumer keeps only
+    states = [y_N], no stage values and an empty factor cache.
     """
 
     problem: ProblemInstance
@@ -235,8 +236,13 @@ class ForwardTrajectory:
     time_grid: TimeGrid
     states: np.ndarray
     stage_values: list | None
-    stage_slopes: list | None
     factors: LinearStageCache = field(default_factory=LinearStageCache)
+
+    @property
+    def stage_slopes(self) -> None:
+        """Always None: no run stores its slopes.  Kept only for perfbench's
+        stage-byte count (perfbench/layers.py), its one reader."""
+        return None
 
     @property
     def system(self) -> SplitOdeSystem:
@@ -248,7 +254,7 @@ class ForwardTrajectory:
 
     def require_stored(self, what: str) -> None:
         """Raise ValueError when the run was streamed (final state only)."""
-        if self.stage_slopes is None:
+        if self.stage_values is None:
             raise ValueError(
                 f"{what} needs stored stages and states, but this run handed "
                 "its steps to a consumer and kept only its final state")
@@ -256,47 +262,6 @@ class ForwardTrajectory:
     def stage_time(self, n: int, q: int, i: int) -> float:
         return float(self.time_grid.nodes[n]
                      + self.tableau.abscissae(q)[i] * self.time_grid.steps[n])
-
-    def replay(self, consumer) -> None:
-        """Hand each stored step to consumer(n, y_n, StepResult) in order,
-        as integrate does while the run is made."""
-        self.require_stored("replay")
-        for n in range(self.num_steps):
-            consumer(n, self.states[n], self._stored_step(n))
-
-    def _stored_step(self, n: int) -> StepResult:
-        plan = self.tableau.plan
-        return StepResult(
-            self.states[n + 1],
-            {(st.q, st.i): self.stage_values[st.q][n, st.i] for st in plan},
-            {(st.q, st.i): self.stage_slopes[st.q][n, st.i] for st in plan})
-
-    def step_identity_residual(self) -> float:
-        """max_n |y_{n+1} - y_n - h_n sum b k| over the whole trajectory."""
-        self.require_stored("step_identity_residual")
-        worst = 0.0
-        for n in range(self.num_steps):
-            stored = self._stored_step(n)
-            acc = combine_step(self.states[n], self.time_grid.steps[n],
-                               self.tableau.plan, stored.stage_slopes)
-            worst = max(worst, float(np.max(np.abs(acc - stored.y_next))))
-        return worst
-
-    def stage_consistency_residual(self) -> float:
-        """max |Y - (y_n + h sum a k)| over all stages: exactly 0 on
-        explicit and linear implicit stages, Newton-tolerance small on the
-        others."""
-        self.require_stored("stage_consistency_residual")
-        worst = 0.0
-        for n in range(self.num_steps):
-            stored = self._stored_step(n)
-            for stage in self.tableau.plan:
-                rec = combine_stage_argument(
-                    self.states[n], self.time_grid.steps[n], stage,
-                    stored.stage_slopes, include_self=True)
-                value = stored.stage_values[(stage.q, stage.i)]
-                worst = max(worst, float(np.max(np.abs(rec - value))))
-        return worst
 
 
 def integrate(problem: ProblemInstance, tableau: GarkTableau,
@@ -307,7 +272,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
 
     The tableau is validated and aligned to the system's partitions first.
     Without a consumer the trajectory keeps every state, all stage values
-    and slopes, and the cache of constant-Jacobian stage factorizations.
+    and the cache of constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
     and the returned trajectory is streamed: it keeps only y_N.  factors, a
     cache of the same system, is read and filled instead of a new one, so
@@ -331,14 +296,13 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     if stored:
         states = np.empty((n_steps + 1, system.dim))
         states[0] = y
-        values, slopes = ([np.empty((n_steps, s, system.dim))
-                           for s in tableau.stage_counts] for _ in range(2))
+        values = [np.empty((n_steps, s, system.dim))
+                  for s in tableau.stage_counts]
 
         def consumer(n, y_n, result):
             states[n + 1] = result.y_next
             for (q, i), val in result.stage_values.items():
                 values[q][n, i] = val
-                slopes[q][n, i] = result.stage_slopes[(q, i)]
 
     for n in range(n_steps):
         t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])
@@ -351,8 +315,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
         y = result.y_next
 
     if not stored:
-        states, values, slopes, cache = y[None], None, None, LinearStageCache()
+        states, values, cache = y[None], None, LinearStageCache()
     return ForwardTrajectory(problem=problem, tableau=tableau,
                              time_grid=time_grid, states=states,
-                             stage_values=values, stage_slopes=slopes,
-                             factors=cache)
+                             stage_values=values, factors=cache)

@@ -214,14 +214,76 @@ def nested_grids(name: str) -> list:
     return [base, once, once.refine_marked({(0, 0), (4, 3), (5, 3), (9, 7)})]
 
 
+# --- stage slopes, which only a step consumer sees -------------------------
+
+class StepRecorder:
+    """Step consumer keeping every step of a run as a stored run would lay
+    it out, slopes included: states (num_steps + 1, dim) and, per partition
+    q, stage_values[q] and stage_slopes[q] of shape (num_steps, s_q, dim)."""
+
+    def __init__(self):
+        self.steps = []
+
+    def __call__(self, n, y_n, result):
+        assert n == len(self.steps)
+        self.steps.append((y_n, result))
+
+    @property
+    def states(self) -> np.ndarray:
+        return np.array([y for y, _ in self.steps]
+                        + [self.steps[-1][1].y_next])
+
+    @property
+    def stage_values(self) -> list:
+        return self._stages("stage_values")
+
+    @property
+    def stage_slopes(self) -> list:
+        return self._stages("stage_slopes")
+
+    def _stages(self, name):
+        keys = getattr(self.steps[0][1], name)
+        counts = [1 + max(i for m, i in keys if m == q)
+                  for q in range(1 + max(q for q, _ in keys))]
+        return [np.array([[getattr(result, name)[(q, i)] for i in range(s)]
+                          for _, result in self.steps])
+                for q, s in enumerate(counts)]
+
+    def step_identity_residual(self, run) -> float:
+        """max_n |y_{n+1} - y_n - h_n sum b k| over the recorded steps of
+        run, the trajectory integrate returned."""
+        from gark.forward import combine_step
+
+        return max(float(np.max(np.abs(
+            combine_step(y_n, h, run.tableau.plan, result.stage_slopes)
+            - result.y_next)))
+            for (y_n, result), h in zip(self.steps, run.time_grid.steps))
+
+    def stage_consistency_residual(self, run) -> float:
+        """max |Y - (y_n + h sum a k)| over all recorded stages: exactly 0
+        on explicit and linear implicit stages, Newton-tolerance small on
+        the others."""
+        from gark.forward import combine_stage_argument
+
+        return max(float(np.max(np.abs(
+            combine_stage_argument(y_n, h, stage, result.stage_slopes,
+                                   include_self=True)
+            - result.stage_values[(stage.q, stage.i)])))
+            for (y_n, result), h in zip(self.steps, run.time_grid.steps)
+            for stage in run.tableau.plan)
+
+
 # --- the four-solution estimate with every run stored: streaming's oracle ---
 
 def stored_estimate(problem, tableau, time_grid):
-    """ErrorReport of the estimate with all four runs stored whole; the
-    space-refined run is restricted after the fact by restrict_run."""
+    """ErrorReport of the estimate with the numerical, time-refined and
+    reference runs stored whole; the space-refined run's fine slopes are
+    recorded whole and restricted after the run, all steps at once."""
+    from types import SimpleNamespace
+
     from gark.adjoint import adjoint_sweep
-    from gark.estimation import (assemble_report, restrict_run,
-                                 spatial_residuals, temporal_residuals)
+    from gark.estimation import (assemble_report, spatial_residuals,
+                                 temporal_residuals)
     from gark.forward import integrate
     from gark.mesh import GridTransfer
 
@@ -231,15 +293,25 @@ def stored_estimate(problem, tableau, time_grid):
 
     numerical = integrate(problem, tableau, time_grid)
     time_refined = integrate(problem, tableau, fine_time)
-    space_refined = integrate(fine_problem, tableau, time_grid)
+    space_refined = StepRecorder()
+    integrate(fine_problem, tableau, time_grid, consumer=space_refined)
     reference = integrate(fine_problem, tableau, fine_time)
 
     adjoint = adjoint_sweep(numerical, method="mu")
     transfer = GridTransfer.between(fine_grid, problem.grid)
+
+    def restrict(stacked):  # species-major stacked vectors on the last axis
+        return transfer.restrict(stacked.reshape(
+            *stacked.shape[:-1], -1, fine_grid.num_unknowns)).reshape(
+            *stacked.shape[:-1], -1)
+
+    restricted = SimpleNamespace(
+        num_steps=time_grid.num_steps,
+        states=restrict(space_refined.states[:-1]),
+        slopes=[restrict(k) for k in space_refined.stage_slopes])
     temporal = temporal_residuals(numerical,
                                   at_coarse_nodes(time_refined, time_grid))
-    spatial = spatial_residuals(numerical, restrict_run(
-        numerical, space_refined, transfer))
+    spatial = spatial_residuals(numerical, restricted)
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
     return assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
 

@@ -76,6 +76,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="stage"):
             RefinementConfig(num_stages=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("space_percentile", 150.0), ("space_percentile", -1.0),
+        ("time_percentile", 100.5), ("time_percentile", float("nan"))])
+    def test_percentiles_validated(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            RefinementConfig(**{name: value})
+
 
 class TestRefineStage:
     def make_record(self, **kwargs):

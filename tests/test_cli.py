@@ -57,6 +57,15 @@ class TestConverge:
                      "2", "--out", str(tmp_path), *flags])
         assert not (tmp_path / "convergence.json").exists()
 
+    def test_step_that_does_not_divide_the_interval_names_dt(self,
+                                                             tmp_path):
+        # checked before the reference run, whose step dt / 2**7 it would
+        # otherwise name
+        with pytest.raises(SystemExit, match="^--dt: dt=0.7 does not"):
+            run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--dt", "0.7", "--out", str(tmp_path)])
+        assert not tmp_path.joinpath("convergence.csv").exists()
+
     def test_level_checks_read_the_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"levels": 1}))
@@ -127,6 +136,28 @@ class TestRefine:
         assert (tmp_path / "grids" / "stage-0.json").exists()
         assert (tmp_path / "grids" / "stage-1.json").exists()
         assert capsys.readouterr().out.count("stage") == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--space-pct", "150"], "--space-pct"),
+        (["--space-pct", "-1"], "--space-pct"),
+        (["--time-pct", "100.5"], "--time-pct"),
+        (["--stages", "0"], "--stages")])
+    def test_bad_marking_flags_fail_before_any_run(self, flags, named,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setattr(gark.cli, "run_campaign", None)  # never reached
+        with pytest.raises(SystemExit, match=f"^{named} must"):
+            run_cli(["refine", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--out", str(tmp_path), *flags])
+        assert not (tmp_path / "campaign.jsonl").exists()
+
+    def test_marking_checks_read_the_config_file(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space-pct": 150}))
+        with pytest.raises(SystemExit, match="^--space-pct must"):
+            run_cli(["refine", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--out", str(tmp_path), "--config", str(cfg)])
 
     def test_zero_reference_gap_prints_na(self, tmp_path, capsys,
                                           monkeypatch):

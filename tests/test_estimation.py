@@ -12,7 +12,7 @@ from helpers import (assert_bitwise, at_coarse_nodes, linear_pair,
 
 from gark.adjoint import adjoint_sweep
 from gark.cli import main
-from gark.estimation import (assemble_report, estimate_errors, restrict_run,
+from gark.estimation import (RestrictedRun, assemble_report, estimate_errors,
                              spatial_residuals, temporal_residuals)
 from gark.forward import integrate
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
@@ -61,6 +61,15 @@ def pointwise_problem(grid: TensorGrid2D) -> ProblemInstance:
     return ProblemInstance(name="pointwise", system=system, grid=grid,
                            y0=y0, t0=0.0, t_final=0.3,
                            goal=integral_goal(grid))
+
+
+def restricted(coarse, fine_problem, transfer, time_grid=None):
+    """fine_problem run on time_grid (default: the coarse run's), restricted
+    step by step onto the coarse space grid."""
+    run = RestrictedRun(coarse, transfer)
+    integrate(fine_problem, build_imex22(), time_grid or coarse.time_grid,
+              consumer=run)
+    return run
 
 
 class TestTemporalResiduals:
@@ -148,7 +157,7 @@ class TestSpatialResiduals:
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
         transfer = GridTransfer.between(problem.grid, problem.grid)
-        res = spatial_residuals(traj, restrict_run(traj, traj, transfer))
+        res = spatial_residuals(traj, restricted(traj, problem, transfer))
         # explicit reaction stages recombine bitwise; implicit diffusion
         # stages sit at the linear-solve round-off level
         assert np.all(res[1] == 0.0)
@@ -160,22 +169,25 @@ class TestSpatialResiduals:
         fine = coarse.refine_uniform()
         grid = TimeGrid.uniform(0.0, 0.3, 0.05)
         traj_c = integrate(pointwise_problem(coarse), build_imex22(), grid)
-        traj_f = integrate(pointwise_problem(fine), build_imex22(), grid)
         transfer = GridTransfer.between(fine, coarse)
-        res = spatial_residuals(traj_c, restrict_run(traj_c, traj_f, transfer))
+        res = spatial_residuals(traj_c, restricted(
+            traj_c, pointwise_problem(fine), transfer))
         scale = np.max(np.abs(traj_c.states))
         for q in range(2):
             assert np.max(np.abs(res[q])) < 1e-12 * scale
 
     def test_step_count_mismatch_rejected(self):
+        # a longer fine run fails at its first extra step, a shorter one
+        # when its missing rows would be read
         problem = make_calvo(default_grid("calvo", 8, 4))
-        a = integrate(problem, build_imex22(),
-                      TimeGrid.uniform(0.0, 1.5, 0.15))
-        b = integrate(problem, build_imex22(),
-                      TimeGrid.uniform(0.0, 1.5, 0.075))
+        coarse = integrate(problem, build_imex22(),
+                           TimeGrid.uniform(0.0, 1.5, 0.15))
         transfer = GridTransfer.between(problem.grid, problem.grid)
-        with pytest.raises(ValueError, match="time grid"):
-            restrict_run(a, b, transfer)
+        for fine_dt in (0.075, 0.3):
+            with pytest.raises(ValueError, match="time grid"):
+                spatial_residuals(coarse, restricted(
+                    coarse, problem, transfer,
+                    TimeGrid.uniform(0.0, 1.5, fine_dt)))
 
 
 class TestAssembleReport:
@@ -185,7 +197,7 @@ class TestAssembleReport:
                          TimeGrid.uniform(0.0, 1.5, 0.15))
         adj = adjoint_sweep(traj, method="theta")
         transfer = GridTransfer.between(problem.grid, problem.grid)
-        res = spatial_residuals(traj, restrict_run(traj, traj, transfer))
+        res = spatial_residuals(traj, restricted(traj, problem, transfer))
         temporal = temporal_residuals(traj, traj.states)
         with pytest.raises(ValueError, match="mu"):
             assemble_report(traj, adj, temporal, res)
@@ -231,10 +243,12 @@ class TestFourSolutionPipeline:
         fine = coarse.refine_uniform()
         grid = TimeGrid.uniform(0.0, 0.4, 0.1)
         traj_c = integrate(linear_heat(coarse), build_imex22(), grid)
-        traj_f = integrate(linear_heat(fine), build_imex22(), grid)
         transfer = GridTransfer.between(fine, coarse)
+        fine_run = RestrictedRun(traj_c, transfer)
+        traj_f = integrate(linear_heat(fine), build_imex22(), grid,
+                           consumer=fine_run)
         adj = adjoint_sweep(traj_c, method="mu")
-        res = spatial_residuals(traj_c, restrict_run(traj_c, traj_f, transfer))
+        res = spatial_residuals(traj_c, fine_run)
         report = assemble_report(traj_c, adj,
                                  temporal_residuals(traj_c, traj_c.states),
                                  res)
@@ -332,7 +346,7 @@ class TestStreamedCompanionRuns:
             np.testing.assert_array_equal(mine, theirs)
         for run in (bundle.time_refined, bundle.space_refined,
                     bundle.reference):
-            assert run.stage_slopes is None
+            assert run.stage_values is None
             assert run.states.shape == (1, run.system.dim)
 
     def test_one_factorization_per_grid_and_step_size(self, monkeypatch):

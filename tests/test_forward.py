@@ -6,15 +6,16 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import (at_coarse_nodes, linear_pair, nonlinear_stiff,
-                     plan_cases, scalar_split, scan_step, stiff_relaxation,
-                     sum_goal, wrap)
+from helpers import (StepRecorder, at_coarse_nodes, linear_pair,
+                     nonlinear_stiff, plan_cases, scalar_split, scan_step,
+                     stiff_relaxation, sum_goal, wrap)
 
-from gark.adjoint import _stage_solve
+from gark.adjoint import _stage_solve, adjoint_sweep
 from gark.estimation import temporal_residuals
 from gark.forward import (LinearStageCache, StepFailureError, align_tableau,
                           factorize, integrate, step)
 from gark.mesh import TimeGrid
+from gark.oracle import dense_step_propagator
 from gark.systems import (Partition, SplitOdeSystem, default_grid, make_bsvd,
                           make_calvo, make_random_nonlinear)
 from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
@@ -96,22 +97,25 @@ class TestSingleStep:
 
 @pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
 def test_planned_step_matches_schedule_scan(case):
-    # the stored run must equal, bitwise, steps that look every
+    # the run's steps must equal, bitwise, steps that look every
     # coefficient up in the coupling matrices
     _, problem, grid, tableau = case
-    traj = integrate(problem, tableau, grid)
+    recorded = StepRecorder()
+    traj = integrate(problem, tableau, grid, consumer=recorded)
     assert traj.tableau is tableau
+    states, stage_values, stage_slopes = (
+        recorded.states, recorded.stage_values, recorded.stage_slopes)
     cache = LinearStageCache()
     for n in range(traj.num_steps):
         t, h = float(grid.nodes[n]), float(grid.steps[n])
         y_next, values, slopes = scan_step(traj.system, tableau, t, h,
-                                           traj.states[n], cache)
-        np.testing.assert_array_equal(y_next, traj.states[n + 1])
+                                           states[n], cache)
+        np.testing.assert_array_equal(y_next, states[n + 1])
         assert len(values) == len(slopes) == len(tableau.plan)
         for (q, i), value in values.items():
-            np.testing.assert_array_equal(value, traj.stage_values[q][n, i])
+            np.testing.assert_array_equal(value, stage_values[q][n, i])
             np.testing.assert_array_equal(slopes[(q, i)],
-                                          traj.stage_slopes[q][n, i])
+                                          stage_slopes[q][n, i])
 
 
 class TestAlignment:
@@ -178,31 +182,34 @@ class TestIntegrate:
     def test_step_identity_is_exact(self):
         system = stiff_relaxation()
         problem = wrap(system, np.full(system.dim, 0.5), t_final=1.0)
+        recorded = StepRecorder()
         traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 1.0, 0.05))
-        assert traj.step_identity_residual() == 0.0
+                         TimeGrid.uniform(0.0, 1.0, 0.05), consumer=recorded)
+        assert recorded.step_identity_residual(traj) == 0.0
 
     def test_stage_consistency_at_solver_tolerance(self):
         system = nonlinear_stiff()
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.4)
+        recorded = StepRecorder()
         traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.4, 0.02))
-        assert traj.stage_consistency_residual() < 1e-9
+                         TimeGrid.uniform(0.0, 0.4, 0.02), consumer=recorded)
+        assert recorded.stage_consistency_residual(traj) < 1e-9
 
     def test_linear_stage_slope_comes_from_its_solve(self):
         # bsvd: linear implicit diffusion, explicit reaction; Y is built
         # from the solved slope with the very sums the check recombines
         problem = make_bsvd(default_grid("bsvd", 8, 8))
+        recorded = StepRecorder()
         traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.2, 0.02))
-        assert traj.stage_consistency_residual() == 0.0
+                         TimeGrid.uniform(0.0, 0.2, 0.02), consumer=recorded)
+        assert recorded.stage_consistency_residual(traj) == 0.0
         system, q = traj.system, 0  # q: diffusion after alignment
         assert system.partitions[q].linear
+        slopes, values = recorded.stage_slopes[q], recorded.stage_values[q]
         for n in range(traj.num_steps):
             for i in range(traj.tableau.stage_counts[q]):
-                slope = traj.stage_slopes[q][n, i]
-                f_val = system.f(q, traj.stage_time(n, q, i),
-                                 traj.stage_values[q][n, i])
+                slope = slopes[n, i]
+                f_val = system.f(q, traj.stage_time(n, q, i), values[n, i])
                 assert np.linalg.norm(slope - f_val) \
                     <= 1e-13 * np.linalg.norm(f_val)
 
@@ -222,8 +229,9 @@ class TestIntegrate:
         system = nonlinear_stiff()
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.3)
         grid = TimeGrid.uniform(0.0, 0.3, 0.03)
-        a = integrate(problem, build_imex22(), grid)
-        b = integrate(problem, build_imex22(), grid)
+        a, b = StepRecorder(), StepRecorder()
+        for recorded in (a, b):
+            integrate(problem, build_imex22(), grid, consumer=recorded)
         np.testing.assert_array_equal(a.states, b.states)
         for q in range(2):
             np.testing.assert_array_equal(a.stage_slopes[q],
@@ -357,47 +365,46 @@ class TestIntegrate:
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.2)
         grid = TimeGrid.uniform(0.0, 0.2, 0.05)
         stored = integrate(problem, build_imex22(), grid)
-        seen = []
-        streamed = integrate(problem, build_imex22(), grid,
-                             consumer=lambda n, y_n, result:
-                             seen.append((n, y_n, result)))
-        assert [n for n, _, _ in seen] == list(range(grid.num_steps))
-        for n, y_n, result in seen:
-            np.testing.assert_array_equal(y_n, stored.states[n])
-            np.testing.assert_array_equal(result.y_next, stored.states[n + 1])
-            for (q, i), slope in result.stage_slopes.items():
-                np.testing.assert_array_equal(slope,
-                                              stored.stage_slopes[q][n, i])
+        recorded = StepRecorder()
+        streamed = integrate(problem, build_imex22(), grid, consumer=recorded)
+        assert len(recorded.steps) == grid.num_steps
+        np.testing.assert_array_equal(recorded.states, stored.states)
+        for values, slopes, stored_values in zip(
+                recorded.stage_values, recorded.stage_slopes,
+                stored.stage_values, strict=True):
+            np.testing.assert_array_equal(values, stored_values)
+            assert slopes.shape == values.shape
         np.testing.assert_array_equal(streamed.states[-1], stored.states[-1])
         assert streamed.states.shape == (1, system.dim)
         assert streamed.stage_values is None
         assert streamed.stage_slopes is None
 
-    def test_replay_matches_the_streamed_steps(self):
-        system = stiff_relaxation()
-        problem = wrap(system, np.full(system.dim, 0.5), t_final=0.2)
-        grid = TimeGrid.uniform(0.0, 0.2, 0.05)
-        live, replayed = [], []
-        stored = integrate(problem, build_imex22(), grid)
-        integrate(problem, build_imex22(), grid,
-                  consumer=lambda *step: live.append(step))
-        stored.replay(lambda *step: replayed.append(step))
-        assert len(live) == len(replayed) == grid.num_steps
-        for (n, y_n, a), (m, y_m, b) in zip(live, replayed):
-            assert n == m
-            np.testing.assert_array_equal(y_n, y_m)
-            np.testing.assert_array_equal(a.y_next, b.y_next)
-            for qi in a.stage_slopes:
-                np.testing.assert_array_equal(a.stage_values[qi],
-                                              b.stage_values[qi])
-                np.testing.assert_array_equal(a.stage_slopes[qi],
-                                              b.stage_slopes[qi])
+    @pytest.mark.parametrize("streamed", [False, True],
+                             ids=["stored", "streamed"])
+    def test_runs_keep_only_what_the_adjoint_reads(self, streamed):
+        # a stored run's arrays are its states and stage values, (N+1) dim
+        # + N sum_q s_q dim floats, and no slopes; a streamed run keeps y_N
+        problem = make_bsvd(default_grid("bsvd", 6, 6))
+        grid = TimeGrid.uniform(0.0, 0.2, 0.02)
+        traj = integrate(problem, build_imex22(), grid,
+                         consumer=(lambda n, y_n, result: None)
+                         if streamed else None)
+        arrays = [a for value in vars(traj).values()
+                  for a in (value if isinstance(value, list) else [value])
+                  if isinstance(a, np.ndarray)]
+        n, dim = grid.num_steps, problem.system.dim
+        floats = sum(a.size for a in arrays)
+        if streamed:
+            assert traj.stage_values is None and floats == dim
+        else:
+            assert floats == (n + 1) * dim \
+                + n * sum(traj.tableau.stage_counts) * dim
+        assert traj.stage_slopes is None
 
     @pytest.mark.parametrize("use", [
-        lambda traj: traj.step_identity_residual(),
-        lambda traj: traj.stage_consistency_residual(),
-        lambda traj: traj.replay(lambda *step: None),
-    ], ids=["step_identity", "stage_consistency", "replay"])
+        lambda traj: adjoint_sweep(traj, method="mu"),
+        lambda traj: dense_step_propagator(traj, 0),
+    ], ids=["adjoint_sweep", "dense_step_propagator"])
     def test_streamed_run_refuses_stored_reads(self, use):
         problem = wrap(scalar_split(-1.0, -0.5), [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(),
