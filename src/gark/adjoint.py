@@ -56,10 +56,10 @@ def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
     return lu.solve(rhs)
 
 
-def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
-                  terminal: np.ndarray | None = None) -> AdjointTrajectory:
-    """Propagate terminal, by default the problem's goal gradient at y_N,
-    backwards through the trajectory."""
+def adjoint_sweep(trajectory: ForwardTrajectory,
+                  method: str = "mu") -> AdjointTrajectory:
+    """Propagate the problem's goal gradient at y_N backwards through the
+    trajectory."""
     if method not in METHODS:
         raise ValueError(f"unknown adjoint method {method!r}")
     trajectory.require_stored("adjoint sweep")
@@ -70,11 +70,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
     dim = system.dim
 
     lam = np.empty((n_steps + 1, dim))
-    if terminal is None:
-        lam[n_steps] = trajectory.problem.goal.gradient(
-            trajectory.states[n_steps])
-    else:
-        lam[n_steps] = np.asarray(terminal, dtype=float)
+    lam[n_steps] = trajectory.problem.goal.gradient(trajectory.states[n_steps])
 
     reverse_plan = tuple(reversed(tableau.plan))
     # the reversed method's stages come in reverse_plan's order; only ell

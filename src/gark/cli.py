@@ -119,6 +119,9 @@ def _apply_config(parser: argparse.ArgumentParser,
 
 
 def _make_problem(args: argparse.Namespace):
+    for flag, cells in (("--nx", args.nx), ("--ny", args.ny)):
+        if cells < 1:
+            raise SystemExit(f"{flag} must be at least 1, not {cells}")
     grid = default_grid(args.problem, args.nx, args.ny)
     params = {}
     if args.t_final is not None:
@@ -127,7 +130,20 @@ def _make_problem(args: argparse.Namespace):
             raise SystemExit(
                 f"problem {args.problem!r} does not accept --t-final")
         params["t_final"] = args.t_final
-    return build_problem(args.problem, grid, **params)
+    problem = build_problem(args.problem, grid, **params)
+    if not problem.t_final > problem.t0:
+        raise SystemExit(f"--t-final must exceed the start time "
+                         f"{problem.t0}, not {problem.t_final}")
+    return problem
+
+
+def _time_grid(problem, dt: float) -> TimeGrid:
+    """The uniform grid of step dt over the problem's interval; exits
+    naming --dt when dt is not positive or does not divide the interval."""
+    try:
+        return TimeGrid.uniform(problem.t0, problem.t_final, dt)
+    except ValueError as err:
+        raise SystemExit(f"--dt: {err}") from err
 
 
 def _format_accuracy(accuracy: float | None) -> str:
@@ -139,11 +155,14 @@ def _tableau(args: argparse.Namespace):
     return build_imex22(gamma=args.gamma, alpha=args.alpha)
 
 
-def _reference_pair(problem, tableau, ref_dt: float):
-    """Final state and adjoint seed state of the reference run."""
-    grid = TimeGrid.uniform(problem.t0, problem.t_final, ref_dt)
+def _final_pair(problem, tableau, grid: TimeGrid):
+    """Final state y_N and initial adjoint lambda_0 of one run on grid."""
     traj = integrate(problem, tableau, grid)
     return traj.states[-1], adjoint_sweep(traj, method="mu").lam[0]
+
+
+def _rel_l2(value: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.linalg.norm(value - reference) / np.linalg.norm(reference))
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -152,27 +171,20 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if args.ref_exponent < args.levels:
         raise SystemExit("--ref-exponent must be at least --levels")
     problem = _make_problem(args)
-    try:  # halvings of a step that divides [t0, T] divide it too
-        grids = [TimeGrid.uniform(problem.t0, problem.t_final,
-                                  args.dt / 2 ** level)
-                 for level in range(args.levels)]
-    except ValueError as err:
-        raise SystemExit(f"--dt: {err}") from err
+    # halvings of a step that divides [t0, T] divide it too, so a bad --dt
+    # fails at level 0, before the reference run
+    dts = [args.dt / 2 ** level for level in range(args.levels)]
+    grids = [_time_grid(problem, dt) for dt in dts]
     tableau = _tableau(args)
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
-    y_ref, lam0_ref = _reference_pair(problem, tableau, ref_dt)
+    y_ref, lam0_ref = _final_pair(problem, tableau,
+                                  _time_grid(problem, ref_dt))
 
     rows = []
-    for level, grid in enumerate(grids):
-        dt = args.dt / 2 ** level
-        traj = integrate(problem, tableau, grid)
-        lam0 = adjoint_sweep(traj, method="mu").lam[0]
-        rows.append((dt,
-                     float(np.linalg.norm(traj.states[-1] - y_ref)
-                           / np.linalg.norm(y_ref)),
-                     float(np.linalg.norm(lam0 - lam0_ref)
-                           / np.linalg.norm(lam0_ref))))
+    for dt, grid in zip(dts, grids):
+        y_n, lam0 = _final_pair(problem, tableau, grid)
+        rows.append((dt, _rel_l2(y_n, y_ref), _rel_l2(lam0, lam0_ref)))
 
     with open(args.out / "convergence.csv", "w") as handle:
         handle.write("dt,forward_rel_l2,adjoint_rel_l2\n")
@@ -197,7 +209,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
-    grid = TimeGrid.uniform(problem.t0, problem.t_final, args.dt)
+    grid = _time_grid(problem, args.dt)
     bundle = estimate_errors(problem, _tableau(args), grid)
     report = bundle.report
     args.out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +232,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if args.stages < 1:
         raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
-    grid = TimeGrid.uniform(problem.t0, problem.t_final, args.dt)
+    grid = _time_grid(problem, args.dt)
     cfg = RefinementConfig(space_percentile=args.space_pct,
                            time_percentile=args.time_pct,
                            num_stages=args.stages)

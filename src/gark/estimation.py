@@ -112,7 +112,7 @@ def _per_cell_map(grid: TensorGrid2D, nodal: np.ndarray) -> np.ndarray:
     """Split per-unknown contributions onto cells via shared corners; a
     species-major stacked vector sums its species first."""
     per_node = nodal.reshape(-1, grid.num_unknowns).sum(axis=0)
-    full = grid.scatter(per_node, fill=0.0)
+    full = grid.scatter(per_node)
     # a node is shared by two cells along an axis, one at the ends
     cy, cx = (np.r_[1.0, np.full(k - 2, 2.0), 1.0] for k in full.shape)
     w = full / (cy[:, None] * cx[None, :])

@@ -80,24 +80,14 @@ class TimeGrid:
 
     def halve_all_steps(self) -> "TimeGrid":
         """Insert the midpoint t_n + h_n/2 of every step; old nodes persist."""
-        old = self.nodes
-        out = np.empty(2 * len(old) - 1)
-        out[::2] = old
-        out[1::2] = old[:-1] + 0.5 * self.steps
-        return TimeGrid(out)
+        return TimeGrid(_bisect(self.nodes, range(self.num_steps)))
 
     def halve_marked(self, marked) -> "TimeGrid":
         """Bisect the steps whose indices appear in ``marked``."""
         marked = sorted(set(int(m) for m in marked))
         if marked and (marked[0] < 0 or marked[-1] >= self.num_steps):
             raise ValueError(f"step index out of range: {marked}")
-        pieces = [self.nodes[:1]]
-        for n in range(self.num_steps):
-            if n in marked:
-                pieces.append([self.nodes[n] + 0.5 * (self.nodes[n + 1]
-                                                      - self.nodes[n])])
-            pieces.append(self.nodes[n + 1:n + 2])
-        return TimeGrid(np.concatenate(pieces))
+        return TimeGrid(_bisect(self.nodes, marked))
 
     def to_json_dict(self) -> dict:
         return {"kind": "time_grid", "nodes": self.nodes.tolist()}
@@ -182,10 +172,10 @@ class TensorGrid2D:
         X, Y = np.meshgrid(self.xs, self.ys)
         return np.column_stack([X[mask], Y[mask]])
 
-    def scatter(self, v: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Unknown vector -> full (ny+1, nx+1) nodal array."""
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """Unknown vector -> full (ny+1, nx+1) nodal array, zero elsewhere."""
         mask = self.unknown_mask()
-        out = np.full(mask.shape, fill)
+        out = np.zeros(mask.shape)
         out[mask] = v
         return out
 
@@ -195,7 +185,9 @@ class TensorGrid2D:
         return w[self.unknown_mask()]
 
     def refine_uniform(self) -> "TensorGrid2D":
-        return TensorGrid2D(_bisect_all(self.xs), _bisect_all(self.ys), self.bc)
+        nx, ny = self.num_cells
+        return TensorGrid2D(_bisect(self.xs, range(nx)),
+                            _bisect(self.ys, range(ny)), self.bc)
 
     def refine_marked(self, cells) -> "TensorGrid2D":
         """Bisect every x-line and y-line that passes through a marked cell.
@@ -211,28 +203,20 @@ class TensorGrid2D:
                 raise ValueError(f"cell ({ix},{iy}) outside {nx}x{ny} grid")
             x_marks.add(ix)
             y_marks.add(iy)
-        return TensorGrid2D(_bisect_some(self.xs, x_marks),
-                            _bisect_some(self.ys, y_marks), self.bc)
+        return TensorGrid2D(_bisect(self.xs, sorted(x_marks)),
+                            _bisect(self.ys, sorted(y_marks)), self.bc)
 
     def to_json_dict(self) -> dict:
         return {"kind": "tensor_grid", "xs": self.xs.tolist(),
                 "ys": self.ys.tolist(), "bc": dict(self.bc)}
 
 
-def _bisect_all(coords: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(coords) - 1)
-    out[::2] = coords
-    out[1::2] = coords[:-1] + 0.5 * np.diff(coords)
-    return out
-
-
-def _bisect_some(coords: np.ndarray, intervals: set) -> np.ndarray:
-    pieces = [coords[:1]]
-    for i in range(len(coords) - 1):
-        if i in intervals:
-            pieces.append([coords[i] + 0.5 * (coords[i + 1] - coords[i])])
-        pieces.append(coords[i + 1:i + 2])
-    return np.concatenate(pieces)
+def _bisect(coords: np.ndarray, marked) -> np.ndarray:
+    """Insert the midpoint of each interval [coords[i], coords[i+1]] whose
+    index i is in ``marked``, a sorted sequence of distinct indices."""
+    i = np.asarray(marked, dtype=int)
+    return np.insert(coords, i + 1,
+                     coords[i] + 0.5 * (coords[i + 1] - coords[i]))
 
 
 def _match_indices(coarse: np.ndarray, fine: np.ndarray, axis: str) -> np.ndarray:

@@ -87,7 +87,8 @@ class ProblemInstance:
 
 
 def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
-    """Flux-form div(c grad u) on the grid's unknowns.
+    """Flux-form div(c grad u) on the grid's unknowns, with c = 1 or the
+    callable coefficient(X, Y) on the nodal meshgrid.
 
     Face coefficients are arithmetic means of the nodal coefficient field;
     Neumann edges carry zero flux, Dirichlet edges hold value zero and their
@@ -97,14 +98,10 @@ def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
     ny, nx = grid.node_shape
     if coefficient is None:
         D = np.ones((ny, nx))
-    elif callable(coefficient):
+    else:
         X, Y = np.meshgrid(grid.xs, grid.ys)
         D = np.broadcast_to(np.asarray(coefficient(X, Y), dtype=float),
                             (ny, nx)).copy()
-    else:
-        D = np.asarray(coefficient, dtype=float)
-        if D.shape != (ny, nx):
-            raise ValueError(f"coefficient field must have shape {(ny, nx)}")
 
     idx = grid.unknown_index()
     hx, hy = np.diff(grid.xs), np.diff(grid.ys)
@@ -135,15 +132,11 @@ def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def integral_goal(grid: TensorGrid2D, num_species: int = 1,
-                  species=0) -> GoalFunction:
-    """Trapezoid-rule integral of one species (or of all, species='all')."""
-    wg = grid.quadrature_weights()
+def integral_goal(grid: TensorGrid2D, num_species: int = 1) -> GoalFunction:
+    """Trapezoid-rule integral of the first of num_species stacked species."""
     n = grid.num_unknowns
     w = np.zeros(num_species * n)
-    picked = range(num_species) if species == "all" else [int(species)]
-    for s in picked:
-        w[s * n:(s + 1) * n] = wg
+    w[:n] = grid.quadrature_weights()
     w.setflags(write=False)
     return GoalFunction(evaluate=lambda y: float(w @ y),
                         gradient=lambda y: w.copy())
@@ -303,7 +296,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     return ProblemInstance(name="gray_scott", system=system, grid=grid,
                            y0=np.concatenate([u0, v0]), t0=0.0,
                            t_final=t_final,
-                           goal=integral_goal(grid, num_species=2, species=0),
+                           goal=integral_goal(grid, num_species=2),
                            params={"feed": feed, "kill": kill, "du": du,
                                    "dv": dv, "t_final": t_final})
 
@@ -346,13 +339,12 @@ def make_bsvd(grid: TensorGrid2D, t_final: float = 7.0) -> ProblemInstance:
 
 # --- seeded dense systems for verification ---------------------------------
 
-def make_random_nonlinear(seed: int, dim: int = 8, num_partitions: int = 2,
-                          t_final: float = 0.5) -> ProblemInstance:
-    """Small dense split system with smooth nonlinear partitions and a
-    quadratic goal; used by the sensitivity and duality checks."""
+def make_random_nonlinear(seed: int, dim: int = 8) -> ProblemInstance:
+    """Small dense system of two smooth nonlinear partitions on [0, 0.5]
+    with a quadratic goal; used by the sensitivity and duality checks."""
     rng = np.random.default_rng(seed)
     partitions = []
-    for q in range(num_partitions):
+    for q in range(2):
         a = rng.standard_normal((dim, dim)) / math.sqrt(dim)
         a -= 0.8 * np.eye(dim)
         c = 0.5 * rng.standard_normal(dim)
@@ -376,9 +368,8 @@ def make_random_nonlinear(seed: int, dim: int = 8, num_partitions: int = 2,
                            system=SplitOdeSystem(dim, tuple(partitions)),
                            grid=None,
                            y0=rng.standard_normal(dim),
-                           t0=0.0, t_final=t_final, goal=goal,
-                           params={"seed": seed, "dim": dim,
-                                   "num_partitions": num_partitions})
+                           t0=0.0, t_final=0.5, goal=goal,
+                           params={"seed": seed, "dim": dim})
 
 
 # --- registry ---------------------------------------------------------------

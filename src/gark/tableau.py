@@ -21,6 +21,8 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 GAMMA_MINUS = 1.0 - SQRT2 / 2.0
 GAMMA_PLUS = 1.0 + SQRT2 / 2.0
+# validate() flags an order-condition or structure residual above this
+VALIDATION_TOL = 1e-12
 
 
 class InvalidParameterError(ValueError):
@@ -141,7 +143,7 @@ class GarkTableau:
                          tuple(read_by[k]))
             for k, (q, i) in enumerate(schedule))
 
-    def validate(self, tol: float = 1e-12) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Check structure and order conditions; report, never raise."""
         bad: list[Violation] = []
         P = self.num_partitions
@@ -157,7 +159,7 @@ class GarkTableau:
 
         for q in range(P):
             resid = abs(self.weights[q].sum() - 1.0)
-            if resid > tol:
+            if resid > VALIDATION_TOL:
                 bad.append(Violation(
                     "weight-sum", f"sum b^({q + 1}) != 1", resid))
 
@@ -165,7 +167,7 @@ class GarkTableau:
             for q in range(P):
                 for m in range(P):
                     resid = abs(self.weights[q] @ self.abscissae(q, m) - 0.5)
-                    if resid > tol:
+                    if resid > VALIDATION_TOL:
                         bad.append(Violation(
                             "order-2", f"b^({q + 1}) . c^({q + 1},{m + 1}) != 1/2",
                             resid))
@@ -176,7 +178,7 @@ class GarkTableau:
                 for m in range(P):
                     resid = float(np.max(np.abs(self.abscissae(q, m) - c_own),
                                          initial=0.0))
-                    if resid > tol:
+                    if resid > VALIDATION_TOL:
                         bad.append(Violation(
                             "internal-consistency",
                             f"c^({q + 1},{m + 1}) != c^({q + 1},{q + 1})", resid))
@@ -200,7 +202,7 @@ class GarkTableau:
                 resid = max(resid, float(np.max(
                     np.abs(self.coupling[q_last][m][i_last, :] - self.weights[m]),
                     initial=0.0)))
-            if resid > tol:
+            if resid > VALIDATION_TOL:
                 bad.append(Violation(
                     "stiff-accuracy",
                     f"last scheduled stage ({q_last + 1},{i_last + 1}) row "

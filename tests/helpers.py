@@ -25,10 +25,15 @@ def at_coarse_nodes(run, coarse_grid) -> np.ndarray:
     return run.states[idx]
 
 
-def sum_goal(dim: int) -> GoalFunction:
-    w = np.ones(dim)
+def linear_goal(w) -> GoalFunction:
+    """Q(y) = w . y, whose gradient w seeds the adjoint sweep."""
+    w = np.asarray(w, dtype=float)
     return GoalFunction(evaluate=lambda y: float(w @ y),
                         gradient=lambda y: w.copy())
+
+
+def sum_goal(dim: int) -> GoalFunction:
+    return linear_goal(np.ones(dim))
 
 
 def wrap(system: SplitOdeSystem, y0, t_final: float, t0: float = 0.0,
@@ -156,6 +161,17 @@ def _loop_match_indices(coarse, fine):
                 and abs(fine[j] - c) <= 1e-12 * max(abs(c), 1.0)]
         out[k] = hits[0]
     return out
+
+
+def loop_bisect(coords, marked) -> np.ndarray:
+    """coords with the midpoint of every marked interval inserted, one
+    interval at a time."""
+    out = [coords[0]]
+    for i in range(len(coords) - 1):
+        if i in marked:
+            out.append(coords[i] + 0.5 * (coords[i + 1] - coords[i]))
+        out.append(coords[i + 1])
+    return np.array(out)
 
 
 def loop_transfer(fine, coarse):

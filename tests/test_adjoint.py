@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (linear_pair, mu_theta, nonlinear_stiff, plan_cases,
-                     scalar_split, scan_adjoint_sweep, wrap)
+from helpers import (linear_goal, linear_pair, mu_theta, nonlinear_stiff,
+                     plan_cases, scalar_split, scan_adjoint_sweep, wrap)
 
 from gark.adjoint import METHODS, adjoint_sweep
 from gark.forward import integrate, step
@@ -57,10 +57,11 @@ class TestDegenerate:
                                           np.zeros_like(adj.theta[q]))
 
     def test_single_step_shapes(self):
-        problem = wrap(scalar_split(-1.0, 0.0), [2.0], t_final=0.1)
+        problem = wrap(scalar_split(-1.0, 0.0), [2.0], t_final=0.1,
+                       goal=linear_goal([3.0]))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.1, 0.1))
-        adj = adjoint_sweep(traj, terminal=np.array([3.0]))
+        adj = adjoint_sweep(traj)
         assert adj.lam.shape == (2, 1)
         assert adj.lam[1, 0] == 3.0
         assert adj.ell is None
@@ -100,7 +101,7 @@ class TestScalarRecursions:
         problem = wrap(scalar_split(lam_val, 0.0), [1.0], t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, dt))
-        adj = adjoint_sweep(traj, method=method, terminal=np.array([1.0]))
+        adj = adjoint_sweep(traj, method=method)  # sum goal: lam_N = 1
         growth = explicit_growth(lam_val * dt)
         np.testing.assert_allclose(adj.lam[0, 0], growth ** n, rtol=1e-12)
 
@@ -111,7 +112,7 @@ class TestScalarRecursions:
         problem = wrap(scalar_split(0.0, lam_val), [1.0], t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, dt))
-        adj = adjoint_sweep(traj, method=method, terminal=np.array([1.0]))
+        adj = adjoint_sweep(traj, method=method)  # sum goal: lam_N = 1
         growth = implicit_scalar_growth(lam_val * dt)
         np.testing.assert_allclose(adj.lam[0, 0], growth ** n, rtol=1e-12)
 
@@ -133,13 +134,14 @@ class TestPropagatorOracle:
 
     def test_single_step_duality(self):
         system = nonlinear_stiff()
-        problem = wrap(system, np.full(system.dim, 0.4), t_final=0.05)
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.05, 0.05))
         rng = np.random.default_rng(11)
         v = rng.standard_normal(system.dim)
         u = rng.standard_normal(system.dim)
-        adj = adjoint_sweep(traj, method="mu", terminal=v)
+        problem = wrap(system, np.full(system.dim, 0.4), t_final=0.05,
+                       goal=linear_goal(v))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 0.05, 0.05))
+        adj = adjoint_sweep(traj, method="mu")
         phi = dense_step_propagator(traj, 0)
         np.testing.assert_allclose(float(adj.lam[0] @ u),
                                    float(v @ (phi @ u)), rtol=1e-10)
@@ -147,12 +149,13 @@ class TestPropagatorOracle:
     @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
     def test_sweep_matches_propagator_chain(self, method):
         system = nonlinear_stiff()
-        problem = wrap(system, np.full(system.dim, 0.4), t_final=0.4)
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.4, 0.05))
         rng = np.random.default_rng(5)
         v = rng.standard_normal(system.dim)
-        adj = adjoint_sweep(traj, method=method, terminal=v)
+        problem = wrap(system, np.full(system.dim, 0.4), t_final=0.4,
+                       goal=linear_goal(v))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 0.4, 0.05))
+        adj = adjoint_sweep(traj, method=method)
         chain = propagator_chain_adjoint(traj, v)
         np.testing.assert_allclose(adj.lam, chain, rtol=1e-10, atol=1e-12)
 

@@ -109,7 +109,7 @@ class TestEstimate:
         assert capsys.readouterr().out.rstrip().endswith("accuracy n/a")
 
     def test_zero_step_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="dt=0.0 must be positive"):
+        with pytest.raises(SystemExit, match="^--dt: dt=0.0 must be positive"):
             run_cli(["estimate", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--dt", "0", "--out", str(tmp_path)])
 
@@ -247,6 +247,40 @@ class TestPlumbing:
             run_cli(["estimate", "--problem", "bsvd", "--nx", "4",
                      "--ny", "4", "--t-final", "0.1", "--out",
                      str(tmp_path)])
+
+    @pytest.mark.parametrize("command", ["estimate", "refine"])
+    @pytest.mark.parametrize("dt, message", [
+        ("-0.1", "dt=-0.1 must be positive"),
+        ("0.7", r"dt=0.7 does not evenly divide \[0.0, 1.5\]")],
+        ids=["negative", "non_divisor"])
+    def test_bad_step_names_dt_before_any_run(self, command, dt, message,
+                                              tmp_path, monkeypatch):
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        with pytest.raises(SystemExit, match=f"^--dt: {message}"):
+            run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
+                     "--dt", dt, "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--nx", "0"], "--nx must be at least 1, not 0"),
+        (["--ny", "-4"], "--ny must be at least 1, not -4"),
+        (["--t-final", "-1.0"],
+         "--t-final must exceed the start time 0.0, not -1.0"),
+        (["--t-final", "0"],
+         "--t-final must exceed the start time 0.0, not 0.0")],
+        ids=["nx_zero", "ny_negative", "t_final_negative", "t_final_zero"])
+    def test_bad_grid_flags_are_named_before_any_run(self, command, flags,
+                                                     message, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(gark.cli, "integrate", None)
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            run_cli([command, "--problem", "bsvd", "--nx", "4", "--ny", "4",
+                     "--dt", "0.1", "--out", str(tmp_path), *flags])
+        assert not any(tmp_path.iterdir())
 
     def test_every_export_resolves(self):
         # a stale name in __all__ breaks only `from gark import *`

@@ -9,7 +9,7 @@ from gark.mesh import (GridTransfer, TensorGrid2D, TimeGrid, TransferError,
                        trapezoid_weights)
 from gark.systems import build_problem, default_grid
 from gark.tableau import build_imex22
-from helpers import assert_bitwise, loop_transfer, nested_grids
+from helpers import assert_bitwise, loop_bisect, loop_transfer, nested_grids
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,11 @@ class TestTimeGrid:
         np.testing.assert_array_equal(out.nodes, g.nodes)
         with pytest.raises(ValueError):
             g.halve_marked({3})
+
+    def test_halve_marked_all_equals_halve_all_steps(self):
+        g = TimeGrid(np.array([0.0, 0.1, 0.35, 0.4, 1.0 / 3.0 + 0.7]))
+        assert_bitwise(g.halve_marked(range(g.num_steps)).nodes,
+                       g.halve_all_steps().nodes)
 
     def test_steps_are_computed_once_and_frozen(self):
         g = TimeGrid(np.array([0.0, 0.1, 0.3, 0.7]))
@@ -149,12 +154,11 @@ class TestTensorGrid2D:
         assert len(f.ys) == len(g.ys) + 2
 
     def test_refine_marked_all_equals_uniform(self):
-        g = TensorGrid2D.uniform(0, 1, 3, 0, 1, 2, "dirichlet")
+        g = TensorGrid2D(np.array([0.0, 0.1, 0.35, 1.0]),
+                         np.array([0.0, 1.0 / 3.0, 1.0]), "dirichlet")
         all_cells = {(ix, iy) for ix in range(3) for iy in range(2)}
-        np.testing.assert_array_equal(g.refine_marked(all_cells).xs,
-                                      g.refine_uniform().xs)
-        np.testing.assert_array_equal(g.refine_marked(all_cells).ys,
-                                      g.refine_uniform().ys)
+        assert_bitwise(g.refine_marked(all_cells).xs, g.refine_uniform().xs)
+        assert_bitwise(g.refine_marked(all_cells).ys, g.refine_uniform().ys)
 
     def test_refine_marked_rejects_out_of_range(self):
         g = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
@@ -169,6 +173,26 @@ class TestTensorGrid2D:
             assert_bitwise(space["xs"], record.space_grid.xs)
             assert_bitwise(space["ys"], record.space_grid.ys)
             assert space["bc"] == record.space_grid.bc
+
+
+def test_every_refinement_matches_the_interval_loop_bitwise():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        xs, ys, ts = (np.cumsum(rng.uniform(0.01, 1.0, rng.integers(2, 12)))
+                      for _ in range(3))
+        g, t = TensorGrid2D(xs, ys, "neumann"), TimeGrid(ts)
+        cells = {(int(rng.integers(len(xs) - 1)),
+                  int(rng.integers(len(ys) - 1)))
+                 for _ in range(rng.integers(0, 6))}
+        steps = set(rng.integers(0, t.num_steps, rng.integers(0, 6)).tolist())
+        assert_bitwise(g.refine_marked(cells).xs,
+                       loop_bisect(xs, {ix for ix, _ in cells}))
+        assert_bitwise(g.refine_marked(cells).ys,
+                       loop_bisect(ys, {iy for _, iy in cells}))
+        assert_bitwise(g.refine_uniform().xs, loop_bisect(xs, range(len(xs))))
+        assert_bitwise(t.halve_marked(steps).nodes, loop_bisect(ts, steps))
+        assert_bitwise(t.halve_all_steps().nodes,
+                       loop_bisect(ts, range(len(ts))))
 
 
 class TestGridTransfer:

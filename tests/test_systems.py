@@ -87,7 +87,7 @@ class TestLaplacian:
                      "bsvd": bsvd_diffusivity(X, Y),
                      "array": rng.uniform(0.1, 2.0, g.node_shape)}[coefficient]
             arg = {None: None, "bsvd": bsvd_diffusivity,
-                   "array": field}[coefficient]
+                   "array": lambda X, Y: field}[coefficient]
             got, want = discretize_laplacian(g, arg), loop_laplacian(g, field)
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(got, attr),
@@ -96,7 +96,7 @@ class TestLaplacian:
     def test_bad_coefficient_shape_rejected(self):
         g = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
         with pytest.raises(ValueError):
-            discretize_laplacian(g, np.ones((2, 2)))
+            discretize_laplacian(g, lambda X, Y: np.ones((2, 2)))
 
 
 class TestIntegralGoal:
@@ -115,11 +115,9 @@ class TestIntegralGoal:
     def test_species_selection(self):
         g = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
         n = g.num_unknowns
-        first = integral_goal(g, num_species=2, species=0)
-        both = integral_goal(g, num_species=2, species="all")
+        first = integral_goal(g, num_species=2)
         y = np.concatenate([np.ones(n), 2.0 * np.ones(n)])
         assert first.evaluate(y) == pytest.approx(1.0, abs=1e-14)
-        assert both.evaluate(y) == pytest.approx(3.0, abs=1e-14)
 
     def test_gradient_matches_fd(self):
         g = TensorGrid2D.uniform(0, 1, 3, 0, 1, 3, "dirichlet")
@@ -339,9 +337,9 @@ class TestRandomNonlinear:
     def test_jacobians_match_fd(self):
         rng = np.random.default_rng(11)
         for seed in (1, 2):
-            p = make_random_nonlinear(seed, dim=7, num_partitions=3)
+            p = make_random_nonlinear(seed, dim=7)
             y = rng.standard_normal(7)
-            for q in range(3):
+            for q in range(2):
                 jacobian_probe(p.system, q, 0.2, y, rng)
 
     def test_goal_gradient_matches_fd(self):

@@ -58,7 +58,7 @@ def test_imex22_alpha_half():
 @pytest.mark.parametrize("alpha", [None, 0.5, 0.31])
 def test_imex22_validates(gamma, alpha):
     t = build_imex22(gamma, alpha)
-    report = t.validate(tol=1e-12)
+    report = t.validate()
     assert report.ok, str(report)
 
 
