@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,8 +28,9 @@ from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, GoalFunction, Partition,
                           SplitOdeSystem, build_problem, default_grid,
                           make_random_nonlinear)
-from gark.tableau import GAMMA_MINUS, GAMMA_PLUS, adjoint_coefficients, \
-    build_imex22
+from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, InvalidParameterError,
+                          adjoint_coefficients, build_imex22,
+                          is_second_order_gamma)
 
 PROBLEM_CHOICES = tuple(PROBLEM_BUILDERS)
 
@@ -152,7 +154,16 @@ def _format_accuracy(accuracy: float | None) -> str:
 
 
 def _tableau(args: argparse.Namespace):
-    return build_imex22(gamma=args.gamma, alpha=args.alpha)
+    """The IMEX pair of --gamma and --alpha; exits naming the flag when
+    gamma breaks second order or alpha is zero."""
+    if not is_second_order_gamma(args.gamma):
+        raise SystemExit(f"--gamma must be GAMMA_MINUS = {GAMMA_MINUS!r} or "
+                         f"GAMMA_PLUS = {GAMMA_PLUS!r} (1 -+ sqrt(2)/2, "
+                         f"second order), not {args.gamma!r}")
+    try:
+        return build_imex22(gamma=args.gamma, alpha=args.alpha)
+    except InvalidParameterError as err:
+        raise SystemExit(f"--alpha: {err}") from err
 
 
 def _final_pair(problem, tableau, grid: TimeGrid):
@@ -176,6 +187,18 @@ def cmd_converge(args: argparse.Namespace) -> int:
     dts = [args.dt / 2 ** level for level in range(args.levels)]
     grids = [_time_grid(problem, dt) for dt in dts]
     tableau = _tableau(args)
+    # the stored reference run and its sweep each keep (N + 1) states and
+    # N * sum(s_q) stage vectors
+    ref_steps = grids[0].num_steps * 2 ** args.ref_exponent
+    ref_bytes = 2 * 8 * problem.system.dim * (
+        ref_steps + 1 + ref_steps * sum(tableau.stage_counts))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if ref_bytes > memory:
+        raise SystemExit(
+            f"--ref-exponent {args.ref_exponent}: the reference run of "
+            f"{grids[0].num_steps} * 2**{args.ref_exponent} steps and its "
+            f"adjoint sweep would store more than the {memory / 2 ** 30:.1f}"
+            " GiB of physical memory")
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
     y_ref, lam0_ref = _final_pair(problem, tableau,
@@ -210,7 +233,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
     grid = _time_grid(problem, args.dt)
-    bundle = estimate_errors(problem, _tableau(args), grid)
+    tableau = _tableau(args)
+    bundle = estimate_errors(problem, tableau, grid)
     report = bundle.report
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "report.json").write_text(report.to_json() + "\n")
@@ -233,10 +257,11 @@ def cmd_refine(args: argparse.Namespace) -> int:
         raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
     grid = _time_grid(problem, args.dt)
+    tableau = _tableau(args)
     cfg = RefinementConfig(space_percentile=args.space_pct,
                            time_percentile=args.time_pct,
                            num_stages=args.stages)
-    campaign = run_campaign(problem, _tableau(args), grid, cfg,
+    campaign = run_campaign(problem, tableau, grid, cfg,
                             out_dir=args.out)
     for record in campaign.records:
         entry = record.summary_dict()

@@ -8,10 +8,15 @@ semi-discrete equations; weighting them with the pre-Jacobian stage
 adjoints gives one spatial contribution per partition.  The signed total
 estimates Q(reference) - Q(numerical).
 
-Only the numerical run is stored whole, for the adjoint sweep.  The other
-three runs are streamed into step consumers that keep what the residuals
-read: time-refined states at coarse nodes, space-refined states and slopes
-restricted to the coarse grid (RestrictedRun), and the final reference state.
+The estimate integrates the numerical run, stored whole, and sweeps its
+adjoint first.  Its three companion runs are then streamed into step
+consumers that weight each step's residuals as the step finishes, so only
+the weighted sums are kept: the time-refined run gives the temporal
+residual of each coarse step it completes, the space-refined run the stage
+residuals of each step restricted to the coarse grid, and the reference
+run its final state.  The per-step kernels temporal_residual and
+stage_residuals also build the whole residual arrays (temporal_residuals,
+spatial_residuals) that assemble_report weights by the same rule.
 """
 
 from __future__ import annotations
@@ -23,20 +28,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
-from gark.forward import (ForwardTrajectory, LinearStageCache, StepResult,
+from gark.forward import (ForwardTrajectory, LinearStageCache,
                           combine_stage_argument, integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 
 
+def temporal_residual(trajectory: ForwardTrajectory, n: int,
+                      x_n: np.ndarray, x_next: np.ndarray) -> np.ndarray:
+    """r_n = x(t_{n+1}) - onestep(x(t_n)) for step n of the coarse step map,
+    from the reference states x_n and x_next at its two nodes.  The coarse
+    step reuses the trajectory's factor cache, whose step sizes it shares.
+    """
+    grid = trajectory.time_grid
+    t, h = float(grid.nodes[n]), float(grid.steps[n])
+    return x_next - step(trajectory.system, trajectory.tableau, t, h, x_n,
+                         trajectory.factors).y_next
+
+
 def temporal_residuals(trajectory: ForwardTrajectory,
                        at_nodes: np.ndarray) -> np.ndarray:
-    """r_n = x(t_{n+1}) - onestep(x(t_n)) for the coarse step map.
+    """temporal_residual of every coarse step, one row per step.
 
     at_nodes holds the reference states x(t_n) at the trajectory's nodes,
     shape (num_steps + 1, dim).  Row n of the result pairs with the adjoint
-    state at node n+1.  The coarse steps reuse the trajectory's factor
-    cache, whose step sizes they share.
+    state at node n+1.
     """
     system, grid = trajectory.system, trajectory.time_grid
     if at_nodes.shape != (grid.num_steps + 1, system.dim):
@@ -44,67 +60,50 @@ def temporal_residuals(trajectory: ForwardTrajectory,
                          f"do not match ({grid.num_steps + 1}, {system.dim})")
     out = np.empty((grid.num_steps, system.dim))
     for n in range(grid.num_steps):
-        t, h = float(grid.nodes[n]), float(grid.steps[n])
-        out[n] = at_nodes[n + 1] - step(system, trajectory.tableau, t, h,
-                                        at_nodes[n], trajectory.factors).y_next
+        out[n] = temporal_residual(trajectory, n, at_nodes[n], at_nodes[n + 1])
     return out
 
 
-class RestrictedRun:
-    """Step consumer keeping a fine run's y_n and stage slopes restricted to
-    the coarse space grid, in arrays shaped like the coarse trajectory's.
+def stage_residuals(coarse: ForwardTrajectory, n: int, y_n: np.ndarray,
+                    slopes: dict) -> dict:
+    """{(q, i): k_i - f^(q)(T_i, Y_i)} of coarse step n, for a fine step's
+    state y_n and stage slopes restricted to the coarse space grid.
 
-    The fine run must step on the coarse trajectory's time grid: a step
-    past its last raises ValueError at once, and spatial_residuals refuses
-    a run that ended early.  num_steps counts the steps handed in.
+    The slopes are recombined into stage states with the accumulation the
+    forward step uses, so a coarse step checked against itself gives
+    bitwise zeros on explicit stages.
     """
-
-    def __init__(self, coarse: ForwardTrajectory, transfer: GridTransfer):
-        self.transfer = transfer
-        dim, n_steps = coarse.system.dim, coarse.num_steps
-        self.num_steps = 0
-        self.states = np.empty((n_steps, dim))
-        self.slopes = [np.empty((n_steps, s, dim))
-                       for s in coarse.tableau.stage_counts]
-
-    def __call__(self, n: int, y_n: np.ndarray, result: StepResult) -> None:
-        if n >= len(self.states):
-            raise ValueError(
-                f"fine run step {n} lies past the coarse time grid's "
-                f"{len(self.states)} steps; the runs must share the time grid")
-        self.states[n] = self.transfer.restrict_state(y_n)
-        for (q, i), slope in result.stage_slopes.items():
-            self.slopes[q][n, i] = self.transfer.restrict_state(slope)
-        self.num_steps = n + 1
+    system, grid = coarse.system, coarse.time_grid
+    t, h = float(grid.nodes[n]), float(grid.steps[n])
+    out = {}
+    for stage in coarse.tableau.plan:
+        key = (stage.q, stage.i)
+        y_stage = combine_stage_argument(y_n, h, stage, slopes,
+                                         include_self=True)
+        out[key] = slopes[key] - system.f(stage.q, t + stage.c * h, y_stage)
+    return out
 
 
-def spatial_residuals(coarse: ForwardTrajectory, fine: RestrictedRun) -> list:
-    """Per-partition stage residuals of the restricted fine solution.
+def spatial_residuals(coarse: ForwardTrajectory, fine) -> list:
+    """stage_residuals of every coarse step, one (num_steps, s_q, dim)
+    array per partition.
 
     fine is a fine run on the coarse trajectory's time grid and (aligned)
-    tableau, restricted to the coarse space grid.  Restricted fine slopes
-    are recombined into stage states with the same accumulation the forward
-    step uses, so a coarse trajectory checked against itself gives bitwise
-    zeros on explicit stages.  A fine run of another step count raises
-    ValueError.
+    tableau, restricted to the coarse space grid: num_steps, its states
+    (num_steps, dim) and slopes[q] (num_steps, s_q, dim).  A fine run of
+    another step count raises ValueError.
     """
     if fine.num_steps != coarse.num_steps:
         raise ValueError(
             f"fine run made {fine.num_steps} steps, the coarse run "
             f"{coarse.num_steps}; the runs must share the time grid")
-    plan = coarse.tableau.plan
-    system = coarse.system
     out = [np.empty_like(s) for s in fine.slopes]
     for n in range(coarse.num_steps):
-        t = float(coarse.time_grid.nodes[n])
-        h = float(coarse.time_grid.steps[n])
-        slopes = {(st.q, st.i): fine.slopes[st.q][n, st.i] for st in plan}
-        for stage in plan:
-            q, i = stage.q, stage.i
-            y_stage = combine_stage_argument(fine.states[n], h, stage, slopes,
-                                             include_self=True)
-            out[q][n, i] = slopes[(q, i)] - system.f(q, t + stage.c * h,
-                                                     y_stage)
+        slopes = {(st.q, st.i): fine.slopes[st.q][n, st.i]
+                  for st in coarse.tableau.plan}
+        for (q, i), res in stage_residuals(coarse, n, fine.states[n],
+                                           slopes).items():
+            out[q][n, i] = res
     return out
 
 
@@ -180,45 +179,72 @@ class ErrorReport:
             csv.writer(handle).writerows([list(columns), columns.values()])
 
 
+class _WeightedSums:
+    """Adjoint-weighted residuals, added up one step at a time.
+
+    The one weighting rule of assemble_report and of the streamed estimate:
+    per_step[n] = (lam[n+1] * r_n).sum(), and nodal[q] sums the rows
+    mu^(q)[n, i] * res^(q)[n, i] in (n, i) order.  spatial=False weights
+    temporal residuals only.
+    """
+
+    def __init__(self, trajectory: ForwardTrajectory,
+                 adjoint: AdjointTrajectory, spatial: bool):
+        if spatial and adjoint.mu is None:
+            raise ValueError("spatial weighting needs a mu-form adjoint")
+        self.trajectory = trajectory
+        self.adjoint = adjoint
+        self.per_step = np.empty(trajectory.num_steps)
+        self.nodal = ([np.zeros(trajectory.system.dim) for _ in adjoint.mu]
+                      if spatial else None)
+
+    def add_step(self, n: int, residual: np.ndarray) -> None:
+        self.per_step[n] = (self.adjoint.lam[n + 1] * residual).sum()
+
+    def add_stages(self, n: int, residuals: dict) -> None:
+        """residuals: {(q, i): stage residual} of step n."""
+        for (q, i), res in sorted(residuals.items()):
+            self.nodal[q] += self.adjoint.mu[q][n, i] * res
+
+    def report(self, psi_ref: float | None) -> ErrorReport:
+        """The sums, totalled and localized per cell."""
+        problem = self.trajectory.problem
+        psi_num = float(problem.goal.evaluate(self.trajectory.states[-1]))
+        e_temporal = float(np.sum(self.per_step))
+        e_spatial, per_cell = (), None
+        if self.nodal is not None:
+            e_spatial = tuple(float(v.sum()) for v in self.nodal)
+            if problem.grid is not None:
+                per_cell = tuple(_per_cell_map(problem.grid, v)
+                                 for v in self.nodal)
+        e_total = e_temporal + float(sum(e_spatial))
+        e_ref = None if psi_ref is None else float(psi_ref) - psi_num
+        accuracy = None
+        if e_ref is not None and e_ref != 0.0:
+            accuracy = (e_total - e_ref) / e_ref
+        return ErrorReport(psi_num=psi_num, psi_ref=psi_ref, e_ref=e_ref,
+                           e_temporal=e_temporal, e_spatial=e_spatial,
+                           e_total=e_total, accuracy=accuracy,
+                           per_step=self.per_step, per_cell=per_cell,
+                           partition_names=self.trajectory.system
+                           .partition_names)
+
+
 def assemble_report(trajectory: ForwardTrajectory,
                     adjoint: AdjointTrajectory,
                     temporal: np.ndarray,
                     spatial: list | None = None,
                     psi_ref: float | None = None) -> ErrorReport:
-    """Weight residuals with adjoint quantities and localize them."""
-    problem = trajectory.problem
-    psi_num = float(problem.goal.evaluate(trajectory.states[-1]))
-
-    per_step = np.einsum("nd,nd->n", adjoint.lam[1:], temporal)
-    e_temporal = float(np.sum(per_step))
-
-    e_spatial = ()
-    per_cell = None
-    if spatial is not None:
-        if adjoint.mu is None:
-            raise ValueError("spatial weighting needs a mu-form adjoint")
-        totals = []
-        cells = []
-        for q, res in enumerate(spatial):
-            pointwise = adjoint.mu[q] * res
-            totals.append(float(np.sum(pointwise)))
-            if problem.grid is not None:
-                nodal = pointwise.sum(axis=(0, 1))
-                cells.append(_per_cell_map(problem.grid, nodal))
-            del pointwise  # one product alive at a time
-        e_spatial = tuple(totals)
-        per_cell = tuple(cells) if cells else None
-
-    e_total = e_temporal + float(sum(e_spatial))
-    e_ref = None if psi_ref is None else float(psi_ref) - psi_num
-    accuracy = None
-    if e_ref is not None and e_ref != 0.0:
-        accuracy = (e_total - e_ref) / e_ref
-    return ErrorReport(psi_num=psi_num, psi_ref=psi_ref, e_ref=e_ref,
-                       e_temporal=e_temporal, e_spatial=e_spatial,
-                       e_total=e_total, accuracy=accuracy,
-                       per_step=per_step, per_cell=per_cell,
-                       partition_names=trajectory.system.partition_names)
+    """Weight residual arrays with adjoint quantities and localize them."""
+    sums = _WeightedSums(trajectory, adjoint, spatial is not None)
+    for n, residual in zip(range(trajectory.num_steps), temporal,
+                           strict=True):
+        sums.add_step(n, residual)
+        if spatial is not None:
+            sums.add_stages(n, {(q, i): res[n, i]
+                                for q, res in enumerate(spatial)
+                                for i in range(res.shape[1])})
+    return sums.report(psi_ref)
 
 
 @dataclass
@@ -238,15 +264,20 @@ def estimate_errors(problem: ProblemInstance, tableau,
 
     numerical: given grids, stored whole; time-refined: halved steps on the
     coarse space grid; space-refined: uniformly refined space grid on the
-    given steps; reference: both refinements.  The three companion runs are
-    streamed: the bundle holds them with their final states only.  The
+    given steps; reference: both refinements.  The numerical run is
+    integrated and swept by its adjoint first.  The companion runs are then
+    streamed, and each step's residuals are weighted as the step finishes:
+    the time-refined run gives one temporal residual per coarse node it
+    reaches, the space-refined run the stage residuals of its restricted
+    step.  Only the per-step and per-partition nodal sums are kept; the
+    bundle holds the companion runs with their final states only.  The
     reference goal value uses the fine grid's own quadrature.
 
     Runs on one space grid share one factor cache, so each stage matrix is
-    factored once per (space grid, nominal h a_ii): the time-refined run
-    fills the numerical run's cache, which the temporal residuals and the
-    adjoint sweep read too; the space-refined and reference runs share a
-    fine cache, dropped before the sweep.
+    factored once per (space grid, nominal h a_ii): the numerical run
+    fills the cache that the adjoint sweep, the time-refined run and the
+    temporal residuals read; the space-refined and reference runs share a
+    fine cache.
     """
     if problem.grid is None:
         raise ValueError("four-solution estimate needs a grid problem")
@@ -256,31 +287,38 @@ def estimate_errors(problem: ProblemInstance, tableau,
     fine_time = time_grid.halve_all_steps()
 
     numerical = integrate(problem, tableau, time_grid)
-    at_nodes = np.empty((time_grid.num_steps + 1, problem.system.dim))
+    sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu"),
+                         spatial=True)
+    node = None  # the time-refined state at the last coarse node reached
 
-    def keep_coarse_nodes(n, y_n, result):  # halving keeps node k at 2k
+    def weigh_coarse_step(n, y_n, result):  # halving keeps node k at 2k
+        nonlocal node
         if n % 2 == 0:
-            at_nodes[n // 2] = y_n
+            if n:
+                k = n // 2 - 1
+                sums.add_step(k, temporal_residual(numerical, k, node, y_n))
+            node = y_n
 
     time_refined = integrate(problem, tableau, fine_time,
-                             consumer=keep_coarse_nodes,
+                             consumer=weigh_coarse_step,
                              factors=numerical.factors)
-    at_nodes[-1] = time_refined.states[-1]
-    temporal = temporal_residuals(numerical, at_nodes)
-    transfer = GridTransfer.between(fine_grid, problem.grid)
-    restricted = RestrictedRun(numerical, transfer)
+    last = time_grid.num_steps - 1
+    sums.add_step(last, temporal_residual(numerical, last, node,
+                                          time_refined.states[-1]))
+    restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
+
+    def weigh_stages(n, y_n, result):
+        slopes = {key: restrict(k) for key, k in result.stage_slopes.items()}
+        sums.add_stages(n, stage_residuals(numerical, n, restrict(y_n),
+                                           slopes))
+
     fine_factors = LinearStageCache()
     space_refined = integrate(fine_problem, tableau, time_grid,
-                              consumer=restricted, factors=fine_factors)
-    spatial = spatial_residuals(numerical, restricted)
-    del at_nodes, restricted  # read by the residuals only; free them now
+                              consumer=weigh_stages, factors=fine_factors)
     reference = integrate(fine_problem, tableau, fine_time,
                           consumer=lambda n, y_n, result: None,
                           factors=fine_factors)
-    del fine_factors  # the sweep runs on the coarse grid; free them first
-    adjoint = adjoint_sweep(numerical, method="mu")
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
-    report = assemble_report(numerical, adjoint, temporal, spatial, psi_ref)
-    return EstimateBundle(report=report, numerical=numerical,
+    return EstimateBundle(report=sums.report(psi_ref), numerical=numerical,
                           time_refined=time_refined,
                           space_refined=space_refined, reference=reference)

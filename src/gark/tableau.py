@@ -256,6 +256,13 @@ def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
                        internally_consistent=False, stiffly_accurate=False)
 
 
+def is_second_order_gamma(gamma: float) -> bool:
+    """Whether gamma is GAMMA_MINUS or GAMMA_PLUS to within 1e-12, the two
+    values for which build_imex22 is second order."""
+    return any(math.isclose(gamma, root, rel_tol=0.0, abs_tol=1e-12)
+               for root in (GAMMA_MINUS, GAMMA_PLUS))
+
+
 def build_imex22(gamma: float = GAMMA_MINUS,
                  alpha: float | None = None) -> GarkTableau:
     """Two-stage implicit-explicit pair: partition 1 explicit, partition 2
@@ -268,8 +275,7 @@ def build_imex22(gamma: float = GAMMA_MINUS,
         alpha = gamma
     if alpha == 0.0:
         raise InvalidParameterError("alpha must be nonzero")
-    if not (math.isclose(gamma, GAMMA_MINUS, rel_tol=0.0, abs_tol=1e-12)
-            or math.isclose(gamma, GAMMA_PLUS, rel_tol=0.0, abs_tol=1e-12)):
+    if not is_second_order_gamma(gamma):
         warnings.warn(f"gamma={gamma!r} does not satisfy the order-2 "
                       "condition 2*gamma - gamma^2 = 1/2", stacklevel=2)
 

@@ -289,6 +289,35 @@ class StepRecorder:
             for stage in run.tableau.plan)
 
 
+class RestrictedRun:
+    """Step consumer keeping a fine run's y_n and stage slopes restricted to
+    the coarse space grid, in arrays shaped like the coarse trajectory's:
+    the fine argument of gark.estimation.spatial_residuals.
+
+    The fine run must step on the coarse trajectory's time grid: a step
+    past its last raises ValueError at once, and spatial_residuals refuses
+    a run that ended early.  num_steps counts the steps handed in.
+    """
+
+    def __init__(self, coarse, transfer):
+        self.transfer = transfer
+        dim, n_steps = coarse.system.dim, coarse.num_steps
+        self.num_steps = 0
+        self.states = np.empty((n_steps, dim))
+        self.slopes = [np.empty((n_steps, s, dim))
+                       for s in coarse.tableau.stage_counts]
+
+    def __call__(self, n, y_n, result) -> None:
+        if n >= len(self.states):
+            raise ValueError(
+                f"fine run step {n} lies past the coarse time grid's "
+                f"{len(self.states)} steps; the runs must share the time grid")
+        self.states[n] = self.transfer.restrict_state(y_n)
+        for (q, i), slope in result.stage_slopes.items():
+            self.slopes[q][n, i] = self.transfer.restrict_state(slope)
+        self.num_steps = n + 1
+
+
 # --- the four-solution estimate with every run stored: streaming's oracle ---
 
 def stored_estimate(problem, tableau, time_grid):

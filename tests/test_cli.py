@@ -73,6 +73,17 @@ class TestConverge:
             run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--out", str(tmp_path), "--config", str(cfg)])
 
+    def test_reference_beyond_physical_memory_names_ref_exponent(
+            self, tmp_path, monkeypatch):
+        # 10 * 2**40 reference steps would store petabytes
+        monkeypatch.setattr(gark.cli, "integrate", None)  # never reached
+        with pytest.raises(SystemExit, match=r"^--ref-exponent 40: .* "
+                           r"10 \* 2\*\*40 steps .* physical memory"):
+            run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--levels", "2", "--ref-exponent", "40",
+                     "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
     def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
         argv = ["converge", "--problem", "calvo", "--nx", "8", "--ny", "4",
                 "--dt", "0.15", "--levels", "2", "--ref-exponent", "4",
@@ -281,6 +292,36 @@ class TestPlumbing:
             run_cli([command, "--problem", "bsvd", "--nx", "4", "--ny", "4",
                      "--dt", "0.1", "--out", str(tmp_path), *flags])
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "0.5"], f"--gamma must be GAMMA_MINUS = "
+         f"{gark.GAMMA_MINUS!r} or GAMMA_PLUS = {gark.GAMMA_PLUS!r}"),
+        (["--alpha", "0"], "--alpha: alpha must be nonzero")],
+        ids=["gamma", "alpha"])
+    def test_bad_tableau_flags_are_named_before_any_run(self, command, flags,
+                                                        message, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(gark.cli, "integrate", None)
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
+                     "--out", str(tmp_path), *flags])
+        assert str(exit_info.value.code).startswith(message)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("entry, named", [
+        ({"gamma": 0.5}, "--gamma must be"), ({"alpha": 0}, "--alpha:")])
+    def test_tableau_checks_read_the_config_file(self, entry, named,
+                                                 tmp_path, monkeypatch):
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        with pytest.raises(SystemExit, match=f"^{named}"):
+            run_cli(["estimate", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--out", str(tmp_path / "out"), "--config",
+                     str(cfg)])
 
     def test_every_export_resolves(self):
         # a stale name in __all__ breaks only `from gark import *`

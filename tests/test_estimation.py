@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import (assert_bitwise, at_coarse_nodes, linear_pair,
-                     nonlinear_stiff, scalar_split, stored_estimate, wrap)
+from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
+                     linear_pair, nonlinear_stiff, scalar_split,
+                     stored_estimate, wrap)
 
 from gark.adjoint import adjoint_sweep
 from gark.cli import main
-from gark.estimation import (RestrictedRun, assemble_report, estimate_errors,
+from gark.estimation import (assemble_report, estimate_errors,
                              spatial_residuals, temporal_residuals)
 from gark.forward import integrate
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
@@ -191,6 +193,30 @@ class TestSpatialResiduals:
 
 
 class TestAssembleReport:
+    def test_weighted_sums_match_exactly_rounded_sums(self):
+        # the weighting rule sums in its own order; every total stays within
+        # the a priori bound (number of terms) * eps * sum|terms| of any
+        # summation order from math.fsum over the same products
+        problem = make_calvo(default_grid("calvo", 8, 4))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 1.5, 0.15))
+        adj = adjoint_sweep(traj, method="mu")
+        rng = np.random.default_rng(5)
+        temporal = rng.standard_normal(traj.states[1:].shape)
+        spatial = [rng.standard_normal(mu.shape) for mu in adj.mu]
+        report = assemble_report(traj, adj, temporal, spatial)
+        eps = np.finfo(float).eps
+        for n, residual in enumerate(temporal):
+            terms = adj.lam[n + 1] * residual
+            assert abs(report.per_step[n] - math.fsum(terms)) \
+                <= terms.size * eps * np.abs(terms).sum()
+        for q, (mu, res) in enumerate(zip(adj.mu, spatial)):
+            terms = (mu * res).ravel()
+            assert abs(report.e_spatial[q] - math.fsum(terms)) \
+                <= terms.size * eps * np.abs(terms).sum()
+            np.testing.assert_allclose(report.per_cell[q].sum(),
+                                       report.e_spatial[q], rtol=1e-12)
+
     def test_spatial_weighting_requires_mu(self):
         problem = make_calvo(default_grid("calvo", 8, 4))
         traj = integrate(problem, build_imex22(),
@@ -380,3 +406,24 @@ class TestStreamedCompanionRuns:
         finally:
             tracemalloc.stop()
         assert peak < fine_stage_bytes
+
+    @pytest.mark.parametrize("name", ["gray_scott", "bsvd"])
+    def test_estimate_keeps_no_residual_arrays(self, name):
+        # beyond the numerical run's and the adjoint's stores, the estimate
+        # holds less than one coarse (N, sum s_q, dim) array at its peak:
+        # the residuals are weighted as the companion runs make them
+        problem = build_problem(name, default_grid(name, 8, 8), t_final=4.0)
+        grid = TimeGrid.uniform(0.0, 4.0, 0.02)
+        tableau = build_imex22()
+        stage_array = (grid.num_steps * sum(tableau.stage_counts)
+                       * problem.system.dim * 8)
+        # states and stage values; lam and mu of a "mu" sweep
+        stores = 2 * ((grid.num_steps + 1) * problem.system.dim * 8
+                      + stage_array)
+        tracemalloc.start()
+        try:
+            estimate_errors(problem, tableau, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - stores < stage_array
