@@ -2,9 +2,9 @@
 
 Each stage runs the four-solution estimate, marks the cells and steps that
 carry the largest absolute error contributions by a nearest-rank
-percentile rule (cells on the per-partition cell maps summed), and bisects
-the marked tensor lines and steps.  A campaign chains stages, rebuilding
-the problem on each new grid.
+percentile rule (cells at SPACE_PERCENTILE of the per-partition cell maps
+summed, steps at TIME_PERCENTILE), and bisects the marked tensor lines and
+steps.  A campaign chains stages, rebuilding the problem on each new grid.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from gark.estimation import ErrorReport, estimate_errors
 from gark.mesh import TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 from gark.tableau import GarkTableau
+
+SPACE_PERCENTILE = 90.0
+TIME_PERCENTILE = 80.0
 
 
 def mark_percentile(values: np.ndarray, percentile: float) -> np.ndarray:
@@ -42,14 +45,9 @@ def mark_percentile(values: np.ndarray, percentile: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    space_percentile: float = 90.0
-    time_percentile: float = 80.0
     num_stages: int = 4
 
     def __post_init__(self):
-        for name in ("space_percentile", "time_percentile"):
-            if not 0.0 <= getattr(self, name) <= 100.0:
-                raise ValueError(f"{name} must lie in [0, 100]")
         if self.num_stages < 1:
             raise ValueError("need at least one stage")
 
@@ -80,17 +78,15 @@ class StageRecord:
 
 
 def refine_stage(problem: ProblemInstance, tableau: GarkTableau,
-                 time_grid: TimeGrid,
-                 cfg: RefinementConfig | None = None,
-                 stage: int = 0) -> StageRecord:
-    """Estimate, mark, and build the next grids for one stage."""
-    cfg = cfg or RefinementConfig()
+                 time_grid: TimeGrid, stage: int = 0) -> StageRecord:
+    """Estimate, mark cells at SPACE_PERCENTILE and steps at
+    TIME_PERCENTILE, and build the next grids for one stage."""
     report = estimate_errors(problem, tableau, time_grid).report
 
     cell_mask = mark_percentile(np.sum(report.per_cell, axis=0),
-                                cfg.space_percentile)
+                                SPACE_PERCENTILE)
     cells = {(int(ix), int(iy)) for iy, ix in np.argwhere(cell_mask)}
-    step_mask = mark_percentile(report.per_step, cfg.time_percentile)
+    step_mask = mark_percentile(report.per_step, TIME_PERCENTILE)
     steps = {int(i) for i in np.nonzero(step_mask)[0]}
 
     next_space = problem.grid.refine_marked(cells)
@@ -132,7 +128,7 @@ def run_campaign(problem: ProblemInstance, tableau: GarkTableau,
         log_path.write_text("")
 
     for stage in range(cfg.num_stages):
-        record = refine_stage(problem, tableau, time_grid, cfg, stage=stage)
+        record = refine_stage(problem, tableau, time_grid, stage=stage)
         result.records.append(record)
         if out_dir is not None:
             with open(log_path, "a") as handle:

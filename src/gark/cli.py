@@ -23,11 +23,11 @@ from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals, \
     assemble_report
 from gark.forward import integrate, step
-from gark.mesh import TimeGrid
+from gark.mesh import DIRICHLET, TimeGrid
 from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
-from gark.systems import (PROBLEM_BUILDERS, GoalFunction, Partition,
-                          SplitOdeSystem, build_problem, default_grid,
-                          make_random_nonlinear)
+from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
+                          Partition, ProblemInstance, SplitOdeSystem,
+                          build_problem, default_grid, make_random_nonlinear)
 from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, InvalidParameterError,
                           adjoint_coefficients, build_imex22,
                           is_second_order_gamma)
@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     ref = sub.add_parser("refine", help="adaptive refinement campaign")
     _add_common(ref)
     ref.add_argument("--stages", type=int, default=4)
-    ref.add_argument("--space-pct", type=float, default=90.0)
-    ref.add_argument("--time-pct", type=float, default=80.0)
 
     orc = sub.add_parser("oracle-check",
                          help="self-check against independent formulas")
@@ -121,9 +119,11 @@ def _apply_config(parser: argparse.ArgumentParser,
 
 
 def _make_problem(args: argparse.Namespace):
+    # Dirichlet edges hold no unknowns, so one cell between two holds none
+    least = 2 if PROBLEM_DOMAINS[args.problem][2] == DIRICHLET else 1
     for flag, cells in (("--nx", args.nx), ("--ny", args.ny)):
-        if cells < 1:
-            raise SystemExit(f"{flag} must be at least 1, not {cells}")
+        if cells < least:
+            raise SystemExit(f"{flag} must be at least {least}, not {cells}")
     grid = default_grid(args.problem, args.nx, args.ny)
     params = {}
     if args.t_final is not None:
@@ -249,19 +249,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
-    for flag, pct in (("--space-pct", args.space_pct),
-                      ("--time-pct", args.time_pct)):
-        if not 0.0 <= pct <= 100.0:
-            raise SystemExit(f"{flag} must lie in [0, 100], not {pct}")
     if args.stages < 1:
         raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
     grid = _time_grid(problem, args.dt)
     tableau = _tableau(args)
-    cfg = RefinementConfig(space_percentile=args.space_pct,
-                           time_percentile=args.time_pct,
-                           num_stages=args.stages)
-    campaign = run_campaign(problem, tableau, grid, cfg,
+    campaign = run_campaign(problem, tableau, grid,
+                            RefinementConfig(num_stages=args.stages),
                             out_dir=args.out)
     for record in campaign.records:
         entry = record.summary_dict()
@@ -348,7 +342,6 @@ def _check_telescoping(seed: int) -> bool:
     w = np.ones(dim)
     goal = GoalFunction(evaluate=lambda y: float(w @ y),
                         gradient=lambda y: w.copy())
-    from gark.systems import ProblemInstance
     problem = ProblemInstance(name="check", system=system, grid=None,
                               y0=rng.standard_normal(dim), t0=0.0,
                               t_final=0.6, goal=goal)

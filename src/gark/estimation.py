@@ -270,7 +270,8 @@ def estimate_errors(problem: ProblemInstance, tableau,
     the time-refined run gives one temporal residual per coarse node it
     reaches, the space-refined run the stage residuals of its restricted
     step.  Only the per-step and per-partition nodal sums are kept; the
-    bundle holds the companion runs with their final states only.  The
+    bundle holds the numerical run without its stage values, which only the
+    sweep reads, and the companion runs with their final states only.  The
     reference goal value uses the fine grid's own quadrature.
 
     Runs on one space grid share one factor cache, so each stage matrix is
@@ -289,22 +290,21 @@ def estimate_errors(problem: ProblemInstance, tableau,
     numerical = integrate(problem, tableau, time_grid)
     sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu"),
                          spatial=True)
+    numerical.stage_values = None  # read by the sweep only
     node = None  # the time-refined state at the last coarse node reached
 
     def weigh_coarse_step(n, y_n, result):  # halving keeps node k at 2k
         nonlocal node
         if n % 2 == 0:
-            if n:
-                k = n // 2 - 1
-                sums.add_step(k, temporal_residual(numerical, k, node, y_n))
             node = y_n
+        else:
+            k = n // 2
+            sums.add_step(k, temporal_residual(numerical, k, node,
+                                               result.y_next))
 
     time_refined = integrate(problem, tableau, fine_time,
                              consumer=weigh_coarse_step,
                              factors=numerical.factors)
-    last = time_grid.num_steps - 1
-    sums.add_step(last, temporal_residual(numerical, last, node,
-                                          time_refined.states[-1]))
     restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
 
     def weigh_stages(n, y_n, result):

@@ -41,10 +41,11 @@ COEF_RTOL = 1e-10
 
 
 class StepFailureError(RuntimeError):
-    """Newton iteration on an implicit stage did not converge; the message
-    names the stage, and integrate adds the step index."""
+    """Newton stalled on an implicit stage (iterations, residual_norm), or a
+    step's new state is not finite; integrate adds the step index."""
 
-    def __init__(self, message: str, iterations: int, residual_norm: float,
+    def __init__(self, message: str, iterations: int | None = None,
+                 residual_norm: float | None = None,
                  step_index: int | None = None):
         super().__init__(message)
         self.iterations = iterations
@@ -253,11 +254,11 @@ class ForwardTrajectory:
         return self.time_grid.num_steps
 
     def require_stored(self, what: str) -> None:
-        """Raise ValueError when the run was streamed (final state only)."""
+        """Raise ValueError when the run holds no stage values."""
         if self.stage_values is None:
             raise ValueError(
-                f"{what} needs stored stages and states, but this run handed "
-                "its steps to a consumer and kept only its final state")
+                f"{what} needs stored stages and states; this run was streamed "
+                "(it kept only its final state) or its stage values released")
 
     def stage_time(self, n: int, q: int, i: int) -> float:
         return float(self.time_grid.nodes[n]
@@ -265,12 +266,12 @@ class ForwardTrajectory:
 
 
 def integrate(problem: ProblemInstance, tableau: GarkTableau,
-              time_grid: TimeGrid, y0: np.ndarray | None = None,
-              consumer=None,
+              time_grid: TimeGrid, consumer=None,
               factors: LinearStageCache | None = None) -> ForwardTrajectory:
-    """Integrate the problem over the time grid.
+    """Integrate the problem over the time grid from problem.y0.
 
     The tableau is validated and aligned to the system's partitions first.
+    A step whose new state is not finite raises StepFailureError.
     Without a consumer the trajectory keeps every state, all stage values
     and the cache of constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
@@ -285,7 +286,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     tableau = align_tableau(tableau, problem.system)
 
     system = problem.system
-    y = np.array(problem.y0 if y0 is None else y0, dtype=float)
+    y = np.array(problem.y0, dtype=float)
     if y.shape != (system.dim,):
         raise ValueError(f"initial state has shape {y.shape}, "
                          f"expected ({system.dim},)")
@@ -311,6 +312,9 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
         except StepFailureError as err:
             err.step_index = n
             raise
+        if not np.isfinite(result.y_next).all():
+            raise StepFailureError(f"from t = {t:.6g} to {t + h:.6g}: the "
+                                   "new state is not finite", step_index=n)
         consumer(n, y, result)
         y = result.y_next
 

@@ -9,6 +9,8 @@ against.  Dimension is capped; this is a verification tool, not a solver.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from gark.forward import ForwardTrajectory, integrate
@@ -67,22 +69,19 @@ def propagator_chain_adjoint(trajectory: ForwardTrajectory,
     return lam
 
 
-def fd_goal_gradient(problem: ProblemInstance, tableau, time_grid,
-                     y0: np.ndarray | None = None) -> np.ndarray:
+def fd_goal_gradient(problem: ProblemInstance, tableau,
+                     time_grid) -> np.ndarray:
     """Central-difference gradient of Q(y_N) with respect to y_0."""
-    base = np.array(problem.y0 if y0 is None else y0, dtype=float)
+    base = np.array(problem.y0, dtype=float)
     grad = np.empty_like(base)
     for j in range(base.size):
         delta = FD_REL_STEP * (1.0 + abs(base[j]))
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
+        values = []
+        for sign in (1.0, -1.0):
             shifted = base.copy()
             shifted[j] += sign * delta
-            traj = integrate(problem, tableau, time_grid, y0=shifted,
-                             consumer=lambda n, y_n, result: None)
-            value = problem.goal.evaluate(traj.states[-1])
-            if slot == 0:
-                plus = value
-            else:
-                minus = value
-        grad[j] = (plus - minus) / (2.0 * delta)
+            traj = integrate(replace(problem, y0=shifted), tableau,
+                             time_grid, consumer=lambda n, y_n, result: None)
+            values.append(problem.goal.evaluate(traj.states[-1]))
+        grad[j] = (values[0] - values[1]) / (2.0 * delta)
     return grad

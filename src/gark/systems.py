@@ -202,6 +202,9 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     Domain [-1,3]x[-1,1], zero Dirichlet edges, t in [0, 1.5].
     """
     _require_domain(grid, "calvo")
+    if grid.num_unknowns == 0:
+        raise ValueError(f"make_calvo has no unknowns inside the Dirichlet "
+                         f"edges of {grid.num_cells} cells; it needs 2 a side")
     coords = grid.unknown_coords()
     xc, yc = coords[:, 0], coords[:, 1]
     gx, gxxc = _calvo_g(xc), _calvo_gxx(xc)
@@ -241,12 +244,15 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
 
 # --- two-species autocatalytic pattern problem -----------------------------
 
+GRAY_SCOTT_DU, GRAY_SCOTT_DV = 8.0e-2, 4.0e-2  # u and v diffusivities
+
+
 def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
-                    kill: float = 0.06, du: float = 8.0e-2,
-                    dv: float = 4.0e-2, t_final: float = 50.0
+                    kill: float = 0.06, t_final: float = 50.0
                     ) -> ProblemInstance:
     """Two-species problem u_t = du lap(u) - u v^2 + feed (1 - u),
-    v_t = dv lap(v) + u v^2 - (feed + kill) v on [0,2]^2, zero-flux edges.
+    v_t = dv lap(v) + u v^2 - (feed + kill) v on [0,2]^2, zero-flux edges,
+    with du = GRAY_SCOTT_DU and dv = GRAY_SCOTT_DV.
 
     State is species-major: all u unknowns, then all v unknowns.  The goal
     integrates the u species only.
@@ -279,7 +285,8 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     system = SplitOdeSystem(
         dim=2 * n,
         partitions=(
-            _diffusion(sp.block_diag((du * lap, dv * lap), format="csr")),
+            _diffusion(sp.block_diag((GRAY_SCOTT_DU * lap, GRAY_SCOTT_DV * lap),
+                                     format="csr")),
             Partition("reaction", reaction_rhs, reaction_jac,
                       vjp=reaction_vjp),
         ))
@@ -297,8 +304,8 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
                            y0=np.concatenate([u0, v0]), t0=0.0,
                            t_final=t_final,
                            goal=integral_goal(grid, num_species=2),
-                           params={"feed": feed, "kill": kill, "du": du,
-                                   "dv": dv, "t_final": t_final})
+                           params={"feed": feed, "kill": kill,
+                                   "t_final": t_final})
 
 
 # --- bistable variable-diffusion problem -----------------------------------

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gark.adaptivity import (RefinementConfig, mark_percentile,
+from gark.adaptivity import (SPACE_PERCENTILE, TIME_PERCENTILE,
+                             RefinementConfig, mark_percentile,
                              refine_stage, run_campaign)
 from gark.mesh import TimeGrid
 from gark.systems import build_problem, default_grid, make_calvo
@@ -76,19 +77,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="stage"):
             RefinementConfig(num_stages=0)
 
-    @pytest.mark.parametrize("name, value", [
-        ("space_percentile", 150.0), ("space_percentile", -1.0),
-        ("time_percentile", 100.5), ("time_percentile", float("nan"))])
-    def test_percentiles_validated(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must lie in"):
-            RefinementConfig(**{name: value})
-
 
 class TestRefineStage:
-    def make_record(self, **kwargs):
+    def make_record(self):
         problem = make_calvo(default_grid("calvo", 8, 4))
         return refine_stage(problem, build_imex22(),
-                            TimeGrid.uniform(0.0, 1.5, 0.15), **kwargs)
+                            TimeGrid.uniform(0.0, 1.5, 0.15))
 
     def test_record_structure(self):
         record = self.make_record()
@@ -116,17 +110,15 @@ class TestRefineStage:
         flipped = {(ix, ny - 1 - iy) for ix, iy in record.marked_cells}
         assert flipped == record.marked_cells
 
-    def test_percentile_extremes_control_mark_counts(self):
-        all_marked = self.make_record(
-            cfg=RefinementConfig(space_percentile=1e-12,
-                                 time_percentile=1e-12))
-        assert len(all_marked.marked_steps) == 10
-        assert len(all_marked.marked_cells) == 32
-        sparse = self.make_record(
-            cfg=RefinementConfig(space_percentile=100.0,
-                                 time_percentile=100.0))
-        assert len(sparse.marked_steps) < len(all_marked.marked_steps)
-        assert len(sparse.marked_cells) < len(all_marked.marked_cells)
+    def test_marks_at_the_fixed_percentiles(self):
+        record = self.make_record()
+        report = record.report
+        cells = brute_mark(np.sum(report.per_cell, axis=0), SPACE_PERCENTILE)
+        assert record.marked_cells == {(int(ix), int(iy))
+                                       for iy, ix in np.argwhere(cells)}
+        steps = brute_mark(report.per_step, TIME_PERCENTILE)
+        assert record.marked_steps == set(np.nonzero(steps)[0].tolist())
+        assert (SPACE_PERCENTILE, TIME_PERCENTILE) == (90.0, 80.0)
 
 
 class TestCampaign:

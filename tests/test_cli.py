@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gark
 import gark.adaptivity
 import gark.cli
-from gark.cli import main
+from gark.cli import build_parser, main
+from gark.forward import StepFailureError
 from gark.systems import PROBLEM_BUILDERS
 
 
@@ -148,27 +150,40 @@ class TestRefine:
         assert (tmp_path / "grids" / "stage-1.json").exists()
         assert capsys.readouterr().out.count("stage") == 2
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--space-pct", "150"], "--space-pct"),
-        (["--space-pct", "-1"], "--space-pct"),
-        (["--time-pct", "100.5"], "--time-pct"),
-        (["--stages", "0"], "--stages")])
-    def test_bad_marking_flags_fail_before_any_run(self, flags, named,
-                                                   tmp_path, monkeypatch):
+    def test_zero_stages_fail_before_any_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gark.cli, "run_campaign", None)  # never reached
-        with pytest.raises(SystemExit, match=f"^{named} must"):
+        with pytest.raises(SystemExit, match="^--stages must"):
             run_cli(["refine", "--problem", "calvo", "--nx", "4", "--ny",
-                     "2", "--out", str(tmp_path), *flags])
+                     "2", "--out", str(tmp_path), "--stages", "0"])
         assert not (tmp_path / "campaign.jsonl").exists()
 
-    def test_marking_checks_read_the_config_file(self, tmp_path,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("flag", ["--space-pct", "--time-pct"])
+    def test_marking_percentiles_are_no_flags(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["refine", flag, "90", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_space_pct_is_not_a_known_option(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gark.cli, "run_campaign", None)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"space-pct": 150}))
-        with pytest.raises(SystemExit, match="^--space-pct must"):
+        cfg.write_text(json.dumps({"space-pct": 90}))
+        with pytest.raises(SystemExit, match="^config key 'space-pct' is "
+                                             "not a known option$"):
             run_cli(["refine", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--out", str(tmp_path), "--config", str(cfg)])
+
+    def test_blow_up_fails_naming_the_step(self, tmp_path):
+        # dt 0.5 is far beyond the explicit reaction's stability limit on
+        # bsvd, so a run overflows before any stage is logged
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                StepFailureError, match=r"^step \d+, from t = [\d.]+ to "
+                                        r"[\d.]+: the new state is not "
+                                        r"finite$"):
+            run_cli(["refine", "--problem", "bsvd", "--nx", "2", "--ny",
+                     "2", "--dt", "0.5", "--t-final", "1", "--stages", "2",
+                     "--out", str(tmp_path)])
+        assert (tmp_path / "campaign.jsonl").read_text() == ""
 
     def test_zero_reference_gap_prints_na(self, tmp_path, capsys,
                                           monkeypatch):
@@ -294,6 +309,20 @@ class TestPlumbing:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
+    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
+    def test_calvo_needs_two_cells_a_side(self, command, flag, tmp_path,
+                                          monkeypatch):
+        # calvo's Dirichlet edges leave one cell between them no unknowns
+        monkeypatch.setattr(gark.cli, "integrate", None)
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        with pytest.raises(SystemExit, match=f"^{flag} must be at least 2, "
+                                             "not 1$"):
+            run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
+                     "--out", str(tmp_path), flag, "1"])
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     @pytest.mark.parametrize("flags, message", [
         (["--gamma", "0.5"], f"--gamma must be GAMMA_MINUS = "
          f"{gark.GAMMA_MINUS!r} or GAMMA_PLUS = {gark.GAMMA_PLUS!r}"),
@@ -322,6 +351,19 @@ class TestPlumbing:
             run_cli(["estimate", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--out", str(tmp_path / "out"), "--config",
                      str(cfg)])
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().replace("\\\n", " ").splitlines()
+        commands = [line.split()[3:] for line in lines
+                    if line.startswith("python3 -m gark.cli ")]
+        assert len(commands) == 4
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {argv}")
 
     def test_every_export_resolves(self):
         # a stale name in __all__ breaks only `from gark import *`

@@ -1,7 +1,9 @@
 import csv
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
                      linear_pair, nonlinear_stiff, scalar_split,
                      stored_estimate, wrap)
 
+import gark.estimation
 from gark.adjoint import adjoint_sweep
 from gark.cli import main
 from gark.estimation import (assemble_report, estimate_errors,
@@ -374,6 +377,33 @@ class TestStreamedCompanionRuns:
                     bundle.reference):
             assert run.stage_values is None
             assert run.states.shape == (1, run.system.dim)
+
+    def test_numerical_stage_values_are_released_after_the_sweep(
+            self, monkeypatch):
+        # only the adjoint sweep reads them: no companion run starts while
+        # anything holds them, and the bundle's numerical run has none
+        swept, released = [], []
+
+        def sweep(trajectory, method):
+            swept.extend(weakref.ref(v) for v in trajectory.stage_values)
+            return adjoint_sweep(trajectory, method=method)
+
+        def companion_aware_integrate(*args, **kwargs):
+            if swept:
+                gc.collect()
+                released.append(all(ref() is None for ref in swept))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(gark.estimation, "adjoint_sweep", sweep)
+        monkeypatch.setattr(gark.estimation, "integrate",
+                            companion_aware_integrate)
+        problem = build_problem("bsvd", default_grid("bsvd", 6, 6),
+                                t_final=0.5)
+        bundle = estimate_errors(problem, build_imex22(),
+                                 TimeGrid.uniform(0.0, 0.5, 0.05))
+        assert len(swept) == 2 and released == [True] * 3
+        assert bundle.numerical.stage_values is None
+        assert bundle.numerical.states.shape == (11, problem.system.dim)
 
     def test_one_factorization_per_grid_and_step_size(self, monkeypatch):
         # steps dt and dt/2 here, dt/2 and dt/4 halved: three nominal h*gamma

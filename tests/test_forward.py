@@ -342,14 +342,29 @@ class TestIntegrate:
         assert np.isfinite(err.value.residual_norm)
 
     def test_y0_override_and_shape_check(self):
+        # a run starts from problem.y0; another start is another problem
         system = scalar_split(-1.0, 0.0)
         problem = wrap(system, [1.0], t_final=0.1)
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.1, 0.1), y0=np.array([2.0]))
+        traj = integrate(dataclasses.replace(problem, y0=np.array([2.0])),
+                         build_imex22(), TimeGrid.uniform(0.0, 0.1, 0.1))
         assert traj.states[0, 0] == 2.0
         with pytest.raises(ValueError, match="shape"):
+            integrate(dataclasses.replace(problem, y0=np.ones(3)),
+                      build_imex22(), TimeGrid.uniform(0.0, 0.1, 0.1))
+
+    def test_blow_up_names_the_step_and_its_time(self):
+        # growth ~1e198 per step: step 0 stays finite, step 1 overflows
+        problem = wrap(scalar_split(1e100, 0.0), [1.0], t_final=0.3)
+        finished = []
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                StepFailureError, match=r"^step 1, from t = 0\.1 to 0\.2: "
+                                        r"the new state is not finite$") as err:
             integrate(problem, build_imex22(),
-                      TimeGrid.uniform(0.0, 0.1, 0.1), y0=np.ones(3))
+                      TimeGrid.uniform(0.0, 0.3, 0.1),
+                      consumer=lambda n, y_n, result: finished.append(n))
+        assert err.value.step_index == 1
+        assert err.value.iterations is None
+        assert finished == [0]  # the failed step reaches no consumer
 
     def test_invalid_tableau_is_rejected(self):
         tableau = build_imex22()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gark.mesh import TensorGrid2D
-from helpers import loop_laplacian, nested_grids
+from helpers import assert_bitwise, loop_laplacian, nested_grids
 from gark.systems import (_calvo_g, _calvo_gxx, bsvd_diffusivity, build_problem,
                           default_grid, discretize_laplacian, integral_goal,
                           make_bsvd, make_calvo, make_gray_scott,
@@ -170,6 +170,13 @@ class TestCalvo:
         x = np.array([1.9, 2.0, 2.0 + 1e-12, 2.1])
         np.testing.assert_allclose(_calvo_gxx(x), [4.0, 1.0, 1.0, -2.0])
 
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (4, 1)])
+    def test_grid_without_unknowns_rejected(self, nx, ny):
+        # one cell between two Dirichlet edges has no unknown node
+        with pytest.raises(ValueError, match=r"no unknowns .* \(%d, %d\) "
+                                             "cells" % (nx, ny)):
+            make_calvo(self.grid(nx, ny))
+
     def test_exact_solution_at_t0(self):
         p = make_calvo(self.grid())
         np.testing.assert_allclose(p.y0, p.exact_solution(0.0), rtol=0)
@@ -285,8 +292,13 @@ class TestGrayScott:
         p = make_gray_scott(self.grid(4))
         assert p.params["feed"] == 0.024
         assert p.params["kill"] == 0.06
-        assert p.params["du"] == 8.0e-2
-        assert p.params["dv"] == 4.0e-2
+        # the diffusivities du = 8e-2 and dv = 4e-2 scale the u and v blocks
+        n = p.grid.num_unknowns
+        lap = discretize_laplacian(p.grid)
+        op = p.system.jac(0, 0.0, p.y0)
+        assert_bitwise(op[:n, :n].toarray(), (8.0e-2 * lap).toarray())
+        assert_bitwise(op[n:, n:].toarray(), (4.0e-2 * lap).toarray())
+        assert op[:n, n:].nnz == op[n:, :n].nnz == 0
         assert p.t_final == 50.0
         assert p.system.dim == 2 * p.grid.num_unknowns
 
