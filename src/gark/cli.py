@@ -17,12 +17,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from gark.adaptivity import RefinementConfig, run_campaign
 from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals, \
     assemble_report
-from gark.forward import integrate, step
+from gark.forward import StepFailureError, integrate, step
 from gark.mesh import DIRICHLET, TimeGrid
 from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
@@ -32,11 +33,9 @@ from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, InvalidParameterError,
                           adjoint_coefficients, build_imex22,
                           is_second_order_gamma)
 
-PROBLEM_CHOICES = tuple(PROBLEM_BUILDERS)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--problem", choices=PROBLEM_CHOICES,
+    parser.add_argument("--problem", choices=PROBLEM_BUILDERS,
                         default="calvo")
     parser.add_argument("--nx", type=int, default=20,
                         help="cells along x")
@@ -66,56 +65,48 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of step-size halvings from --dt")
     conv.add_argument("--ref-exponent", type=int, default=7,
                       help="reference step is dt / 2**this")
+    conv.set_defaults(run=cmd_converge)
 
     est = sub.add_parser("estimate",
                          help="four-solution split goal-error estimate")
     _add_common(est)
+    est.set_defaults(run=cmd_estimate)
 
     ref = sub.add_parser("refine", help="adaptive refinement campaign")
     _add_common(ref)
     ref.add_argument("--stages", type=int, default=4)
+    ref.set_defaults(run=cmd_refine)
 
     orc = sub.add_parser("oracle-check",
                          help="self-check against independent formulas")
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--config", type=Path, default=None)
+    orc.set_defaults(run=cmd_oracle_check)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser,
-                  args: argparse.Namespace) -> None:
-    """Override args with the entries of the JSON file args.config.
-
-    Each key must name an option of the subcommand, and each value is
-    parsed as if typed after that option on the command line.
-    """
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv, then argv and the --config file's entries as flag tokens
+    --key=value, which argparse checks like flags and which win over them.
+    Keys naming or abbreviating --help or --config are refused."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if args.config is None:
-        return
-    subparsers = next(action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    options = {action.dest: action
-               for action in subparsers.choices[args.command]._actions
-               if action.option_strings and action.dest not in ("help",
-                                                                "config")}
+        return args
     try:
-        data = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as err:
+        data = json.loads(args.config.read_text())
+    except (OSError, json.JSONDecodeError) as err:
         raise SystemExit(f"config file {args.config}: {err}") from err
     if not isinstance(data, dict):
         raise SystemExit(f"config file {args.config}: not a JSON object")
-    for key, value in data.items():
-        action = options.get(key.replace("-", "_"))
-        if action is None:
-            raise SystemExit(f"config key {key!r} is not a known option")
-        try:
-            value = (action.type or str)(str(value))
-        except (TypeError, ValueError) as err:
-            raise SystemExit(
-                f"config key {key!r}: invalid value {value!r}") from err
-        if action.choices is not None and value not in action.choices:
-            raise SystemExit(f"config key {key!r}: {value!r} is not one of "
-                             f"{', '.join(action.choices)}")
-        setattr(args, action.dest, value)
+    for key in data:
+        flag = "--" + key.replace("_", "-").partition("=")[0]
+        if "--help".startswith(flag) or "--config".startswith(flag):
+            parser.error(f"config key {key!r}: a config file cannot set "
+                         "--help or --config")
+    return parser.parse_args(argv + [f"--{key.replace('_', '-')}={value}"
+                                     for key, value in data.items()])
 
 
 def _make_problem(args: argparse.Namespace):
@@ -280,23 +271,23 @@ def _check_tableau_identities() -> bool:
     return True
 
 
-def _scalar_system(lam_a: float, lam_b: float) -> SplitOdeSystem:
-    import scipy.sparse as sp
-    mk = lambda lam: Partition(
-        name=f"rate{lam}", rhs=lambda t, y: lam * y,
-        jacobian=lambda t, y: sp.csr_matrix([[lam]]), linear=True)
-    return SplitOdeSystem(dim=1, partitions=(mk(lam_a), mk(lam_b)))
+def _linear_system(*mats) -> SplitOdeSystem:
+    """The split system y' = sum_q A_q y, one linear partition per matrix."""
+    parts = tuple(Partition(name=f"p{q}", rhs=lambda t, y, A=A: A @ y,
+                            jacobian=lambda t, y, A=A: A, linear=True)
+                  for q, A in enumerate(map(sp.csr_matrix, mats)))
+    return SplitOdeSystem(dim=len(mats[0]), partitions=parts)
 
 
 def _check_scalar_growth() -> bool:
     h = 0.3
     tab = build_imex22()
-    explicit = step(_scalar_system(-0.7, 0.0), tab, 0.0, h,
+    explicit = step(_linear_system([[-0.7]], [[0.0]]), tab, 0.0, h,
                     np.array([1.0])).y_next[0]
     z = -0.7 * h
     if abs(explicit - (1 + z + z * z / 2)) > 1e-13:
         return False
-    implicit = step(_scalar_system(0.0, -2.0), tab, 0.0, h,
+    implicit = step(_linear_system([[0.0]], [[-2.0]]), tab, 0.0, h,
                     np.array([1.0])).y_next[0]
     g = GAMMA_MINUS
     A = np.array([[g, 0.0], [1 - g, g]])
@@ -329,16 +320,10 @@ def _check_gradient(seed: int) -> bool:
 
 
 def _check_telescoping(seed: int) -> bool:
-    import scipy.sparse as sp
     rng = np.random.default_rng(seed + 2)
     dim = 6
-    mats = [sp.csr_matrix(rng.standard_normal((dim, dim)) / dim
-                          - 0.5 * np.eye(dim)) for _ in range(2)]
-    parts = tuple(Partition(name=f"p{k}",
-                            rhs=lambda t, y, A=A: A @ y,
-                            jacobian=lambda t, y, A=A: A, linear=True)
-                  for k, A in enumerate(mats))
-    system = SplitOdeSystem(dim=dim, partitions=parts)
+    system = _linear_system(*(rng.standard_normal((dim, dim)) / dim
+                              - 0.5 * np.eye(dim) for _ in range(2)))
     w = np.ones(dim)
     goal = GoalFunction(evaluate=lambda y: float(w @ y),
                         gradient=lambda y: w.copy())
@@ -373,16 +358,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(parser, args)
-    handlers = {
-        "converge": cmd_converge,
-        "estimate": cmd_estimate,
-        "refine": cmd_refine,
-        "oracle-check": cmd_oracle_check,
-    }
-    return handlers[args.command](args)
+    args = parse_args(argv)
+    try:
+        return args.run(args)
+    except StepFailureError as err:
+        raise SystemExit(str(err)) from err
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ import numpy as np
 
 from gark.adjoint import AdjointTrajectory, adjoint_sweep
 from gark.forward import (ForwardTrajectory, LinearStageCache,
-                          combine_stage_argument, integrate, step)
+                          StepFailureError, combine_stage_argument,
+                          integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 
@@ -258,6 +259,15 @@ class EstimateBundle:
     reference: ForwardTrajectory
 
 
+def _named_run(run: str, *args, **kwargs) -> ForwardTrajectory:
+    """integrate(*args, **kwargs), naming the run in a StepFailureError."""
+    try:
+        return integrate(*args, **kwargs)
+    except StepFailureError as err:
+        err.run = run
+        raise
+
+
 def estimate_errors(problem: ProblemInstance, tableau,
                     time_grid: TimeGrid) -> EstimateBundle:
     """Run the four solutions and assemble the split goal-error report.
@@ -287,7 +297,7 @@ def estimate_errors(problem: ProblemInstance, tableau,
     fine_problem = rebuild_on(problem, fine_grid)
     fine_time = time_grid.halve_all_steps()
 
-    numerical = integrate(problem, tableau, time_grid)
+    numerical = _named_run("numerical", problem, tableau, time_grid)
     sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu"),
                          spatial=True)
     numerical.stage_values = None  # read by the sweep only
@@ -302,9 +312,9 @@ def estimate_errors(problem: ProblemInstance, tableau,
             sums.add_step(k, temporal_residual(numerical, k, node,
                                                result.y_next))
 
-    time_refined = integrate(problem, tableau, fine_time,
-                             consumer=weigh_coarse_step,
-                             factors=numerical.factors)
+    time_refined = _named_run("time-refined", problem, tableau, fine_time,
+                              consumer=weigh_coarse_step,
+                              factors=numerical.factors)
     restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
 
     def weigh_stages(n, y_n, result):
@@ -313,11 +323,12 @@ def estimate_errors(problem: ProblemInstance, tableau,
                                            slopes))
 
     fine_factors = LinearStageCache()
-    space_refined = integrate(fine_problem, tableau, time_grid,
-                              consumer=weigh_stages, factors=fine_factors)
-    reference = integrate(fine_problem, tableau, fine_time,
-                          consumer=lambda n, y_n, result: None,
-                          factors=fine_factors)
+    space_refined = _named_run("space-refined", fine_problem, tableau,
+                               time_grid, consumer=weigh_stages,
+                               factors=fine_factors)
+    reference = _named_run("reference", fine_problem, tableau, fine_time,
+                           consumer=lambda n, y_n, result: None,
+                           factors=fine_factors)
     psi_ref = float(fine_problem.goal.evaluate(reference.states[-1]))
     return EstimateBundle(report=sums.report(psi_ref), numerical=numerical,
                           time_refined=time_refined,

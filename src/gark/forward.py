@@ -42,7 +42,8 @@ COEF_RTOL = 1e-10
 
 class StepFailureError(RuntimeError):
     """Newton stalled on an implicit stage (iterations, residual_norm), or a
-    step's new state is not finite; integrate adds the step index."""
+    step's new state is not finite; integrate adds the step index and
+    estimate_errors the name of its run."""
 
     def __init__(self, message: str, iterations: int | None = None,
                  residual_norm: float | None = None,
@@ -51,10 +52,12 @@ class StepFailureError(RuntimeError):
         self.iterations = iterations
         self.residual_norm = residual_norm
         self.step_index = step_index
+        self.run = None
 
     def __str__(self) -> str:
+        run = "" if self.run is None else f"{self.run} run, "
         where = "" if self.step_index is None else f"step {self.step_index}, "
-        return where + self.args[0]
+        return run + where + self.args[0]
 
 
 def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
@@ -265,13 +268,15 @@ class ForwardTrajectory:
                      + self.tableau.abscissae(q)[i] * self.time_grid.steps[n])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(problem: ProblemInstance, tableau: GarkTableau,
               time_grid: TimeGrid, consumer=None,
               factors: LinearStageCache | None = None) -> ForwardTrajectory:
     """Integrate the problem over the time grid from problem.y0.
 
     The tableau is validated and aligned to the system's partitions first.
-    A step whose new state is not finite raises StepFailureError.
+    A step whose new state is not finite raises StepFailureError; numpy's
+    overflow and invalid-value warnings are off, as that check reports them.
     Without a consumer the trajectory keeps every state, all stage values
     and the cache of constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes

@@ -1,23 +1,34 @@
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gark
 import gark.adaptivity
 import gark.cli
-from gark.cli import build_parser, main
+from gark.cli import build_parser, main, parse_args
 from gark.forward import StepFailureError
 from gark.systems import PROBLEM_BUILDERS
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def run_module(*argv):
+    """python -m gark.cli argv in a child process that imports the same
+    gark as this process, installed or not."""
+    src = str(Path(gark.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gark.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def zero_gap(module, monkeypatch):
@@ -164,26 +175,40 @@ class TestRefine:
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_space_pct_is_not_a_known_option(self, tmp_path, monkeypatch):
+    def test_space_pct_is_not_a_known_option(self, tmp_path, monkeypatch,
+                                             capsys):
         monkeypatch.setattr(gark.cli, "run_campaign", None)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space-pct": 90}))
-        with pytest.raises(SystemExit, match="^config key 'space-pct' is "
-                                             "not a known option$"):
+        with pytest.raises(SystemExit) as exit_info:
             run_cli(["refine", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--out", str(tmp_path), "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --space-pct=90" \
+            in capsys.readouterr().err
+
+    # dt 0.5 is far beyond the explicit reaction's stability limit on bsvd:
+    # the numerical run at dt 0.5 stays finite to t = 1, the time-refined
+    # run at dt 0.25 overflows, before any stage is logged
+    BLOW_UP = ["refine", "--problem", "bsvd", "--nx", "2", "--ny", "2",
+               "--dt", "0.5", "--t-final", "1", "--stages", "2"]
+    BLOW_UP_MESSAGE = ("time-refined run, step 3, from t = 0.75 to 1: the "
+                       "new state is not finite")
 
     def test_blow_up_fails_naming_the_step(self, tmp_path):
-        # dt 0.5 is far beyond the explicit reaction's stability limit on
-        # bsvd, so a run overflows before any stage is logged
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                StepFailureError, match=r"^step \d+, from t = [\d.]+ to "
-                                        r"[\d.]+: the new state is not "
-                                        r"finite$"):
-            run_cli(["refine", "--problem", "bsvd", "--nx", "2", "--ny",
-                     "2", "--dt", "0.5", "--t-final", "1", "--stages", "2",
-                     "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([*self.BLOW_UP, "--out", str(tmp_path)])
+        assert exit_info.value.code == self.BLOW_UP_MESSAGE
+        failure = exit_info.value.__cause__
+        assert isinstance(failure, StepFailureError)
+        assert (failure.run, failure.step_index) == ("time-refined", 3)
         assert (tmp_path / "campaign.jsonl").read_text() == ""
+
+    def test_blow_up_exits_with_one_line_and_no_traceback(self, tmp_path):
+        proc = run_module(*self.BLOW_UP, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == self.BLOW_UP_MESSAGE + "\n"
 
     def test_zero_reference_gap_prints_na(self, tmp_path, capsys,
                                           monkeypatch):
@@ -216,18 +241,35 @@ class TestPlumbing:
         assert len(rows) == 2
         assert float(rows[0]["dt"]) == 0.075
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"step_size": 0.1}))
-        with pytest.raises(SystemExit, match="step_size"):
+        with pytest.raises(SystemExit) as exit_info:
             run_cli(["estimate", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --step-size=0.1" \
+            in capsys.readouterr().err
 
-    def test_config_key_of_no_option_rejected(self, tmp_path):
-        # "command" is a namespace attribute but no option of estimate
+    def test_config_key_of_no_option_rejected(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"command": "converge"}))
-        with pytest.raises(SystemExit, match="'command' is not a known"):
-            run_cli(["estimate", "--config", str(cfg)])
+        for entry, named in (
+                # a namespace attribute but no option of estimate
+                ({"command": "converge"},
+                 "unrecognized arguments: --command=converge"),
+                # a config file that printed help or named another config
+                # file would run nothing, or skip that file's entries
+                ({"help": 1}, "config key 'help': a config file cannot"),
+                ({"config": "other.json"}, "config key 'config': a config"),
+                ({"conf": "other.json"}, "config key 'conf': a config")):
+            cfg.write_text(json.dumps(entry))
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(["estimate", "--config", str(cfg)])
+            assert exit_info.value.code == 2
+            assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "{\"dt\": "])
     def test_config_file_that_is_no_json_object_rejected(self, text,
@@ -237,17 +279,65 @@ class TestPlumbing:
         with pytest.raises(SystemExit, match="cfg.json"):
             run_cli(["estimate", "--config", str(cfg)])
 
-    def test_config_values_parse_like_flags(self, tmp_path):
+    def test_config_values_parse_like_flags(self, tmp_path, monkeypatch,
+                                            capsys):
         cfg, out = tmp_path / "cfg.json", tmp_path / "out"
         cfg.write_text(json.dumps({"nx": "4", "ny": 2, "dt": "0.5",
                                    "problem": "calvo", "out": str(out)}))
         assert run_cli(["estimate", "--config", str(cfg)]) == 0
         assert (out / "report.json").is_file()
-        for bad in ({"nx": "x"}, {"nx": 2.5}, {"problem": "heat"}):
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        for bad, named in (({"nx": "x"}, "argument --nx: invalid int"),
+                           ({"nx": 2.5}, "argument --nx: invalid int"),
+                           ({"problem": "heat"},
+                            "argument --problem: invalid choice: 'heat'")):
             cfg.write_text(json.dumps(bad))
-            key = next(iter(bad))
-            with pytest.raises(SystemExit, match=f"config key '{key}'"):
+            with pytest.raises(SystemExit) as exit_info:
                 run_cli(["estimate", "--config", str(cfg)])
+            assert exit_info.value.code == 2
+            assert named in capsys.readouterr().err
+
+    # one good and (where the type rejects any) one bad value per option
+    OPTION_VALUES = {
+        "problem": ("bsvd", "heat"), "nx": (4, "x"), "ny": (3, 2.5),
+        "dt": (0.05, "fast"), "t-final": (2.0, "never"),
+        "gamma": (0.2928932188134524, "g"), "alpha": (-0.5, "a"),
+        "out": ("some/dir", None), "levels": (3, "3.5"),
+        "ref-exponent": (6, "x"), "stages": (2, "two"), "seed": (7, "x"),
+    }
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine",
+                                         "oracle-check"])
+    def test_flags_and_config_entries_parse_alike(self, command, tmp_path,
+                                                  capsys):
+        with pytest.raises(SystemExit):
+            parse_args([command, "--help"])
+        options = set(re.findall(r"--([a-z][a-z-]*)",
+                                 capsys.readouterr().out))
+        assert options - {"help", "config"} <= set(self.OPTION_VALUES)
+        cfg = tmp_path / "cfg.json"
+        for option in sorted(options - {"help", "config"}):
+            good, bad = self.OPTION_VALUES[option]
+            # config keys may spell the flag's dashes as underscores
+            cfg.write_text(json.dumps({option.replace("-", "_"): good}))
+            by_flag = vars(parse_args([command, f"--{option}", str(good)]))
+            by_config = vars(parse_args([command, "--config", str(cfg)]))
+            assert (by_flag.pop("config"), by_config.pop("config")) \
+                == (None, cfg)
+            assert by_config == by_flag, option
+            if bad is None:
+                continue
+            cfg.write_text(json.dumps({option: bad}))
+            failures = []
+            for argv in ([command, f"--{option}", str(bad)],
+                         [command, "--config", str(cfg)]):
+                with pytest.raises(SystemExit) as exit_info:
+                    parse_args(argv)
+                failures.append((exit_info.value.code,
+                                 capsys.readouterr().err))
+            assert failures[0] == failures[1], option
+            assert failures[0][0] == 2
+            assert f"argument --{option}: invalid" in failures[0][1]
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     def test_seed_is_an_oracle_check_flag_only(self, command, tmp_path,
@@ -370,13 +460,34 @@ class TestPlumbing:
         assert [name for name in gark.__all__ if not hasattr(gark, name)] \
             == []
 
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # an import inside a function must be used in that function
+        unused = []
+        for path in sorted(Path(gark.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            exported = {name for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        and any(getattr(target, "id", None) == "__all__"
+                                for target in node.targets)
+                        for name in ast.literal_eval(node.value)}
+            for scope in ast.walk(tree):
+                if not isinstance(scope, (ast.Module, ast.FunctionDef,
+                                          ast.AsyncFunctionDef)):
+                    continue
+                nodes = list(ast.walk(scope))
+                used = exported | {node.id for node in nodes
+                                   if isinstance(node, ast.Name)}
+                unused += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for node in nodes
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for name in (alias.asname or alias.name.split(".")[0]
+                                 for alias in node.names)
+                    if name not in used]
+        assert unused == []
+
     def test_module_entry_point(self):
-        # the child imports the same gark as this process, installed or not
-        src = str(Path(gark.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "gark.cli", "--help"],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "converge" in proc.stdout
