@@ -11,9 +11,10 @@ Implicit-stage solves with (I - h a_ii J)^T use SuperLU's plain kernel on
 the trajectory's factor cache, which holds the factors of those transposes
 (the forward run solves with its transposed kernel): constant-Jacobian
 stages hit the factors the forward run stored, and Newton stages are
-factored at their stored (converged) stage values.  Each stage applies its
-Jacobian only as a vector-Jacobian product ``system.vjp``, so partitions
-that supply ``vjp`` are never assembled here.
+factored at their stored (converged) stage values; a linear partition,
+whose values no run stores, is read at y_n (ForwardTrajectory.stage_point).
+Each stage applies its Jacobian only as a vector-Jacobian product
+``system.vjp``, so partitions that supply ``vjp`` are never assembled here.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
         for stage, abar in zip(reverse_plan, abar_plan):
             q, i = stage.q, stage.i
             t_i = t + stage.c * h
-            y_stage = trajectory.stage_values[q][n, i]
+            y_stage = trajectory.stage_point(n, q, i)
             h_aii = h * stage.a_ii
 
             if method == "ell":

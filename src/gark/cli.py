@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv, then argv and the --config file's entries as flag tokens
     --key=value, which argparse checks like flags and which win over them.
-    Keys naming or abbreviating --help or --config are refused."""
+    Keys naming or abbreviating --help or --config, and null values, are
+    refused."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
@@ -100,11 +101,14 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise SystemExit(f"config file {args.config}: {err}") from err
     if not isinstance(data, dict):
         raise SystemExit(f"config file {args.config}: not a JSON object")
-    for key in data:
+    for key, value in data.items():
         flag = "--" + key.replace("_", "-").partition("=")[0]
         if "--help".startswith(flag) or "--config".startswith(flag):
             parser.error(f"config key {key!r}: a config file cannot set "
                          "--help or --config")
+        if value is None:
+            parser.error(f"config key {key!r}: null is no value; leave the "
+                         "key out to keep the flag's default")
     return parser.parse_args(argv + [f"--{key.replace('_', '-')}={value}"
                                      for key, value in data.items()])
 

@@ -8,7 +8,7 @@ semi-discrete equations; weighting them with the pre-Jacobian stage
 adjoints gives one spatial contribution per partition.  The signed total
 estimates Q(reference) - Q(numerical).
 
-The estimate integrates the numerical run, stored whole, and sweeps its
+The estimate integrates and stores the numerical run and sweeps its
 adjoint first.  Its three companion runs are then streamed into step
 consumers that weight each step's residuals as the step finishes, so only
 the weighted sums are kept: the time-refined run gives the temporal
@@ -186,7 +186,9 @@ class _WeightedSums:
     The one weighting rule of assemble_report and of the streamed estimate:
     per_step[n] = (lam[n+1] * r_n).sum(), and nodal[q] sums the rows
     mu^(q)[n, i] * res^(q)[n, i] in (n, i) order.  spatial=False weights
-    temporal residuals only.
+    temporal residuals only.  The sums hold the adjoint's lam and mu, not
+    the adjoint, so the estimate can drop each (set it to None) once it
+    has weighed its last residual.
     """
 
     def __init__(self, trajectory: ForwardTrajectory,
@@ -194,18 +196,19 @@ class _WeightedSums:
         if spatial and adjoint.mu is None:
             raise ValueError("spatial weighting needs a mu-form adjoint")
         self.trajectory = trajectory
-        self.adjoint = adjoint
+        self.lam = adjoint.lam
+        self.mu = adjoint.mu if spatial else None
         self.per_step = np.empty(trajectory.num_steps)
         self.nodal = ([np.zeros(trajectory.system.dim) for _ in adjoint.mu]
                       if spatial else None)
 
     def add_step(self, n: int, residual: np.ndarray) -> None:
-        self.per_step[n] = (self.adjoint.lam[n + 1] * residual).sum()
+        self.per_step[n] = (self.lam[n + 1] * residual).sum()
 
     def add_stages(self, n: int, residuals: dict) -> None:
         """residuals: {(q, i): stage residual} of step n."""
         for (q, i), res in sorted(residuals.items()):
-            self.nodal[q] += self.adjoint.mu[q][n, i] * res
+            self.nodal[q] += self.mu[q][n, i] * res
 
     def report(self, psi_ref: float | None) -> ErrorReport:
         """The sums, totalled and localized per cell."""
@@ -279,10 +282,13 @@ def estimate_errors(problem: ProblemInstance, tableau,
     streamed, and each step's residuals are weighted as the step finishes:
     the time-refined run gives one temporal residual per coarse node it
     reaches, the space-refined run the stage residuals of its restricted
-    step.  Only the per-step and per-partition nodal sums are kept; the
-    bundle holds the numerical run without its stage values, which only the
-    sweep reads, and the companion runs with their final states only.  The
-    reference goal value uses the fine grid's own quadrature.
+    step.  Only the per-step and per-partition nodal sums are kept, and
+    each array is dropped after its last reader: the numerical run's stage
+    values and all its states but y_N after the sweep, the adjoint's lam
+    after the time-refined run and its mu after the space-refined run, so
+    the reference run holds neither.  The bundle holds all four runs with
+    their final states only.  The reference goal value uses the fine grid's
+    own quadrature.
 
     Runs on one space grid share one factor cache, so each stage matrix is
     factored once per (space grid, nominal h a_ii): the numerical run
@@ -300,7 +306,9 @@ def estimate_errors(problem: ProblemInstance, tableau,
     numerical = _named_run("numerical", problem, tableau, time_grid)
     sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu"),
                          spatial=True)
-    numerical.stage_values = None  # read by the sweep only
+    # the sweep is the last reader of the stage values and all but y_N
+    numerical.stage_values = None
+    numerical.states = numerical.states[-1:].copy()
     node = None  # the time-refined state at the last coarse node reached
 
     def weigh_coarse_step(n, y_n, result):  # halving keeps node k at 2k
@@ -315,6 +323,7 @@ def estimate_errors(problem: ProblemInstance, tableau,
     time_refined = _named_run("time-refined", problem, tableau, fine_time,
                               consumer=weigh_coarse_step,
                               factors=numerical.factors)
+    sums.lam = None  # weighed the last temporal residual
     restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
 
     def weigh_stages(n, y_n, result):
@@ -326,6 +335,7 @@ def estimate_errors(problem: ProblemInstance, tableau,
     space_refined = _named_run("space-refined", fine_problem, tableau,
                                time_grid, consumer=weigh_stages,
                                factors=fine_factors)
+    sums.mu = None  # weighed the last stage residuals
     reference = _named_run("reference", fine_problem, tableau, fine_time,
                            consumer=lambda n, y_n, result: None,
                            factors=fine_factors)

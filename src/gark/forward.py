@@ -14,9 +14,11 @@ Each trajectory keeps one LinearStageCache of the factors for partitions
 with constant Jacobians, one per (partition, h a_ii) up to step-size
 jitter; the reversed sweep reads the same cache, and runs on the same
 system may share it.  integrate stores what the adjoint sweep reads (every
-state and stage value, and the factors), or hands each finished step, its
-stage slopes included, to a consumer and keeps only y_N.  A consumer is
-the only reader of the slopes: no run stores them.
+state, the stage values of the nonlinear partitions, and the factors), or
+hands each finished step, its stage values and slopes included, to a
+consumer and keeps only y_N.  A linear partition's Jacobian ignores the
+state, so no reader needs its stage values and no run stores them; a
+consumer is the only reader of the slopes, which no run stores either.
 """
 
 from __future__ import annotations
@@ -91,17 +93,20 @@ class LinearStageCache:
     """
 
     def __init__(self):
+        self._system = None  # the last system checked, skipped next time
         self._jacobians = None
         self._store: dict[int, list] = {}
 
     def get(self, system, q, t, y, coef):
-        jacobians = tuple(p.jacobian for p in system.partitions)
-        if self._jacobians is None:
-            self._jacobians = jacobians
-        elif jacobians != self._jacobians:
-            raise ValueError(
-                "this factor cache holds the stage factors of another "
-                "system; each system needs its own cache")
+        if system is not self._system:
+            jacobians = tuple(p.jacobian for p in system.partitions)
+            if self._jacobians is None:
+                self._jacobians = jacobians
+            elif jacobians != self._jacobians:
+                raise ValueError(
+                    "this factor cache holds the stage factors of another "
+                    "system; each system needs its own cache")
+            self._system = system
         if not system.partitions[q].linear:
             return factorize(system, q, t, y, coef)
         entries = self._store.setdefault(q, [])
@@ -230,8 +235,9 @@ class ForwardTrajectory:
     """States and stage values of one forward integration.
 
     states has shape (num_steps + 1, dim) and stage_values[q] shape
-    (num_steps, s_q, dim): what the adjoint sweep reads.  factors holds the
-    run's stage factorizations.  A run made with a step consumer keeps only
+    (num_steps, s_q, dim), or None on a linear partition: what the adjoint
+    sweep reads, through stage_point.  factors holds the run's stage
+    factorizations.  A run made with a step consumer keeps only
     states = [y_N], no stage values and an empty factor cache.
     """
 
@@ -263,6 +269,12 @@ class ForwardTrajectory:
                 f"{what} needs stored stages and states; this run was streamed "
                 "(it kept only its final state) or its stage values released")
 
+    def stage_point(self, n: int, q: int, i: int) -> np.ndarray:
+        """Where stage (q, i) of step n takes its Jacobian: the stored stage
+        value, or y_n on a linear partition, whose Jacobian ignores it."""
+        values = self.stage_values[q]
+        return self.states[n] if values is None else values[n, i]
+
     def stage_time(self, n: int, q: int, i: int) -> float:
         return float(self.time_grid.nodes[n]
                      + self.tableau.abscissae(q)[i] * self.time_grid.steps[n])
@@ -277,8 +289,9 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     The tableau is validated and aligned to the system's partitions first.
     A step whose new state is not finite raises StepFailureError; numpy's
     overflow and invalid-value warnings are off, as that check reports them.
-    Without a consumer the trajectory keeps every state, all stage values
-    and the cache of constant-Jacobian stage factorizations.
+    Without a consumer the trajectory keeps every state, the stage values
+    of its nonlinear partitions (None for a linear one) and the cache of
+    constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
     and the returned trajectory is streamed: it keeps only y_N.  factors, a
     cache of the same system, is read and filled instead of a new one, so
@@ -302,13 +315,14 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     if stored:
         states = np.empty((n_steps + 1, system.dim))
         states[0] = y
-        values = [np.empty((n_steps, s, system.dim))
-                  for s in tableau.stage_counts]
+        values = [None if part.linear else np.empty((n_steps, s, system.dim))
+                  for part, s in zip(system.partitions, tableau.stage_counts)]
 
         def consumer(n, y_n, result):
             states[n + 1] = result.y_next
             for (q, i), val in result.stage_values.items():
-                values[q][n, i] = val
+                if values[q] is not None:
+                    values[q][n, i] = val
 
     for n in range(n_steps):
         t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])

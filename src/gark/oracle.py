@@ -1,8 +1,9 @@
 """Independent cross-checks for the stepper and the adjoint sweeps.
 
 These build the one-step propagator dY/dy by dense block forward
-substitution along the stage schedule, with Jacobians evaluated at the
-stored stage values.  Adjoints and sensitivities derived from these dense
+substitution along the stage schedule, with Jacobians evaluated at each
+stage's ForwardTrajectory.stage_point (its stored value; y_n on a linear
+partition).  Adjoints and sensitivities derived from these dense
 matrices share no code path with the sparse sweeps they are checked
 against.  Dimension is capped; this is a verification tool, not a solver.
 """
@@ -22,7 +23,7 @@ FD_REL_STEP = 1e-6
 
 
 def dense_step_propagator(trajectory: ForwardTrajectory, n: int) -> np.ndarray:
-    """d y_{n+1} / d y_n as a dense matrix, from stored stage values."""
+    """d y_{n+1} / d y_n as a dense matrix, from the stored stages."""
     system = trajectory.system
     if system.dim > MAX_DENSE_DIM:
         raise ValueError(f"dense propagator capped at {MAX_DENSE_DIM} "
@@ -36,7 +37,7 @@ def dense_step_propagator(trajectory: ForwardTrajectory, n: int) -> np.ndarray:
     slope_derivs: dict = {}
     for q, i in tableau.stage_schedule:
         t_i = trajectory.stage_time(n, q, i)
-        y_stage = trajectory.stage_values[q][n, i]
+        y_stage = trajectory.stage_point(n, q, i)
         jac = np.asarray(system.jac(q, t_i, y_stage).todense())
         basis = eye.copy()
         for (m, j), deriv in slope_derivs.items():

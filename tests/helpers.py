@@ -363,8 +363,8 @@ def stored_estimate(problem, tableau, time_grid):
 
 def mu_theta(trajectory, adjoint):
     """theta = J^T mu of a mu sweep, which the sweep does not keep: the
-    vector-Jacobian product it takes at each stored stage value, so the
-    arrays equal the sweep's bitwise."""
+    vector-Jacobian product it takes at each stage_point, so the arrays
+    equal the sweep's bitwise."""
     system, grid = trajectory.system, trajectory.time_grid
     theta = [np.empty_like(mu) for mu in adjoint.mu]
     for n in range(trajectory.num_steps):
@@ -372,7 +372,7 @@ def mu_theta(trajectory, adjoint):
         for stage in trajectory.tableau.plan:
             q, i = stage.q, stage.i
             theta[q][n, i] = system.vjp(q, t + stage.c * h,
-                                        trajectory.stage_values[q][n, i],
+                                        trajectory.stage_point(n, q, i),
                                         adjoint.mu[q][n, i])
     return theta
 
@@ -497,7 +497,7 @@ def scan_adjoint_sweep(trajectory, method):
         lam_next, theta, ell = lam[n + 1], {}, {}
         for q, i in reverse_schedule:
             t_i = trajectory.stage_time(n, q, i)
-            y_stage = trajectory.stage_values[q][n, i]
+            y_stage = trajectory.stage_point(n, q, i)
             h_aii = h * float(tableau.coupling[q][q][i, i])
             if method == "ell":
                 acc = lam_next.copy()

@@ -256,7 +256,10 @@ def test_criterion_8_invariant_suites(capsys):
 
     problem = make_calvo(default_grid("calvo", 8, 4))
     traj = integrate(problem, TABLEAU, TimeGrid.uniform(0.0, 1.5, 0.15))
-    implicit_last = traj.stage_values[0][:, -1]
+    # the same run, its slopes and linear stage values seen as it is made
+    recorded = StepRecorder()
+    run = integrate(problem, TABLEAU, traj.time_grid, consumer=recorded)
+    implicit_last = recorded.stage_values[0][:, -1]
     scale = np.max(np.abs(traj.states))
     checks["stiff accuracy"] = bool(
         np.allclose(implicit_last, traj.states[1:], rtol=1e-12,
@@ -277,8 +280,6 @@ def test_criterion_8_invariant_suites(capsys):
         float(report.per_step.sum()), report.e_temporal,
         rel_tol=1e-12, abs_tol=1e-15)
 
-    recorded = StepRecorder()  # the same run, its slopes seen as it is made
-    run = integrate(problem, TABLEAU, traj.time_grid, consumer=recorded)
     checks["residual self-consistency"] = (
         not np.any(temporal_residuals(traj, traj.states))
         and recorded.step_identity_residual(run) == 0.0)

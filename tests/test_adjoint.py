@@ -159,6 +159,25 @@ class TestPropagatorOracle:
         chain = propagator_chain_adjoint(traj, v)
         np.testing.assert_allclose(adj.lam, chain, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
+    def test_all_linear_run_stores_no_stage_values(self, method):
+        # linear Jacobians ignore y: the run keeps no stage values, and the
+        # sweep and the dense oracle both read y_n in their place; the
+        # duality gap is held to criterion 3's 1e-10
+        system, _ = linear_pair(seed=4, dim=5)
+        rng = np.random.default_rng(8)
+        problem = wrap(system, np.linspace(0.2, 1.0, 5), t_final=0.4,
+                       goal=linear_goal(rng.standard_normal(5)))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 0.4, 0.05))
+        assert traj.stage_values == [None, None]
+        adj = adjoint_sweep(traj, method=method)
+        for n in range(traj.num_steps):
+            u = rng.standard_normal(5)
+            lhs = float(adj.lam[n] @ u)
+            rhs = float(adj.lam[n + 1] @ (dense_step_propagator(traj, n) @ u))
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
     def test_sensitivity_matrix_orders_products_left_to_right(self):
         system, _ = linear_pair(seed=9, dim=4)
         problem = wrap(system, np.ones(4), t_final=0.4)

@@ -271,6 +271,19 @@ class TestPlumbing:
             assert exit_info.value.code == 2
             assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha", "t_final", "nx"])
+    def test_null_config_entry_rejected(self, key, tmp_path, monkeypatch,
+                                        capsys):
+        # a null cannot reset a flag: it would reach argparse as 'None'
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 0.5, key: None}))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["estimate", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert f"config key {key!r}: null is no value" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "{\"dt\": "])
     def test_config_file_that_is_no_json_object_rejected(self, text,
                                                          tmp_path):

@@ -216,13 +216,14 @@ class TestIntegrate:
     def test_stiffly_accurate_last_stage_equals_state(self):
         system = stiff_relaxation()
         problem = wrap(system, np.full(system.dim, 0.5), t_final=0.5)
+        recorded = StepRecorder()  # no run stores a linear stage's values
         traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.5, 0.05))
+                         TimeGrid.uniform(0.0, 0.5, 0.05), consumer=recorded)
         # implicit scheme sits on partition 0 after alignment; its last
         # stage value must reproduce y_{n+1}
         for n in range(traj.num_steps):
-            np.testing.assert_allclose(traj.stage_values[0][n, -1],
-                                       traj.states[n + 1], rtol=1e-12,
+            np.testing.assert_allclose(recorded.stage_values[0][n, -1],
+                                       recorded.states[n + 1], rtol=1e-12,
                                        atol=1e-12)
 
     def test_deterministic_rerun_is_bitwise_identical(self):
@@ -397,8 +398,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("streamed", [False, True],
                              ids=["stored", "streamed"])
     def test_runs_keep_only_what_the_adjoint_reads(self, streamed):
-        # a stored run's arrays are its states and stage values, (N+1) dim
-        # + N sum_q s_q dim floats, and no slopes; a streamed run keeps y_N
+        # a stored run's arrays are its states and the stage values of its
+        # nonlinear partitions, (N+1) dim + N sum s_q dim floats over those,
+        # and no slopes; a streamed run keeps y_N
         problem = make_bsvd(default_grid("bsvd", 6, 6))
         grid = TimeGrid.uniform(0.0, 0.2, 0.02)
         traj = integrate(problem, build_imex22(), grid,
@@ -412,8 +414,10 @@ class TestIntegrate:
         if streamed:
             assert traj.stage_values is None and floats == dim
         else:
-            assert floats == (n + 1) * dim \
-                + n * sum(traj.tableau.stage_counts) * dim
+            # diffusion is linear, so only the reaction's values are kept
+            assert traj.stage_values[0] is None
+            assert traj.stage_values[1].shape == (n, 2, dim)
+            assert floats == (n + 1) * dim + n * 2 * dim
         assert traj.stage_slopes is None
 
     @pytest.mark.parametrize("use", [
