@@ -12,9 +12,11 @@ the trajectory's factor cache, which holds the factors of those transposes
 (the forward run solves with its transposed kernel): constant-Jacobian
 stages hit the factors the forward run stored, and Newton stages are
 factored at their stored (converged) stage values; a linear partition,
-whose values no run stores, is read at y_n (ForwardTrajectory.stage_point).
-Each stage applies its Jacobian only as a vector-Jacobian product
-``system.vjp``, so partitions that supply ``vjp`` are never assembled here.
+whose values no run stores, is read at y_n (ForwardTrajectory.stage_point),
+as is an explicit stage that reads no slope.  Each stage applies its
+Jacobian only as a vector-Jacobian product ``system.vjp``, so partitions
+that supply ``vjp`` are never assembled here.  A "mu" sweep stores mu only
+for the partitions its caller names; the others get None.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class AdjointTrajectory:
     lam[n] is the adjoint at time node n; lam[-1] is the terminal seed.
     Stage arrays have shape (num_steps, s_q, dim) and only the fields
     produced by the chosen method are set: theta by "theta", mu by "mu"
-    (its theta = J^T mu is not kept), ell and stage_adjoint by "ell".
+    (its theta = J^T mu is not kept; None for a partition whose mu the
+    sweep did not store), ell and stage_adjoint by "ell".
     """
 
     lam: np.ndarray
@@ -57,10 +60,14 @@ def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
     return lu.solve(rhs)
 
 
-def adjoint_sweep(trajectory: ForwardTrajectory,
-                  method: str = "mu") -> AdjointTrajectory:
+def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
+                  mu_partitions=None) -> AdjointTrajectory:
     """Propagate the problem's goal gradient at y_N backwards through the
-    trajectory."""
+    trajectory.
+
+    A "mu" sweep stores mu[q] for the partitions q in mu_partitions, every
+    partition when it is None, and sets mu[q] = None for the others.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown adjoint method {method!r}")
     trajectory.require_stored("adjoint sweep")
@@ -79,11 +86,12 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
     abar_plan = (adjoint_coefficients(tableau).plan if method == "ell"
                  else reverse_plan)
 
-    def make_store():
-        return [np.zeros((n_steps, s, dim)) for s in tableau.stage_counts]
+    def make_store(kept=None):
+        return [np.zeros((n_steps, s, dim)) if kept is None or q in kept
+                else None for q, s in enumerate(tableau.stage_counts)]
 
     theta_arr = make_store() if method == "theta" else None
-    mu_arr = make_store() if method == "mu" else None
+    mu_arr = make_store(mu_partitions) if method == "mu" else None
     ell_arr = make_store() if method == "ell" else None
     lambda_arr = make_store() if method == "ell" else None
 
@@ -122,7 +130,8 @@ def adjoint_sweep(trajectory: ForwardTrajectory,
                     mu_vec = _stage_solve(trajectory, q, t_i, y_stage, h_aii,
                                           rhs)
                     vec = system.vjp(q, t_i, y_stage, mu_vec)
-                    mu_arr[q][n, i] = mu_vec
+                    if mu_arr[q] is not None:
+                        mu_arr[q][n, i] = mu_vec
                 theta[(q, i)] = vec
 
         lam_n = lam_next.copy()

@@ -23,7 +23,8 @@ from gark.adaptivity import RefinementConfig, run_campaign
 from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals, \
     assemble_report
-from gark.forward import StepFailureError, integrate, step
+from gark.forward import (StepFailureError, align_tableau, integrate, step,
+                          stored_stage_rows)
 from gark.mesh import DIRICHLET, TimeGrid
 from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
@@ -162,9 +163,21 @@ def _tableau(args: argparse.Namespace):
 
 
 def _final_pair(problem, tableau, grid: TimeGrid):
-    """Final state y_N and initial adjoint lambda_0 of one run on grid."""
+    """Final state y_N and initial adjoint lambda_0 of one run on grid; the
+    sweep stores no mu, as only lam is read."""
     traj = integrate(problem, tableau, grid)
-    return traj.states[-1], adjoint_sweep(traj, method="mu").lam[0]
+    return traj.states[-1], adjoint_sweep(traj, method="mu",
+                                          mu_partitions=()).lam[0]
+
+
+def _final_pair_bytes(problem, tableau, num_steps: int) -> int:
+    """Bytes that _final_pair's stored run of num_steps steps and its sweep
+    keep: N + 1 states, N rows per stored stage value and N + 1 adjoint
+    states."""
+    system = problem.system
+    rows = sum(map(len, stored_stage_rows(align_tableau(tableau, system),
+                                          system)))
+    return 8 * system.dim * (2 * (num_steps + 1) + num_steps * rows)
 
 
 def _rel_l2(value: np.ndarray, reference: np.ndarray) -> float:
@@ -182,11 +195,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     dts = [args.dt / 2 ** level for level in range(args.levels)]
     grids = [_time_grid(problem, dt) for dt in dts]
     tableau = _tableau(args)
-    # the stored reference run and its sweep each keep (N + 1) states and
-    # N * sum(s_q) stage vectors
     ref_steps = grids[0].num_steps * 2 ** args.ref_exponent
-    ref_bytes = 2 * 8 * problem.system.dim * (
-        ref_steps + 1 + ref_steps * sum(tableau.stage_counts))
+    ref_bytes = _final_pair_bytes(problem, tableau, ref_steps)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if ref_bytes > memory:
         raise SystemExit(

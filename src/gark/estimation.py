@@ -14,9 +14,13 @@ consumers that weight each step's residuals as the step finishes, so only
 the weighted sums are kept: the time-refined run gives the temporal
 residual of each coarse step it completes, the space-refined run the stage
 residuals of each step restricted to the coarse grid, and the reference
-run its final state.  The per-step kernels temporal_residual and
-stage_residuals also build the whole residual arrays (temporal_residuals,
-spatial_residuals) that assemble_report weights by the same rule.
+run its final state.  Only the weighed partitions' stage residuals are
+computed and only their mu is stored: a pointwise partition whose stages
+are all explicit has restricted residuals that are zero by construction
+(weighed_partitions), and its spatial part is reported as 0.0.  The
+per-step kernels temporal_residual and stage_residual also build the whole
+residual arrays (temporal_residuals, spatial_residuals) that
+assemble_report weights by the same rule.
 """
 
 from __future__ import annotations
@@ -65,29 +69,39 @@ def temporal_residuals(trajectory: ForwardTrajectory,
     return out
 
 
-def stage_residuals(coarse: ForwardTrajectory, n: int, y_n: np.ndarray,
-                    slopes: dict) -> dict:
-    """{(q, i): k_i - f^(q)(T_i, Y_i)} of coarse step n, for a fine step's
-    state y_n and stage slopes restricted to the coarse space grid.
+def stage_residual(coarse: ForwardTrajectory, n: int, y_n: np.ndarray,
+                   slopes: dict, stage) -> np.ndarray:
+    """k_i - f^(q)(T_i, Y_i) of the planned stage (q, i) of coarse step n,
+    for a fine step's state y_n and stage slopes {(m, j): k} restricted to
+    the coarse space grid.
 
-    The slopes are recombined into stage states with the accumulation the
-    forward step uses, so a coarse step checked against itself gives
+    The slopes are recombined into the stage state with the accumulation
+    the forward step uses, so a coarse step checked against itself gives
     bitwise zeros on explicit stages.
     """
-    system, grid = coarse.system, coarse.time_grid
+    grid = coarse.time_grid
     t, h = float(grid.nodes[n]), float(grid.steps[n])
-    out = {}
-    for stage in coarse.tableau.plan:
-        key = (stage.q, stage.i)
-        y_stage = combine_stage_argument(y_n, h, stage, slopes,
-                                         include_self=True)
-        out[key] = slopes[key] - system.f(stage.q, t + stage.c * h, y_stage)
-    return out
+    y_stage = combine_stage_argument(y_n, h, stage, slopes, include_self=True)
+    return (slopes[(stage.q, stage.i)]
+            - coarse.system.f(stage.q, t + stage.c * h, y_stage))
+
+
+def weighed_partitions(trajectory: ForwardTrajectory) -> tuple:
+    """The partitions whose restricted stage residuals can be nonzero.
+
+    A pointwise partition (Partition.pointwise) commutes with injection,
+    so its residual is exactly zero when all its stages in the aligned
+    tableau are explicit; with an implicit stage it is weighed as every
+    other partition is.
+    """
+    implicit = {st.q for st in trajectory.tableau.plan if st.a_ii != 0.0}
+    return tuple(q for q, part in enumerate(trajectory.system.partitions)
+                 if not part.pointwise or q in implicit)
 
 
 def spatial_residuals(coarse: ForwardTrajectory, fine) -> list:
-    """stage_residuals of every coarse step, one (num_steps, s_q, dim)
-    array per partition.
+    """stage_residual of every stage of every coarse step, one
+    (num_steps, s_q, dim) array per partition.
 
     fine is a fine run on the coarse trajectory's time grid and (aligned)
     tableau, restricted to the coarse space grid: num_steps, its states
@@ -102,9 +116,9 @@ def spatial_residuals(coarse: ForwardTrajectory, fine) -> list:
     for n in range(coarse.num_steps):
         slopes = {(st.q, st.i): fine.slopes[st.q][n, st.i]
                   for st in coarse.tableau.plan}
-        for (q, i), res in stage_residuals(coarse, n, fine.states[n],
-                                           slopes).items():
-            out[q][n, i] = res
+        for stage in coarse.tableau.plan:
+            out[stage.q][n, stage.i] = stage_residual(
+                coarse, n, fine.states[n], slopes, stage)
     return out
 
 
@@ -186,9 +200,10 @@ class _WeightedSums:
     The one weighting rule of assemble_report and of the streamed estimate:
     per_step[n] = (lam[n+1] * r_n).sum(), and nodal[q] sums the rows
     mu^(q)[n, i] * res^(q)[n, i] in (n, i) order.  spatial=False weights
-    temporal residuals only.  The sums hold the adjoint's lam and mu, not
-    the adjoint, so the estimate can drop each (set it to None) once it
-    has weighed its last residual.
+    temporal residuals only.  A partition whose mu the sweep did not store
+    gets no residuals and reports 0.0 with an all-zero per-cell map.  The
+    sums hold the adjoint's lam and mu, not the adjoint, so the estimate
+    can drop each (set it to None) once it has weighed its last residual.
     """
 
     def __init__(self, trajectory: ForwardTrajectory,
@@ -282,7 +297,9 @@ def estimate_errors(problem: ProblemInstance, tableau,
     streamed, and each step's residuals are weighted as the step finishes:
     the time-refined run gives one temporal residual per coarse node it
     reaches, the space-refined run the stage residuals of its restricted
-    step.  Only the per-step and per-partition nodal sums are kept, and
+    step on the weighed partitions (weighed_partitions; the sweep stores mu
+    of those only, and the others report 0.0).  Only the per-step and
+    per-partition nodal sums are kept, and
     each array is dropped after its last reader: the numerical run's stage
     values and all its states but y_N after the sweep, the adjoint's lam
     after the time-refined run and its mu after the space-refined run, so
@@ -304,7 +321,9 @@ def estimate_errors(problem: ProblemInstance, tableau,
     fine_time = time_grid.halve_all_steps()
 
     numerical = _named_run("numerical", problem, tableau, time_grid)
-    sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu"),
+    weighed = weighed_partitions(numerical)
+    sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu",
+                                                  mu_partitions=weighed),
                          spatial=True)
     # the sweep is the last reader of the stage values and all but y_N
     numerical.stage_values = None
@@ -326,10 +345,14 @@ def estimate_errors(problem: ProblemInstance, tableau,
     sums.lam = None  # weighed the last temporal residual
     restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
 
+    weighed_stages = [st for st in numerical.tableau.plan if st.q in weighed]
+
     def weigh_stages(n, y_n, result):
+        y_n = restrict(y_n)
         slopes = {key: restrict(k) for key, k in result.stage_slopes.items()}
-        sums.add_stages(n, stage_residuals(numerical, n, restrict(y_n),
-                                           slopes))
+        sums.add_stages(n, {(st.q, st.i): stage_residual(numerical, n, y_n,
+                                                         slopes, st)
+                            for st in weighed_stages})
 
     fine_factors = LinearStageCache()
     space_refined = _named_run("space-refined", fine_problem, tableau,

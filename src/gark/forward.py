@@ -17,13 +17,16 @@ system may share it.  integrate stores what the adjoint sweep reads (every
 state, the stage values of the nonlinear partitions, and the factors), or
 hands each finished step, its stage values and slopes included, to a
 consumer and keeps only y_N.  A linear partition's Jacobian ignores the
-state, so no reader needs its stage values and no run stores them; a
-consumer is the only reader of the slopes, which no run stores either.
+state, so no reader needs its stage values and no run stores them; an
+explicit stage that reads no slope has the value y_n bitwise, so no run
+stores it either (stored_stage_rows).  A consumer is the only reader of the
+slopes, which no run stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -230,15 +233,30 @@ def _newton_stage(system, stage, t_i, coef, rhs, predictor):
         iterations=MAX_NEWTON_ITERATIONS, residual_norm=res)
 
 
+def stored_stage_rows(tableau: GarkTableau, system: SplitOdeSystem) -> tuple:
+    """Per partition of the aligned tableau, {stage i: row} of the stage
+    values a stored run keeps, rows in stage order.  A linear partition
+    keeps none, as its Jacobian ignores the state, and neither does an
+    explicit stage that reads no slope: its value is y_n bitwise."""
+    moved = {(st.q, st.i) for st in tableau.plan if st.a_ii != 0.0 or st.reads}
+    rows = []
+    for q, (part, s) in enumerate(zip(system.partitions,
+                                      tableau.stage_counts)):
+        kept = [] if part.linear else [i for i in range(s) if (q, i) in moved]
+        rows.append({i: row for row, i in enumerate(kept)})
+    return tuple(rows)
+
+
 @dataclass
 class ForwardTrajectory:
     """States and stage values of one forward integration.
 
     states has shape (num_steps + 1, dim) and stage_values[q] shape
-    (num_steps, s_q, dim), or None on a linear partition: what the adjoint
-    sweep reads, through stage_point.  factors holds the run's stage
-    factorizations.  A run made with a step consumer keeps only
-    states = [y_N], no stage values and an empty factor cache.
+    (num_steps, rows_q, dim) with one row per stage of stored_stage_rows,
+    or None where partition q keeps no row: what the adjoint sweep reads,
+    through stage_point.  factors holds the run's stage factorizations.  A
+    run made with a step consumer keeps only states = [y_N], no stage
+    values and an empty factor cache.
     """
 
     problem: ProblemInstance
@@ -269,11 +287,16 @@ class ForwardTrajectory:
                 f"{what} needs stored stages and states; this run was streamed "
                 "(it kept only its final state) or its stage values released")
 
+    @cached_property
+    def _stage_rows(self) -> tuple:
+        return stored_stage_rows(self.tableau, self.system)
+
     def stage_point(self, n: int, q: int, i: int) -> np.ndarray:
         """Where stage (q, i) of step n takes its Jacobian: the stored stage
-        value, or y_n on a linear partition, whose Jacobian ignores it."""
-        values = self.stage_values[q]
-        return self.states[n] if values is None else values[n, i]
+        value, or y_n where none is stored (a linear partition, whose
+        Jacobian ignores it, or an explicit stage whose value is y_n)."""
+        row = self._stage_rows[q].get(i)
+        return self.states[n] if row is None else self.stage_values[q][n, row]
 
     def stage_time(self, n: int, q: int, i: int) -> float:
         return float(self.time_grid.nodes[n]
@@ -290,8 +313,8 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     A step whose new state is not finite raises StepFailureError; numpy's
     overflow and invalid-value warnings are off, as that check reports them.
     Without a consumer the trajectory keeps every state, the stage values
-    of its nonlinear partitions (None for a linear one) and the cache of
-    constant-Jacobian stage factorizations.
+    of its nonlinear partitions that move off y_n (stored_stage_rows) and
+    the cache of constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
     and the returned trajectory is streamed: it keeps only y_N.  factors, a
     cache of the same system, is read and filled instead of a new one, so
@@ -315,14 +338,15 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     if stored:
         states = np.empty((n_steps + 1, system.dim))
         states[0] = y
-        values = [None if part.linear else np.empty((n_steps, s, system.dim))
-                  for part, s in zip(system.partitions, tableau.stage_counts)]
+        rows = stored_stage_rows(tableau, system)
+        values = [np.empty((n_steps, len(r), system.dim)) if r else None
+                  for r in rows]
 
         def consumer(n, y_n, result):
             states[n + 1] = result.y_next
-            for (q, i), val in result.stage_values.items():
-                if values[q] is not None:
-                    values[q][n, i] = val
+            for q, r in enumerate(rows):
+                for i, row in r.items():
+                    values[q][n, row] = result.stage_values[(q, i)]
 
     for n in range(n_steps):
         t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])

@@ -2,8 +2,8 @@
 
 These build the one-step propagator dY/dy by dense block forward
 substitution along the stage schedule, with Jacobians evaluated at each
-stage's ForwardTrajectory.stage_point (its stored value; y_n on a linear
-partition).  Adjoints and sensitivities derived from these dense
+stage's ForwardTrajectory.stage_point (its stored value; y_n where none
+is stored).  Adjoints and sensitivities derived from these dense
 matrices share no code path with the sparse sweeps they are checked
 against.  Dimension is capped; this is a verification tool, not a solver.
 """

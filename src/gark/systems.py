@@ -21,7 +21,20 @@ from gark.mesh import DIRICHLET, NEUMANN, TensorGrid2D, trapezoid_weights
 
 @dataclass(frozen=True)
 class Partition:
-    """One term of the additive split y' = sum_q f^(q)(t, y)."""
+    """One term of the additive split y' = sum_q f^(q)(t, y).
+
+    pointwise declares that the rhs acts on each node's values alone, with
+    coefficients sampled at that node.  Injection R onto a coarser grid
+    keeps every coarse node bitwise, so then R f_fine(Y) == f_coarse(R Y)
+    bitwise.  On an explicit stage the fine stage value is exactly the
+    recombination of the slopes and its slope is exactly f(Y), so the
+    restricted stage residual k - f(R Y) is exactly zero, and the estimate
+    does not weigh a pointwise partition whose stages are all explicit.  An
+    implicit stage breaks this: a Newton stage's value differs from the
+    recombination by its Newton residual, and a linear stage's slope from
+    f(Y) by its solve's round-off.  A rhs whose diagonal Jacobian hides a
+    term that depends on the grid is not pointwise.
+    """
 
     name: str
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -29,6 +42,7 @@ class Partition:
     linear: bool = False
     stiff: bool = False
     vjp: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    pointwise: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +165,10 @@ def _diffusion(op: sp.csr_matrix) -> Partition:
 
 def _pointwise_reaction(rhs, slope) -> Partition:
     """A reaction rhs(t, y) acting node by node, with diagonal Jacobian
-    slope(y)."""
+    slope(y): a pointwise partition."""
     return Partition("reaction", rhs,
                      lambda t, y: sp.diags(slope(y), format="csr"),
-                     vjp=lambda t, y, w: slope(y) * w)
+                     vjp=lambda t, y, w: slope(y) * w, pointwise=True)
 
 
 # x span, y span and the tag of every edge, per grid problem
@@ -288,7 +302,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
             _diffusion(sp.block_diag((GRAY_SCOTT_DU * lap, GRAY_SCOTT_DV * lap),
                                      format="csr")),
             Partition("reaction", reaction_rhs, reaction_jac,
-                      vjp=reaction_vjp),
+                      vjp=reaction_vjp, pointwise=True),
         ))
 
     coords = grid.unknown_coords()

@@ -320,29 +320,19 @@ class RestrictedRun:
 
 # --- the four-solution estimate with every run stored: streaming's oracle ---
 
-def stored_estimate(problem, tableau, time_grid):
-    """ErrorReport of the estimate with the numerical, time-refined and
-    reference runs stored whole; the space-refined run's fine slopes are
-    recorded whole and restricted after the run, all steps at once."""
+def stored_space_refined(problem, tableau, time_grid):
+    """The space-refined run of the estimate, its fine slopes recorded whole
+    and restricted after the run, all steps at once: the fine argument of
+    gark.estimation.spatial_residuals."""
     from types import SimpleNamespace
 
-    from gark.adjoint import adjoint_sweep
-    from gark.estimation import (assemble_report, spatial_residuals,
-                                 temporal_residuals)
     from gark.forward import integrate
     from gark.mesh import GridTransfer
 
     fine_grid = problem.grid.refine_uniform()
-    fine_problem = rebuild_on(problem, fine_grid)
-    fine_time = time_grid.halve_all_steps()
-
-    numerical = integrate(problem, tableau, time_grid)
-    time_refined = integrate(problem, tableau, fine_time)
     space_refined = StepRecorder()
-    integrate(fine_problem, tableau, time_grid, consumer=space_refined)
-    reference = integrate(fine_problem, tableau, fine_time)
-
-    adjoint = adjoint_sweep(numerical, method="mu")
+    integrate(rebuild_on(problem, fine_grid), tableau, time_grid,
+              consumer=space_refined)
     transfer = GridTransfer.between(fine_grid, problem.grid)
 
     def restrict(stacked):  # species-major stacked vectors on the last axis
@@ -350,10 +340,30 @@ def stored_estimate(problem, tableau, time_grid):
             *stacked.shape[:-1], -1, fine_grid.num_unknowns)).reshape(
             *stacked.shape[:-1], -1)
 
-    restricted = SimpleNamespace(
+    return SimpleNamespace(
         num_steps=time_grid.num_steps,
         states=restrict(space_refined.states[:-1]),
         slopes=[restrict(k) for k in space_refined.stage_slopes])
+
+
+def stored_estimate(problem, tableau, time_grid):
+    """ErrorReport of the estimate with the numerical, time-refined and
+    reference runs stored whole, every partition's mu stored and weighed,
+    and the space-refined run from stored_space_refined."""
+    from gark.adjoint import adjoint_sweep
+    from gark.estimation import (assemble_report, spatial_residuals,
+                                 temporal_residuals)
+    from gark.forward import integrate
+
+    fine_problem = rebuild_on(problem, problem.grid.refine_uniform())
+    fine_time = time_grid.halve_all_steps()
+
+    numerical = integrate(problem, tableau, time_grid)
+    time_refined = integrate(problem, tableau, fine_time)
+    restricted = stored_space_refined(problem, tableau, time_grid)
+    reference = integrate(fine_problem, tableau, fine_time)
+
+    adjoint = adjoint_sweep(numerical, method="mu")
     temporal = temporal_residuals(numerical,
                                   at_coarse_nodes(time_refined, time_grid))
     spatial = spatial_residuals(numerical, restricted)

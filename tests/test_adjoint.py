@@ -265,6 +265,22 @@ class TestFormulationAgreement:
         for q in range(system.num_partitions):
             assert a.mu[q].tobytes() == b.mu[q].tobytes()
 
+    @pytest.mark.parametrize("kept", [(), (0,), (1,)])
+    def test_mu_partitions_name_the_stored_mu(self, kept):
+        # a partition left out gets None; lam and every stored mu are the
+        # full sweep's, bitwise
+        problem = make_calvo(default_grid("calvo", 8, 4))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 1.5, 0.15))
+        full = adjoint_sweep(traj, method="mu")
+        some = adjoint_sweep(traj, method="mu", mu_partitions=kept)
+        assert some.lam.tobytes() == full.lam.tobytes()
+        for q, mu in enumerate(some.mu):
+            if q in kept:
+                assert mu.tobytes() == full.mu[q].tobytes()
+            else:
+                assert mu is None
+
 
 class TestFiniteDifferenceGradient:
     @pytest.mark.parametrize("seed", [0, 1])

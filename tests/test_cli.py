@@ -97,6 +97,34 @@ class TestConverge:
                      "--out", str(tmp_path)])
         assert not any(tmp_path.iterdir())
 
+    def test_memory_guard_counts_what_the_run_and_its_sweep_hold(
+            self, monkeypatch):
+        # the stored run's states and stage values and the sweep's arrays
+        # (lam only: the converge sweep stores no mu)
+        held = []
+        run, sweep = gark.cli.integrate, gark.cli.adjoint_sweep
+
+        def integrate(*args):
+            traj = run(*args)
+            held.extend([traj.states] + traj.stage_values)
+            return traj
+
+        def adjoint_sweep(*args, **kwargs):
+            adjoint = sweep(*args, **kwargs)
+            held.extend([adjoint.lam] + adjoint.mu)
+            return adjoint
+
+        monkeypatch.setattr(gark.cli, "integrate", integrate)
+        monkeypatch.setattr(gark.cli, "adjoint_sweep", adjoint_sweep)
+        args = parse_args(["converge", "--problem", "calvo", "--nx", "8",
+                           "--ny", "4", "--dt", "0.15"])
+        problem = gark.cli._make_problem(args)
+        tableau = gark.cli._tableau(args)
+        grid = gark.cli._time_grid(problem, args.dt)
+        gark.cli._final_pair(problem, tableau, grid)
+        assert gark.cli._final_pair_bytes(problem, tableau, grid.num_steps) \
+            == sum(a.nbytes for a in held if a is not None)
+
     def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
         argv = ["converge", "--problem", "calvo", "--nx", "8", "--ny", "4",
                 "--dt", "0.15", "--levels", "2", "--ref-exponent", "4",

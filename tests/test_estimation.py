@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 import math
@@ -12,18 +13,20 @@ import scipy.sparse.linalg
 
 from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
                      linear_pair, nonlinear_stiff, scalar_split,
-                     stored_estimate, wrap)
+                     stored_estimate, stored_space_refined, wrap)
 
 import gark.estimation
 from gark.adjoint import adjoint_sweep
 from gark.cli import main
 from gark.estimation import (assemble_report, estimate_errors,
-                             spatial_residuals, temporal_residuals)
+                             spatial_residuals, temporal_residuals,
+                             weighed_partitions)
 from gark.forward import integrate
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
-from gark.systems import (Partition, ProblemInstance, SplitOdeSystem,
-                          build_problem, default_grid, discretize_laplacian,
-                          integral_goal, make_calvo, rebuild_on)
+from gark.systems import (PROBLEM_BUILDERS, Partition, ProblemInstance,
+                          SplitOdeSystem, build_problem, default_grid,
+                          discretize_laplacian, integral_goal, make_calvo,
+                          rebuild_on)
 from gark.tableau import build_imex22
 
 
@@ -66,6 +69,34 @@ def pointwise_problem(grid: TensorGrid2D) -> ProblemInstance:
     return ProblemInstance(name="pointwise", system=system, grid=grid,
                            y0=y0, t0=0.0, t_final=0.3,
                            goal=integral_goal(grid))
+
+
+# (cells in x, cells in y, t_final, dt) of a small case per grid problem
+SMALL_CASES = {"calvo": (8, 4, 1.5, 0.15), "gray_scott": (4, 4, 1.0, 0.05),
+               "bsvd": (6, 6, 0.5, 0.05)}
+
+
+def small_case(name: str, dt: float | None = None):
+    """The problem and time grid of SMALL_CASES[name], stepped at dt if
+    given."""
+    nx, ny, t_final, default_dt = SMALL_CASES[name]
+    params = {} if name == "calvo" else {"t_final": t_final}
+    problem = build_problem(name, default_grid(name, nx, ny), **params)
+    return problem, TimeGrid.uniform(0.0, t_final, dt or default_dt)
+
+
+def rebuild_with(monkeypatch, name: str, edit) -> None:
+    """Let every build of problem name, rebuild_on's included, pass its
+    partitions through edit(partition)."""
+    build = PROBLEM_BUILDERS[name]
+
+    def edited(grid, **params):
+        problem = build(grid, **params)
+        parts = tuple(map(edit, problem.system.partitions))
+        return dataclasses.replace(problem, system=SplitOdeSystem(
+            dim=problem.system.dim, partitions=parts))
+
+    monkeypatch.setitem(PROBLEM_BUILDERS, name, edited)
 
 
 def restricted(coarse, fine_problem, transfer, time_grid=None):
@@ -180,6 +211,44 @@ class TestSpatialResiduals:
         scale = np.max(np.abs(traj_c.states))
         for q in range(2):
             assert np.max(np.abs(res[q])) < 1e-12 * scale
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CASES))
+    def test_pointwise_declarations_hold(self, name):
+        # the all-stored path: a pointwise partition's restricted residuals
+        # are exactly zero at every stage, the diffusion's are not, so a
+        # wrong pointwise=True in a problem builder fails here
+        problem, grid = small_case(name)
+        tableau = build_imex22()
+        coarse = integrate(problem, tableau, grid)
+        res = spatial_residuals(coarse, stored_space_refined(problem, tableau,
+                                                             grid))
+        parts = problem.system.partitions
+        assert [p.pointwise for p in parts] == [False, True]
+        for q, part in enumerate(parts):
+            if part.pointwise:
+                assert np.all(res[q] == 0.0), part.name
+            else:
+                assert np.any(res[q] != 0.0), part.name
+
+    def test_implicit_pointwise_partition_stays_weighed(self):
+        # an explicit pointwise stage commutes with restriction bitwise; a
+        # linear implicit one leaves its solve's round-off in the residual
+        def declared(grid):
+            problem = pointwise_problem(grid)
+            parts = tuple(dataclasses.replace(p, pointwise=True)
+                          for p in problem.system.partitions)
+            return dataclasses.replace(problem, system=SplitOdeSystem(
+                dim=problem.system.dim, partitions=parts))
+
+        coarse = TensorGrid2D.uniform(0.0, 1.0, 4, 0.0, 1.0, 4, bc="neumann")
+        fine = coarse.refine_uniform()
+        traj_c = integrate(declared(coarse), build_imex22(),
+                           TimeGrid.uniform(0.0, 0.3, 0.05))
+        res = spatial_residuals(traj_c, restricted(
+            traj_c, declared(fine), GridTransfer.between(fine, coarse)))
+        assert traj_c.system.partitions[0].linear
+        assert weighed_partitions(traj_c) == (0,)
+        assert np.any(res[0] != 0.0) and np.all(res[1] == 0.0)
 
     def test_step_count_mismatch_rejected(self):
         # a longer fine run fails at its first extra step, a shorter one
@@ -378,16 +447,56 @@ class TestStreamedCompanionRuns:
             assert run.stage_values is None
             assert run.states.shape == (1, run.system.dim)
 
+    @pytest.mark.parametrize("name", sorted(SMALL_CASES))
+    def test_report_equals_the_estimate_weighing_every_partition(
+            self, name, monkeypatch):
+        # the reaction is pointwise and explicit, so the estimate weighs no
+        # reaction residual; declared otherwise it weighs them all
+        problem, grid = small_case(name)
+        skipped = estimate_errors(problem, build_imex22(), grid).report
+        rebuild_with(monkeypatch, name,
+                     lambda p: dataclasses.replace(p, pointwise=False))
+        problem, grid = small_case(name)
+        assert weighed_partitions(integrate(problem, build_imex22(),
+                                            grid)) == (0, 1)
+        weighed = estimate_errors(problem, build_imex22(), grid).report
+        assert skipped.to_json() == weighed.to_json()
+
+    @pytest.mark.parametrize("name, dt", [
+        ("calvo", 0.15), ("gray_scott", 0.05), ("bsvd", 0.01)])
+    def test_pointwise_partition_with_newton_stages_is_weighed(
+            self, name, dt, monkeypatch):
+        # a stiff reaction takes the implicit scheme, so its stages run
+        # Newton and its residuals are not zero: its mu is stored
+        rebuild_with(monkeypatch, name,
+                     lambda p: dataclasses.replace(p, stiff=not p.stiff))
+        problem, grid = small_case(name, dt)
+        stored_mu = []
+
+        def sweep(trajectory, method, mu_partitions):
+            adjoint = adjoint_sweep(trajectory, method=method,
+                                    mu_partitions=mu_partitions)
+            stored_mu.extend(mu is not None for mu in adjoint.mu)
+            return adjoint
+
+        monkeypatch.setattr(gark.estimation, "adjoint_sweep", sweep)
+        report = estimate_errors(problem, build_imex22(), grid).report
+        assert stored_mu == [True, True]
+        assert report.e_spatial[1] != 0.0
+        assert report.to_json() == stored_estimate(problem, build_imex22(),
+                                                   grid).to_json()
+
     def test_numerical_stage_values_are_released_after_the_sweep(
             self, monkeypatch):
         # only the adjoint sweep reads them: no companion run starts while
         # anything holds them, and the bundle's numerical run has none
         swept, released = [], []
 
-        def sweep(trajectory, method):
+        def sweep(trajectory, method, mu_partitions):
             swept.extend(weakref.ref(v) for v in trajectory.stage_values
                          if v is not None)
-            return adjoint_sweep(trajectory, method=method)
+            return adjoint_sweep(trajectory, method=method,
+                                 mu_partitions=mu_partitions)
 
         def companion_aware_integrate(*args, **kwargs):
             if swept:
@@ -413,10 +522,11 @@ class TestStreamedCompanionRuns:
         # space-refined run's: each run starts with only what it reads alive
         lam, mu, alive = [], [], []
 
-        def sweep(trajectory, method):
-            adjoint = adjoint_sweep(trajectory, method=method)
+        def sweep(trajectory, method, mu_partitions):
+            adjoint = adjoint_sweep(trajectory, method=method,
+                                    mu_partitions=mu_partitions)
             lam.append(weakref.ref(adjoint.lam))
-            mu.extend(weakref.ref(v) for v in adjoint.mu)
+            mu.extend(weakref.ref(v) for v in adjoint.mu if v is not None)
             return adjoint
 
         def noting_integrate(*args, **kwargs):
@@ -505,6 +615,27 @@ class TestStreamedCompanionRuns:
         assert [p.linear for p in problem.system.partitions] == [True, False]
         stores = (2 * (n + 1) * dim * 8 + stage_array
                   + n * tableau.stage_counts[1] * dim * 8)
+        tracemalloc.start()
+        try:
+            estimate_errors(problem, tableau, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - stores < 0.25 * stage_array
+
+    @pytest.mark.parametrize("name", ["gray_scott", "bsvd"])
+    def test_estimate_stores_no_weights_of_zero_residuals(self, name):
+        # the stores are the states, the reaction's one stored stage row
+        # (its first stage is y_n), lam, and the diffusion's mu: the
+        # reaction is pointwise and explicit, so its mu is not stored
+        problem = build_problem(name, default_grid(name, 8, 8), t_final=4.0)
+        grid = TimeGrid.uniform(0.0, 4.0, 0.02)
+        tableau = build_imex22()
+        n, dim = grid.num_steps, problem.system.dim
+        stage_array = n * sum(tableau.stage_counts) * dim * 8
+        assert [p.pointwise for p in problem.system.partitions] \
+            == [False, True]
+        stores = 8 * dim * (2 * (n + 1) + n + n * tableau.stage_counts[0])
         tracemalloc.start()
         try:
             estimate_errors(problem, tableau, grid)

@@ -6,9 +6,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import (StepRecorder, at_coarse_nodes, linear_pair,
-                     nonlinear_stiff, plan_cases, scalar_split, scan_step,
-                     stiff_relaxation, sum_goal, wrap)
+from helpers import (StepRecorder, assert_bitwise, at_coarse_nodes,
+                     linear_pair, nonlinear_stiff, plan_cases, scalar_split,
+                     scan_step, stiff_relaxation, sum_goal, wrap)
 
 from gark.adjoint import _stage_solve, adjoint_sweep
 from gark.estimation import temporal_residuals
@@ -385,10 +385,10 @@ class TestIntegrate:
         streamed = integrate(problem, build_imex22(), grid, consumer=recorded)
         assert len(recorded.steps) == grid.num_steps
         np.testing.assert_array_equal(recorded.states, stored.states)
-        for values, slopes, stored_values in zip(
-                recorded.stage_values, recorded.stage_slopes,
-                stored.stage_values, strict=True):
-            np.testing.assert_array_equal(values, stored_values)
+        for q, (values, slopes) in enumerate(zip(
+                recorded.stage_values, recorded.stage_slopes, strict=True)):
+            for n, i in np.ndindex(values.shape[:2]):
+                assert_bitwise(values[n, i], stored.stage_point(n, q, i))
             assert slopes.shape == values.shape
         np.testing.assert_array_equal(streamed.states[-1], stored.states[-1])
         assert streamed.states.shape == (1, system.dim)
@@ -399,8 +399,8 @@ class TestIntegrate:
                              ids=["stored", "streamed"])
     def test_runs_keep_only_what_the_adjoint_reads(self, streamed):
         # a stored run's arrays are its states and the stage values of its
-        # nonlinear partitions, (N+1) dim + N sum s_q dim floats over those,
-        # and no slopes; a streamed run keeps y_N
+        # nonlinear partitions that move off y_n, (N+1) dim + N dim floats
+        # per such stage, and no slopes; a streamed run keeps y_N
         problem = make_bsvd(default_grid("bsvd", 6, 6))
         grid = TimeGrid.uniform(0.0, 0.2, 0.02)
         traj = integrate(problem, build_imex22(), grid,
@@ -414,10 +414,11 @@ class TestIntegrate:
         if streamed:
             assert traj.stage_values is None and floats == dim
         else:
-            # diffusion is linear, so only the reaction's values are kept
+            # diffusion is linear, so only the reaction's values are kept,
+            # and its first stage, explicit and reading no slope, is y_n
             assert traj.stage_values[0] is None
-            assert traj.stage_values[1].shape == (n, 2, dim)
-            assert floats == (n + 1) * dim + n * 2 * dim
+            assert traj.stage_values[1].shape == (n, 1, dim)
+            assert floats == (n + 1) * dim + n * dim
         assert traj.stage_slopes is None
 
     @pytest.mark.parametrize("use", [
