@@ -56,7 +56,7 @@ def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
     The cache holds factors of the transpose, so this is a plain solve."""
     if coef == 0.0:
         return rhs
-    lu = traj.factors.get(traj.system, q, t_i, y_stage, coef)
+    lu = traj.factors.get(q, t_i, y_stage, coef)
     return lu.solve(rhs)
 
 

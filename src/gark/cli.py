@@ -206,13 +206,17 @@ def cmd_converge(args: argparse.Namespace) -> int:
             " GiB of physical memory")
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
-    y_ref, lam0_ref = _final_pair(problem, tableau,
-                                  _time_grid(problem, ref_dt))
-
-    rows = []
-    for dt, grid in zip(dts, grids):
-        y_n, lam0 = _final_pair(problem, tableau, grid)
-        rows.append((dt, _rel_l2(y_n, y_ref), _rel_l2(lam0, lam0_ref)))
+    run, rows = "reference", []  # run names the run in a StepFailureError
+    try:
+        y_ref, lam0_ref = _final_pair(problem, tableau,
+                                      _time_grid(problem, ref_dt))
+        for dt, grid in zip(dts, grids):
+            run = f"dt={dt:.6g}"
+            y_n, lam0 = _final_pair(problem, tableau, grid)
+            rows.append((dt, _rel_l2(y_n, y_ref), _rel_l2(lam0, lam0_ref)))
+    except StepFailureError as err:
+        err.run = run
+        raise
 
     with open(args.out / "convergence.csv", "w") as handle:
         handle.write("dt,forward_rel_l2,adjoint_rel_l2\n")

@@ -302,10 +302,11 @@ def estimate_errors(problem: ProblemInstance, tableau,
     per-partition nodal sums are kept, and
     each array is dropped after its last reader: the numerical run's stage
     values and all its states but y_N after the sweep, the adjoint's lam
-    after the time-refined run and its mu after the space-refined run, so
-    the reference run holds neither.  The bundle holds all four runs with
-    their final states only.  The reference goal value uses the fine grid's
-    own quadrature.
+    and the coarse factors after the time-refined run and its mu after the
+    space-refined run, so the fine runs hold no coarse factors and the
+    reference run no adjoint.  The bundle holds all four runs with their
+    final states only and no factors.  The reference goal value uses the
+    fine grid's own quadrature.
 
     Runs on one space grid share one factor cache, so each stage matrix is
     factored once per (space grid, nominal h a_ii): the numerical run
@@ -342,7 +343,9 @@ def estimate_errors(problem: ProblemInstance, tableau,
     time_refined = _named_run("time-refined", problem, tableau, fine_time,
                               consumer=weigh_coarse_step,
                               factors=numerical.factors)
-    sums.lam = None  # weighed the last temporal residual
+    # lam weighed the last temporal residual; the time-refined run was the
+    # last reader of the coarse factors
+    sums.lam = numerical.factors = None
     restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
 
     weighed_stages = [st for st in numerical.tableau.plan if st.q in weighed]
@@ -354,7 +357,7 @@ def estimate_errors(problem: ProblemInstance, tableau,
                                                          slopes, st)
                             for st in weighed_stages})
 
-    fine_factors = LinearStageCache()
+    fine_factors = LinearStageCache(fine_problem.system)
     space_refined = _named_run("space-refined", fine_problem, tableau,
                                time_grid, consumer=weigh_stages,
                                factors=fine_factors)

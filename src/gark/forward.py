@@ -10,22 +10,22 @@ Everything else is an explicit update.  SuperLU factors the transpose
 (I - h a_ii J)^T of every stage matrix, with a symmetric minimum-degree
 column ordering (MMD on A^T + A): forward solves take SuperLU's faster
 transposed kernel, and the adjoint, with far fewer solves, the plain one.
-Each trajectory keeps one LinearStageCache of the factors for partitions
-with constant Jacobians, one per (partition, h a_ii) up to step-size
-jitter; the reversed sweep reads the same cache, and runs on the same
-system may share it.  integrate stores what the adjoint sweep reads (every
-state, the stage values of the nonlinear partitions, and the factors), or
-hands each finished step, its stage values and slopes included, to a
-consumer and keeps only y_N.  A linear partition's Jacobian ignores the
-state, so no reader needs its stage values and no run stores them; an
-explicit stage that reads no slope has the value y_n bitwise, so no run
-stores it either (stored_stage_rows).  A consumer is the only reader of the
-slopes, which no run stores.
+Every stage matrix is factored through one LinearStageCache made for its
+system, which keeps the factors of partitions with constant Jacobians, one
+per (partition, h a_ii) up to step-size jitter, and refactors Newton
+stages; step refuses a cache of another system.  integrate stores what the
+adjoint sweep reads (every state, the stage values of the nonlinear
+partitions, and the cache), or hands each finished step, its stage values
+and slopes included, to a consumer and keeps only y_N.  A linear
+partition's Jacobian ignores the state, so no reader needs its stage values
+and no run stores them; an explicit stage that reads no slope has the value
+y_n bitwise, so no run stores it either (stored_stage_rows).  A consumer is
+the only reader of the slopes, which no run stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,42 +81,31 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
 
 class LinearStageCache:
     """Factorizations of (I - coef*J)^T for one system (see factorize for
-    the solve directions), shared by a trajectory's steps, its temporal
-    residuals and its adjoint sweep, and by any other run on the system
-    given the cache through integrate(factors=).
+    the solve directions), the one way in to factorize: shared by a
+    trajectory's steps, its temporal residuals and its adjoint sweep, and
+    by any other run on the system given the cache through
+    integrate(factors=).
 
     Only partitions with constant Jacobians are stored.  A coefficient
     reuses the first stored factor of its partition whose coefficient lies
     within COEF_RTOL of it, searched in insertion order: the jitter of
     nominally equal step sizes maps onto one factorization, and every solve
     at a coefficient meets the factor its first solve met.  Other partitions
-    are factored afresh at (t, y) on every call.  A system whose partitions
-    have other Jacobian callables than the first one served raises
-    ValueError: the cache does not hold its stage matrices.
+    are factored afresh at (t, y) on every call.
     """
 
-    def __init__(self):
-        self._system = None  # the last system checked, skipped next time
-        self._jacobians = None
+    def __init__(self, system: SplitOdeSystem):
+        self.system = system
         self._store: dict[int, list] = {}
 
-    def get(self, system, q, t, y, coef):
-        if system is not self._system:
-            jacobians = tuple(p.jacobian for p in system.partitions)
-            if self._jacobians is None:
-                self._jacobians = jacobians
-            elif jacobians != self._jacobians:
-                raise ValueError(
-                    "this factor cache holds the stage factors of another "
-                    "system; each system needs its own cache")
-            self._system = system
-        if not system.partitions[q].linear:
-            return factorize(system, q, t, y, coef)
+    def get(self, q, t, y, coef):
+        if not self.system.partitions[q].linear:
+            return factorize(self.system, q, t, y, coef)
         entries = self._store.setdefault(q, [])
         for stored, lu in entries:
             if abs(coef - stored) <= COEF_RTOL * abs(stored):
                 return lu
-        lu = factorize(system, q, t, y, coef)
+        lu = factorize(self.system, q, t, y, coef)
         entries.append((coef, lu))
         return lu
 
@@ -183,8 +172,14 @@ class StepResult:
 
 def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
          y: np.ndarray, cache: LinearStageCache | None = None) -> StepResult:
-    """Advance one step of size h from (t, y); no partition alignment here."""
-    cache = cache or LinearStageCache()
+    """Advance one step of size h from (t, y); no partition alignment here.
+    A cache made for another system raises ValueError: it does not hold
+    this system's stage matrices."""
+    if cache is None:
+        cache = LinearStageCache(system)
+    elif cache.system is not system:
+        raise ValueError("this factor cache holds the stage factors of "
+                         "another system; each system needs its own cache")
     slopes: dict = {}
     values: dict = {}
 
@@ -198,11 +193,11 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
         elif system.partitions[q].linear:
             # (I - coef J) k = f(rhs) gives k = f(rhs + coef k) = f(Y)
             coef = h * stage.a_ii
-            lu = cache.get(system, q, t_i, y, coef)
+            lu = cache.get(q, t_i, y, coef)
             slope = lu.solve(system.f(q, t_i, rhs), trans="T")
             y_stage = rhs + coef * slope
         else:
-            y_stage, slope = _newton_stage(system, stage, t_i,
+            y_stage, slope = _newton_stage(system, cache, stage, t_i,
                                            h * stage.a_ii, rhs, y)
         values[(q, stage.i)] = y_stage
         slopes[(q, stage.i)] = slope
@@ -211,7 +206,7 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
                       slopes)
 
 
-def _newton_stage(system, stage, t_i, coef, rhs, predictor):
+def _newton_stage(system, cache, stage, t_i, coef, rhs, predictor):
     q = stage.q
     y = predictor.copy()
     res = float("inf")
@@ -224,8 +219,7 @@ def _newton_stage(system, stage, t_i, coef, rhs, predictor):
             return y, f_val
         if it == MAX_NEWTON_ITERATIONS:
             break
-        y = y + factorize(system, q, t_i, y, coef).solve(-residual,
-                                                           trans="T")
+        y = y + cache.get(q, t_i, y, coef).solve(-residual, trans="T")
     raise StepFailureError(
         f"stage ({q + 1},{stage.i + 1}) of partition "
         f"{system.partitions[q].name!r} at t_i = {t_i:.6g}: Newton stalled "
@@ -255,8 +249,8 @@ class ForwardTrajectory:
     (num_steps, rows_q, dim) with one row per stage of stored_stage_rows,
     or None where partition q keeps no row: what the adjoint sweep reads,
     through stage_point.  factors holds the run's stage factorizations.  A
-    run made with a step consumer keeps only states = [y_N], no stage
-    values and an empty factor cache.
+    run made with a step consumer keeps only states = [y_N]: no stage
+    values and no factors.
     """
 
     problem: ProblemInstance
@@ -264,7 +258,7 @@ class ForwardTrajectory:
     time_grid: TimeGrid
     states: np.ndarray
     stage_values: list | None
-    factors: LinearStageCache = field(default_factory=LinearStageCache)
+    factors: LinearStageCache | None = None
 
     @property
     def stage_slopes(self) -> None:
@@ -317,9 +311,9 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     the cache of constant-Jacobian stage factorizations.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
     and the returned trajectory is streamed: it keeps only y_N.  factors, a
-    cache of the same system, is read and filled instead of a new one, so
-    runs at shared step sizes factor each stage matrix once; a streamed run
-    does not keep it.
+    cache made for the same system (step refuses another), is read and
+    filled instead of a new one, so runs at shared step sizes factor each
+    stage matrix once; a streamed run does not keep it.
     """
     report = tableau.validate()
     if not report.ok:
@@ -333,7 +327,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
                          f"expected ({system.dim},)")
 
     n_steps = time_grid.num_steps
-    cache = LinearStageCache() if factors is None else factors
+    cache = LinearStageCache(system) if factors is None else factors
     stored = consumer is None
     if stored:
         states = np.empty((n_steps + 1, system.dim))
@@ -362,7 +356,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
         y = result.y_next
 
     if not stored:
-        states, values, cache = y[None], None, LinearStageCache()
+        states, values, cache = y[None], None, None
     return ForwardTrajectory(problem=problem, tableau=tableau,
                              time_grid=time_grid, states=states,
                              stage_values=values, factors=cache)

@@ -247,11 +247,12 @@ class GridTransfer:
     (coarse -> fine) between nested tensor grids with matching edge tags.
 
     Both directions act on unknown vectors of their respective grids.
+    injection[u] is the fine unknown index of coarse unknown u.
     """
 
     fine: TensorGrid2D
     coarse: TensorGrid2D
-    restriction: sp.csr_matrix
+    injection: np.ndarray
     prolongation: sp.csr_matrix
 
     @classmethod
@@ -273,10 +274,6 @@ class GridTransfer:
             raise TransferError(
                 f"coarse unknown at ({coarse.xs[jx]}, {coarse.ys[jy]}) "
                 "maps to an excluded fine node")
-        restriction = sp.csr_matrix(
-            (np.ones(int(unknown.sum())),
-             (coarse_idx[unknown], injected[unknown])),
-            shape=(n_coarse, n_fine))
 
         # bilinear weights from the coarse cell containing each fine node;
         # entries run over fine node (row-major), then dy, then dx
@@ -291,13 +288,12 @@ class GridTransfer:
         prolongation = sp.csr_matrix(
             (weight[keep], (rows[keep], corner[keep])),
             shape=(n_fine, n_coarse))
-        return cls(fine, coarse, restriction, prolongation)
+        return cls(fine, coarse, injected[unknown], prolongation)
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
-        """Injection along the last axis.  Each row of restriction holds one
-        unit entry, so this indexes; + 0.0 turns -0.0 into 0.0 as the
-        sparse product does."""
-        return v[..., self.restriction.indices] + 0.0
+        """Injection along the last axis; + 0.0 turns -0.0 into 0.0 as the
+        product with the injection matrix does."""
+        return v[..., self.injection] + 0.0
 
     def prolong(self, v: np.ndarray) -> np.ndarray:
         return self.prolongation @ v
@@ -306,5 +302,5 @@ class GridTransfer:
         """Restrict a species-major stacked state vector.  Its length gives
         the species count: reshape raises ValueError unless it is a multiple
         of the fine unknown count."""
-        n_fine = self.restriction.shape[1]
+        n_fine = self.prolongation.shape[0]
         return self.restrict(v.reshape(-1, n_fine)).reshape(-1)

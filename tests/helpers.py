@@ -453,7 +453,7 @@ def scan_step(system, tableau, t, h, y, cache):
             slope = system.f(q, t_i, y_stage)
         elif system.partitions[q].linear:
             coef = h * a_ii
-            lu = cache.get(system, q, t_i, y, coef)
+            lu = cache.get(q, t_i, y, coef)
             slope = lu.solve(system.f(q, t_i, rhs), trans="T")
             y_stage = rhs + coef * slope
         else:
@@ -464,9 +464,8 @@ def scan_step(system, tableau, t, h, y, cache):
                         + forward.NEWTON_RTOL * max(
                             1.0, float(np.linalg.norm(y_stage))):
                     break
-                y_stage = y_stage + forward.factorize(
-                    system, q, t_i, y_stage, coef).solve(-residual,
-                                                         trans="T")
+                y_stage = y_stage + cache.get(q, t_i, y_stage, coef).solve(
+                    -residual, trans="T")
             slope = system.f(q, t_i, y_stage)
         values[(q, i)] = y_stage
         slopes[(q, i)] = slope
@@ -499,7 +498,7 @@ def scan_adjoint_sweep(trajectory, method):
     def solve(q, t_i, y_stage, coef, rhs):
         if coef == 0.0:
             return rhs
-        lu = trajectory.factors.get(system, q, t_i, y_stage, coef)
+        lu = trajectory.factors.get(q, t_i, y_stage, coef)
         return lu.solve(rhs)
 
     for n in range(n_steps - 1, -1, -1):

@@ -136,6 +136,19 @@ class TestConverge:
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["convergence.csv", "convergence.json"]
 
+    def test_blow_up_names_the_level_that_failed(self, tmp_path):
+        # as in TestRefine.BLOW_UP, bsvd overflows at dt 0.25; the reference
+        # run at dt 0.125 and the dt 0.5 level stay finite
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["converge", "--problem", "bsvd", "--nx", "2", "--ny",
+                     "2", "--dt", "0.5", "--t-final", "1", "--levels", "2",
+                     "--ref-exponent", "2", "--out", str(tmp_path)])
+        assert exit_info.value.code == ("dt=0.25 run, step 3, from t = 0.75 "
+                                        "to 1: the new state is not finite")
+        failure = exit_info.value.__cause__
+        assert (failure.run, failure.step_index) == ("dt=0.25", 3)
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestEstimate:
     def test_report_files(self, tmp_path, capsys):
@@ -527,6 +540,26 @@ class TestPlumbing:
                                  for alias in node.names)
                     if name not in used]
         assert unused == []
+
+    def test_stage_factors_have_one_way_in(self):
+        # splu is named only in factorize, and factorize only in
+        # LinearStageCache.get, the one way in to a stage factor
+        where = {"splu": set(), "factorize": set()}
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                name = getattr(child, "id", getattr(child, "attr", None))
+                if isinstance(child, (ast.Name, ast.Attribute)) \
+                        and name in where:
+                    where[name].add(scope)
+                visit(child, f"{scope}.{child.name}"
+                      if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                      else scope)
+
+        for path in sorted(Path(gark.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem)
+        assert where == {"splu": {"forward.factorize"},
+                         "factorize": {"forward.LinearStageCache.get"}}
 
     def test_module_entry_point(self):
         proc = run_module("--help")

@@ -518,21 +518,23 @@ class TestStreamedCompanionRuns:
 
     def test_adjoint_arrays_are_released_after_their_last_reader(
             self, monkeypatch):
-        # lam weighs only the time-refined run's residuals and mu only the
-        # space-refined run's: each run starts with only what it reads alive
-        lam, mu, alive = [], [], []
+        # lam and the coarse factors serve only the time-refined run's
+        # residuals and mu only the space-refined run's: each run starts
+        # with only what it reads alive
+        lam, mu, factors, alive = [], [], [], []
 
         def sweep(trajectory, method, mu_partitions):
             adjoint = adjoint_sweep(trajectory, method=method,
                                     mu_partitions=mu_partitions)
             lam.append(weakref.ref(adjoint.lam))
             mu.extend(weakref.ref(v) for v in adjoint.mu if v is not None)
+            factors.append(weakref.ref(trajectory.factors))
             return adjoint
 
         def noting_integrate(*args, **kwargs):
             gc.collect()
-            alive.append((any(ref() is not None for ref in lam),
-                          any(ref() is not None for ref in mu)))
+            alive.append(tuple(any(ref() is not None for ref in refs)
+                               for refs in (lam, mu, factors)))
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(gark.estimation, "adjoint_sweep", sweep)
@@ -541,10 +543,10 @@ class TestStreamedCompanionRuns:
                                 t_final=0.5)
         estimate_errors(problem, build_imex22(),
                         TimeGrid.uniform(0.0, 0.5, 0.05))
-        # (lam alive, mu alive) as the numerical, time-refined,
+        # (lam, mu, coarse factors alive) as the numerical, time-refined,
         # space-refined and reference runs start
-        assert alive == [(False, False), (True, True), (False, True),
-                         (False, False)]
+        assert alive == [(False, False, False), (True, True, True),
+                         (False, True, False), (False, False, False)]
 
     def test_one_factorization_per_grid_and_step_size(self, monkeypatch):
         # steps dt and dt/2 here, dt/2 and dt/4 halved: three nominal h*gamma
@@ -579,60 +581,20 @@ class TestStreamedCompanionRuns:
         assert peak < fine_stage_bytes
 
     @pytest.mark.parametrize("name", ["gray_scott", "bsvd"])
-    def test_estimate_keeps_no_residual_arrays(self, name):
-        # beyond the numerical run's and the adjoint's stores, the estimate
-        # holds less than one coarse (N, sum s_q, dim) array at its peak:
-        # the residuals are weighted as the companion runs make them
-        problem = build_problem(name, default_grid(name, 8, 8), t_final=4.0)
-        grid = TimeGrid.uniform(0.0, 4.0, 0.02)
-        tableau = build_imex22()
-        stage_array = (grid.num_steps * sum(tableau.stage_counts)
-                       * problem.system.dim * 8)
-        # states and stage values; lam and mu of a "mu" sweep
-        stores = 2 * ((grid.num_steps + 1) * problem.system.dim * 8
-                      + stage_array)
-        tracemalloc.start()
-        try:
-            estimate_errors(problem, tableau, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - stores < stage_array
-
-    @pytest.mark.parametrize("name", ["gray_scott", "bsvd"])
-    def test_estimate_keeps_only_the_stage_values_the_sweep_reads(self,
-                                                                  name):
-        # the stores are the states, the nonlinear reaction's stage values
-        # and the "mu" sweep's lam and mu; measured beyond them: 0.085 of
-        # one coarse (N, sum s_q, dim) array on gray_scott and 0.12 on
-        # bsvd (0.64 and 0.62 while the linear diffusion's values were
-        # stored too), bounded here by 0.25 for a 2x margin
+    def test_estimate_stores_no_weights_of_zero_residuals(self, name):
+        # the stores are the states, the reaction's one stored stage row
+        # (its first stage is y_n), lam, and the diffusion's mu: the
+        # diffusion is linear, so its values are not stored, and the
+        # reaction is pointwise and explicit, so its mu is not; beyond the
+        # stores the estimate holds less than a quarter of one coarse
+        # (N, sum s_q, dim) array, as the residuals are weighted as the
+        # companion runs make them
         problem = build_problem(name, default_grid(name, 8, 8), t_final=4.0)
         grid = TimeGrid.uniform(0.0, 4.0, 0.02)
         tableau = build_imex22()
         n, dim = grid.num_steps, problem.system.dim
         stage_array = n * sum(tableau.stage_counts) * dim * 8
         assert [p.linear for p in problem.system.partitions] == [True, False]
-        stores = (2 * (n + 1) * dim * 8 + stage_array
-                  + n * tableau.stage_counts[1] * dim * 8)
-        tracemalloc.start()
-        try:
-            estimate_errors(problem, tableau, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - stores < 0.25 * stage_array
-
-    @pytest.mark.parametrize("name", ["gray_scott", "bsvd"])
-    def test_estimate_stores_no_weights_of_zero_residuals(self, name):
-        # the stores are the states, the reaction's one stored stage row
-        # (its first stage is y_n), lam, and the diffusion's mu: the
-        # reaction is pointwise and explicit, so its mu is not stored
-        problem = build_problem(name, default_grid(name, 8, 8), t_final=4.0)
-        grid = TimeGrid.uniform(0.0, 4.0, 0.02)
-        tableau = build_imex22()
-        n, dim = grid.num_steps, problem.system.dim
-        stage_array = n * sum(tableau.stage_counts) * dim * 8
         assert [p.pointwise for p in problem.system.partitions] \
             == [False, True]
         stores = 8 * dim * (2 * (n + 1) + n + n * tableau.stage_counts[0])

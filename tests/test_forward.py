@@ -105,7 +105,7 @@ def test_planned_step_matches_schedule_scan(case):
     assert traj.tableau is tableau
     states, stage_values, stage_slopes = (
         recorded.states, recorded.stage_values, recorded.stage_slopes)
-    cache = LinearStageCache()
+    cache = LinearStageCache(traj.system)
     for n in range(traj.num_steps):
         t, h = float(grid.nodes[n]), float(grid.steps[n])
         y_next, values, slopes = scan_step(traj.system, tableau, t, h,
@@ -268,21 +268,23 @@ class TestIntegrate:
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda *a, **k: calls.append(1) or splu(*a, **k))
         system = stiff_relaxation()
-        y, cache = np.zeros(system.dim), LinearStageCache()
-        first = cache.get(system, 0, 0.0, y, 0.0029289321881345244)
-        assert cache.get(system, 0, 0.0, y, 0.0029289321881344945) is first
+        y, cache = np.zeros(system.dim), LinearStageCache(system)
+        first = cache.get(0, 0.0, y, 0.0029289321881345244)
+        assert cache.get(0, 0.0, y, 0.0029289321881344945) is first
         assert len(calls) == 1
         # a different step size is a different stage matrix
-        assert cache.get(system, 0, 0.0, y, 0.0029289321881345244 / 2) \
-            is not first
+        assert cache.get(0, 0.0, y, 0.0029289321881345244 / 2) is not first
         assert len(calls) == 2
 
     def test_cache_refuses_a_second_system(self):
-        cache = LinearStageCache()
+        # an equal system is another object, whose stage matrices the cache
+        # does not hold
         one, other = stiff_relaxation(), stiff_relaxation()
-        cache.get(one, 0, 0.0, np.zeros(one.dim), 0.01)
+        tableau = align_tableau(build_imex22(), one)
+        y, cache = np.zeros(one.dim), LinearStageCache(one)
+        step(one, tableau, 0.0, 0.01, y, cache)
         with pytest.raises(ValueError, match="another system"):
-            cache.get(other, 0, 0.0, np.zeros(other.dim), 0.01)
+            step(other, tableau, 0.0, 0.01, y, cache)
 
     def test_runs_given_one_cache_share_its_factors(self, monkeypatch):
         calls = []
@@ -394,6 +396,7 @@ class TestIntegrate:
         assert streamed.states.shape == (1, system.dim)
         assert streamed.stage_values is None
         assert streamed.stage_slopes is None
+        assert streamed.factors is None
 
     @pytest.mark.parametrize("streamed", [False, True],
                              ids=["stored", "streamed"])

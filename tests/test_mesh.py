@@ -266,11 +266,15 @@ class TestGridTransfer:
         base, once, twice = nested_grids(name)
         for fine, coarse in ((once, base), (twice, once), (twice, base)):
             tr = GridTransfer.between(fine, coarse)
-            for got, want in zip((tr.restriction, tr.prolongation),
-                                 loop_transfer(fine, coarse)):
-                for attr in ("indptr", "indices", "data"):
-                    np.testing.assert_array_equal(getattr(got, attr),
-                                                  getattr(want, attr))
+            restriction, prolongation = loop_transfer(fine, coarse)
+            # one unit entry per row: the injection is its column indices
+            np.testing.assert_array_equal(restriction.indptr,
+                                          np.arange(coarse.num_unknowns + 1))
+            np.testing.assert_array_equal(restriction.data, 1.0)
+            np.testing.assert_array_equal(tr.injection, restriction.indices)
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(tr.prolongation, attr),
+                                              getattr(prolongation, attr))
 
     @pytest.mark.parametrize("name", ["calvo", "gray_scott", "bsvd"])
     def test_restrict_equals_the_sparse_product_bitwise(self, name):
@@ -279,11 +283,12 @@ class TestGridTransfer:
         rng = np.random.default_rng(5)
         for fine, coarse in ((once, base), (twice, once), (twice, base)):
             tr = GridTransfer.between(fine, coarse)
+            restriction, _ = loop_transfer(fine, coarse)
             v = rng.standard_normal((2, fine.num_unknowns))
             v[:, ::3] = -0.0
             for rows in (v[0], v):
                 got = tr.restrict(rows)
-                want = (tr.restriction @ rows.T).T
+                want = (restriction @ rows.T).T
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(np.signbit(got),
                                               np.signbit(want))
