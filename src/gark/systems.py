@@ -4,7 +4,9 @@ States are nodal vectors over a grid's unknowns, species-major for
 multi-species problems.  Every partition exposes its right-hand side and an
 assembled sparse Jacobian, and may add a matrix-free vector-Jacobian product
 ``vjp`` that the adjoint sweep uses instead of assembling; the mass matrix is
-the identity throughout.
+the identity throughout.  A diffusion partition applies its operator, and
+its transpose in the vjp, through SciPy's compiled sparse kernels bound to
+the operator's arrays at build, after checking the vector's shape.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from gark.mesh import DIRICHLET, NEUMANN, TensorGrid2D, trapezoid_weights
 
@@ -157,10 +160,30 @@ def integral_goal(grid: TensorGrid2D, num_species: int = 1) -> GoalFunction:
 
 
 def _diffusion(op: sp.csr_matrix) -> Partition:
-    """The stiff linear partition y' = op y, its transpose built once."""
-    op_t = op.T
-    return Partition("diffusion", lambda t, y: op @ y, lambda t, y: op,
-                     linear=True, stiff=True, vjp=lambda t, y, w: op_t @ w)
+    """The stiff linear partition y' = op y.
+
+    rhs and vjp call the compiled kernels that op @ y and op.T @ w end in,
+    csr_matvec and csc_matvec on op's own arrays, bound here once: the same
+    bits without scipy.sparse's per-call dispatch, as long as no caller
+    changes op in place.  The kernels read any vector without checking its
+    length, so a vector whose shape is not (n,) raises ValueError first, as
+    op @ y does.
+    """
+    n = op.shape[0]
+    arrays = (op.indptr, op.indices, op.data)
+
+    def apply(kernel, v: np.ndarray) -> np.ndarray:
+        if v.shape != (n,):
+            raise ValueError(f"the diffusion operator on {n} unknowns "
+                             f"cannot apply to a vector of shape {v.shape}")
+        out = np.zeros(n)
+        kernel(n, n, *arrays, v, out)
+        return out
+
+    return Partition("diffusion",
+                     lambda t, y: apply(_sparsetools.csr_matvec, y),
+                     lambda t, y: op, linear=True, stiff=True,
+                     vjp=lambda t, y, w: apply(_sparsetools.csc_matvec, w))
 
 
 def _pointwise_reaction(rhs, slope) -> Partition:
@@ -224,6 +247,7 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     gx, gxxc = _calvo_g(xc), _calvo_gxx(xc)
     qy = yc * yc - 1.0
     gq = gx * qy
+    lap_gq = gxxc * qy + 2.0 * gx  # the Laplacian of gq, time-independent
 
     def s(t: float) -> float:
         return (2.0 + math.cos(math.pi * t)) / 30.0
@@ -234,7 +258,7 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     def forcing(t: float) -> np.ndarray:
         st = s(t)
         u = st * gq
-        return (s_dot(t) * gq - nu * st * (gxxc * qy + 2.0 * gx) - u + u ** 3)
+        return (s_dot(t) * gq - nu * st * lap_gq - u + u ** 3)
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
         return y - y ** 3 + forcing(t)

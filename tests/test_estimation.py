@@ -16,7 +16,7 @@ from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
                      stored_estimate, stored_space_refined, wrap)
 
 import gark.estimation
-from gark.adjoint import adjoint_sweep
+from gark.adjoint import METHODS, adjoint_sweep
 from gark.cli import main
 from gark.estimation import (assemble_report, estimate_errors,
                              spatial_residuals, temporal_residuals,
@@ -605,3 +605,32 @@ class TestStreamedCompanionRuns:
         finally:
             tracemalloc.stop()
         assert peak - stores < 0.25 * stage_array
+
+
+def test_hot_loops_make_no_sparse_matmul(monkeypatch):
+    # every stage, residual and sweep product of a grid problem goes through
+    # the kernels its diffusion partition bound at build, never through
+    # scipy.sparse's @ dispatch; the f calls per step do not change
+    calls = {"matmul": 0, "f": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sparse_base = scipy.sparse._base._spbase
+    monkeypatch.setattr(sparse_base, "__matmul__",
+                        counted("matmul", sparse_base.__matmul__))
+    monkeypatch.setattr(SplitOdeSystem, "f", counted("f", SplitOdeSystem.f))
+    problem = build_problem("bsvd", default_grid("bsvd", 6, 6), t_final=0.4)
+    grid = TimeGrid.uniform(0.0, 0.4, 0.05)
+    tableau = build_imex22()
+    run = integrate(problem, tableau, grid)
+    assert calls["f"] == 4 * grid.num_steps
+    for method in METHODS:
+        adjoint_sweep(run, method=method)
+    estimate_errors(problem, tableau, grid)
+    assert calls["matmul"] == 0
+    problem.system.jac(0, 0.0, problem.y0) @ problem.y0
+    assert calls["matmul"] == 1  # the patch sees the operator

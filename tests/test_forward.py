@@ -220,11 +220,10 @@ class TestIntegrate:
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.5, 0.05), consumer=recorded)
         # implicit scheme sits on partition 0 after alignment; its last
-        # stage value must reproduce y_{n+1}
+        # stage value must reproduce y_{n+1} bitwise
         for n in range(traj.num_steps):
-            np.testing.assert_allclose(recorded.stage_values[0][n, -1],
-                                       recorded.states[n + 1], rtol=1e-12,
-                                       atol=1e-12)
+            assert_bitwise(recorded.stage_values[0][n, -1],
+                           recorded.states[n + 1])
 
     def test_deterministic_rerun_is_bitwise_identical(self):
         system = nonlinear_stiff()

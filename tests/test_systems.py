@@ -337,6 +337,47 @@ class TestBsvd:
         assert make_bsvd(self.grid(4), t_final=4.0).t_final == 4.0
 
 
+class TestDiffusionKernels:
+    """The diffusion partition calls scipy.sparse's private compiled
+    kernels directly; these pin them to the public products."""
+
+    @pytest.fixture(params=[("calvo", 8, 4), ("gray_scott", 4, 4),
+                            ("bsvd", 6, 6)], ids=lambda p: p[0])
+    def problems(self, request):
+        """The problem on its coarse grid and on its refine_uniform."""
+        name, nx, ny = request.param
+        coarse = default_grid(name, nx, ny)
+        return [build_problem(name, grid)
+                for grid in (coarse, coarse.refine_uniform())]
+
+    def test_products_equal_the_sparse_ones_bitwise(self, problems):
+        rng = np.random.default_rng(3)
+        for problem in problems:
+            system, dim = problem.system, problem.system.dim
+            op = system.jac(0, 0.0, problem.y0)
+            y, w = rng.standard_normal((2, dim))
+            y[::3], w[::4] = 0.0, -0.0
+            y[1::5] = w[2::5] = -0.0
+            for t in (0.0, 0.3):
+                assert_bitwise(system.f(0, t, y), op @ y)
+                assert_bitwise(system.vjp(0, t, y, w), op.T @ w)
+            signed_zeros = np.where(np.arange(dim) % 2, -0.0, 0.0)
+            assert_bitwise(system.f(0, 0.0, signed_zeros), op @ signed_zeros)
+            assert_bitwise(system.vjp(0, 0.0, y, signed_zeros),
+                           op.T @ signed_zeros)
+
+    def test_wrong_shapes_raise(self, problems):
+        for problem in problems:
+            system, dim = problem.system, problem.system.dim
+            y = problem.y0
+            for bad in (np.ones(dim - 1), np.ones(dim + 1),
+                        np.ones((dim, 1)), np.ones((1, dim))):
+                with pytest.raises(ValueError, match="diffusion operator"):
+                    system.f(0, 0.0, bad)
+                with pytest.raises(ValueError, match="diffusion operator"):
+                    system.vjp(0, 0.0, y, bad)
+
+
 class TestRandomNonlinear:
     def test_deterministic_per_seed(self):
         a = make_random_nonlinear(123, dim=6)
