@@ -95,9 +95,10 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
     ell_arr = make_store() if method == "ell" else None
     lambda_arr = make_store() if method == "ell" else None
 
+    nodes = trajectory.time_grid.nodes.tolist()
+    steps = trajectory.time_grid.steps.tolist()
     for n in range(n_steps - 1, -1, -1):
-        t = float(trajectory.time_grid.nodes[n])
-        h = float(trajectory.time_grid.steps[n])
+        t, h = nodes[n], steps[n]
         lam_next = lam[n + 1]
         theta: dict = {}
         ell: dict = {}
@@ -134,13 +135,18 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
                         mu_arr[q][n, i] = mu_vec
                 theta[(q, i)] = vec
 
-        lam_n = lam_next.copy()
-        for stage in reverse_plan:
-            if method != "ell":
-                lam_n += theta[(stage.q, stage.i)]
-            elif stage.b != 0.0:
-                lam_n += (h * stage.b) * ell[(stage.q, stage.i)]
-        lam[n] = lam_n
+        # lambda_n = lambda_{n+1} + the stage terms in reverse_plan's order,
+        # summed in its row of lam; a generator, so no container keeps this
+        # step's terms alive through the next step's stages
+        if method != "ell":
+            terms = (theta[(st.q, st.i)] for st in reverse_plan)
+        else:
+            terms = ((h * st.b) * ell[(st.q, st.i)] for st in reverse_plan
+                     if st.b != 0.0)
+        lam_n = lam[n]
+        np.add(lam_next, next(terms), out=lam_n)
+        for term in terms:
+            lam_n += term
 
     return AdjointTrajectory(lam=lam, theta=theta_arr, mu=mu_arr,
                              ell=ell_arr, stage_adjoint=lambda_arr)

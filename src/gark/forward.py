@@ -6,7 +6,11 @@ own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y): on a
 linear partition its slope k = f(Y) comes from one solve,
 (I - h a_ii J) k = f(rhs), so the stage makes one f call and Y = rhs +
 h a_ii k; otherwise by full Newton iteration (fixed tolerances, below).
-Everything else is an explicit update.  SuperLU factors the transpose
+Everything else is an explicit update, and no stage copies y_n.  y_{n+1}
+is the last stage's value when the plan carries the weights
+(GarkTableau.last_stage_is_step) and that stage is explicit or linear
+implicit, as that value then is y_n + h sum b k bitwise; otherwise it is
+that weighted sum.  SuperLU factors the transpose
 (I - h a_ii J)^T of every stage matrix, with a symmetric minimum-degree
 column ordering (MMD on A^T + A): forward solves take SuperLU's faster
 transposed kernel, and the adjoint, with far fewer solves, the plain one.
@@ -96,17 +100,17 @@ class LinearStageCache:
 
     def __init__(self, system: SplitOdeSystem):
         self.system = system
-        self._store: dict[int, list] = {}
+        self._store: dict[int, tuple] = {}
 
     def get(self, q, t, y, coef):
         if not self.system.partitions[q].linear:
             return factorize(self.system, q, t, y, coef)
-        entries = self._store.setdefault(q, [])
+        entries = self._store.get(q, ())
         for stored, lu in entries:
             if abs(coef - stored) <= COEF_RTOL * abs(stored):
                 return lu
         lu = factorize(self.system, q, t, y, coef)
-        entries.append((coef, lu))
+        self._store[q] = (*entries, (coef, lu))
         return lu
 
 
@@ -144,12 +148,18 @@ def align_tableau(tableau: GarkTableau, system: SplitOdeSystem) -> GarkTableau:
 def combine_stage_argument(y: np.ndarray, h: float, stage: PlannedStage,
                            slopes: dict, include_self: bool) -> np.ndarray:
     """y + h * sum a^{q,m}_{i,j} k^(m)_j over the slopes the stage reads,
-    in schedule order, then its own slope when include_self is set."""
-    out = y.copy()
-    for m, j, a in stage.reads:
-        out += (h * a) * slopes[(m, j)]
+    in schedule order, then its own slope when include_self is set.  The
+    sum starts as y + (first term), and a stage that adds nothing gets y
+    itself: no caller writes into the result."""
+    reads = stage.reads
     if include_self and stage.a_ii != 0.0:
-        out += (h * stage.a_ii) * slopes[(stage.q, stage.i)]
+        reads += ((stage.q, stage.i, stage.a_ii),)
+    if not reads:
+        return y
+    m, j, a = reads[0]
+    out = y + (h * a) * slopes[(m, j)]
+    for m, j, a in reads[1:]:
+        out += (h * a) * slopes[(m, j)]
     return out
 
 
@@ -202,6 +212,13 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
         values[(q, stage.i)] = y_stage
         slopes[(q, stage.i)] = slope
 
+    last = tableau.plan[-1]
+    if tableau.last_stage_is_step and (last.a_ii == 0.0
+                                       or system.partitions[last.q].linear):
+        # its argument summed the weighted slopes in combine_step's order
+        # and its own term is h b k: y_stage is y_{n+1} bitwise; a Newton
+        # stage's value is off that sum by its residual
+        return StepResult(y_stage, values, slopes)
     return StepResult(combine_step(y, h, tableau.plan, slopes), values,
                       slopes)
 
@@ -342,8 +359,8 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
                 for i, row in r.items():
                     values[q][n, row] = result.stage_values[(q, i)]
 
-    for n in range(n_steps):
-        t, h = float(time_grid.nodes[n]), float(time_grid.steps[n])
+    for n, (t, h) in enumerate(zip(time_grid.nodes.tolist(),
+                                   time_grid.steps.tolist())):
         try:
             result = step(system, tableau, t, h, y, cache)
         except StepFailureError as err:

@@ -301,9 +301,18 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     decay = feed + kill
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
+        # -u v^2 + feed (1 - u) and u v^2 - decay v, written into one array
         u, v = y[:n], y[n:]
-        uvv = u * v * v
-        return np.concatenate([-uvv + feed * (1.0 - u), uvv - decay * v])
+        uvv = u * v
+        uvv *= v
+        out = np.empty(2 * n)
+        out_u, out_v = out[:n], out[n:]
+        np.subtract(1.0, u, out=out_u)
+        out_u *= feed
+        out_u -= uvv
+        np.multiply(decay, v, out=out_v)
+        np.subtract(uvv, out_v, out=out_v)
+        return out
 
     def reaction_blocks(y: np.ndarray):
         """Diagonals of the Jacobian blocks [[uu, uv], [vu, vv]]."""

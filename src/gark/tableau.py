@@ -143,6 +143,21 @@ class GarkTableau:
                          tuple(read_by[k]))
             for k, (q, i) in enumerate(schedule))
 
+    @cached_property
+    def last_stage_is_step(self) -> bool:
+        """Whether the last scheduled stage carries the weights exactly: it
+        reads (q, i, b) of every earlier stage with b != 0, in schedule
+        order, and its own a_ii equals its b.  Its argument then sums the
+        weighted slopes as the step's completion does, so an explicit or
+        linear implicit last stage has the value y_{n+1} bitwise.  Stricter
+        than validate()'s stiff-accuracy check, which allows
+        VALIDATION_TOL."""
+        if not self.plan:
+            return False
+        *earlier, last = self.plan
+        return (last.a_ii == last.b and last.reads == tuple(
+            (st.q, st.i, st.b) for st in earlier if st.b != 0.0))
+
     def validate(self) -> ValidationReport:
         """Check structure and order conditions; report, never raise."""
         bad: list[Violation] = []

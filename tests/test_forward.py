@@ -10,15 +10,18 @@ from helpers import (StepRecorder, assert_bitwise, at_coarse_nodes,
                      linear_pair, nonlinear_stiff, plan_cases, scalar_split,
                      scan_step, stiff_relaxation, sum_goal, wrap)
 
+from gark import forward
 from gark.adjoint import _stage_solve, adjoint_sweep
 from gark.estimation import temporal_residuals
 from gark.forward import (LinearStageCache, StepFailureError, align_tableau,
                           factorize, integrate, step)
 from gark.mesh import TimeGrid
 from gark.oracle import dense_step_propagator
-from gark.systems import (Partition, SplitOdeSystem, default_grid, make_bsvd,
-                          make_calvo, make_random_nonlinear)
-from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
+from gark.systems import (Partition, SplitOdeSystem, build_problem,
+                          default_grid, make_bsvd, make_calvo,
+                          make_random_nonlinear)
+from gark.tableau import (GAMMA_MINUS, GarkTableau, UnsupportedTableauError,
+                          adjoint_coefficients, build_imex22)
 
 
 def implicit_scalar_growth(z: float, gamma: float = GAMMA_MINUS) -> float:
@@ -116,6 +119,100 @@ def test_planned_step_matches_schedule_scan(case):
             np.testing.assert_array_equal(value, stage_values[q][n, i])
             np.testing.assert_array_equal(slopes[(q, i)],
                                           stage_slopes[q][n, i])
+
+
+def count_combine_step(monkeypatch) -> list:
+    """Patch gark.forward.combine_step to record each call; returns the
+    record, one entry per call."""
+    calls, combine = [], forward.combine_step
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(forward, "combine_step", counted)
+    return calls
+
+
+def assert_steps_match_scan(traj) -> None:
+    """Every step of the stored run traj equals scan_step's, bitwise."""
+    grid, cache = traj.time_grid, LinearStageCache(traj.system)
+    for n, (t, h) in enumerate(zip(grid.nodes.tolist(), grid.steps.tolist())):
+        y_next, _, _ = scan_step(traj.system, traj.tableau, t, h,
+                                 traj.states[n], cache)
+        assert_bitwise(traj.states[n + 1], y_next)
+
+
+class TestStepCompletion:
+    """y_{n+1} is the last stage's value where the plan carries the
+    weights exactly and that stage is explicit or linear implicit, and the
+    weighted sum of the slopes otherwise; the bits are the same either
+    way."""
+
+    def test_imex22_and_its_alignment_carry_the_weights(self):
+        tableau = build_imex22()
+        assert tableau.last_stage_is_step
+        aligned = align_tableau(tableau, make_calvo(default_grid("calvo", 4,
+                                                                 2)).system)
+        assert aligned is not tableau and aligned.last_stage_is_step
+        assert build_imex22(alpha=0.33).last_stage_is_step
+
+    def test_adjoint_coefficients_do_not_carry_the_weights(self):
+        assert not adjoint_coefficients(build_imex22()).last_stage_is_step
+
+    def test_weights_within_validation_tolerance_are_not_enough(self,
+                                                                monkeypatch):
+        # a last row 1e-13 off the weights passes validate()'s stiff
+        # accuracy check, but the stage's value would not be y_{n+1}'s bits
+        base = build_imex22()
+        (a_ee, a_ei), (a_ie, a_ii) = base.coupling
+        a_ie = a_ie.copy()
+        a_ie[1, 0] += 1e-13
+        near = GarkTableau(((a_ee, a_ei), (a_ie, a_ii)), base.weights,
+                           base.stage_schedule, stiffly_accurate=True)
+        assert near.validate().ok
+        assert not near.last_stage_is_step
+        calls = count_combine_step(monkeypatch)
+        system = stiff_relaxation()
+        problem = wrap(system, np.full(system.dim, 0.5), t_final=0.2)
+        traj = integrate(problem, near, TimeGrid.uniform(0.0, 0.2, 0.05))
+        assert len(calls) == traj.num_steps
+        assert_steps_match_scan(traj)
+
+    @pytest.mark.parametrize("name", ["gray_scott", "bsvd", "calvo"])
+    def test_imex22_steps_sum_no_weights(self, name, monkeypatch):
+        calls = count_combine_step(monkeypatch)
+        problem = build_problem(name, default_grid(name, 4, 4))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 0.2, 0.05))
+        assert traj.num_steps == 4 and calls == []
+
+    @pytest.mark.parametrize(
+        "case", [c for c in plan_cases() if c[0].startswith("nonlinear_stiff")],
+        ids=lambda case: case[0])
+    def test_newton_last_stage_keeps_the_weighted_sum(self, case,
+                                                      monkeypatch):
+        _, problem, grid, tableau = case
+        assert tableau.last_stage_is_step
+        calls = count_combine_step(monkeypatch)
+        traj = integrate(problem, tableau, grid)
+        last = traj.tableau.plan[-1]
+        assert not traj.system.partitions[last.q].linear
+        assert len(calls) == grid.num_steps
+        assert_steps_match_scan(traj)
+
+
+@pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
+def test_step_never_writes_into_its_input(case):
+    # every step starts from a read-only state, the last step's y_{n+1}
+    # included, which may be one of that step's stage values
+    _, problem, grid, tableau = case
+    cache = LinearStageCache(problem.system)
+    y = np.array(problem.y0, dtype=float)
+    for t, h in zip(grid.nodes.tolist(), grid.steps.tolist()):
+        y.setflags(write=False)
+        y = step(problem.system, tableau, t, h, y, cache).y_next
+    assert np.isfinite(y).all()
 
 
 class TestAlignment:

@@ -282,6 +282,28 @@ class TestGrayScott:
         for q in range(2):
             jacobian_probe(p.system, q, 0.0, y, rng)
 
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_reaction_matches_its_formula_bitwise(self, seed):
+        # the reaction writes both species into one array; it must keep the
+        # bits of the two-row formula, signed zeros included, at the
+        # default rates and at rates drawn from the benchmark's band
+        params = {}
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            params = {"feed": float(rng.uniform(0.0236, 0.0244)),
+                      "kill": float(rng.uniform(0.059, 0.061))}
+        p = make_gray_scott(self.grid(4), **params)
+        feed, decay = p.params["feed"], p.params["feed"] + p.params["kill"]
+        n = p.grid.num_unknowns
+        rng = np.random.default_rng(8)
+        u, v = rng.uniform(-1.5, 1.5, (2, n))
+        u[:6] = [0.0, -0.0, 1.0, -1.0, -1.0, 1.0]
+        v[:6] = [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+        uvv = u * v * v
+        expected = np.concatenate([-uvv + feed * (1.0 - u), uvv - decay * v])
+        assert np.signbit(expected[expected == 0.0]).any()
+        assert_bitwise(p.system.f(1, 0.0, np.concatenate([u, v])), expected)
+
     def test_goal_is_first_species(self):
         p = make_gray_scott(self.grid(4))
         n = p.grid.num_unknowns
