@@ -31,8 +31,7 @@ from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
                           Partition, ProblemInstance, SplitOdeSystem,
                           build_problem, default_grid, make_random_nonlinear)
 from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, InvalidParameterError,
-                          adjoint_coefficients, build_imex22,
-                          is_second_order_gamma)
+                          adjoint_coefficients, build_imex22)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -150,16 +149,25 @@ def _format_accuracy(accuracy: float | None) -> str:
 
 
 def _tableau(args: argparse.Namespace):
-    """The IMEX pair of --gamma and --alpha; exits naming the flag when
-    gamma breaks second order or alpha is zero."""
-    if not is_second_order_gamma(args.gamma):
+    """The IMEX pair of --gamma and --alpha.  validate() judges gamma on
+    the pair with alpha at its default, gamma, then alpha on the pair; a
+    refusal exits naming its flag."""
+    try:
+        gamma_ok = build_imex22(gamma=args.gamma).validate().ok
+    except InvalidParameterError:  # alpha = gamma is zero or not finite
+        gamma_ok = False
+    if not gamma_ok:
         raise SystemExit(f"--gamma must be GAMMA_MINUS = {GAMMA_MINUS!r} or "
                          f"GAMMA_PLUS = {GAMMA_PLUS!r} (1 -+ sqrt(2)/2, "
                          f"second order), not {args.gamma!r}")
     try:
-        return build_imex22(gamma=args.gamma, alpha=args.alpha)
+        tableau = build_imex22(gamma=args.gamma, alpha=args.alpha)
     except InvalidParameterError as err:
         raise SystemExit(f"--alpha: {err}") from err
+    report = tableau.validate()
+    if not report.ok:
+        raise SystemExit(f"--alpha: the pair fails validate(): {report}")
+    return tableau
 
 
 def _final_pair(problem, tableau, grid: TimeGrid):
@@ -360,6 +368,8 @@ def _check_telescoping(seed: int) -> bool:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise SystemExit(f"--seed must be non-negative, not {args.seed}")
     checks = (
         ("tableau-identities", lambda: _check_tableau_identities()),
         ("scalar-growth", lambda: _check_scalar_growth()),

@@ -81,7 +81,7 @@ def stage_residual(coarse: ForwardTrajectory, n: int, y_n: np.ndarray,
     """
     grid = coarse.time_grid
     t, h = float(grid.nodes[n]), float(grid.steps[n])
-    y_stage = combine_stage_argument(y_n, h, stage, slopes, include_self=True)
+    y_stage = combine_stage_argument(y_n, h, stage.value_terms, slopes)
     return (slopes[(stage.q, stage.i)]
             - coarse.system.f(stage.q, t + stage.c * h, y_stage))
 
@@ -94,7 +94,7 @@ def weighed_partitions(trajectory: ForwardTrajectory) -> tuple:
     tableau are explicit; with an implicit stage it is weighed as every
     other partition is.
     """
-    implicit = {st.q for st in trajectory.tableau.plan if st.a_ii != 0.0}
+    implicit = trajectory.tableau.implicit_partitions
     return tuple(q for q, part in enumerate(trajectory.system.partitions)
                  if not part.pointwise or q in implicit)
 

@@ -7,10 +7,10 @@ linear partition its slope k = f(Y) comes from one solve,
 (I - h a_ii J) k = f(rhs), so the stage makes one f call and Y = rhs +
 h a_ii k; otherwise by full Newton iteration (fixed tolerances, below).
 Everything else is an explicit update, and no stage copies y_n.  y_{n+1}
-is the last stage's value when the plan carries the weights
+is the last stage's value when the tableau is stiffly accurate
 (GarkTableau.last_stage_is_step) and that stage is explicit or linear
 implicit, as that value then is y_n + h sum b k bitwise; otherwise it is
-that weighted sum.  SuperLU factors the transpose
+that weighted sum (combine_step).  SuperLU factors the transpose
 (I - h a_ii J)^T of every stage matrix, with a symmetric minimum-degree
 column ordering (MMD on A^T + A): forward solves take SuperLU's faster
 transposed kernel, and the adjoint, with far fewer solves, the plain one.
@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from gark.mesh import TimeGrid
 from gark.systems import ProblemInstance, SplitOdeSystem
-from gark.tableau import GarkTableau, PlannedStage, UnsupportedTableauError
+from gark.tableau import GarkTableau, UnsupportedTableauError
 
 # Newton stops when |Y - rhs - coef f(Y)| <= ATOL + RTOL max(1, |Y|).
 NEWTON_RTOL = 1e-10
@@ -128,9 +128,9 @@ def align_tableau(tableau: GarkTableau, system: SplitOdeSystem) -> GarkTableau:
     stiff = system.stiff_flags
     if not any(stiff):
         return tableau
-    implicit = [q for q in range(tableau.num_partitions)
-                if np.any(np.diag(tableau.coupling[q][q]) != 0.0)]
-    explicit = [q for q in range(tableau.num_partitions) if q not in implicit]
+    implicit = tableau.implicit_partitions
+    explicit = tuple(q for q in range(tableau.num_partitions)
+                     if q not in implicit)
     stiff_parts = [q for q, s in enumerate(stiff) if s]
     loose_parts = [q for q, s in enumerate(stiff) if not s]
     if len(implicit) != len(stiff_parts):
@@ -145,32 +145,24 @@ def align_tableau(tableau: GarkTableau, system: SplitOdeSystem) -> GarkTableau:
     return tableau.permute_partitions(tuple(perm))
 
 
-def combine_stage_argument(y: np.ndarray, h: float, stage: PlannedStage,
-                           slopes: dict, include_self: bool) -> np.ndarray:
-    """y + h * sum a^{q,m}_{i,j} k^(m)_j over the slopes the stage reads,
-    in schedule order, then its own slope when include_self is set.  The
-    sum starts as y + (first term), and a stage that adds nothing gets y
-    itself: no caller writes into the result."""
-    reads = stage.reads
-    if include_self and stage.a_ii != 0.0:
-        reads += ((stage.q, stage.i, stage.a_ii),)
-    if not reads:
+def combine_stage_argument(y: np.ndarray, h: float, terms: tuple,
+                           slopes: dict) -> np.ndarray:
+    """y + h * sum a k^(m)_j over terms, (m, j, a) in their order.  The sum
+    starts as y + (first term), and no terms give y itself: no caller
+    writes into the result."""
+    if not terms:
         return y
-    m, j, a = reads[0]
+    m, j, a = terms[0]
     out = y + (h * a) * slopes[(m, j)]
-    for m, j, a in reads[1:]:
+    for m, j, a in terms[1:]:
         out += (h * a) * slopes[(m, j)]
     return out
 
 
-def combine_step(y: np.ndarray, h: float, plan: tuple,
+def combine_step(y: np.ndarray, h: float, tableau: GarkTableau,
                  slopes: dict) -> np.ndarray:
-    """y + h * sum b^(q)_i k^(q)_i over the plan's nonzero weights."""
-    out = y.copy()
-    for stage in plan:
-        if stage.b != 0.0:
-            out += (h * stage.b) * slopes[(stage.q, stage.i)]
-    return out
+    """y + h * sum b^(q)_i k^(q)_i over the tableau's step_terms."""
+    return combine_stage_argument(y, h, tableau.step_terms, slopes)
 
 
 @dataclass
@@ -196,7 +188,7 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
     for stage in tableau.plan:
         q = stage.q
         t_i = t + stage.c * h
-        rhs = combine_stage_argument(y, h, stage, slopes, include_self=False)
+        rhs = combine_stage_argument(y, h, stage.reads, slopes)
         if stage.a_ii == 0.0:
             y_stage = rhs
             slope = system.f(q, t_i, y_stage)
@@ -215,12 +207,11 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
     last = tableau.plan[-1]
     if tableau.last_stage_is_step and (last.a_ii == 0.0
                                        or system.partitions[last.q].linear):
-        # its argument summed the weighted slopes in combine_step's order
-        # and its own term is h b k: y_stage is y_{n+1} bitwise; a Newton
-        # stage's value is off that sum by its residual
+        # its value summed the step's terms in their order: y_stage is
+        # y_{n+1} bitwise; a Newton stage's value is off that sum by its
+        # residual
         return StepResult(y_stage, values, slopes)
-    return StepResult(combine_step(y, h, tableau.plan, slopes), values,
-                      slopes)
+    return StepResult(combine_step(y, h, tableau, slopes), values, slopes)
 
 
 def _newton_stage(system, cache, stage, t_i, coef, rhs, predictor):

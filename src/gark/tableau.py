@@ -3,7 +3,8 @@
 A method acting on a P-way additive split y' = sum_q f^(q)(t, y) is described
 by coupling matrices A^{q,m} (how the stages of partition q read the slopes of
 partition m), one weight vector b^(q) per partition, and a stage schedule that
-fixes the evaluation order across partitions.  GarkTableau.plan lists the
+fixes the evaluation order across partitions; every other property is
+computed once from these and the order.  GarkTableau.plan lists the
 scheduled stages once with their nonzero couplings: the slopes each stage
 reads (forward step, residuals) and the stages that read it (reverse sweep).
 """
@@ -11,7 +12,6 @@ reads (forward step, residuals) and the stages that read it (reverse sweep).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -79,6 +79,13 @@ class PlannedStage(NamedTuple):
     reads: tuple
     read_by: tuple
 
+    @property
+    def value_terms(self) -> tuple:
+        """The terms of the stage value Y = y_n + h sum a k: reads, then
+        (q, i, a_ii) when a_ii != 0."""
+        own = ((self.q, self.i, self.a_ii),) if self.a_ii != 0.0 else ()
+        return self.reads + own
+
 
 @dataclass(frozen=True, eq=False)
 class GarkTableau:
@@ -93,8 +100,6 @@ class GarkTableau:
     weights: tuple[np.ndarray, ...]
     stage_schedule: tuple[tuple[int, int], ...]
     declared_order: int = 2
-    internally_consistent: bool = True
-    stiffly_accurate: bool = False
 
     def __post_init__(self):
         coupling = tuple(tuple(_freeze(a) for a in row) for row in self.coupling)
@@ -144,22 +149,31 @@ class GarkTableau:
             for k, (q, i) in enumerate(schedule))
 
     @cached_property
-    def last_stage_is_step(self) -> bool:
-        """Whether the last scheduled stage carries the weights exactly: it
-        reads (q, i, b) of every earlier stage with b != 0, in schedule
-        order, and its own a_ii equals its b.  Its argument then sums the
-        weighted slopes as the step's completion does, so an explicit or
-        linear implicit last stage has the value y_{n+1} bitwise.  Stricter
-        than validate()'s stiff-accuracy check, which allows
-        VALIDATION_TOL."""
-        if not self.plan:
-            return False
-        *earlier, last = self.plan
-        return (last.a_ii == last.b and last.reads == tuple(
-            (st.q, st.i, st.b) for st in earlier if st.b != 0.0))
+    def implicit_partitions(self) -> tuple[int, ...]:
+        """The partitions, in order, whose A^{q,q} has a nonzero diagonal."""
+        return tuple(q for q in range(self.num_partitions)
+                     if np.any(np.diag(self.coupling[q][q]) != 0.0))
 
+    @cached_property
+    def step_terms(self) -> tuple:
+        """(q, i, b^(q)_i) of every scheduled stage with b != 0, in schedule
+        order: the terms of y_{n+1} = y_n + h sum b k."""
+        return tuple((st.q, st.i, st.b) for st in self.plan if st.b != 0.0)
+
+    @cached_property
+    def last_stage_is_step(self) -> bool:
+        """Whether the last scheduled stage carries the weights exactly: the
+        terms of its value are step_terms, so it reads (q, i, b) of every
+        earlier stage with b != 0, in schedule order, and its own a_ii
+        equals its b.  An explicit or linear implicit last stage then has
+        the value y_{n+1} bitwise.  This exact test is the tableau's one
+        notion of stiff accuracy."""
+        return bool(self.plan) and self.plan[-1].value_terms == self.step_terms
+
+    @np.errstate(invalid="ignore", over="ignore")
     def validate(self) -> ValidationReport:
-        """Check structure and order conditions; report, never raise."""
+        """Check structure and order conditions; report, never raise (nor
+        warn on the residuals that NaN or infinite coefficients spoil)."""
         bad: list[Violation] = []
         P = self.num_partitions
         counts = self.stage_counts
@@ -172,9 +186,16 @@ class GarkTableau:
                         "shape", f"A^{{{q + 1},{m + 1}}} has shape {a.shape}, "
                         f"expected {(counts[q], counts[m])}", 0.0))
 
+        arrays = [a for row in self.coupling for a in row] + [*self.weights]
+        non_finite = sum(np.count_nonzero(~np.isfinite(a)) for a in arrays)
+        if non_finite:
+            bad.append(Violation("non-finite", f"{non_finite} coefficients "
+                                 "are NaN or infinite", float(non_finite)))
+
+        # every residual test reads `not resid <= tol`, which a NaN fails
         for q in range(P):
             resid = abs(self.weights[q].sum() - 1.0)
-            if resid > VALIDATION_TOL:
+            if not resid <= VALIDATION_TOL:
                 bad.append(Violation(
                     "weight-sum", f"sum b^({q + 1}) != 1", resid))
 
@@ -182,21 +203,20 @@ class GarkTableau:
             for q in range(P):
                 for m in range(P):
                     resid = abs(self.weights[q] @ self.abscissae(q, m) - 0.5)
-                    if resid > VALIDATION_TOL:
+                    if not resid <= VALIDATION_TOL:
                         bad.append(Violation(
                             "order-2", f"b^({q + 1}) . c^({q + 1},{m + 1}) != 1/2",
                             resid))
 
-        if self.internally_consistent:
-            for q in range(P):
-                c_own = self.abscissae(q, q)
-                for m in range(P):
-                    resid = float(np.max(np.abs(self.abscissae(q, m) - c_own),
-                                         initial=0.0))
-                    if resid > VALIDATION_TOL:
-                        bad.append(Violation(
-                            "internal-consistency",
-                            f"c^({q + 1},{m + 1}) != c^({q + 1},{q + 1})", resid))
+        for q in range(P):
+            c_own = self.abscissae(q, q)
+            for m in range(P):
+                resid = float(np.max(np.abs(self.abscissae(q, m) - c_own),
+                                     initial=0.0))
+                if not resid <= VALIDATION_TOL:
+                    bad.append(Violation(
+                        "internal-consistency",
+                        f"c^({q + 1},{m + 1}) != c^({q + 1},{q + 1})", resid))
 
         expected = {(q, i) for q in range(P) for i in range(counts[q])}
         scheduled = set(self.stage_schedule)
@@ -209,19 +229,6 @@ class GarkTableau:
                 self.plan
             except UnsupportedTableauError as err:
                 bad.append(Violation("schedule-order", str(err), 1.0))
-
-        if self.stiffly_accurate and self.stage_schedule:
-            q_last, i_last = self.stage_schedule[-1]
-            resid = 0.0
-            for m in range(P):
-                resid = max(resid, float(np.max(
-                    np.abs(self.coupling[q_last][m][i_last, :] - self.weights[m]),
-                    initial=0.0)))
-            if resid > VALIDATION_TOL:
-                bad.append(Violation(
-                    "stiff-accuracy",
-                    f"last scheduled stage ({q_last + 1},{i_last + 1}) row "
-                    "does not equal the weights", resid))
 
         return ValidationReport(tuple(bad))
 
@@ -238,9 +245,7 @@ class GarkTableau:
         weights = tuple(self.weights[perm[q]] for q in range(P))
         schedule = tuple((inverse[q], i) for q, i in self.stage_schedule)
         return GarkTableau(coupling, weights, schedule,
-                           declared_order=self.declared_order,
-                           internally_consistent=self.internally_consistent,
-                           stiffly_accurate=self.stiffly_accurate)
+                           declared_order=self.declared_order)
 
 
 def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
@@ -249,8 +254,9 @@ def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
     abar^{q,m}_{i,j} = b^(m)_j a^{m,q}_{j,i} / b^(q)_i and bbar = b, with
     the forward schedule reversed.  Every weight must be nonzero for the
     division to make sense.  Applying the transform twice recovers the
-    original coefficients.  The result keeps the declared order but claims
-    neither internal consistency nor stiff accuracy.
+    original coefficients.  The result keeps the declared order; its
+    abscissae differ across the partitions it reads, so validate() reports
+    it not internally consistent.
     """
     P = len(tableau.weights)
     for q in range(P):
@@ -267,15 +273,7 @@ def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
     weights = tuple(np.array(b, dtype=float) for b in tableau.weights)
     schedule = tuple(reversed(tableau.stage_schedule))
     return GarkTableau(coupling, weights, schedule,
-                       declared_order=tableau.declared_order,
-                       internally_consistent=False, stiffly_accurate=False)
-
-
-def is_second_order_gamma(gamma: float) -> bool:
-    """Whether gamma is GAMMA_MINUS or GAMMA_PLUS to within 1e-12, the two
-    values for which build_imex22 is second order."""
-    return any(math.isclose(gamma, root, rel_tol=0.0, abs_tol=1e-12)
-               for root in (GAMMA_MINUS, GAMMA_PLUS))
+                       declared_order=tableau.declared_order)
 
 
 def build_imex22(gamma: float = GAMMA_MINUS,
@@ -283,16 +281,15 @@ def build_imex22(gamma: float = GAMMA_MINUS,
     """Two-stage implicit-explicit pair: partition 1 explicit, partition 2
     a stiffly accurate two-stage singly diagonally implicit scheme.
 
-    Second order requires gamma = 1 +- sqrt(2)/2 (warned otherwise); alpha is
-    free and defaults to gamma, which makes the two weight vectors equal.
+    Second order, which validate() checks, requires gamma = 1 +- sqrt(2)/2;
+    alpha is free, nonzero and finite, and defaults to gamma, which makes
+    the two weight vectors equal.
     """
     if alpha is None:
         alpha = gamma
-    if alpha == 0.0:
-        raise InvalidParameterError("alpha must be nonzero")
-    if not is_second_order_gamma(gamma):
-        warnings.warn(f"gamma={gamma!r} does not satisfy the order-2 "
-                      "condition 2*gamma - gamma^2 = 1/2", stacklevel=2)
+    if alpha == 0.0 or not math.isfinite(alpha):
+        raise InvalidParameterError(
+            f"alpha must be nonzero and finite, not {alpha!r}")
 
     a_ee = np.array([[0.0, 0.0], [1.0 / (2.0 * alpha), 0.0]])
     a_ei = np.array([[0.0, 0.0], [1.0 / (2.0 * alpha), 0.0]])
@@ -304,6 +301,4 @@ def build_imex22(gamma: float = GAMMA_MINUS,
     return GarkTableau(coupling=((a_ee, a_ei), (a_ie, a_ii)),
                        weights=(b_e, b_i),
                        stage_schedule=schedule,
-                       declared_order=2,
-                       internally_consistent=True,
-                       stiffly_accurate=True)
+                       declared_order=2)

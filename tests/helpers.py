@@ -271,7 +271,7 @@ class StepRecorder:
         from gark.forward import combine_step
 
         return max(float(np.max(np.abs(
-            combine_step(y_n, h, run.tableau.plan, result.stage_slopes)
+            combine_step(y_n, h, run.tableau, result.stage_slopes)
             - result.y_next)))
             for (y_n, result), h in zip(self.steps, run.time_grid.steps))
 
@@ -282,8 +282,8 @@ class StepRecorder:
         from gark.forward import combine_stage_argument
 
         return max(float(np.max(np.abs(
-            combine_stage_argument(y_n, h, stage, result.stage_slopes,
-                                   include_self=True)
+            combine_stage_argument(y_n, h, stage.value_terms,
+                                   result.stage_slopes)
             - result.stage_values[(stage.q, stage.i)])))
             for (y_n, result), h in zip(self.steps, run.time_grid.steps)
             for stage in run.tableau.plan)

@@ -17,6 +17,10 @@ from gark.forward import StepFailureError
 from gark.systems import PROBLEM_BUILDERS
 
 
+GAMMA_REFUSED = (f"--gamma must be GAMMA_MINUS = {gark.GAMMA_MINUS!r} or "
+                 f"GAMMA_PLUS = {gark.GAMMA_PLUS!r}")
+
+
 def run_cli(argv):
     return main(argv)
 
@@ -267,6 +271,12 @@ class TestOracleCheck:
         assert out.count("ok  ") == 5
         assert "FAIL" not in out
 
+    def test_negative_seed_is_named_before_any_check(self, capsys):
+        with pytest.raises(SystemExit,
+                           match="^--seed must be non-negative, not -1$"):
+            run_cli(["oracle-check", "--seed", "-1"])
+        assert capsys.readouterr().out == ""
+
 
 class TestPlumbing:
     def test_config_file_overrides_flags(self, tmp_path):
@@ -468,10 +478,18 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     @pytest.mark.parametrize("flags, message", [
-        (["--gamma", "0.5"], f"--gamma must be GAMMA_MINUS = "
-         f"{gark.GAMMA_MINUS!r} or GAMMA_PLUS = {gark.GAMMA_PLUS!r}"),
-        (["--alpha", "0"], "--alpha: alpha must be nonzero")],
-        ids=["gamma", "alpha"])
+        (["--gamma", "0.5"], GAMMA_REFUSED),
+        (["--alpha", "0"], "--alpha: alpha must be nonzero"),
+        # GAMMA_MINUS + 1e-12 leaves b . c 1.4e-12 off 1/2
+        (["--gamma", "0.2928932188144524"], GAMMA_REFUSED),
+        (["--gamma", "nan"], GAMMA_REFUSED),
+        (["--gamma", "inf"], GAMMA_REFUSED),
+        (["--alpha", "nan"], "--alpha: alpha must be nonzero and finite"),
+        (["--alpha", "inf"], "--alpha: alpha must be nonzero and finite"),
+        (["--alpha", "1e17"], "--alpha: the pair fails validate(): "
+         "weight-sum")],
+        ids=["gamma", "alpha", "gamma_near_root", "gamma_nan", "gamma_inf",
+             "alpha_nan", "alpha_inf", "alpha_huge"])
     def test_bad_tableau_flags_are_named_before_any_run(self, command, flags,
                                                         message, tmp_path,
                                                         monkeypatch):

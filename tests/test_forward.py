@@ -162,14 +162,14 @@ class TestStepCompletion:
 
     def test_weights_within_validation_tolerance_are_not_enough(self,
                                                                 monkeypatch):
-        # a last row 1e-13 off the weights passes validate()'s stiff
-        # accuracy check, but the stage's value would not be y_{n+1}'s bits
+        # a last row 1e-13 off the weights passes validate(), but the
+        # stage's value would not be y_{n+1}'s bits
         base = build_imex22()
         (a_ee, a_ei), (a_ie, a_ii) = base.coupling
         a_ie = a_ie.copy()
         a_ie[1, 0] += 1e-13
         near = GarkTableau(((a_ee, a_ei), (a_ie, a_ii)), base.weights,
-                           base.stage_schedule, stiffly_accurate=True)
+                           base.stage_schedule)
         assert near.validate().ok
         assert not near.last_stage_is_step
         calls = count_combine_step(monkeypatch)
@@ -215,6 +215,17 @@ def test_step_never_writes_into_its_input(case):
     assert np.isfinite(y).all()
 
 
+@pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
+def test_implicit_partitions_hold_the_plan_s_implicit_stages(case):
+    name, problem, _, tableau = case
+    aligned = align_tableau(tableau, problem.system)
+    implicit = aligned.implicit_partitions
+    assert implicit is aligned.implicit_partitions
+    assert implicit == tuple(sorted({st.q for st in aligned.plan
+                                     if st.a_ii != 0.0}))
+    assert implicit == ((0,) if name.endswith("permuted") else (1,))
+
+
 class TestAlignment:
     def test_identity_when_nothing_is_stiff(self):
         system = scalar_split(-1.0, -1.0)
@@ -226,6 +237,7 @@ class TestAlignment:
         aligned = align_tableau(build_imex22(), system)
         assert np.any(np.diag(aligned.coupling[0][0]) != 0.0)
         assert not np.any(np.diag(aligned.coupling[1][1]) != 0.0)
+        assert aligned.implicit_partitions == (0,)
         assert aligned.validate().ok
 
     def test_alignment_preserved_on_calvo(self):

@@ -84,9 +84,48 @@ def test_imex22_zero_alpha_rejected():
         build_imex22(alpha=0.0)
 
 
-def test_imex22_warns_on_order_breaking_gamma():
-    with pytest.warns(UserWarning):
-        build_imex22(gamma=0.3)
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_imex22_non_finite_alpha_rejected(alpha):
+    with pytest.raises(InvalidParameterError,
+                       match="alpha must be nonzero and finite"):
+        build_imex22(alpha=alpha)
+
+
+def test_imex22_order_breaking_gamma_fails_order_two():
+    report = build_imex22(gamma=0.3).validate()
+    assert {v.name for v in report.violations} == {"order-2"}
+
+
+@pytest.mark.parametrize("gamma", [GAMMA_MINUS, GAMMA_PLUS, 0.3, 0.5, 1.0,
+                                   GAMMA_MINUS + 1e-12])
+@pytest.mark.parametrize("alpha", [-2.5, 1e-8, 0.31, 0.5, 1.0, 40.1,
+                                   1234.567])
+def test_imex22_validity_rests_on_gamma_alone(gamma, alpha):
+    # any finite, nonzero alpha keeps the weight sums, internal consistency
+    # and partition 1's order-2 conditions: the report is gamma's
+    def violations(tableau):
+        return [(v.name, v.detail) for v in tableau.validate().violations]
+
+    found = violations(build_imex22(gamma, alpha))
+    assert found == violations(build_imex22(gamma))
+    assert all(name == "order-2" and detail.startswith("b^(2)")
+               for name, detail in found)
+    assert (not found) == (gamma in (GAMMA_MINUS, GAMMA_PLUS))
+
+
+EVERY_RESIDUAL = {"non-finite", "weight-sum", "order-2",
+                  "internal-consistency"}
+
+
+@pytest.mark.parametrize("gamma, alpha, names", [
+    (math.nan, 0.5, EVERY_RESIDUAL), (math.inf, 0.5, EVERY_RESIDUAL),
+    (GAMMA_MINUS, 1e-320, EVERY_RESIDUAL - {"weight-sum"})],
+    ids=["gamma-nan", "gamma-inf", "alpha-overflow"])
+def test_validate_flags_non_finite_coefficients(gamma, alpha, names):
+    # each `resid > tol` test is false for NaN: the entries are flagged
+    # as such, and so is every residual they spoil
+    report = build_imex22(gamma, alpha).validate()
+    assert {v.name for v in report.violations} == names
 
 
 def test_validate_reports_weight_sum_violation():
@@ -160,9 +199,14 @@ def test_adjoint_transform_is_involutive():
 
 @pytest.mark.parametrize("alpha", [None, 0.39, 0.47])
 def test_adjoint_tableau_validates(alpha):
+    # the reversed sweep keeps the weights, the order and a usable
+    # schedule; its abscissae differ across the partitions it reads
     adj = adjoint_coefficients(build_imex22(alpha=alpha))
     assert isinstance(adj, GarkTableau)
-    assert adj.validate().ok
+    found = {(v.name, v.detail) for v in adj.validate().violations}
+    assert found == {
+        ("internal-consistency", "c^(1,2) != c^(1,1)"),
+        ("internal-consistency", "c^(2,1) != c^(2,2)")}
 
 
 def test_adjoint_rejects_zero_weight():
@@ -171,6 +215,15 @@ def test_adjoint_rejects_zero_weight():
                           t.stage_schedule, declared_order=1)
     with pytest.raises(UnsupportedTableauError, match=r"\(1,2\)"):
         adjoint_coefficients(crooked)
+
+
+def test_implicit_partitions():
+    t = build_imex22()
+    assert t.implicit_partitions == (1,)
+    assert t.implicit_partitions is t.implicit_partitions
+    assert t.permute_partitions((1, 0)).implicit_partitions == (0,)
+    # the reversed sweep keeps the diagonal of A^{2,2}
+    assert adjoint_coefficients(t).implicit_partitions == (1,)
 
 
 def test_permute_partitions_round_trip_and_validity():
