@@ -7,13 +7,13 @@ pre-Jacobian solve vectors with theta = J^T mu; both read each stage's
 transposed couplings from the stage plan's read_by.  "ell" runs the
 reversed method, whose adjoint coefficient tableau needs every stage weight
 nonzero; its plan is the forward one reversed, read through its reads.
-Implicit-stage solves with (I - h a_ii J)^T use SuperLU's plain kernel on
-the trajectory's factor cache, which holds the factors of those transposes
-(the forward run solves with its transposed kernel): constant-Jacobian
-stages hit the factors the forward run stored, and Newton stages are
-factored at their stored (converged) stage values; a linear partition,
-whose values no run stores, is read at y_n (ForwardTrajectory.stage_point),
-as is an explicit stage that reads no slope.  Each stage applies its
+Implicit-stage solves with (I - h a_ii J)^T are the plain solves of the
+trajectory's factor cache (the forward run solves with trans="T"; see
+forward.factorize): constant-Jacobian stages hit the solvers the forward
+run stored, and Newton stages are factored at their stored (converged)
+stage values; a linear partition, whose values no run stores, is read at
+y_n (ForwardTrajectory.stage_point), as is an explicit stage that reads no
+slope.  Each stage applies its
 Jacobian only as a vector-Jacobian product ``system.vjp``, so partitions
 that supply ``vjp`` are never assembled here.  A "mu" sweep stores mu only
 for the partitions its caller names; the others get None.
@@ -53,7 +53,7 @@ def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
                  y_stage: np.ndarray, coef: float,
                  rhs: np.ndarray) -> np.ndarray:
     """(I - coef J^(q))^-T rhs at the stage; rhs itself on explicit stages.
-    The cache holds factors of the transpose, so this is a plain solve."""
+    A stage solver's plain solve is the transposed one."""
     if coef == 0.0:
         return rhs
     lu = traj.factors.get(q, t_i, y_stage, coef)

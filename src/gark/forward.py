@@ -10,21 +10,25 @@ Everything else is an explicit update, and no stage copies y_n.  y_{n+1}
 is the last stage's value when the tableau is stiffly accurate
 (GarkTableau.last_stage_is_step) and that stage is explicit or linear
 implicit, as that value then is y_n + h sum b k bitwise; otherwise it is
-that weighted sum (combine_step).  SuperLU factors the transpose
-(I - h a_ii J)^T of every stage matrix, with a symmetric minimum-degree
-column ordering (MMD on A^T + A): forward solves take SuperLU's faster
-transposed kernel, and the adjoint, with far fewer solves, the plain one.
-Every stage matrix is factored through one LinearStageCache made for its
-system, which keeps the factors of partitions with constant Jacobians, one
-per (partition, h a_ii) up to step-size jitter, and refactors Newton
-stages; step refuses a cache of another system.  integrate stores what the
-adjoint sweep reads (every state, the stage values of the nonlinear
-partitions, and the cache), or hands each finished step, its stage values
-and slopes included, to a consumer and keeps only y_N.  A linear
-partition's Jacobian ignores the state, so no reader needs its stage values
-and no run stores them; an explicit stage that reads no slope has the value
-y_n bitwise, so no run stores it either (stored_stage_rows).  A consumer is
-the only reader of the slopes, which no run stores.
+that weighted sum (combine_step).  A stage solver solves the stage matrix
+I - h a_ii J forward and its transpose for the adjoint (factorize).  A
+diffusion partition with a separable constant-coefficient operator is
+solved by fast diagonalization, four small matrix products on its 1-D
+eigenbases (SeparableStageSolver); any other partition by SuperLU's factors
+of the transpose (I - h a_ii J)^T, with a symmetric minimum-degree column
+ordering (MMD on A^T + A): forward solves take SuperLU's faster transposed
+kernel, and the adjoint, with far fewer solves, the plain one.  Every stage
+solver comes from one LinearStageCache made for its system, which keeps the
+solvers of partitions with constant Jacobians, one per (partition, h a_ii)
+up to step-size jitter, and refactors Newton stages; step refuses a cache
+of another system.  integrate stores what the adjoint sweep reads (every
+state, the stage values of the nonlinear partitions, and the cache), or
+hands each finished step, its stage values and slopes included, to a
+consumer and keeps only y_N.  A linear partition's Jacobian ignores the
+state, so no reader needs its stage values and no run stores them; an
+explicit stage that reads no slope has the value y_n bitwise, so no run
+stores it either (stored_stage_rows).  A consumer is the only reader of the
+slopes, which no run stores.
 """
 
 from __future__ import annotations
@@ -37,14 +41,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gark.mesh import TimeGrid
-from gark.systems import ProblemInstance, SplitOdeSystem
+from gark.systems import ProblemInstance, SeparableLaplacian, SplitOdeSystem
 from gark.tableau import GarkTableau, UnsupportedTableauError
 
 # Newton stops when |Y - rhs - coef f(Y)| <= ATOL + RTOL max(1, |Y|).
 NEWTON_RTOL = 1e-10
 NEWTON_ATOL = 1e-12
 MAX_NEWTON_ITERATIONS = 20
-# Stage coefficients h a_ii this close, relatively, share one factorization:
+# Stage coefficients h a_ii this close, relatively, share one stage solver:
 # step sizes are differences of nodes and jitter by about 1e-14.
 COEF_RTOL = 1e-10
 
@@ -71,31 +75,58 @@ class StepFailureError(RuntimeError):
 
 def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
               coef: float):
-    """SuperLU factors of the transpose (I - coef * J^(q)(t, y))^T.
+    """A solver of the stage matrix I - coef * J^(q)(t, y).
 
     solve(b, trans="T") solves the stage system (I - coef J) x = b, and
-    solve(b) its transpose.  The columns are ordered by minimum degree on
-    the structure of A^T + A, which fits the structurally symmetric
-    diffusion stencils better than SuperLU's default COLAMD.
+    solve(b) its transpose.  A separable partition gets a
+    SeparableStageSolver; any other gets SuperLU's factors of the transpose
+    (I - coef J)^T, whose columns are ordered by minimum degree on the
+    structure of A^T + A, which fits the structurally symmetric diffusion
+    stencils better than SuperLU's default COLAMD.
     """
+    separable = system.partitions[q].separable
+    if separable is not None:
+        return SeparableStageSolver(separable, coef)
     jac = system.jac(q, t, y)
     matrix = sp.identity(system.dim, format="csr") - coef * jac
     return spla.splu(matrix.T.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+class SeparableStageSolver:
+    """(I - coef J)^-1 of a separable diffusion partition by fast
+    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with
+    SuperLU's solve contract (see factorize): each species' (ny, nx) array
+    goes into the operator's eigenbasis by two small matrix products, is
+    scaled by 1 / (1 - coef s lam), and comes back by two more.  The basis
+    is the partition's, computed once; a solver keeps only its scaling.
+    """
+
+    def __init__(self, separable: SeparableLaplacian, coef: float):
+        lam, self._products = separable.diagonalization
+        self._shape = (len(separable.scales), *lam.shape)
+        self._scaling = 1.0 / (1.0 - coef * np.multiply.outer(
+            separable.scales, lam))
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        into_a, into_b, out_a, out_b = self._products[trans]
+        z = into_a @ b.reshape(self._shape) @ into_b
+        z *= self._scaling
+        return (out_a @ z @ out_b).reshape(-1)
+
+
 class LinearStageCache:
-    """Factorizations of (I - coef*J)^T for one system (see factorize for
-    the solve directions), the one way in to factorize: shared by a
+    """Stage solvers of I - coef*J for one system (see factorize for the
+    solve directions), the one way in to factorize: shared by a
     trajectory's steps, its temporal residuals and its adjoint sweep, and
     by any other run on the system given the cache through
     integrate(factors=).
 
     Only partitions with constant Jacobians are stored.  A coefficient
-    reuses the first stored factor of its partition whose coefficient lies
+    reuses the first stored solver of its partition whose coefficient lies
     within COEF_RTOL of it, searched in insertion order: the jitter of
-    nominally equal step sizes maps onto one factorization, and every solve
-    at a coefficient meets the factor its first solve met.  Other partitions
-    are factored afresh at (t, y) on every call.
+    nominally equal step sizes maps onto one solver, and every solve at a
+    coefficient meets the solver its first solve met.  Other partitions are
+    factored afresh at (t, y) on every call.
     """
 
     def __init__(self, system: SplitOdeSystem):
@@ -256,7 +287,7 @@ class ForwardTrajectory:
     states has shape (num_steps + 1, dim) and stage_values[q] shape
     (num_steps, rows_q, dim) with one row per stage of stored_stage_rows,
     or None where partition q keeps no row: what the adjoint sweep reads,
-    through stage_point.  factors holds the run's stage factorizations.  A
+    through stage_point.  factors holds the run's stage solvers.  A
     run made with a step consumer keeps only states = [y_N]: no stage
     values and no factors.
     """
@@ -316,7 +347,7 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     overflow and invalid-value warnings are off, as that check reports them.
     Without a consumer the trajectory keeps every state, the stage values
     of its nonlinear partitions that move off y_n (stored_stage_rows) and
-    the cache of constant-Jacobian stage factorizations.
+    the cache of constant-Jacobian stage solvers.
     With one, consumer(n, y_n, StepResult) is called as each step finishes
     and the returned trajectory is streamed: it keeps only y_N.  factors, a
     cache made for the same system (step refuses another), is read and

@@ -6,13 +6,17 @@ assembled sparse Jacobian, and may add a matrix-free vector-Jacobian product
 ``vjp`` that the adjoint sweep uses instead of assembling; the mass matrix is
 the identity throughout.  A diffusion partition applies its operator, and
 its transpose in the vjp, through SciPy's compiled sparse kernels bound to
-the operator's arrays at build, after checking the vector's shape.
+the operator's arrays at build, after checking the vector's shape.  A
+diffusion partition with a constant coefficient per species also carries
+its operator's tensor-product form (SeparableLaplacian), from which the
+stage solver diagonalizes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +41,10 @@ class Partition:
     recombination by its Newton residual, and a linear stage's slope from
     f(Y) by its solve's round-off.  A rhs whose diagonal Jacobian hides a
     term that depends on the grid is not pointwise.
+
+    separable, set only on a linear partition, is its constant Jacobian's
+    tensor-product form; the stage solver then diagonalizes it instead of
+    factoring the stage matrix.
     """
 
     name: str
@@ -46,6 +54,65 @@ class Partition:
     stiff: bool = False
     vjp: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     pointwise: bool = False
+    separable: SeparableLaplacian | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableLaplacian:
+    """A constant-coefficient Laplacian on a tensor grid, in 1-D factors.
+
+    Species k of a species-major state, reshaped to the (ny, nx) array Y_k
+    of its unknowns, has J y = scales[k] (Ly Y_k + Y_k Lx^T), where each
+    axis's operator L = W^-1 K has the trapezoid weights w = diag(W) and the
+    symmetric second-difference matrix K of discretize_laplacian's faces
+    with c = 1, Dirichlet ends dropped as it drops them.
+    """
+
+    x: tuple[np.ndarray, np.ndarray]  # (w, K) of the x axis
+    y: tuple[np.ndarray, np.ndarray]  # (w, K) of the y axis
+    scales: tuple[float, ...]
+
+    @cached_property
+    def diagonalization(self) -> tuple:
+        """(lam, products), computed on first use, with J = diag(scales) kron
+        (Vy kron Vx) diag(lam) (Vy kron Vx)^-1 and lam[j, i] = lam_y[j] +
+        lam_x[i].  Each axis's basis comes from eigh of the symmetric W^-1/2
+        K W^-1/2 = W^1/2 L W^-1/2 = Q diag(lam) Q^T, so V = W^-1/2 Q and
+        V^-1 = Q^T W^1/2.  products[trans] = (A, B, C, D), contiguous, takes
+        a reshaped state Y into the eigenbasis as A Y B and out as C Z D:
+        (Vy^-1, Vx^-T, Vy, Vx^T) for "T", which applies (Vy kron Vx)^-1 and
+        then Vy kron Vx, and their transposes' (Vy^T, Vx, Vy^-T, Vx^-1) for
+        "N"."""
+        lam, v, v_inv = [], [], []
+        for w, k in (self.x, self.y):
+            root = np.sqrt(w)
+            lam_axis, q = np.linalg.eigh(k / np.outer(root, root))
+            lam.append(lam_axis)
+            v.append(q / root[:, None])
+            v_inv.append(q.T * root)
+        (vx, vy), (vx_inv, vy_inv) = v, v_inv
+        products = {"T": (vy_inv, vx_inv.T, vy, vx.T),
+                    "N": (vy.T, vx, vy_inv.T, vx_inv)}
+        return np.add.outer(lam[1], lam[0]), {
+            trans: tuple(map(np.ascontiguousarray, mats))
+            for trans, mats in products.items()}
+
+
+def separable_laplacian(grid: TensorGrid2D,
+                        scales: tuple[float, ...]) -> SeparableLaplacian:
+    """The 1-D factors of discretize_laplacian(grid) times scales[k] on
+    species k; see SeparableLaplacian."""
+    def axis(coords, low, high):
+        inv_h = 1.0 / np.diff(coords)
+        k = np.diag(inv_h, 1) + np.diag(inv_h, -1)
+        k -= np.diag(k.sum(axis=1))
+        keep = slice(int(grid.bc[low] == DIRICHLET),
+                     len(coords) - int(grid.bc[high] == DIRICHLET))
+        return trapezoid_weights(coords)[keep], k[keep, keep]
+
+    return SeparableLaplacian(axis(grid.xs, "left", "right"),
+                              axis(grid.ys, "bottom", "top"),
+                              tuple(float(s) for s in scales))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +226,10 @@ def integral_goal(grid: TensorGrid2D, num_species: int = 1) -> GoalFunction:
                         gradient=lambda y: w.copy())
 
 
-def _diffusion(op: sp.csr_matrix) -> Partition:
-    """The stiff linear partition y' = op y.
+def _diffusion(op: sp.csr_matrix,
+               separable: SeparableLaplacian | None = None) -> Partition:
+    """The stiff linear partition y' = op y, with op's separable form when
+    it has one.
 
     rhs and vjp call the compiled kernels that op @ y and op.T @ w end in,
     csr_matvec and csc_matvec on op's own arrays, bound here once: the same
@@ -183,7 +252,8 @@ def _diffusion(op: sp.csr_matrix) -> Partition:
     return Partition("diffusion",
                      lambda t, y: apply(_sparsetools.csr_matvec, y),
                      lambda t, y: op, linear=True, stiff=True,
-                     vjp=lambda t, y, w: apply(_sparsetools.csc_matvec, w))
+                     vjp=lambda t, y, w: apply(_sparsetools.csc_matvec, w),
+                     separable=separable)
 
 
 def _pointwise_reaction(rhs, slope) -> Partition:
@@ -266,7 +336,8 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
-            _diffusion((nu * discretize_laplacian(grid)).tocsr()),
+            _diffusion((nu * discretize_laplacian(grid)).tocsr(),
+                       separable_laplacian(grid, (nu,))),
             _pointwise_reaction(reaction_rhs, lambda y: 1.0 - 3.0 * y ** 2),
         ))
 
@@ -333,7 +404,9 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
         dim=2 * n,
         partitions=(
             _diffusion(sp.block_diag((GRAY_SCOTT_DU * lap, GRAY_SCOTT_DV * lap),
-                                     format="csr")),
+                                     format="csr"),
+                       separable_laplacian(grid, (GRAY_SCOTT_DU,
+                                                  GRAY_SCOTT_DV))),
             Partition("reaction", reaction_rhs, reaction_jac,
                       vjp=reaction_vjp, pointwise=True),
         ))

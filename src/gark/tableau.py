@@ -108,8 +108,11 @@ class GarkTableau:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "stage_schedule",
                            tuple((int(q), int(i)) for q, i in self.stage_schedule))
-        object.__setattr__(self, "_abscissae", tuple(
-            tuple(_freeze(a.sum(axis=1)) for a in row) for row in coupling))
+        # validate() reports NaN and infinite coefficients; their sums
+        # would only warn here first
+        with np.errstate(invalid="ignore", over="ignore"):
+            object.__setattr__(self, "_abscissae", tuple(
+                tuple(_freeze(a.sum(axis=1)) for a in row) for row in coupling))
 
     @property
     def num_partitions(self) -> int:
@@ -178,10 +181,12 @@ class GarkTableau:
         P = self.num_partitions
         counts = self.stage_counts
 
+        shaped = set(range(P))  # partitions whose couplings all fit
         for q in range(P):
             for m in range(P):
                 a = self.coupling[q][m]
                 if a.shape != (counts[q], counts[m]):
+                    shaped.discard(q)
                     bad.append(Violation(
                         "shape", f"A^{{{q + 1},{m + 1}}} has shape {a.shape}, "
                         f"expected {(counts[q], counts[m])}", 0.0))
@@ -199,8 +204,9 @@ class GarkTableau:
                 bad.append(Violation(
                     "weight-sum", f"sum b^({q + 1}) != 1", resid))
 
+        # the abscissae of a misshapen partition fit none of its vectors
         if self.declared_order >= 2:
-            for q in range(P):
+            for q in sorted(shaped):
                 for m in range(P):
                     resid = abs(self.weights[q] @ self.abscissae(q, m) - 0.5)
                     if not resid <= VALIDATION_TOL:
@@ -208,7 +214,7 @@ class GarkTableau:
                             "order-2", f"b^({q + 1}) . c^({q + 1},{m + 1}) != 1/2",
                             resid))
 
-        for q in range(P):
+        for q in sorted(shaped):
             c_own = self.abscissae(q, q)
             for m in range(P):
                 resid = float(np.max(np.abs(self.abscissae(q, m) - c_own),
@@ -224,7 +230,7 @@ class GarkTableau:
             bad.append(Violation(
                 "schedule", "stage schedule is not a permutation of all stages",
                 float(len(expected.symmetric_difference(scheduled)))))
-        else:
+        elif len(shaped) == P:
             try:
                 self.plan
             except UnsupportedTableauError as err:

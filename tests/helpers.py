@@ -230,6 +230,13 @@ def nested_grids(name: str) -> list:
     return [base, once, once.refine_marked({(0, 0), (4, 3), (5, 3), (9, 7)})]
 
 
+def thrice_refined(name: str):
+    """A problem's default 8x6 grid after three refine_marked passes: 18x13
+    cells, whose x spacings vary eightfold."""
+    grid = nested_grids(name)[-1]
+    return grid.refine_marked({(2, 2), (3, 2), (12, 9)})
+
+
 # --- stage slopes, which only a step consumer sees -------------------------
 
 class StepRecorder:

@@ -560,9 +560,11 @@ class TestPlumbing:
         assert unused == []
 
     def test_stage_factors_have_one_way_in(self):
-        # splu is named only in factorize, and factorize only in
-        # LinearStageCache.get, the one way in to a stage factor
-        where = {"splu": set(), "factorize": set()}
+        # splu and SeparableStageSolver are named only in factorize, and
+        # factorize only in LinearStageCache.get, the one way in to a stage
+        # solver
+        where = {"splu": set(), "SeparableStageSolver": set(),
+                 "factorize": set()}
 
         def visit(node, scope):
             for child in ast.iter_child_nodes(node):
@@ -577,6 +579,7 @@ class TestPlumbing:
         for path in sorted(Path(gark.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text()), path.stem)
         assert where == {"splu": {"forward.factorize"},
+                         "SeparableStageSolver": {"forward.factorize"},
                          "factorize": {"forward.LinearStageCache.get"}}
 
     def test_module_entry_point(self):

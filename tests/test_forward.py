@@ -8,13 +8,15 @@ import scipy.sparse.linalg
 
 from helpers import (StepRecorder, assert_bitwise, at_coarse_nodes,
                      linear_pair, nonlinear_stiff, plan_cases, scalar_split,
-                     scan_step, stiff_relaxation, sum_goal, wrap)
+                     scan_step, stiff_relaxation, sum_goal, thrice_refined,
+                     wrap)
 
 from gark import forward
 from gark.adjoint import _stage_solve, adjoint_sweep
-from gark.estimation import temporal_residuals
-from gark.forward import (LinearStageCache, StepFailureError, align_tableau,
-                          factorize, integrate, step)
+from gark.estimation import estimate_errors, temporal_residuals
+from gark.forward import (LinearStageCache, SeparableStageSolver,
+                          StepFailureError, align_tableau, factorize,
+                          integrate, step)
 from gark.mesh import TimeGrid
 from gark.oracle import dense_step_propagator
 from gark.systems import (Partition, SplitOdeSystem, build_problem,
@@ -577,3 +579,50 @@ class TestCalvoForward:
                           / np.linalg.norm(ref.states[-1]))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         assert 1.8 <= slope <= 2.2
+
+
+class TestSeparableStageSolver:
+    """Constant-coefficient diffusion stages are solved by fast
+    diagonalization, with SuperLU's solve directions."""
+
+    @pytest.mark.parametrize("name", ["calvo", "gray_scott"])
+    @pytest.mark.parametrize("refined", [False, True],
+                             ids=["uniform", "refined"])
+    def test_both_directions_solve_the_stage_system(self, name, refined):
+        grid = thrice_refined(name) if refined else default_grid(name, 8, 6)
+        problem = build_problem(name, grid)
+        system, y = problem.system, problem.y0
+        rng = np.random.default_rng(7)
+        for coef in (0.0029, 0.4):
+            solver = factorize(system, 0, 0.0, y, coef)
+            assert isinstance(solver, SeparableStageSolver)
+            matrix = sp.identity(system.dim) - coef * system.jac(0, 0.0, y)
+            b = rng.standard_normal(system.dim)
+            for m, x in ((matrix, solver.solve(b, trans="T")),
+                         (matrix.T, solver.solve(b))):
+                assert x.shape == b.shape
+                assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        return calls
+
+    def test_gray_scott_estimate_factors_nothing(self, splu_calls):
+        problem = build_problem("gray_scott", default_grid("gray_scott", 4, 4),
+                                t_final=0.2)
+        bundle = estimate_errors(problem, build_imex22(),
+                                 TimeGrid.uniform(0.0, 0.2, 0.05))
+        assert np.isfinite(bundle.report.e_total)
+        assert splu_calls == []
+
+    def test_calvo_run_and_sweep_factor_nothing(self, splu_calls):
+        problem = make_calvo(default_grid("calvo", 8, 4))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 1.5, 0.15))
+        lam = adjoint_sweep(traj).lam
+        assert np.isfinite(lam).all()
+        assert splu_calls == []

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from gark.mesh import TensorGrid2D
-from helpers import assert_bitwise, loop_laplacian, nested_grids
-from gark.systems import (_calvo_g, _calvo_gxx, bsvd_diffusivity, build_problem,
-                          default_grid, discretize_laplacian, integral_goal,
-                          make_bsvd, make_calvo, make_gray_scott,
-                          make_random_nonlinear, rebuild_on)
+import scipy.sparse as sp
+
+from helpers import (assert_bitwise, loop_laplacian, nested_grids,
+                     thrice_refined)
+from gark.systems import (GRAY_SCOTT_DU, GRAY_SCOTT_DV, _calvo_g, _calvo_gxx,
+                          bsvd_diffusivity, build_problem, default_grid,
+                          discretize_laplacian, integral_goal, make_bsvd,
+                          make_calvo, make_gray_scott, make_random_nonlinear,
+                          rebuild_on)
 
 
 def interior_mask(grid):
@@ -398,6 +402,48 @@ class TestDiffusionKernels:
                     system.f(0, 0.0, bad)
                 with pytest.raises(ValueError, match="diffusion operator"):
                     system.vjp(0, 0.0, y, bad)
+
+
+class TestSeparableLaplacian:
+    """The 1-D factors that the diffusion stage solver diagonalizes."""
+
+    @pytest.fixture(params=["calvo", "gray_scott"])
+    def problems(self, request):
+        """The problem on a uniform grid and on a thrice refined one."""
+        name = request.param
+        return [build_problem(name, grid)
+                for grid in (default_grid(name, 8, 6), thrice_refined(name))]
+
+    def test_kronecker_sum_equals_the_assembled_jacobian(self, problems):
+        for problem in problems:
+            separable = problem.system.partitions[0].separable
+            (wx, kx), (wy, ky) = separable.x, separable.y
+            lap = (sp.kron(np.eye(len(wy)), kx / wx[:, None])
+                   + sp.kron(ky / wy[:, None], np.eye(len(wx))))
+            kron = sp.block_diag([s * lap for s in separable.scales])
+            jac = problem.system.jac(0, 0.0, problem.y0)
+            err = abs(kron - jac).max() / abs(jac).max()
+            assert err <= 1e-13
+
+    def test_scales_are_the_diffusivities(self):
+        calvo = make_calvo(default_grid("calvo", 8, 4), nu=0.098)
+        gray_scott = make_gray_scott(default_grid("gray_scott", 4, 4))
+        assert calvo.system.partitions[0].separable.scales == (0.098,)
+        assert gray_scott.system.partitions[0].separable.scales == (
+            GRAY_SCOTT_DU, GRAY_SCOTT_DV)
+
+    def test_diagonalized_on_first_use_only(self, problems):
+        # problem setup computes no eigenbasis
+        separable = problems[0].system.partitions[0].separable
+        assert "diagonalization" not in vars(separable)
+        assert separable.diagonalization is separable.diagonalization
+
+    def test_only_constant_coefficient_diffusion_is_separable(self, problems):
+        bsvd = make_bsvd(default_grid("bsvd", 6, 6))
+        for problem in (*problems, bsvd):
+            diffusion, reaction = problem.system.partitions
+            assert reaction.separable is None
+            assert (diffusion.separable is None) == (problem is bsvd)
 
 
 class TestRandomNonlinear:

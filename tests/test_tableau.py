@@ -140,6 +140,18 @@ def test_validate_reports_weight_sum_violation():
     assert resid == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("block", [np.eye(3), np.eye(1)], ids=["3x3", "1x1"])
+def test_validate_reports_a_misshapen_coupling(block):
+    # the order and consistency sums of a misshapen partition would not
+    # line up; validate() names the shape and skips them
+    t = build_imex22()
+    coupling = (t.coupling[0], (t.coupling[1][0], block))
+    report = GarkTableau(coupling, t.weights, t.stage_schedule).validate()
+    assert not report.ok
+    assert [v.name for v in report.violations] == ["shape"]
+    assert f"A^{{2,2}} has shape {block.shape}, expected (2, 2)" in str(report)
+
+
 def test_validate_reports_schedule_cycle():
     t = build_imex22()
     # (E,2) reads (I,1); scheduling (I,1) after (E,2) breaks the ordering
