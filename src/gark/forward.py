@@ -3,21 +3,23 @@
 One step walks the tableau's stage plan in schedule order, each stage
 combining only the earlier slopes it reads.  A stage with a nonzero
 own-diagonal coefficient solves Y = rhs + h a_ii f^(q)(T_i, Y): on a
-linear partition its slope k = f(Y) comes from one solve,
-(I - h a_ii J) k = f(rhs), so the stage makes one f call and Y = rhs +
-h a_ii k; otherwise by full Newton iteration (fixed tolerances, below).
-Everything else is an explicit update, and no stage copies y_n.  y_{n+1}
-is the last stage's value when the tableau is stiffly accurate
-(GarkTableau.last_stage_is_step) and that stage is explicit or linear
-implicit, as that value then is y_n + h sum b k bitwise; otherwise it is
-that weighted sum (combine_step).  A stage solver solves the stage matrix
-I - h a_ii J forward and its transpose for the adjoint (factorize).  A
-diffusion partition with a separable constant-coefficient operator is
-solved by fast diagonalization, four small matrix products on its 1-D
-eigenbases (SeparableStageSolver); any other partition by SuperLU's factors
-of the transpose (I - h a_ii J)^T, with a symmetric minimum-degree column
+linear partition its stage solver's slope gives k = f(Y) =
+(I - h a_ii J)^-1 f(rhs), and Y = rhs + h a_ii k; otherwise by full
+Newton iteration (fixed tolerances, below).  Everything else is an
+explicit update, and no stage copies y_n.  y_{n+1} is the last stage's
+value when the tableau is stiffly accurate (GarkTableau.last_stage_is_step)
+and that stage is explicit or linear implicit, as that value then is y_n +
+h sum b k bitwise; otherwise it is that weighted sum (combine_step).  A
+stage solver solves the stage matrix I - h a_ii J forward and its
+transpose for the adjoint (factorize).  A diffusion partition with a
+separable constant-coefficient operator is solved by fast
+diagonalization, four small matrix products on its 1-D eigenbases, and a
+stage's slope is one such round trip with no f call
+(SeparableStageSolver); any other partition by SuperLU's factors of the
+transpose (I - h a_ii J)^T, with a symmetric minimum-degree column
 ordering (MMD on A^T + A): forward solves take SuperLU's faster transposed
-kernel, and the adjoint, with far fewer solves, the plain one.  Every stage
+kernel, and the adjoint, with far fewer solves, the plain one; a stage's
+slope is one f call and one solve (SuperLUStageSolver).  Every stage
 solver comes from one LinearStageCache made for its system, which keeps the
 solvers of partitions with constant Jacobians, one per (partition, h a_ii)
 up to step-size jitter, and refactors Newton stages; step refuses a cache
@@ -78,40 +80,67 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
     """A solver of the stage matrix I - coef * J^(q)(t, y).
 
     solve(b, trans="T") solves the stage system (I - coef J) x = b, and
-    solve(b) its transpose.  A separable partition gets a
-    SeparableStageSolver; any other gets SuperLU's factors of the transpose
-    (I - coef J)^T, whose columns are ordered by minimum degree on the
-    structure of A^T + A, which fits the structurally symmetric diffusion
-    stencils better than SuperLU's default COLAMD.
+    solve(b) its transpose; on a linear partition slope(t, rhs) is its
+    stage's slope k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition
+    gets a SeparableStageSolver; any other a SuperLUStageSolver.
     """
     separable = system.partitions[q].separable
     if separable is not None:
         return SeparableStageSolver(separable, coef)
     jac = system.jac(q, t, y)
     matrix = sp.identity(system.dim, format="csr") - coef * jac
-    return spla.splu(matrix.T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return SuperLUStageSolver(
+        system, q, spla.splu(matrix.T.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+
+
+class SuperLUStageSolver:
+    """SuperLU's factors lu of the transpose (I - coef J)^T, whose columns
+    are ordered by minimum degree on the structure of A^T + A, which fits
+    the structurally symmetric diffusion stencils better than SuperLU's
+    default COLAMD.  A linear stage's slope is one f call and one solve."""
+
+    __slots__ = ("system", "q", "lu")
+
+    def __init__(self, system: SplitOdeSystem, q: int, lu):
+        self.system, self.q, self.lu = system, q, lu
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self.lu.solve(b, trans=trans)
+
+    def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
+        return self.lu.solve(self.system.f(self.q, t, rhs), trans="T")
 
 
 class SeparableStageSolver:
     """(I - coef J)^-1 of a separable diffusion partition by fast
-    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with
-    SuperLU's solve contract (see factorize): each species' (ny, nx) array
-    goes into the operator's eigenbasis by two small matrix products, is
-    scaled by 1 / (1 - coef s lam), and comes back by two more.  The basis
-    is the partition's, computed once; a solver keeps only its scaling.
+    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): each
+    species' (ny, nx) array goes into the operator's eigenbasis by two small
+    matrix products, is scaled there, and comes back by two more.  solve
+    scales by 1 / (1 - coef s lam); slope, as J is s lam in that basis and
+    the partition's rhs is J y, by s lam / (1 - coef s lam), with no f call.
+    The basis is the partition's, computed once; a solver keeps only its
+    two scalings.
     """
 
     def __init__(self, separable: SeparableLaplacian, coef: float):
         lam, self._products = separable.diagonalization
         self._shape = (len(separable.scales), *lam.shape)
-        self._scaling = 1.0 / (1.0 - coef * np.multiply.outer(
-            separable.scales, lam))
+        eigenvalues = np.multiply.outer(separable.scales, lam)
+        self._scaling = 1.0 / (1.0 - coef * eigenvalues)
+        self._slope_scaling = eigenvalues * self._scaling
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _round_trip(self, b: np.ndarray, trans: str,
+                    scaling: np.ndarray) -> np.ndarray:
         into_a, into_b, out_a, out_b = self._products[trans]
         z = into_a @ b.reshape(self._shape) @ into_b
-        z *= self._scaling
+        z *= scaling
         return (out_a @ z @ out_b).reshape(-1)
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self._round_trip(b, trans, self._scaling)
+
+    def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
+        return self._round_trip(rhs, "T", self._slope_scaling)
 
 
 class LinearStageCache:
@@ -226,8 +255,7 @@ def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
         elif system.partitions[q].linear:
             # (I - coef J) k = f(rhs) gives k = f(rhs + coef k) = f(Y)
             coef = h * stage.a_ii
-            lu = cache.get(q, t_i, y, coef)
-            slope = lu.solve(system.f(q, t_i, rhs), trans="T")
+            slope = cache.get(q, t_i, y, coef).slope(t_i, rhs)
             y_stage = rhs + coef * slope
         else:
             y_stage, slope = _newton_stage(system, cache, stage, t_i,

@@ -9,7 +9,7 @@ its transpose in the vjp, through SciPy's compiled sparse kernels bound to
 the operator's arrays at build, after checking the vector's shape.  A
 diffusion partition with a constant coefficient per species also carries
 its operator's tensor-product form (SeparableLaplacian), from which the
-stage solver diagonalizes it.
+stage solver diagonalizes it and takes a stage's slope.
 """
 
 from __future__ import annotations
@@ -42,9 +42,11 @@ class Partition:
     f(Y) by its solve's round-off.  A rhs whose diagonal Jacobian hides a
     term that depends on the grid is not pointwise.
 
-    separable, set only on a linear partition, is its constant Jacobian's
-    tensor-product form; the stage solver then diagonalizes it instead of
-    factoring the stage matrix.
+    separable is a linear partition's constant Jacobian J in tensor-product
+    form, and declares that its rhs is exactly J y, with no forcing term:
+    the stage solver then diagonalizes J instead of factoring the stage
+    matrix, and takes a stage's slope in J's eigenbasis without calling rhs.
+    Set on a partition that is not linear, it raises ValueError.
     """
 
     name: str
@@ -55,6 +57,11 @@ class Partition:
     vjp: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     pointwise: bool = False
     separable: SeparableLaplacian | None = None
+
+    def __post_init__(self):
+        if self.separable is not None and not self.linear:
+            raise ValueError(f"partition {self.name!r} is not linear, so it "
+                             "cannot carry a separable operator")
 
 
 @dataclass(frozen=True, eq=False)

@@ -460,8 +460,7 @@ def scan_step(system, tableau, t, h, y, cache):
             slope = system.f(q, t_i, y_stage)
         elif system.partitions[q].linear:
             coef = h * a_ii
-            lu = cache.get(q, t_i, y, coef)
-            slope = lu.solve(system.f(q, t_i, rhs), trans="T")
+            slope = cache.get(q, t_i, y, coef).slope(t_i, rhs)
             y_stage = rhs + coef * slope
         else:
             coef, y_stage = h * a_ii, y.copy()

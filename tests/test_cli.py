@@ -560,11 +560,11 @@ class TestPlumbing:
         assert unused == []
 
     def test_stage_factors_have_one_way_in(self):
-        # splu and SeparableStageSolver are named only in factorize, and
-        # factorize only in LinearStageCache.get, the one way in to a stage
-        # solver
+        # splu and the stage solver classes are named only in factorize,
+        # and factorize only in LinearStageCache.get, the one way in to a
+        # stage solver
         where = {"splu": set(), "SeparableStageSolver": set(),
-                 "factorize": set()}
+                 "SuperLUStageSolver": set(), "factorize": set()}
 
         def visit(node, scope):
             for child in ast.iter_child_nodes(node):
@@ -580,6 +580,7 @@ class TestPlumbing:
             visit(ast.parse(path.read_text()), path.stem)
         assert where == {"splu": {"forward.factorize"},
                          "SeparableStageSolver": {"forward.factorize"},
+                         "SuperLUStageSolver": {"forward.factorize"},
                          "factorize": {"forward.LinearStageCache.get"}}
 
     def test_module_entry_point(self):

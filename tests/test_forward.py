@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -418,7 +419,7 @@ class TestIntegrate:
         problem = make_bsvd(default_grid("bsvd", 40, 40))
         system, y, q = problem.system, problem.y0, 0  # q: diffusion
         matrix = sp.identity(system.dim) - 0.01 * system.jac(q, 0.0, y)
-        lu = factorize(system, q, 0.0, y, 0.01)
+        lu = factorize(system, q, 0.0, y, 0.01).lu
         default = scipy.sparse.linalg.splu(sp.csc_matrix(matrix.T))
         assert lu.L.nnz + lu.U.nnz < 0.7 * (default.L.nnz + default.U.nnz)
 
@@ -602,6 +603,68 @@ class TestSeparableStageSolver:
                          (matrix.T, solver.solve(b))):
                 assert x.shape == b.shape
                 assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("name", ["calvo", "gray_scott"])
+    @pytest.mark.parametrize("refined", [False, True],
+                             ids=["uniform", "refined"])
+    def test_slope_solves_the_stage_system_for_the_operator(self, name,
+                                                            refined):
+        # the partition's rhs is J y, so (I - cJ) k = J rhs, with no f call
+        grid = thrice_refined(name) if refined else default_grid(name, 8, 6)
+        problem = build_problem(name, grid)
+        system, y = problem.system, problem.y0
+        jac = system.jac(0, 0.0, y)
+        rng = np.random.default_rng(5)
+        for coef in (0.0029, 0.4):
+            solver = factorize(system, 0, 0.0, y, coef)
+            rhs = rng.standard_normal(system.dim)
+            k = solver.slope(0.0, rhs)
+            assert k.shape == rhs.shape
+            target = jac @ rhs
+            assert (np.linalg.norm(k - coef * (jac @ k) - target)
+                    <= 1e-13 * np.linalg.norm(target))
+
+    def test_superlu_slope_is_one_f_call_and_one_solve(self):
+        problem = make_bsvd(default_grid("bsvd", 8, 8))
+        system, y, t = problem.system, problem.y0, 0.3
+        solver = factorize(system, 0, t, y, 0.01)
+        assert not isinstance(solver, SeparableStageSolver)
+        rhs = np.random.default_rng(2).standard_normal(system.dim)
+        assert_bitwise(solver.slope(t, rhs),
+                       solver.lu.solve(system.f(0, t, rhs), trans="T"))
+
+    @pytest.fixture
+    def diffusion_f_calls(self, monkeypatch):
+        """The callers of SplitOdeSystem.f on partition 0, by name."""
+        calls = []
+        f = SplitOdeSystem.f
+
+        def counted(system, q, t, y):
+            if q == 0:
+                calls.append(sys._getframe(1).f_code.co_name)
+            return f(system, q, t, y)
+
+        monkeypatch.setattr(SplitOdeSystem, "f", counted)
+        return calls
+
+    def test_gray_scott_estimate_calls_diffusion_only_in_residuals(
+            self, diffusion_f_calls):
+        # the four runs and the temporal residuals take every diffusion
+        # slope from the stage solver; only the space-refined run's stage
+        # residuals k - f(Y) call f, once per diffusion stage and step
+        problem = build_problem("gray_scott", default_grid("gray_scott", 4, 4),
+                                t_final=0.2)
+        grid = TimeGrid.uniform(0.0, 0.2, 0.05)
+        estimate_errors(problem, build_imex22(), grid)
+        assert diffusion_f_calls == ["stage_residual"] * (2 * grid.num_steps)
+
+    def test_calvo_run_and_sweep_call_no_diffusion_f(self,
+                                                     diffusion_f_calls):
+        problem = make_calvo(default_grid("calvo", 8, 4))
+        traj = integrate(problem, build_imex22(),
+                         TimeGrid.uniform(0.0, 1.5, 0.15))
+        adjoint_sweep(traj)
+        assert diffusion_f_calls == []
 
     @pytest.fixture
     def splu_calls(self, monkeypatch):

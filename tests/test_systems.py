@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -437,6 +438,11 @@ class TestSeparableLaplacian:
         separable = problems[0].system.partitions[0].separable
         assert "diagonalization" not in vars(separable)
         assert separable.diagonalization is separable.diagonalization
+
+    def test_a_nonlinear_partition_cannot_be_separable(self):
+        diffusion = make_calvo(default_grid("calvo", 8, 4)).system.partitions[0]
+        with pytest.raises(ValueError, match="not linear"):
+            dataclasses.replace(diffusion, linear=False)
 
     def test_only_constant_coefficient_diffusion_is_separable(self, problems):
         bsvd = make_bsvd(default_grid("bsvd", 6, 6))
