@@ -131,6 +131,8 @@ def _make_problem(args: argparse.Namespace):
     if not problem.t_final > problem.t0:
         raise SystemExit(f"--t-final must exceed the start time "
                          f"{problem.t0}, not {problem.t_final}")
+    if not np.isfinite(problem.t_final):
+        raise SystemExit(f"--t-final must be finite, not {problem.t_final}")
     return problem
 
 
@@ -174,8 +176,7 @@ def _final_pair(problem, tableau, grid: TimeGrid):
     """Final state y_N and initial adjoint lambda_0 of one run on grid; the
     sweep stores no mu, as only lam is read."""
     traj = integrate(problem, tableau, grid)
-    return traj.states[-1], adjoint_sweep(traj, method="mu",
-                                          mu_partitions=()).lam[0]
+    return traj.states[-1], adjoint_sweep(traj, mu_partitions=()).lam[0]
 
 
 def _final_pair_bytes(problem, tableau, num_steps: int) -> int:
@@ -328,7 +329,7 @@ def _check_duality(seed: int) -> bool:
     problem = make_random_nonlinear(seed=seed, dim=6)
     grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
     traj = integrate(problem, build_imex22(), grid)
-    adj = adjoint_sweep(traj, method="mu")
+    adj = adjoint_sweep(traj)
     chain = propagator_chain_adjoint(
         traj, problem.goal.gradient(traj.states[-1]))
     scale = np.max(np.abs(chain))
@@ -339,7 +340,7 @@ def _check_gradient(seed: int) -> bool:
     problem = make_random_nonlinear(seed=seed + 1, dim=5)
     grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
     traj = integrate(problem, build_imex22(), grid)
-    lam0 = adjoint_sweep(traj, method="mu").lam[0]
+    lam0 = adjoint_sweep(traj).lam[0]
     fd = fd_goal_gradient(problem, build_imex22(), grid)
     return bool(np.max(np.abs(lam0 - fd))
                 < 1e-4 * max(1.0, np.max(np.abs(fd))))
@@ -360,7 +361,7 @@ def _check_telescoping(seed: int) -> bool:
     traj = integrate(problem, build_imex22(), grid)
     fine = integrate(problem, build_imex22(),
                      grid.halve_all_steps().halve_all_steps())
-    adj = adjoint_sweep(traj, method="mu")
+    adj = adjoint_sweep(traj)
     report = assemble_report(traj, adj,
                              temporal_residuals(traj, fine.states[::4]))
     gap = goal.evaluate(fine.states[-1]) - goal.evaluate(traj.states[-1])

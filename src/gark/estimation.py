@@ -208,8 +208,6 @@ class _WeightedSums:
 
     def __init__(self, trajectory: ForwardTrajectory,
                  adjoint: AdjointTrajectory, spatial: bool):
-        if spatial and adjoint.mu is None:
-            raise ValueError("spatial weighting needs a mu-form adjoint")
         self.trajectory = trajectory
         self.lam = adjoint.lam
         self.mu = adjoint.mu if spatial else None
@@ -323,8 +321,8 @@ def estimate_errors(problem: ProblemInstance, tableau,
 
     numerical = _named_run("numerical", problem, tableau, time_grid)
     weighed = weighed_partitions(numerical)
-    sums = _WeightedSums(numerical, adjoint_sweep(numerical, method="mu",
-                                                  mu_partitions=weighed),
+    sums = _WeightedSums(numerical,
+                         adjoint_sweep(numerical, mu_partitions=weighed),
                          spatial=True)
     # the sweep is the last reader of the stage values and all but y_N
     numerical.stage_values = None

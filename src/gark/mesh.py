@@ -58,6 +58,8 @@ class TimeGrid:
     def uniform(cls, t0: float, t_final: float, dt: float) -> "TimeGrid":
         if not dt > 0:
             raise ValueError(f"dt={dt} must be positive")
+        if not np.isfinite([t0, t_final]).all():
+            raise ValueError(f"[{t0}, {t_final}] is not a finite interval")
         span = t_final - t0
         n = int(round(span / dt))
         if n < 1 or abs(n * dt - span) > 1e-9 * max(abs(span), 1.0):

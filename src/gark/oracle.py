@@ -1,11 +1,14 @@
-"""Independent cross-checks for the stepper and the adjoint sweeps.
+"""Independent cross-checks for the stepper and the adjoint sweep.
 
 These build the one-step propagator dY/dy by dense block forward
 substitution along the stage schedule, with Jacobians evaluated at each
 stage's ForwardTrajectory.stage_point (its stored value; y_n where none
 is stored).  Adjoints and sensitivities derived from these dense
-matrices share no code path with the sparse sweeps they are checked
+matrices share no code path with the sparse sweep they are checked
 against.  Dimension is capped; this is a verification tool, not a solver.
+The theta and ell forms of the adjoint, which criterion 4 compares with
+the mu sweep, are not here: only tests read them, and the tests'
+scan_adjoint_sweep computes them.
 """
 
 from __future__ import annotations

@@ -370,7 +370,7 @@ def stored_estimate(problem, tableau, time_grid):
     restricted = stored_space_refined(problem, tableau, time_grid)
     reference = integrate(fine_problem, tableau, fine_time)
 
-    adjoint = adjoint_sweep(numerical, method="mu")
+    adjoint = adjoint_sweep(numerical)
     temporal = temporal_residuals(numerical,
                                   at_coarse_nodes(time_refined, time_grid))
     spatial = spatial_residuals(numerical, restricted)
@@ -484,10 +484,22 @@ def scan_step(system, tableau, t, h, y, cache):
     return y_next, values, slopes
 
 
+def form_lam(trajectory, method):
+    """lam of one adjoint form: the program's sweep for "mu", the scan's
+    for "theta" and "ell"."""
+    from gark.adjoint import adjoint_sweep
+
+    if method == "mu":
+        return adjoint_sweep(trajectory).lam
+    return scan_adjoint_sweep(trajectory, method)[0]
+
+
 def scan_adjoint_sweep(trajectory, method):
-    """The three reverse sweeps with coefficients looked up per stage in the
-    coupling matrices (ell: in adjoint_coefficients); returns lam and the
-    per-stage stores by name."""
+    """The theta, mu and ell reverse sweeps with coefficients looked up per
+    stage in the coupling matrices (ell: in adjoint_coefficients); returns
+    lam and the per-stage stores by name.  Its mu sweep checks the
+    program's, and its theta and ell sweeps are the only ones there are:
+    criterion 4's routes to the same adjoint by other recursions."""
     from gark.tableau import adjoint_coefficients
 
     system, tableau = trajectory.system, trajectory.tableau

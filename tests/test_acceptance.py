@@ -24,7 +24,8 @@ from gark.systems import (build_problem, default_grid, make_calvo,
                           make_random_nonlinear)
 from gark.tableau import GAMMA_PLUS, build_imex22
 
-from helpers import StepRecorder, mu_theta, nonlinear_stiff, wrap
+from helpers import (StepRecorder, mu_theta, nonlinear_stiff,
+                     scan_adjoint_sweep, wrap)
 
 TABLEAU = build_imex22()
 
@@ -50,7 +51,7 @@ def convergence_study():
     problem = make_calvo(default_grid("calvo", 20, 10))
     ref = integrate(problem, TABLEAU,
                     TimeGrid.uniform(0.0, 1.5, 0.15 / 2 ** 7))
-    ref_lam0 = adjoint_sweep(ref, method="mu").lam[0]
+    ref_lam0 = adjoint_sweep(ref).lam[0]
     y_scale = np.linalg.norm(ref.states[-1])
     lam_scale = np.linalg.norm(ref_lam0)
 
@@ -58,7 +59,7 @@ def convergence_study():
     for k in range(5):
         dt = 0.15 / 2 ** k
         traj = integrate(problem, TABLEAU, TimeGrid.uniform(0.0, 1.5, dt))
-        lam0 = adjoint_sweep(traj, method="mu").lam[0]
+        lam0 = adjoint_sweep(traj).lam[0]
         dts.append(dt)
         forward_err.append(
             np.linalg.norm(traj.states[-1] - ref.states[-1]) / y_scale)
@@ -96,7 +97,7 @@ def test_criterion_3_adjoint_exactness(capsys):
         problem = make_random_nonlinear(seed)
         grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
         traj = integrate(problem, TABLEAU, grid)
-        sweep = adjoint_sweep(traj, method="mu")
+        sweep = adjoint_sweep(traj)
 
         fd_start = fd_goal_gradient(problem, TABLEAU, grid)
         worst_grad = max(worst_grad, rel_l2(sweep.lam[0], fd_start))
@@ -132,21 +133,24 @@ def test_criterion_4_formulation_equivalence(capsys):
     ]
     lam_rel, stage_rel = 0.0, 0.0
     for traj in runs:
-        th = adjoint_sweep(traj, method="theta")
-        mu = adjoint_sweep(traj, method="mu")
-        el = adjoint_sweep(traj, method="ell")
-        lam_scale = np.max(np.abs(th.lam))
-        for other in (mu, el):
+        # the program sweeps mu; theta and ell come from the tests' scan
+        theta_lam, stores = scan_adjoint_sweep(traj, "theta")
+        theta = stores["theta"]
+        mu = adjoint_sweep(traj)
+        ell_lam, stores = scan_adjoint_sweep(traj, "ell")
+        ell = stores["ell"]
+        lam_scale = np.max(np.abs(theta_lam))
+        for other in (mu.lam, ell_lam):
             lam_rel = max(lam_rel,
-                          np.max(np.abs(other.lam - th.lam)) / lam_scale)
+                          np.max(np.abs(other - theta_lam)) / lam_scale)
         steps = traj.time_grid.steps[:, None]
-        theta_scale = max(np.max(np.abs(t)) for t in th.theta)
+        theta_scale = max(np.max(np.abs(t)) for t in theta)
         theta_from_mu = mu_theta(traj, mu)
         for q, i in traj.tableau.stage_schedule:
             b_i = traj.tableau.weights[q][i]
-            via_mu = np.max(np.abs(theta_from_mu[q][:, i] - th.theta[q][:, i]))
-            via_ell = np.max(np.abs(steps * b_i * el.ell[q][:, i]
-                                    - th.theta[q][:, i]))
+            via_mu = np.max(np.abs(theta_from_mu[q][:, i] - theta[q][:, i]))
+            via_ell = np.max(np.abs(steps * b_i * ell[q][:, i]
+                                    - theta[q][:, i]))
             stage_rel = max(stage_rel, via_mu / theta_scale,
                             via_ell / theta_scale)
     ok = lam_rel <= 1e-12 and stage_rel <= 1e-10
@@ -167,7 +171,7 @@ def test_criterion_5_temporal_estimator_accuracy(capsys):
         dt = 0.15 / 2 ** k
         traj = integrate(problem, TABLEAU,
                          TimeGrid.uniform(0.0, problem.t_final, dt))
-        sweep = adjoint_sweep(traj, method="mu")
+        sweep = adjoint_sweep(traj)
         exact = np.array([problem.exact_solution(t)
                           for t in traj.time_grid.nodes])
         residuals = temporal_residuals(traj, exact)

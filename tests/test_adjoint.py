@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (linear_goal, linear_pair, mu_theta, nonlinear_stiff,
-                     plan_cases, scalar_split, scan_adjoint_sweep, wrap)
+from helpers import (form_lam, linear_goal, linear_pair, mu_theta,
+                     nonlinear_stiff, plan_cases, scalar_split,
+                     scan_adjoint_sweep, wrap)
 
-from gark.adjoint import METHODS, adjoint_sweep
+from gark.adjoint import adjoint_sweep
 from gark.forward import integrate, step
 from gark.mesh import TimeGrid
 from gark.oracle import (dense_step_propagator, fd_goal_gradient,
@@ -29,19 +30,38 @@ def explicit_growth(z: float) -> float:
     return 1.0 + z + z * z / 2.0
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", ["theta", "mu", "ell"])
 @pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
 def test_planned_sweeps_match_schedule_scan(case, method):
-    # each sweep must equal, bitwise, one that looks every coefficient up
-    # in the coupling matrices (ell: in the adjoint coefficients)
+    # the planned mu sweep must equal, bitwise, the scan that looks every
+    # coefficient up in the coupling matrices; the scan's theta and ell
+    # forms must reach the same lam, and their stage vectors must be the
+    # sweep's mu through theta = J^T mu and h b ell = theta,
+    # h b Lambda = mu
     _, problem, grid, tableau = case
     traj = integrate(problem, tableau, grid)
-    adj = adjoint_sweep(traj, method=method)
+    adj = adjoint_sweep(traj)
     lam, stores = scan_adjoint_sweep(traj, method)
-    np.testing.assert_array_equal(adj.lam, lam)
-    for name, arrays in stores.items():
-        for q, expected in enumerate(arrays):
-            np.testing.assert_array_equal(getattr(adj, name)[q], expected)
+    if method == "mu":
+        np.testing.assert_array_equal(adj.lam, lam)
+        for q, expected in enumerate(stores["mu"]):
+            np.testing.assert_array_equal(adj.mu[q], expected)
+        return
+    scale = np.max(np.abs(adj.lam))
+    np.testing.assert_allclose(lam, adj.lam, rtol=1e-12, atol=1e-12 * scale)
+    theta = mu_theta(traj, adj)
+    hs = grid.steps[:, None]
+    for q, i in tableau.stage_schedule:
+        if method == "theta":
+            pairs = [(stores["theta"][q][:, i], theta[q][:, i])]
+        else:
+            b_i = tableau.weights[q][i]
+            pairs = [(hs * b_i * stores["ell"][q][:, i], theta[q][:, i]),
+                     (hs * b_i * stores["stage_adjoint"][q][:, i],
+                      adj.mu[q][:, i])]
+        for got, expected in pairs:
+            np.testing.assert_allclose(got, expected, rtol=1e-10,
+                                       atol=1e-10 * scale)
 
 
 class TestDegenerate:
@@ -49,12 +69,11 @@ class TestDegenerate:
         problem = wrap(zero_system(), np.ones(3), t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, 0.25))
-        adj = adjoint_sweep(traj, method="theta")
+        adj = adjoint_sweep(traj)
         for n in range(traj.num_steps + 1):
             np.testing.assert_array_equal(adj.lam[n], np.ones(3))
-        for q in range(2):
-            np.testing.assert_array_equal(adj.theta[q],
-                                          np.zeros_like(adj.theta[q]))
+        for theta in mu_theta(traj, adj):
+            np.testing.assert_array_equal(theta, np.zeros_like(theta))
 
     def test_single_step_shapes(self):
         problem = wrap(scalar_split(-1.0, 0.0), [2.0], t_final=0.1,
@@ -72,8 +91,9 @@ class TestDegenerate:
         problem = wrap(scalar_split(-1.0, 0.0), [1.0], t_final=0.1)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.1, 0.1))
-        with pytest.raises(ValueError, match="method"):
-            adjoint_sweep(traj, method="psi")
+        for method in ("psi", "theta", "ell"):
+            with pytest.raises(ValueError, match="method"):
+                adjoint_sweep(traj, method=method)
 
     def test_needs_stored_stages(self):
         problem = wrap(scalar_split(-1.0, 0.0), [1.0], t_final=0.1)
@@ -84,14 +104,14 @@ class TestDegenerate:
             adjoint_sweep(traj)
 
     def test_ell_needs_nonzero_weights(self):
-        # alpha = 1 zeroes the first explicit weight; the reversed-method
-        # form divides by weights and must refuse
+        # alpha = 1 zeroes the first explicit weight; the mu sweep runs,
+        # and the reversed-method form divides by weights and must refuse
         problem = wrap(scalar_split(-1.0, -0.5), [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(alpha=1.0),
                          TimeGrid.uniform(0.0, 0.2, 0.1))
-        adjoint_sweep(traj, method="theta")
+        adjoint_sweep(traj)
         with pytest.raises(UnsupportedTableauError, match="weight"):
-            adjoint_sweep(traj, method="ell")
+            scan_adjoint_sweep(traj, "ell")
 
 
 class TestScalarRecursions:
@@ -101,9 +121,9 @@ class TestScalarRecursions:
         problem = wrap(scalar_split(lam_val, 0.0), [1.0], t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, dt))
-        adj = adjoint_sweep(traj, method=method)  # sum goal: lam_N = 1
+        lam = form_lam(traj, method)  # sum goal: lam_N = 1
         growth = explicit_growth(lam_val * dt)
-        np.testing.assert_allclose(adj.lam[0, 0], growth ** n, rtol=1e-12)
+        np.testing.assert_allclose(lam[0, 0], growth ** n, rtol=1e-12)
 
     @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
     def test_implicit_part_adjoint_matches_growth_power(self, method):
@@ -112,9 +132,9 @@ class TestScalarRecursions:
         problem = wrap(scalar_split(0.0, lam_val), [1.0], t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, dt))
-        adj = adjoint_sweep(traj, method=method)  # sum goal: lam_N = 1
+        lam = form_lam(traj, method)  # sum goal: lam_N = 1
         growth = implicit_scalar_growth(lam_val * dt)
-        np.testing.assert_allclose(adj.lam[0, 0], growth ** n, rtol=1e-12)
+        np.testing.assert_allclose(lam[0, 0], growth ** n, rtol=1e-12)
 
 
 class TestPropagatorOracle:
@@ -141,7 +161,7 @@ class TestPropagatorOracle:
                        goal=linear_goal(v))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.05, 0.05))
-        adj = adjoint_sweep(traj, method="mu")
+        adj = adjoint_sweep(traj)
         phi = dense_step_propagator(traj, 0)
         np.testing.assert_allclose(float(adj.lam[0] @ u),
                                    float(v @ (phi @ u)), rtol=1e-10)
@@ -155,9 +175,9 @@ class TestPropagatorOracle:
                        goal=linear_goal(v))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.4, 0.05))
-        adj = adjoint_sweep(traj, method=method)
         chain = propagator_chain_adjoint(traj, v)
-        np.testing.assert_allclose(adj.lam, chain, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(form_lam(traj, method), chain, rtol=1e-10,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
     def test_all_linear_run_stores_no_stage_values(self, method):
@@ -171,11 +191,11 @@ class TestPropagatorOracle:
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.4, 0.05))
         assert traj.stage_values == [None, None]
-        adj = adjoint_sweep(traj, method=method)
+        lam = form_lam(traj, method)
         for n in range(traj.num_steps):
             u = rng.standard_normal(5)
-            lhs = float(adj.lam[n] @ u)
-            rhs = float(adj.lam[n + 1] @ (dense_step_propagator(traj, n) @ u))
+            lhs = float(lam[n] @ u)
+            rhs = float(lam[n + 1] @ (dense_step_propagator(traj, n) @ u))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
     def test_sensitivity_matrix_orders_products_left_to_right(self):
@@ -207,46 +227,43 @@ class TestFormulationAgreement:
 
     def test_three_methods_agree_to_twelve_digits(self):
         traj = self.make_trajectory()
-        sweeps = {m: adjoint_sweep(traj, method=m)
-                  for m in ("theta", "mu", "ell")}
-        base = sweeps["theta"].lam
+        base = form_lam(traj, "theta")
         scale = np.max(np.abs(base))
         for other in ("mu", "ell"):
-            np.testing.assert_allclose(sweeps[other].lam, base,
+            np.testing.assert_allclose(form_lam(traj, other), base,
                                        rtol=1e-12, atol=1e-12 * scale)
 
     def test_stage_vector_identities(self):
         # theta = J^T mu and theta = h b ell and mu = h b Lambda, stage
         # by stage
         traj = self.make_trajectory()
-        th = adjoint_sweep(traj, method="theta")
-        mu = adjoint_sweep(traj, method="mu")
-        el = adjoint_sweep(traj, method="ell")
+        th_lam, th = scan_adjoint_sweep(traj, "theta")
+        mu = adjoint_sweep(traj)
+        _, el = scan_adjoint_sweep(traj, "ell")
         via_mu = mu_theta(traj, mu)
         hs = traj.time_grid.steps
-        scale = np.max(np.abs(th.lam))
+        scale = np.max(np.abs(th_lam))
         for q, i in traj.tableau.stage_schedule:
             b_i = traj.tableau.weights[q][i]
-            np.testing.assert_allclose(via_mu[q][:, i], th.theta[q][:, i],
+            theta = th["theta"][q][:, i]
+            np.testing.assert_allclose(via_mu[q][:, i], theta,
                                        rtol=1e-10, atol=1e-10 * scale)
             np.testing.assert_allclose(
-                hs[:, None] * b_i * el.ell[q][:, i], th.theta[q][:, i],
+                hs[:, None] * b_i * el["ell"][q][:, i], theta,
                 rtol=1e-10, atol=1e-10 * scale)
             np.testing.assert_allclose(
-                hs[:, None] * b_i * el.stage_adjoint[q][:, i],
+                hs[:, None] * b_i * el["stage_adjoint"][q][:, i],
                 mu.mu[q][:, i], rtol=1e-10, atol=1e-10 * scale)
 
     def test_agreement_on_diffusion_reaction_problem(self):
         problem = make_calvo(default_grid("calvo", 8, 4))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
-        sweeps = [adjoint_sweep(traj, method=m)
-                  for m in ("theta", "mu", "ell")]
-        scale = np.max(np.abs(sweeps[0].lam))
-        np.testing.assert_allclose(sweeps[1].lam, sweeps[0].lam,
-                                   rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(sweeps[2].lam, sweeps[0].lam,
-                                   rtol=1e-12, atol=1e-12 * scale)
+        base = form_lam(traj, "theta")
+        scale = np.max(np.abs(base))
+        for other in ("mu", "ell"):
+            np.testing.assert_allclose(form_lam(traj, other), base,
+                                       rtol=1e-12, atol=1e-12 * scale)
 
     def test_assembled_fallback_matches_vjp(self):
         problem = make_gray_scott(default_grid("gray_scott", 4, 4),
@@ -259,8 +276,8 @@ class TestFormulationAgreement:
                               for p in system.partitions))
         fallback = dataclasses.replace(
             traj, problem=dataclasses.replace(problem, system=assembled))
-        a = adjoint_sweep(traj, method="mu")
-        b = adjoint_sweep(fallback, method="mu")
+        a = adjoint_sweep(traj)
+        b = adjoint_sweep(fallback)
         assert a.lam.tobytes() == b.lam.tobytes()
         for q in range(system.num_partitions):
             assert a.mu[q].tobytes() == b.mu[q].tobytes()
@@ -272,8 +289,8 @@ class TestFormulationAgreement:
         problem = make_calvo(default_grid("calvo", 8, 4))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
-        full = adjoint_sweep(traj, method="mu")
-        some = adjoint_sweep(traj, method="mu", mu_partitions=kept)
+        full = adjoint_sweep(traj)
+        some = adjoint_sweep(traj, mu_partitions=kept)
         assert some.lam.tobytes() == full.lam.tobytes()
         for q, mu in enumerate(some.mu):
             if q in kept:
@@ -288,7 +305,7 @@ class TestFiniteDifferenceGradient:
         problem = make_random_nonlinear(seed=seed, dim=6)
         grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
         traj = integrate(problem, build_imex22(), grid)
-        adj = adjoint_sweep(traj, method="mu")
+        adj = adjoint_sweep(traj)
         fd = fd_goal_gradient(problem, build_imex22(), grid)
         np.testing.assert_allclose(adj.lam[0], fd, rtol=1e-5, atol=1e-8)
 

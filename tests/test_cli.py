@@ -449,8 +449,10 @@ class TestPlumbing:
         (["--t-final", "-1.0"],
          "--t-final must exceed the start time 0.0, not -1.0"),
         (["--t-final", "0"],
-         "--t-final must exceed the start time 0.0, not 0.0")],
-        ids=["nx_zero", "ny_negative", "t_final_negative", "t_final_zero"])
+         "--t-final must exceed the start time 0.0, not 0.0"),
+        (["--t-final", "inf"], "--t-final must be finite, not inf")],
+        ids=["nx_zero", "ny_negative", "t_final_negative", "t_final_zero",
+             "t_final_infinite"])
     def test_bad_grid_flags_are_named_before_any_run(self, command, flags,
                                                      message, tmp_path,
                                                      monkeypatch):

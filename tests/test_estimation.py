@@ -16,7 +16,7 @@ from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
                      stored_estimate, stored_space_refined, wrap)
 
 import gark.estimation
-from gark.adjoint import METHODS, adjoint_sweep
+from gark.adjoint import adjoint_sweep
 from gark.cli import main
 from gark.estimation import (assemble_report, estimate_errors,
                              spatial_residuals, temporal_residuals,
@@ -163,7 +163,7 @@ class TestLinearTelescoping:
         traj = integrate(problem, build_imex22(), grid)
         fine = integrate(problem, build_imex22(),
                          grid.halve_all_steps().halve_all_steps())
-        adj = adjoint_sweep(traj, method="mu")
+        adj = adjoint_sweep(traj)
         res = temporal_residuals(traj, at_coarse_nodes(fine, grid))
         report = assemble_report(traj, adj, res,
                                  psi_ref=problem.goal.evaluate(fine.states[-1]))
@@ -179,7 +179,7 @@ class TestLinearTelescoping:
         grid = TimeGrid.uniform(0.0, 0.5, 0.1)
         traj = integrate(problem, build_imex22(), grid)
         fine = integrate(problem, build_imex22(), grid.halve_all_steps())
-        adj = adjoint_sweep(traj, method="mu")
+        adj = adjoint_sweep(traj)
         report = assemble_report(traj, adj, temporal_residuals(
             traj, at_coarse_nodes(fine, grid)))
         assert report.per_step.shape == (5,)
@@ -272,7 +272,7 @@ class TestAssembleReport:
         problem = make_calvo(default_grid("calvo", 8, 4))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
-        adj = adjoint_sweep(traj, method="mu")
+        adj = adjoint_sweep(traj)
         rng = np.random.default_rng(5)
         temporal = rng.standard_normal(traj.states[1:].shape)
         spatial = [rng.standard_normal(mu.shape) for mu in adj.mu]
@@ -289,24 +289,13 @@ class TestAssembleReport:
             np.testing.assert_allclose(report.per_cell[q].sum(),
                                        report.e_spatial[q], rtol=1e-12)
 
-    def test_spatial_weighting_requires_mu(self):
-        problem = make_calvo(default_grid("calvo", 8, 4))
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 1.5, 0.15))
-        adj = adjoint_sweep(traj, method="theta")
-        transfer = GridTransfer.between(problem.grid, problem.grid)
-        res = spatial_residuals(traj, restricted(traj, problem, transfer))
-        temporal = temporal_residuals(traj, traj.states)
-        with pytest.raises(ValueError, match="mu"):
-            assemble_report(traj, adj, temporal, res)
-
     def test_reference_bookkeeping(self):
         system, _ = linear_pair(seed=4, dim=4)
         problem = wrap(system, np.ones(4), t_final=0.4)
         grid = TimeGrid.uniform(0.0, 0.4, 0.1)
         traj = integrate(problem, build_imex22(), grid)
         fine = integrate(problem, build_imex22(), grid.halve_all_steps())
-        adj = adjoint_sweep(traj, method="mu")
+        adj = adjoint_sweep(traj)
         psi_ref = 12.5
         report = assemble_report(traj, adj, temporal_residuals(
             traj, at_coarse_nodes(fine, grid)), psi_ref=psi_ref)
@@ -345,7 +334,7 @@ class TestFourSolutionPipeline:
         fine_run = RestrictedRun(traj_c, transfer)
         traj_f = integrate(linear_heat(fine), build_imex22(), grid,
                            consumer=fine_run)
-        adj = adjoint_sweep(traj_c, method="mu")
+        adj = adjoint_sweep(traj_c)
         res = spatial_residuals(traj_c, fine_run)
         report = assemble_report(traj_c, adj,
                                  temporal_residuals(traj_c, traj_c.states),
@@ -473,9 +462,8 @@ class TestStreamedCompanionRuns:
         problem, grid = small_case(name, dt)
         stored_mu = []
 
-        def sweep(trajectory, method, mu_partitions):
-            adjoint = adjoint_sweep(trajectory, method=method,
-                                    mu_partitions=mu_partitions)
+        def sweep(trajectory, mu_partitions):
+            adjoint = adjoint_sweep(trajectory, mu_partitions=mu_partitions)
             stored_mu.extend(mu is not None for mu in adjoint.mu)
             return adjoint
 
@@ -492,11 +480,10 @@ class TestStreamedCompanionRuns:
         # anything holds them, and the bundle's numerical run has none
         swept, released = [], []
 
-        def sweep(trajectory, method, mu_partitions):
+        def sweep(trajectory, mu_partitions):
             swept.extend(weakref.ref(v) for v in trajectory.stage_values
                          if v is not None)
-            return adjoint_sweep(trajectory, method=method,
-                                 mu_partitions=mu_partitions)
+            return adjoint_sweep(trajectory, mu_partitions=mu_partitions)
 
         def companion_aware_integrate(*args, **kwargs):
             if swept:
@@ -523,9 +510,8 @@ class TestStreamedCompanionRuns:
         # with only what it reads alive
         lam, mu, factors, alive = [], [], [], []
 
-        def sweep(trajectory, method, mu_partitions):
-            adjoint = adjoint_sweep(trajectory, method=method,
-                                    mu_partitions=mu_partitions)
+        def sweep(trajectory, mu_partitions):
+            adjoint = adjoint_sweep(trajectory, mu_partitions=mu_partitions)
             lam.append(weakref.ref(adjoint.lam))
             mu.extend(weakref.ref(v) for v in adjoint.mu if v is not None)
             factors.append(weakref.ref(trajectory.factors))
@@ -628,8 +614,7 @@ def test_hot_loops_make_no_sparse_matmul(monkeypatch):
     tableau = build_imex22()
     run = integrate(problem, tableau, grid)
     assert calls["f"] == 4 * grid.num_steps
-    for method in METHODS:
-        adjoint_sweep(run, method=method)
+    adjoint_sweep(run)
     estimate_errors(problem, tableau, grid)
     assert calls["matmul"] == 0
     problem.system.jac(0, 0.0, problem.y0) @ problem.y0

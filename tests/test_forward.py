@@ -536,7 +536,7 @@ class TestIntegrate:
         assert traj.stage_slopes is None
 
     @pytest.mark.parametrize("use", [
-        lambda traj: adjoint_sweep(traj, method="mu"),
+        lambda traj: adjoint_sweep(traj),
         lambda traj: dense_step_propagator(traj, 0),
     ], ids=["adjoint_sweep", "dense_step_propagator"])
     def test_streamed_run_refuses_stored_reads(self, use):

@@ -46,6 +46,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="positive"):
             TimeGrid.uniform(0.0, 1.0, dt)
 
+    @pytest.mark.parametrize("t0, t_final", [
+        (0.0, float("inf")), (0.0, float("nan")), (float("-inf"), 1.0)])
+    def test_uniform_rejects_non_finite_interval(self, t0, t_final):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid.uniform(t0, t_final, 0.1)
+
     def test_halve_all_steps_uniform(self):
         g = TimeGrid(np.array([0.0, 1.0])).halve_all_steps()
         np.testing.assert_array_equal(g.nodes, [0.0, 0.5, 1.0])
