@@ -4,18 +4,17 @@ The sweep walks the stages of every step in reverse schedule order and
 propagates lambda_n = lambda_{n+1} + sum_i theta_i in the mu form: mu is
 the stage's pre-Jacobian solve vector and theta = J^T mu its increment.
 Each stage reads its transposed couplings from the stage plan's read_by.
-Implicit-stage solves with (I - h a_ii J)^T are the plain solves of the
-trajectory's factor cache (the forward run solves with trans="T"; see
-forward.factorize): constant-Jacobian stages hit the solvers the forward
-run stored, and Newton stages are factored at their stored (converged)
-stage values; a linear partition, whose values no run stores, is read at
-y_n (ForwardTrajectory.stage_point), as is an explicit stage that reads no
-slope.  Each stage applies its Jacobian only as a vector-Jacobian product
-``system.vjp``, so partitions that supply ``vjp`` are never assembled
-here.  The sweep stores mu only for the partitions its caller names; the
-others get None.  The theta and ell forms of the same adjoint, which
-criterion 4 checks this one against, are the tests' coefficient-scanning
-sweeps (tests/helpers.py, scan_adjoint_sweep).
+An implicit stage solves with (I - h a_ii J)^T by solve_transposed of its
+stage solver in the trajectory's factor cache: constant-Jacobian stages
+hit the solvers the forward run stored, and Newton stages are factored at
+their stored (converged) stage values; a linear partition, whose values no
+run stores, is read at y_n (ForwardTrajectory.stage_point), as is an
+explicit stage that reads no slope.  Each stage applies its Jacobian only
+as a vector-Jacobian product ``system.vjp``, so partitions that supply
+``vjp`` are never assembled here.  The sweep stores mu only for the
+partitions its caller names; the others get None.  The theta and ell forms
+of the same adjoint, which criterion 4 checks this one against, are the
+tests' coefficient-scanning sweeps (tests/helpers.py, scan_adjoint_sweep).
 """
 
 from __future__ import annotations
@@ -45,17 +44,6 @@ class AdjointTrajectory:
     stage_adjoint = None
 
 
-def _stage_solve(traj: ForwardTrajectory, q: int, t_i: float,
-                 y_stage: np.ndarray, coef: float,
-                 rhs: np.ndarray) -> np.ndarray:
-    """(I - coef J^(q))^-T rhs at the stage; rhs itself on explicit stages.
-    A stage solver's plain solve is the transposed one."""
-    if coef == 0.0:
-        return rhs
-    lu = traj.factors.get(q, t_i, y_stage, coef)
-    return lu.solve(rhs)
-
-
 def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
                   mu_partitions=None) -> AdjointTrajectory:
     """Propagate the problem's goal gradient at y_N backwards through the
@@ -71,7 +59,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
                          "is swept")
     trajectory.require_stored("adjoint sweep")
 
-    system = trajectory.system
+    system, factors = trajectory.system, trajectory.factors
     tableau = trajectory.tableau
     n_steps = trajectory.num_steps
     dim = system.dim
@@ -98,7 +86,9 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
             acc = stage.b * lam_next
             for m, j, coef in stage.read_by:
                 acc += coef * theta[(m, j)]
-            mu = _stage_solve(trajectory, q, t_i, y_stage, h_aii, h * acc)
+            mu = h * acc
+            if h_aii != 0.0:
+                mu = factors.get(q, t_i, y_stage, h_aii).solve_transposed(mu)
             if mu_arr[q] is not None:
                 mu_arr[q][n, i] = mu
             theta[(q, i)] = system.vjp(q, t_i, y_stage, mu)

@@ -33,6 +33,8 @@ from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
 from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, InvalidParameterError,
                           adjoint_coefficients, build_imex22)
 
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", choices=PROBLEM_BUILDERS,
@@ -136,9 +138,16 @@ def _make_problem(args: argparse.Namespace):
     return problem
 
 
-def _time_grid(problem, dt: float) -> TimeGrid:
-    """The uniform grid of step dt over the problem's interval; exits
-    naming --dt when dt is not positive or does not divide the interval."""
+def _time_grid(problem, tableau, dt: float) -> TimeGrid:
+    """The uniform grid of step dt over the problem's interval; exits naming
+    --dt when dt is not positive or does not divide the interval, and --dt
+    and --t-final, before building it, when its stored run would not fit."""
+    steps = (problem.t_final - problem.t0) / dt if dt > 0 else 0.0
+    if _final_pair_bytes(problem, tableau, steps) > PHYSICAL_MEMORY:
+        raise SystemExit(
+            f"--dt {dt!r}, --t-final {problem.t_final!r}: a stored run of "
+            f"{steps:.4g} steps and its adjoint sweep would store more than "
+            f"the {PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
     try:
         return TimeGrid.uniform(problem.t0, problem.t_final, dt)
     except ValueError as err:
@@ -179,14 +188,14 @@ def _final_pair(problem, tableau, grid: TimeGrid):
     return traj.states[-1], adjoint_sweep(traj, mu_partitions=()).lam[0]
 
 
-def _final_pair_bytes(problem, tableau, num_steps: int) -> int:
+def _final_pair_bytes(problem, tableau, num_steps: float) -> float:
     """Bytes that _final_pair's stored run of num_steps steps and its sweep
     keep: N + 1 states, N rows per stored stage value and N + 1 adjoint
-    states."""
+    states (infinite for num_steps = inf)."""
     system = problem.system
     rows = sum(map(len, stored_stage_rows(align_tableau(tableau, system),
                                           system)))
-    return 8 * system.dim * (2 * (num_steps + 1) + num_steps * rows)
+    return 8 * system.dim * ((2 + rows) * num_steps + 2)
 
 
 def _rel_l2(value: np.ndarray, reference: np.ndarray) -> float:
@@ -199,26 +208,25 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if args.ref_exponent < args.levels:
         raise SystemExit("--ref-exponent must be at least --levels")
     problem = _make_problem(args)
-    # halvings of a step that divides [t0, T] divide it too, so a bad --dt
-    # fails at level 0, before the reference run
-    dts = [args.dt / 2 ** level for level in range(args.levels)]
-    grids = [_time_grid(problem, dt) for dt in dts]
     tableau = _tableau(args)
+    # halvings of a step that divides [t0, T] divide it too, so a bad --dt
+    # fails at level 0, and the reference bounds every level's size
+    dts = [args.dt / 2 ** level for level in range(args.levels)]
+    grids = [_time_grid(problem, tableau, dts[0])]
     ref_steps = grids[0].num_steps * 2 ** args.ref_exponent
-    ref_bytes = _final_pair_bytes(problem, tableau, ref_steps)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if ref_bytes > memory:
+    if _final_pair_bytes(problem, tableau, ref_steps) > PHYSICAL_MEMORY:
         raise SystemExit(
             f"--ref-exponent {args.ref_exponent}: the reference run of "
             f"{grids[0].num_steps} * 2**{args.ref_exponent} steps and its "
-            f"adjoint sweep would store more than the {memory / 2 ** 30:.1f}"
-            " GiB of physical memory")
+            "adjoint sweep would store more than the "
+            f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
+    grids += [_time_grid(problem, tableau, dt) for dt in dts[1:]]
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
     run, rows = "reference", []  # run names the run in a StepFailureError
     try:
         y_ref, lam0_ref = _final_pair(problem, tableau,
-                                      _time_grid(problem, ref_dt))
+                                      _time_grid(problem, tableau, ref_dt))
         for dt, grid in zip(dts, grids):
             run = f"dt={dt:.6g}"
             y_n, lam0 = _final_pair(problem, tableau, grid)
@@ -250,8 +258,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
-    grid = _time_grid(problem, args.dt)
     tableau = _tableau(args)
+    grid = _time_grid(problem, tableau, args.dt)
     bundle = estimate_errors(problem, tableau, grid)
     report = bundle.report
     args.out.mkdir(parents=True, exist_ok=True)
@@ -270,8 +278,8 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if args.stages < 1:
         raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
-    grid = _time_grid(problem, args.dt)
     tableau = _tableau(args)
+    grid = _time_grid(problem, tableau, args.dt)
     campaign = run_campaign(problem, tableau, grid,
                             RefinementConfig(num_stages=args.stages),
                             out_dir=args.out)

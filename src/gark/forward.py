@@ -10,15 +10,13 @@ explicit update, and no stage copies y_n.  y_{n+1} is the last stage's
 value when the tableau is stiffly accurate (GarkTableau.last_stage_is_step)
 and that stage is explicit or linear implicit, as that value then is y_n +
 h sum b k bitwise; otherwise it is that weighted sum (combine_step).  A
-stage solver solves the stage matrix I - h a_ii J forward and its
-transpose for the adjoint (factorize).  A diffusion partition with a
-separable constant-coefficient operator is solved by fast
-diagonalization, four small matrix products on its 1-D eigenbases, and a
-stage's slope is one such round trip with no f call
-(SeparableStageSolver); any other partition by SuperLU's factors of the
-transpose (I - h a_ii J)^T, with a symmetric minimum-degree column
-ordering (MMD on A^T + A): forward solves take SuperLU's faster transposed
-kernel, and the adjoint, with far fewer solves, the plain one; a stage's
+stage solver's solve(b) solves the stage system (I - h a_ii J) x = b, for
+Newton, and solve_transposed(b) its transpose, for the adjoint
+(factorize).  A diffusion partition with a separable constant-coefficient
+operator is solved by fast diagonalization, four small matrix products on
+its 1-D eigenbases, and a stage's slope is one such round trip with no f
+call (SeparableStageSolver); any other partition by SuperLU with a
+symmetric minimum-degree column ordering (MMD on A^T + A), and a stage's
 slope is one f call and one solve (SuperLUStageSolver).  Every stage
 solver comes from one LinearStageCache made for its system, which keeps the
 solvers of partitions with constant Jacobians, one per (partition, h a_ii)
@@ -79,10 +77,10 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
               coef: float):
     """A solver of the stage matrix I - coef * J^(q)(t, y).
 
-    solve(b, trans="T") solves the stage system (I - coef J) x = b, and
-    solve(b) its transpose; on a linear partition slope(t, rhs) is its
-    stage's slope k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition
-    gets a SeparableStageSolver; any other a SuperLUStageSolver.
+    solve(b) solves the stage system (I - coef J) x = b, solve_transposed(b)
+    its transpose, and on a linear partition slope(t, rhs) is its stage's
+    slope k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition gets a
+    SeparableStageSolver; any other a SuperLUStageSolver.
     """
     separable = system.partitions[q].separable
     if separable is not None:
@@ -97,58 +95,64 @@ class SuperLUStageSolver:
     """SuperLU's factors lu of the transpose (I - coef J)^T, whose columns
     are ordered by minimum degree on the structure of A^T + A, which fits
     the structurally symmetric diffusion stencils better than SuperLU's
-    default COLAMD.  A linear stage's slope is one f call and one solve."""
+    default COLAMD.  solve takes SuperLU's faster transposed kernel, and
+    solve_transposed the plain one; slope is one f call and one solve."""
 
     __slots__ = ("system", "q", "lu")
 
     def __init__(self, system: SplitOdeSystem, q: int, lu):
         self.system, self.q, self.lu = system, q, lu
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        return self.lu.solve(b, trans=trans)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b, trans="T")
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)
 
     def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(self.system.f(self.q, t, rhs), trans="T")
+        return self.solve(self.system.f(self.q, t, rhs))
 
 
 class SeparableStageSolver:
     """(I - coef J)^-1 of a separable diffusion partition by fast
     diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): each
     species' (ny, nx) array goes into the operator's eigenbasis by two small
-    matrix products, is scaled there, and comes back by two more.  solve
-    scales by 1 / (1 - coef s lam); slope, as J is s lam in that basis and
-    the partition's rhs is J y, by s lam / (1 - coef s lam), with no f call.
-    The basis is the partition's, computed once; a solver keeps only its
-    two scalings.
+    matrix products, is scaled there, and comes back by two more, or by the
+    four's transposes in solve_transposed.  Both solves scale by 1 / (1 -
+    coef s lam); slope, as J is s lam in that basis and the partition's rhs
+    is J y, by s lam / (1 - coef s lam), with no f call.  The basis is the
+    partition's, computed once; a solver keeps only its two scalings.
     """
 
     def __init__(self, separable: SeparableLaplacian, coef: float):
-        lam, self._products = separable.diagonalization
+        lam, self._forward, self._transposed = separable.diagonalization
         self._shape = (len(separable.scales), *lam.shape)
         eigenvalues = np.multiply.outer(separable.scales, lam)
         self._scaling = 1.0 / (1.0 - coef * eigenvalues)
         self._slope_scaling = eigenvalues * self._scaling
 
-    def _round_trip(self, b: np.ndarray, trans: str,
+    def _round_trip(self, b: np.ndarray, products: tuple,
                     scaling: np.ndarray) -> np.ndarray:
-        into_a, into_b, out_a, out_b = self._products[trans]
+        into_a, into_b, out_a, out_b = products
         z = into_a @ b.reshape(self._shape) @ into_b
         z *= scaling
         return (out_a @ z @ out_b).reshape(-1)
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        return self._round_trip(b, trans, self._scaling)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._round_trip(b, self._forward, self._scaling)
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        return self._round_trip(b, self._transposed, self._scaling)
 
     def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
-        return self._round_trip(rhs, "T", self._slope_scaling)
+        return self._round_trip(rhs, self._forward, self._slope_scaling)
 
 
 class LinearStageCache:
-    """Stage solvers of I - coef*J for one system (see factorize for the
-    solve directions), the one way in to factorize: shared by a
-    trajectory's steps, its temporal residuals and its adjoint sweep, and
-    by any other run on the system given the cache through
-    integrate(factors=).
+    """Stage solvers of I - coef*J for one system (see factorize), the one
+    way in to factorize: shared by a trajectory's steps, its temporal
+    residuals and its adjoint sweep, and by any other run on the system
+    given the cache through integrate(factors=).
 
     Only partitions with constant Jacobians are stored.  A coefficient
     reuses the first stored solver of its partition whose coefficient lies
@@ -286,7 +290,7 @@ def _newton_stage(system, cache, stage, t_i, coef, rhs, predictor):
             return y, f_val
         if it == MAX_NEWTON_ITERATIONS:
             break
-        y = y + cache.get(q, t_i, y, coef).solve(-residual, trans="T")
+        y = y + cache.get(q, t_i, y, coef).solve(-residual)
     raise StepFailureError(
         f"stage ({q + 1},{stage.i + 1}) of partition "
         f"{system.partitions[q].name!r} at t_i = {t_i:.6g}: Newton stalled "

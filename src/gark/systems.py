@@ -81,15 +81,15 @@ class SeparableLaplacian:
 
     @cached_property
     def diagonalization(self) -> tuple:
-        """(lam, products), computed on first use, with J = diag(scales) kron
-        (Vy kron Vx) diag(lam) (Vy kron Vx)^-1 and lam[j, i] = lam_y[j] +
-        lam_x[i].  Each axis's basis comes from eigh of the symmetric W^-1/2
-        K W^-1/2 = W^1/2 L W^-1/2 = Q diag(lam) Q^T, so V = W^-1/2 Q and
-        V^-1 = Q^T W^1/2.  products[trans] = (A, B, C, D), contiguous, takes
-        a reshaped state Y into the eigenbasis as A Y B and out as C Z D:
-        (Vy^-1, Vx^-T, Vy, Vx^T) for "T", which applies (Vy kron Vx)^-1 and
-        then Vy kron Vx, and their transposes' (Vy^T, Vx, Vy^-T, Vx^-1) for
-        "N"."""
+        """(lam, products, transposed_products), computed on first use, with
+        J = diag(scales) kron (Vy kron Vx) diag(lam) (Vy kron Vx)^-1 and
+        lam[j, i] = lam_y[j] + lam_x[i].  Each axis's basis comes from eigh
+        of the symmetric W^-1/2 K W^-1/2 = W^1/2 L W^-1/2 = Q diag(lam) Q^T,
+        so V = W^-1/2 Q and V^-1 = Q^T W^1/2.  A product set (A, B, C, D),
+        contiguous, takes a reshaped state Y into the eigenbasis as A Y B
+        and out as C Z D: the stage system's (Vy^-1, Vx^-T, Vy, Vx^T)
+        applies (Vy kron Vx)^-1 and then Vy kron Vx, and its transpose's
+        are their transposes (Vy^T, Vx, Vy^-T, Vx^-1)."""
         lam, v, v_inv = [], [], []
         for w, k in (self.x, self.y):
             root = np.sqrt(w)
@@ -98,11 +98,9 @@ class SeparableLaplacian:
             v.append(q / root[:, None])
             v_inv.append(q.T * root)
         (vx, vy), (vx_inv, vy_inv) = v, v_inv
-        products = {"T": (vy_inv, vx_inv.T, vy, vx.T),
-                    "N": (vy.T, vx, vy_inv.T, vx_inv)}
-        return np.add.outer(lam[1], lam[0]), {
-            trans: tuple(map(np.ascontiguousarray, mats))
-            for trans, mats in products.items()}
+        products = ((vy_inv, vx_inv.T, vy, vx.T), (vy.T, vx, vy_inv.T, vx_inv))
+        return (np.add.outer(lam[1], lam[0]),
+                *(tuple(map(np.ascontiguousarray, p)) for p in products))
 
 
 def separable_laplacian(grid: TensorGrid2D,

@@ -471,7 +471,7 @@ def scan_step(system, tableau, t, h, y, cache):
                             1.0, float(np.linalg.norm(y_stage))):
                     break
                 y_stage = y_stage + cache.get(q, t_i, y_stage, coef).solve(
-                    -residual, trans="T")
+                    -residual)
             slope = system.f(q, t_i, y_stage)
         values[(q, i)] = y_stage
         slopes[(q, i)] = slope
@@ -516,8 +516,8 @@ def scan_adjoint_sweep(trajectory, method):
     def solve(q, t_i, y_stage, coef, rhs):
         if coef == 0.0:
             return rhs
-        lu = trajectory.factors.get(q, t_i, y_stage, coef)
-        return lu.solve(rhs)
+        solver = trajectory.factors.get(q, t_i, y_stage, coef)
+        return solver.solve_transposed(rhs)
 
     for n in range(n_steps - 1, -1, -1):
         h = float(trajectory.time_grid.steps[n])

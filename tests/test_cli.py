@@ -14,6 +14,7 @@ import gark.adaptivity
 import gark.cli
 from gark.cli import build_parser, main, parse_args
 from gark.forward import StepFailureError
+from gark.mesh import TimeGrid
 from gark.systems import PROBLEM_BUILDERS
 
 
@@ -101,6 +102,25 @@ class TestConverge:
                      "--out", str(tmp_path)])
         assert not any(tmp_path.iterdir())
 
+    def test_reference_is_checked_before_the_level_grids(self, tmp_path,
+                                                         monkeypatch):
+        # levels 1..29 would hold up to 10 * 2**29 steps; only level 0,
+        # which sizes the reference run, is built before its check
+        built = []
+        uniform = TimeGrid.uniform
+
+        def build_one(t0, t_final, dt):
+            built.append(dt)
+            assert len(built) == 1, "a level grid was built before the check"
+            return uniform(t0, t_final, dt)
+
+        monkeypatch.setattr(TimeGrid, "uniform", staticmethod(build_one))
+        with pytest.raises(SystemExit, match=r"^--ref-exponent 60: "):
+            run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
+                     "2", "--levels", "30", "--ref-exponent", "60",
+                     "--out", str(tmp_path)])
+        assert built == [0.15]
+
     def test_memory_guard_counts_what_the_run_and_its_sweep_hold(
             self, monkeypatch):
         # the stored run's states and stage values and the sweep's arrays
@@ -124,7 +144,7 @@ class TestConverge:
                            "--ny", "4", "--dt", "0.15"])
         problem = gark.cli._make_problem(args)
         tableau = gark.cli._tableau(args)
-        grid = gark.cli._time_grid(problem, args.dt)
+        grid = gark.cli._time_grid(problem, tableau, args.dt)
         gark.cli._final_pair(problem, tableau, grid)
         assert gark.cli._final_pair_bytes(problem, tableau, grid.num_steps) \
             == sum(a.nbytes for a in held if a is not None)
@@ -443,6 +463,25 @@ class TestPlumbing:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
+    @pytest.mark.parametrize("t_final, named, steps", [
+        ("1e12", r"1000000000000\.0", r"1e\+14"),
+        ("1e300", r"1e\+300", r"1e\+302")])
+    def test_run_beyond_physical_memory_names_dt_and_t_final(
+            self, command, t_final, named, steps, tmp_path, monkeypatch):
+        # refused from the step count alone: no grid is built
+        monkeypatch.setattr(TimeGrid, "uniform", None)
+        monkeypatch.setattr(gark.cli, "estimate_errors", None)
+        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        with pytest.raises(SystemExit, match=(
+                f"^--dt 0.01, --t-final {named}: a stored run of {steps} "
+                "steps and its adjoint sweep would store more than the "
+                r"[0-9.]+ GiB of physical memory$")):
+            run_cli([command, "--problem", "bsvd", "--nx", "4", "--ny", "4",
+                     "--t-final", t_final, "--dt", "0.01",
+                     "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     @pytest.mark.parametrize("flags, message", [
         (["--nx", "0"], "--nx must be at least 1, not 0"),
         (["--ny", "-4"], "--ny must be at least 1, not -4"),
@@ -584,6 +623,35 @@ class TestPlumbing:
                          "SeparableStageSolver": {"forward.factorize"},
                          "SuperLUStageSolver": {"forward.factorize"},
                          "factorize": {"forward.LinearStageCache.get"}}
+
+    def test_solve_directions_are_named_by_the_solvers(self):
+        # SuperLU's trans flag, and its "T"/"N" letters, stay inside
+        # SuperLUStageSolver: every other module asks a stage solver for
+        # solve or solve_transposed, and the adjoint sweep asks itself
+        trans, letters, transposed = set(), set(), set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.keyword) and child.arg == "trans" \
+                        or isinstance(child, ast.arg) and child.arg == "trans":
+                    trans.add(scope)
+                if isinstance(child, ast.Constant) \
+                        and child.value in ("T", "N") \
+                        and not (isinstance(node, ast.keyword)
+                                 and node.arg == "trans"):
+                    letters.add(scope)
+                if isinstance(child, ast.Attribute) \
+                        and child.attr == "solve_transposed":
+                    transposed.add(scope)
+                visit(child, f"{scope}.{child.name}"
+                      if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                      else scope)
+
+        for path in sorted(Path(gark.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem)
+        assert trans == {"forward.SuperLUStageSolver.solve"}
+        assert letters == set()
+        assert transposed == {"adjoint.adjoint_sweep"}
 
     def test_module_entry_point(self):
         proc = run_module("--help")

@@ -13,11 +13,11 @@ from helpers import (StepRecorder, assert_bitwise, at_coarse_nodes,
                      wrap)
 
 from gark import forward
-from gark.adjoint import _stage_solve, adjoint_sweep
+from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals
 from gark.forward import (LinearStageCache, SeparableStageSolver,
-                          StepFailureError, align_tableau, factorize,
-                          integrate, step)
+                          StepFailureError, SuperLUStageSolver,
+                          align_tableau, factorize, integrate, step)
 from gark.mesh import TimeGrid
 from gark.oracle import dense_step_propagator
 from gark.systems import (Partition, SplitOdeSystem, build_problem,
@@ -423,22 +423,42 @@ class TestIntegrate:
         default = scipy.sparse.linalg.splu(sp.csc_matrix(matrix.T))
         assert lu.L.nnz + lu.U.nnz < 0.7 * (default.L.nnz + default.U.nnz)
 
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_solve_directions_on_non_symmetric_stage_matrix(self, seed):
-        # the cache holds factors of (I - cJ)^T: the forward solve must meet
-        # the stage system and the adjoint solve its transpose
-        problem = make_random_nonlinear(seed)
-        system, q, t, coef = problem.system, 1, 0.2, 0.3
-        traj = integrate(problem, build_imex22(), TimeGrid.uniform(0.0, 0.1,
-                                                                   0.05))
-        y = traj.stage_values[q][0, 0]
-        matrix = np.eye(system.dim) - coef * system.jac(q, t, y).toarray()
-        assert np.max(np.abs(matrix - matrix.T)) > 0.1
-        b = np.random.default_rng(seed).standard_normal(system.dim)
-        forward_x = factorize(system, q, t, y, coef).solve(b, trans="T")
-        adjoint_x = _stage_solve(traj, q, t, y, coef, b)
-        for m, x in ((matrix, forward_x), (matrix.T, adjoint_x)):
-            assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
+    @pytest.mark.parametrize("case", [
+        "bsvd", "random_nonlinear-3", "random_nonlinear-11", "calvo-uniform",
+        "calvo-refined", "gray_scott-uniform", "gray_scott-refined"])
+    def test_solve_directions_meet_the_stage_system(self, case):
+        # every solver kind: solve meets (I - cJ) x = b and solve_transposed
+        # (I - cJ)^T x = b; SuperLU's, holding factors of the transpose, are
+        # its transposed and its plain kernel
+        name, _, variant = case.partition("-")
+        if name == "random_nonlinear":  # a Newton stage, not symmetric
+            problem = make_random_nonlinear(int(variant))
+            traj = integrate(problem, build_imex22(),
+                             TimeGrid.uniform(0.0, 0.1, 0.05))
+            q, t, y, coefs = 1, 0.2, traj.stage_values[1][0, 0], (0.3,)
+            seed = int(variant)
+        else:  # diffusion
+            grid = (thrice_refined(name) if variant == "refined"
+                    else default_grid(name, 8, 6))
+            problem = build_problem(name, grid)
+            q, t, y, coefs, seed = 0, 0.0, problem.y0, (0.0029, 0.4), 7
+        kind = (SeparableStageSolver if name in ("calvo", "gray_scott")
+                else SuperLUStageSolver)
+        system, rng = problem.system, np.random.default_rng(seed)
+        for coef in coefs:
+            solver = factorize(system, q, t, y, coef)
+            assert type(solver) is kind
+            matrix = sp.identity(system.dim) - coef * system.jac(q, t, y)
+            if name == "random_nonlinear":
+                assert abs(matrix - matrix.T).max() > 0.1
+            b = rng.standard_normal(system.dim)
+            for m, x in ((matrix, solver.solve(b)),
+                         (matrix.T, solver.solve_transposed(b))):
+                assert x.shape == b.shape
+                assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
+            if kind is SuperLUStageSolver:
+                assert_bitwise(solver.solve(b), solver.lu.solve(b, trans="T"))
+                assert_bitwise(solver.solve_transposed(b), solver.lu.solve(b))
 
     def test_newton_failure_reports_step_index(self, monkeypatch):
         system = nonlinear_stiff()
@@ -584,25 +604,7 @@ class TestCalvoForward:
 
 class TestSeparableStageSolver:
     """Constant-coefficient diffusion stages are solved by fast
-    diagonalization, with SuperLU's solve directions."""
-
-    @pytest.mark.parametrize("name", ["calvo", "gray_scott"])
-    @pytest.mark.parametrize("refined", [False, True],
-                             ids=["uniform", "refined"])
-    def test_both_directions_solve_the_stage_system(self, name, refined):
-        grid = thrice_refined(name) if refined else default_grid(name, 8, 6)
-        problem = build_problem(name, grid)
-        system, y = problem.system, problem.y0
-        rng = np.random.default_rng(7)
-        for coef in (0.0029, 0.4):
-            solver = factorize(system, 0, 0.0, y, coef)
-            assert isinstance(solver, SeparableStageSolver)
-            matrix = sp.identity(system.dim) - coef * system.jac(0, 0.0, y)
-            b = rng.standard_normal(system.dim)
-            for m, x in ((matrix, solver.solve(b, trans="T")),
-                         (matrix.T, solver.solve(b))):
-                assert x.shape == b.shape
-                assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
+    diagonalization."""
 
     @pytest.mark.parametrize("name", ["calvo", "gray_scott"])
     @pytest.mark.parametrize("refined", [False, True],
@@ -630,8 +632,7 @@ class TestSeparableStageSolver:
         solver = factorize(system, 0, t, y, 0.01)
         assert not isinstance(solver, SeparableStageSolver)
         rhs = np.random.default_rng(2).standard_normal(system.dim)
-        assert_bitwise(solver.slope(t, rhs),
-                       solver.lu.solve(system.f(0, t, rhs), trans="T"))
+        assert_bitwise(solver.slope(t, rhs), solver.solve(system.f(0, t, rhs)))
 
     @pytest.fixture
     def diffusion_f_calls(self, monkeypatch):
