@@ -1,9 +1,9 @@
 """Time grids, 2-D tensor-product spatial grids, and grid transfers.
 
+A spatial grid has one Dirichlet or Neumann tag for all its edges.
 Refinement never moves existing nodes: time steps are bisected, and spatial
 refinement bisects whole grid lines, so every coarse node survives into the
-refined grid bitwise.  That containment is what lets restriction be plain
-nodal injection.
+refined grid bitwise, which lets restriction be plain nodal injection.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-EDGES = ("left", "right", "bottom", "top")
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
@@ -61,7 +60,10 @@ class TimeGrid:
         if not np.isfinite([t0, t_final]).all():
             raise ValueError(f"[{t0}, {t_final}] is not a finite interval")
         span = t_final - t0
-        n = int(round(span / dt))
+        steps = float(span) / float(dt)
+        if not np.isfinite(steps):
+            raise ValueError(f"dt={dt} is too small for [{t0}, {t_final}]")
+        n = int(round(steps))
         if n < 1 or abs(n * dt - span) > 1e-9 * max(abs(span), 1.0):
             raise ValueError(f"dt={dt} does not evenly divide [{t0}, {t_final}]")
         nodes = t0 + dt * np.arange(n + 1)
@@ -95,19 +97,9 @@ class TimeGrid:
         return {"kind": "time_grid", "nodes": self.nodes.tolist()}
 
 
-def _normalize_bc(bc) -> dict:
-    if isinstance(bc, str):
-        bc = {edge: bc for edge in EDGES}
-    bc = dict(bc)
-    for edge in EDGES:
-        if bc.get(edge) not in (DIRICHLET, NEUMANN):
-            raise ValueError(f"edge {edge!r} needs '{DIRICHLET}' or '{NEUMANN}'")
-    return bc
-
-
 @dataclass(frozen=True, eq=False)
 class TensorGrid2D:
-    """Tensor-product grid: x-lines times y-lines with per-edge BC tags.
+    """Tensor-product grid: x-lines times y-lines, one tag for all edges.
 
     Unknowns are the nodes not lying on a Dirichlet edge, ordered row-major
     with y varying slowest (C order of an (ny+1, nx+1) nodal array).
@@ -115,7 +107,7 @@ class TensorGrid2D:
 
     xs: np.ndarray
     ys: np.ndarray
-    bc: dict
+    bc: str
 
     def __post_init__(self):
         xs, ys = _frozen_array(self.xs), _frozen_array(self.ys)
@@ -126,7 +118,9 @@ class TensorGrid2D:
                 raise ValueError(f"{name} must be strictly increasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "bc", _normalize_bc(self.bc))
+        if self.bc not in (DIRICHLET, NEUMANN):
+            raise ValueError(f"bc={self.bc!r} is not one tag for all edges: "
+                             f"{DIRICHLET!r} or {NEUMANN!r}")
 
     @classmethod
     def uniform(cls, x0: float, x1: float, nx_cells: int,
@@ -145,16 +139,9 @@ class TensorGrid2D:
 
     def unknown_mask(self) -> np.ndarray:
         """Boolean (ny+1, nx+1) array marking non-Dirichlet nodes."""
-        ny, nx = self.node_shape
-        mask = np.ones((ny, nx), dtype=bool)
-        if self.bc["left"] == DIRICHLET:
-            mask[:, 0] = False
-        if self.bc["right"] == DIRICHLET:
-            mask[:, -1] = False
-        if self.bc["bottom"] == DIRICHLET:
-            mask[0, :] = False
-        if self.bc["top"] == DIRICHLET:
-            mask[-1, :] = False
+        keep = slice(1, -1) if self.bc == DIRICHLET else slice(None)
+        mask = np.zeros(self.node_shape, dtype=bool)
+        mask[keep, keep] = True
         return mask
 
     def unknown_index(self) -> np.ndarray:
@@ -210,7 +197,7 @@ class TensorGrid2D:
 
     def to_json_dict(self) -> dict:
         return {"kind": "tensor_grid", "xs": self.xs.tolist(),
-                "ys": self.ys.tolist(), "bc": dict(self.bc)}
+                "ys": self.ys.tolist(), "bc": self.bc}
 
 
 def _bisect(coords: np.ndarray, marked) -> np.ndarray:
@@ -246,7 +233,7 @@ def _bilinear_weights(fine: np.ndarray, coarse: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class GridTransfer:
     """Nodal injection (fine -> coarse) and bilinear prolongation
-    (coarse -> fine) between nested tensor grids with matching edge tags.
+    (coarse -> fine) between nested tensor grids with the same boundary tag.
 
     Both directions act on unknown vectors of their respective grids.
     injection[u] is the fine unknown index of coarse unknown u.
@@ -260,7 +247,7 @@ class GridTransfer:
     @classmethod
     def between(cls, fine: TensorGrid2D, coarse: TensorGrid2D) -> "GridTransfer":
         if fine.bc != coarse.bc:
-            raise TransferError("edge tags differ between the two grids")
+            raise TransferError("boundary tags differ between the two grids")
         ixs = _match_indices(coarse.xs, fine.xs, "x")
         iys = _match_indices(coarse.ys, fine.ys, "y")
 
@@ -268,14 +255,8 @@ class GridTransfer:
         coarse_idx = coarse.unknown_index()
         n_fine, n_coarse = fine.num_unknowns, coarse.num_unknowns
 
+        # every coarse unknown is a fine unknown under one shared tag
         injected = fine_idx[np.ix_(iys, ixs)]
-        unknown = coarse_idx >= 0
-        orphans = np.argwhere(unknown & (injected < 0))
-        if len(orphans):
-            jy, jx = orphans[0]
-            raise TransferError(
-                f"coarse unknown at ({coarse.xs[jx]}, {coarse.ys[jy]}) "
-                "maps to an excluded fine node")
 
         # bilinear weights from the coarse cell containing each fine node;
         # entries run over fine node (row-major), then dy, then dx
@@ -290,7 +271,7 @@ class GridTransfer:
         prolongation = sp.csr_matrix(
             (weight[keep], (rows[keep], corner[keep])),
             shape=(n_fine, n_coarse))
-        return cls(fine, coarse, injected[unknown], prolongation)
+        return cls(fine, coarse, injected[coarse_idx >= 0], prolongation)
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         """Injection along the last axis; + 0.0 turns -0.0 into 0.0 as the

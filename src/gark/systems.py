@@ -6,10 +6,10 @@ assembled sparse Jacobian, and may add a matrix-free vector-Jacobian product
 ``vjp`` that the adjoint sweep uses instead of assembling; the mass matrix is
 the identity throughout.  A diffusion partition applies its operator, and
 its transpose in the vjp, through SciPy's compiled sparse kernels bound to
-the operator's arrays at build, after checking the vector's shape.  A
-diffusion partition with a constant coefficient per species also carries
-its operator's tensor-product form (SeparableLaplacian), from which the
-stage solver diagonalizes it and takes a stage's slope.
+the operator's arrays at build, after checking the vector's shape.  One
+builder makes every diffusion partition; with no coefficient field it also
+gives the operator's tensor-product form (SeparableLaplacian), from which
+the stage solver diagonalizes it and takes a stage's slope.
 """
 
 from __future__ import annotations
@@ -107,16 +107,15 @@ def separable_laplacian(grid: TensorGrid2D,
                         scales: tuple[float, ...]) -> SeparableLaplacian:
     """The 1-D factors of discretize_laplacian(grid) times scales[k] on
     species k; see SeparableLaplacian."""
-    def axis(coords, low, high):
+    keep = slice(1, -1) if grid.bc == DIRICHLET else slice(None)
+
+    def axis(coords):
         inv_h = 1.0 / np.diff(coords)
         k = np.diag(inv_h, 1) + np.diag(inv_h, -1)
         k -= np.diag(k.sum(axis=1))
-        keep = slice(int(grid.bc[low] == DIRICHLET),
-                     len(coords) - int(grid.bc[high] == DIRICHLET))
         return trapezoid_weights(coords)[keep], k[keep, keep]
 
-    return SeparableLaplacian(axis(grid.xs, "left", "right"),
-                              axis(grid.ys, "bottom", "top"),
+    return SeparableLaplacian(axis(grid.xs), axis(grid.ys),
                               tuple(float(s) for s in scales))
 
 
@@ -231,10 +230,11 @@ def integral_goal(grid: TensorGrid2D, num_species: int = 1) -> GoalFunction:
                         gradient=lambda y: w.copy())
 
 
-def _diffusion(op: sp.csr_matrix,
-               separable: SeparableLaplacian | None = None) -> Partition:
-    """The stiff linear partition y' = op y, with op's separable form when
-    it has one.
+def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
+               coefficient=None) -> Partition:
+    """The stiff linear partition y' = op y, op being diffusivities[k] times
+    discretize_laplacian(grid, coefficient) on species k; with no
+    coefficient field it also carries op's separable_laplacian form.
 
     rhs and vjp call the compiled kernels that op @ y and op.T @ w end in,
     csr_matvec and csc_matvec on op's own arrays, bound here once: the same
@@ -243,6 +243,8 @@ def _diffusion(op: sp.csr_matrix,
     length, so a vector whose shape is not (n,) raises ValueError first, as
     op @ y does.
     """
+    lap = discretize_laplacian(grid, coefficient)
+    op = sp.block_diag([s * lap for s in diffusivities], format="csr")
     n = op.shape[0]
     arrays = (op.indptr, op.indices, op.data)
 
@@ -258,7 +260,8 @@ def _diffusion(op: sp.csr_matrix,
                      lambda t, y: apply(_sparsetools.csr_matvec, y),
                      lambda t, y: op, linear=True, stiff=True,
                      vjp=lambda t, y, w: apply(_sparsetools.csc_matvec, w),
-                     separable=separable)
+                     separable=(separable_laplacian(grid, diffusivities)
+                                if coefficient is None else None))
 
 
 def _pointwise_reaction(rhs, slope) -> Partition:
@@ -269,7 +272,7 @@ def _pointwise_reaction(rhs, slope) -> Partition:
                      vjp=lambda t, y, w: slope(y) * w, pointwise=True)
 
 
-# x span, y span and the tag of every edge, per grid problem
+# x span, y span and the boundary tag, per grid problem
 PROBLEM_DOMAINS = {
     "calvo": ((-1.0, 3.0), (-1.0, 1.0), DIRICHLET),
     "gray_scott": ((0.0, 2.0), (0.0, 2.0), NEUMANN),
@@ -284,7 +287,7 @@ def _require_domain(grid: TensorGrid2D, name: str) -> None:
                for a, b in zip(ends, (x0, x1, y0, y1))):
         raise ValueError(f"make_{name} expects the domain "
                          f"[{x0},{x1}]x[{y0},{y1}]")
-    if any(tag != bc for tag in grid.bc.values()):
+    if grid.bc != bc:
         raise ValueError(f"make_{name} expects {bc} edges everywhere")
 
 
@@ -341,8 +344,7 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
-            _diffusion((nu * discretize_laplacian(grid)).tocsr(),
-                       separable_laplacian(grid, (nu,))),
+            _diffusion(grid, (nu,)),
             _pointwise_reaction(reaction_rhs, lambda y: 1.0 - 3.0 * y ** 2),
         ))
 
@@ -373,7 +375,6 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     """
     _require_domain(grid, "gray_scott")
     n = grid.num_unknowns
-    lap = discretize_laplacian(grid)
     decay = feed + kill
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -408,10 +409,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
     system = SplitOdeSystem(
         dim=2 * n,
         partitions=(
-            _diffusion(sp.block_diag((GRAY_SCOTT_DU * lap, GRAY_SCOTT_DV * lap),
-                                     format="csr"),
-                       separable_laplacian(grid, (GRAY_SCOTT_DU,
-                                                  GRAY_SCOTT_DV))),
+            _diffusion(grid, (GRAY_SCOTT_DU, GRAY_SCOTT_DV)),
             Partition("reaction", reaction_rhs, reaction_jac,
                       vjp=reaction_vjp, pointwise=True),
         ))
@@ -453,7 +451,7 @@ def make_bsvd(grid: TensorGrid2D, t_final: float = 7.0) -> ProblemInstance:
     system = SplitOdeSystem(
         dim=grid.num_unknowns,
         partitions=(
-            _diffusion(discretize_laplacian(grid, bsvd_diffusivity)),
+            _diffusion(grid, coefficient=bsvd_diffusivity),
             _pointwise_reaction(
                 lambda t, y: 10.0 * (1.0 - y * y) * (y + 0.6),
                 lambda y: 10.0 * (1.0 - 1.2 * y - 3.0 * y * y)),

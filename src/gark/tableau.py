@@ -219,7 +219,7 @@ class GarkTableau:
             for m in range(P):
                 resid = float(np.max(np.abs(self.abscissae(q, m) - c_own),
                                      initial=0.0))
-                if not resid <= VALIDATION_TOL:
+                if m != q and not resid <= VALIDATION_TOL:
                     bad.append(Violation(
                         "internal-consistency",
                         f"c^({q + 1},{m + 1}) != c^({q + 1},{q + 1})", resid))

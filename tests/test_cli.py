@@ -298,6 +298,25 @@ class TestOracleCheck:
         assert capsys.readouterr().out == ""
 
 
+def scopes_naming(*names) -> dict:
+    """Per name, the scopes of the gark sources (module.function or
+    module.Class.method) that refer to it as a variable or attribute."""
+    where = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in where:
+                where[name].add(scope)
+            visit(child, f"{scope}.{child.name}"
+                  if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                  else scope)
+
+    for path in sorted(Path(gark.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return where
+
+
 class TestPlumbing:
     def test_config_file_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -604,25 +623,18 @@ class TestPlumbing:
         # splu and the stage solver classes are named only in factorize,
         # and factorize only in LinearStageCache.get, the one way in to a
         # stage solver
-        where = {"splu": set(), "SeparableStageSolver": set(),
-                 "SuperLUStageSolver": set(), "factorize": set()}
+        assert scopes_naming("splu", "SeparableStageSolver",
+                             "SuperLUStageSolver", "factorize") == {
+            "splu": {"forward.factorize"},
+            "SeparableStageSolver": {"forward.factorize"},
+            "SuperLUStageSolver": {"forward.factorize"},
+            "factorize": {"forward.LinearStageCache.get"}}
 
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                name = getattr(child, "id", getattr(child, "attr", None))
-                if isinstance(child, (ast.Name, ast.Attribute)) \
-                        and name in where:
-                    where[name].add(scope)
-                visit(child, f"{scope}.{child.name}"
-                      if isinstance(child, (ast.FunctionDef, ast.ClassDef))
-                      else scope)
-
-        for path in sorted(Path(gark.__file__).parent.glob("*.py")):
-            visit(ast.parse(path.read_text()), path.stem)
-        assert where == {"splu": {"forward.factorize"},
-                         "SeparableStageSolver": {"forward.factorize"},
-                         "SuperLUStageSolver": {"forward.factorize"},
-                         "factorize": {"forward.LinearStageCache.get"}}
+    def test_separable_form_has_one_way_in(self):
+        # separable_laplacian is named only in systems._diffusion, which
+        # attaches it exactly when the diffusion coefficient is constant
+        assert scopes_naming("separable_laplacian") == {
+            "separable_laplacian": {"systems._diffusion"}}
 
     def test_solve_directions_are_named_by_the_solvers(self):
         # SuperLU's trans flag, and its "T"/"N" letters, stay inside

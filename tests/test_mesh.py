@@ -52,6 +52,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="finite"):
             TimeGrid.uniform(t0, t_final, 0.1)
 
+    @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-10), (1.0, 1e-320)])
+    def test_uniform_rejects_a_step_count_that_overflows(self, t_final, dt):
+        # (t_final - t0) / dt is infinite, so no node array is attempted
+        with pytest.raises(ValueError, match=f"dt={dt}"):
+            TimeGrid.uniform(0.0, t_final, dt)
+
     def test_halve_all_steps_uniform(self):
         g = TimeGrid(np.array([0.0, 1.0])).halve_all_steps()
         np.testing.assert_array_equal(g.nodes, [0.0, 0.5, 1.0])
@@ -106,11 +112,13 @@ class TestTensorGrid2D:
         neum = TensorGrid2D.uniform(0, 1, 4, 0, 1, 4, "neumann")
         assert neum.num_unknowns == 25
 
-    def test_mixed_edges(self):
-        g = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2,
-                                 {"left": "dirichlet", "right": "neumann",
-                                  "bottom": "neumann", "top": "neumann"})
-        assert g.num_unknowns == 6
+    @pytest.mark.parametrize("bc", [
+        {"left": "dirichlet", "right": "dirichlet",
+         "bottom": "dirichlet", "top": "dirichlet"},
+        "robin"], ids=["per-edge", "robin"])
+    def test_one_known_tag_for_all_edges(self, bc):
+        with pytest.raises(ValueError, match="one tag for all edges"):
+            TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, bc)
 
     def test_unknown_ordering_row_major(self):
         g = TensorGrid2D.uniform(0, 1, 2, 0, 1, 2, "neumann")
@@ -178,7 +186,7 @@ class TestTensorGrid2D:
             assert space["kind"] == "tensor_grid"
             assert_bitwise(space["xs"], record.space_grid.xs)
             assert_bitwise(space["ys"], record.space_grid.ys)
-            assert space["bc"] == record.space_grid.bc
+            assert space["bc"] == record.space_grid.bc == "neumann"
 
 
 def test_every_refinement_matches_the_interval_loop_bitwise():

@@ -486,9 +486,9 @@ class TestRegistry:
     def test_default_grids(self):
         g = default_grid("calvo", 20, 10)
         assert (g.xs[0], g.xs[-1]) == (-1.0, 3.0)
-        assert g.bc["left"] == "dirichlet"
+        assert g.bc == "dirichlet"
         g = default_grid("bsvd", 8, 8)
-        assert g.bc["top"] == "neumann"
+        assert g.bc == "neumann"
 
     def test_build_and_rebuild(self):
         p = build_problem("bsvd", default_grid("bsvd", 6, 6), t_final=4.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_validate_flags_non_finite_coefficients(gamma, alpha, names):
     # as such, and so is every residual they spoil
     report = build_imex22(gamma, alpha).validate()
     assert {v.name for v in report.violations} == names
+    # a NaN differs from itself, yet no check compares a vector with itself
+    assert not [v.detail for v in report.violations
+                if re.fullmatch(r"(\S+) != \1", v.detail)]
 
 
 def test_validate_reports_weight_sum_violation():
