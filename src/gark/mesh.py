@@ -9,9 +9,9 @@ refined grid bitwise, which lets restriction be plain nodal injection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -61,7 +61,8 @@ class TimeGrid:
             raise ValueError(f"[{t0}, {t_final}] is not a finite interval")
         span = t_final - t0
         steps = float(span) / float(dt)
-        if not np.isfinite(steps):
+        # n + 1 nodes must fit the largest float64 array numpy can allocate
+        if not steps < np.iinfo(np.intp).max // 8:
             raise ValueError(f"dt={dt} is too small for [{t0}, {t_final}]")
         n = int(round(steps))
         if n < 1 or abs(n * dt - span) > 1e-9 * max(abs(span), 1.0):
@@ -151,7 +152,7 @@ class TensorGrid2D:
         idx[mask] = np.arange(int(mask.sum()))
         return idx
 
-    @property
+    @cached_property
     def num_unknowns(self) -> int:
         return int(self.unknown_mask().sum())
 
@@ -221,28 +222,16 @@ def _match_indices(coarse: np.ndarray, fine: np.ndarray, axis: str) -> np.ndarra
     return near[np.arange(len(coarse)), hit.argmax(axis=1)]
 
 
-def _bilinear_weights(fine: np.ndarray, coarse: np.ndarray):
-    """Per fine coordinate: the containing coarse interval j and the weights
-    (1 - t, t) of its two ends."""
-    j = np.clip(np.searchsorted(coarse, fine, side="right") - 1, 0,
-                len(coarse) - 2)
-    t = (fine - coarse[j]) / (coarse[j + 1] - coarse[j])
-    return j, np.stack([1.0 - t, t], axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class GridTransfer:
-    """Nodal injection (fine -> coarse) and bilinear prolongation
-    (coarse -> fine) between nested tensor grids with the same boundary tag.
-
-    Both directions act on unknown vectors of their respective grids.
-    injection[u] is the fine unknown index of coarse unknown u.
+    """Nodal injection (fine -> coarse) between nested tensor grids with the
+    same boundary tag, the only grid transfer: it acts on unknown vectors,
+    and injection[u] is the fine unknown index of coarse unknown u.
     """
 
     fine: TensorGrid2D
     coarse: TensorGrid2D
     injection: np.ndarray
-    prolongation: sp.csr_matrix
 
     @classmethod
     def between(cls, fine: TensorGrid2D, coarse: TensorGrid2D) -> "GridTransfer":
@@ -250,40 +239,17 @@ class GridTransfer:
             raise TransferError("boundary tags differ between the two grids")
         ixs = _match_indices(coarse.xs, fine.xs, "x")
         iys = _match_indices(coarse.ys, fine.ys, "y")
-
-        fine_idx = fine.unknown_index()
-        coarse_idx = coarse.unknown_index()
-        n_fine, n_coarse = fine.num_unknowns, coarse.num_unknowns
-
         # every coarse unknown is a fine unknown under one shared tag
-        injected = fine_idx[np.ix_(iys, ixs)]
-
-        # bilinear weights from the coarse cell containing each fine node;
-        # entries run over fine node (row-major), then dy, then dx
-        jy, wy = _bilinear_weights(fine.ys, coarse.ys)
-        jx, wx = _bilinear_weights(fine.xs, coarse.xs)
-        corner = coarse_idx[(jy[:, None] + [0, 1])[:, None, :, None],
-                            (jx[:, None] + [0, 1])[None, :, None, :]]
-        weight = wx[None, :, None, :] * wy[:, None, :, None]
-        rows = np.broadcast_to(fine_idx[:, :, None, None], corner.shape)
-        # a Dirichlet corner contributes zero
-        keep = (rows >= 0) & (weight != 0.0) & (corner >= 0)
-        prolongation = sp.csr_matrix(
-            (weight[keep], (rows[keep], corner[keep])),
-            shape=(n_fine, n_coarse))
-        return cls(fine, coarse, injected[coarse_idx >= 0], prolongation)
+        injected = fine.unknown_index()[np.ix_(iys, ixs)]
+        return cls(fine, coarse, injected[coarse.unknown_mask()])
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         """Injection along the last axis; + 0.0 turns -0.0 into 0.0 as the
         product with the injection matrix does."""
         return v[..., self.injection] + 0.0
 
-    def prolong(self, v: np.ndarray) -> np.ndarray:
-        return self.prolongation @ v
-
     def restrict_state(self, v: np.ndarray) -> np.ndarray:
         """Restrict a species-major stacked state vector.  Its length gives
         the species count: reshape raises ValueError unless it is a multiple
         of the fine unknown count."""
-        n_fine = self.prolongation.shape[0]
-        return self.restrict(v.reshape(-1, n_fine)).reshape(-1)
+        return self.restrict(v.reshape(-1, self.fine.num_unknowns)).reshape(-1)

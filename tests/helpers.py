@@ -175,12 +175,12 @@ def loop_bisect(coords, marked) -> np.ndarray:
 
 
 def loop_transfer(fine, coarse):
-    """(restriction, prolongation) between nested grids, one node at a time."""
+    """The injection restriction between nested grids as a sparse matrix,
+    built one node at a time."""
     ixs = _loop_match_indices(coarse.xs, fine.xs)
     iys = _loop_match_indices(coarse.ys, fine.ys)
     fine_idx = fine.unknown_index()
     coarse_idx = coarse.unknown_index()
-    n_fine, n_coarse = fine.num_unknowns, coarse.num_unknowns
 
     rows, cols = [], []
     for jy, fy in enumerate(iys):
@@ -189,36 +189,8 @@ def loop_transfer(fine, coarse):
             if c >= 0:
                 rows.append(c)
                 cols.append(fine_idx[fy, fx])
-    restriction = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_coarse, n_fine))
-
-    rows, cols, vals = [], [], []
-    cxs, cys = coarse.xs, coarse.ys
-    for fy, y in enumerate(fine.ys):
-        jy = min(max(int(np.searchsorted(cys, y, side="right")) - 1, 0),
-                 len(cys) - 2)
-        ty = (y - cys[jy]) / (cys[jy + 1] - cys[jy])
-        for fx, x in enumerate(fine.xs):
-            f = fine_idx[fy, fx]
-            if f < 0:
-                continue
-            jx = min(max(int(np.searchsorted(cxs, x, side="right")) - 1, 0),
-                     len(cxs) - 2)
-            tx = (x - cxs[jx]) / (cxs[jx + 1] - cxs[jx])
-            for (dy, wy) in ((0, 1.0 - ty), (1, ty)):
-                for (dx, wx) in ((0, 1.0 - tx), (1, tx)):
-                    w = wx * wy
-                    if w == 0.0:
-                        continue
-                    c = coarse_idx[jy + dy, jx + dx]
-                    if c < 0:
-                        continue
-                    rows.append(f)
-                    cols.append(c)
-                    vals.append(w)
-    prolongation = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n_fine, n_coarse))
-    return restriction, prolongation
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                         shape=(coarse.num_unknowns, fine.num_unknowns))
 
 
 def nested_grids(name: str) -> list:

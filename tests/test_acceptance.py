@@ -267,11 +267,16 @@ def test_criterion_8_invariant_suites(capsys):
     checks["stiff accuracy"] = bool(
         np.array_equal(implicit_last, traj.states[1:]))
 
+    # a field with a distinct value per node, sampled on both grids:
+    # bisection keeps every coarse coordinate bitwise, so injection must
+    # pick exactly the coarse samples out of the fine ones
     grid = problem.grid
-    transfer = GridTransfer.between(grid.refine_uniform(), grid)
-    values = np.random.default_rng(31).standard_normal(grid.num_unknowns)
-    checks["grid-transfer round trip"] = bool(
-        np.array_equal(transfer.restrict(transfer.prolong(values)), values))
+    fine = grid.refine_uniform()
+    transfer = GridTransfer.between(fine, grid)
+    field = lambda coords: coords[:, 0] + np.pi * coords[:, 1]
+    checks["grid-transfer sampling"] = bool(np.array_equal(
+        transfer.restrict(field(fine.unknown_coords())),
+        field(grid.unknown_coords())))
 
     report = estimate_errors(
         problem, TABLEAU, TimeGrid.uniform(0.0, 1.5, 0.15)).report

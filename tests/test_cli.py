@@ -619,6 +619,37 @@ class TestPlumbing:
                     if name not in used]
         assert unused == []
 
+    def test_every_definition_is_read_by_the_program(self):
+        # a function, method or class that only the tests read is a
+        # capability no run uses; the program is gark and the benchmark
+        src = sorted(Path(gark.__file__).parent.glob("*.py"))
+        bench = sorted((Path(__file__).resolve().parents[1] / "perfbench")
+                       .glob("*.py"))
+        assert bench, "perfbench sources not found next to the tests"
+        defined, read = [], set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    if not re.fullmatch(r"__\w+__", child.name):
+                        defined.append((f"{scope}.{child.name}", child.name))
+                    visit(child, f"{scope}.{child.name}")
+                else:
+                    visit(child, scope)
+
+        for path in src:
+            visit(ast.parse(path.read_text()), path.stem)
+        for path in src + bench:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+        assert [where for where, name in defined if name not in read] == []
+
     def test_stage_factors_have_one_way_in(self):
         # splu and the stage solver classes are named only in factorize,
         # and factorize only in LinearStageCache.get, the one way in to a
