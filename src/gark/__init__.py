@@ -7,8 +7,7 @@ from gark.adjoint import AdjointTrajectory, adjoint_sweep
 from gark.estimation import (ErrorReport, EstimateBundle, assemble_report,
                              estimate_errors, spatial_residuals,
                              temporal_residuals)
-from gark.forward import (ForwardTrajectory, StepFailureError, align_tableau,
-                          integrate, step)
+from gark.forward import ForwardTrajectory, StepFailureError, integrate, step
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import (GoalFunction, Partition, ProblemInstance,
                           SplitOdeSystem, build_problem, default_grid,
@@ -28,7 +27,7 @@ __all__ = [
     "Partition", "ProblemInstance", "RefinementConfig", "SplitOdeSystem",
     "StageRecord", "StepFailureError", "TensorGrid2D",
     "TimeGrid", "UnsupportedTableauError", "adjoint_coefficients",
-    "adjoint_sweep", "align_tableau", "assemble_report", "build_imex22",
+    "adjoint_sweep", "assemble_report", "build_imex22",
     "build_problem", "default_grid", "discretize_laplacian",
     "estimate_errors", "integral_goal", "integrate", "make_bsvd",
     "make_calvo", "make_gray_scott", "make_random_nonlinear",

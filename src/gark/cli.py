@@ -21,10 +21,9 @@ import scipy.sparse as sp
 
 from gark.adaptivity import RefinementConfig, run_campaign
 from gark.adjoint import adjoint_sweep
-from gark.estimation import estimate_errors, temporal_residuals, \
-    assemble_report
-from gark.forward import (StepFailureError, align_tableau, integrate, step,
-                          stored_stage_rows)
+from gark.estimation import (assemble_report, estimate_errors,
+                             temporal_residuals, weighed_partitions)
+from gark.forward import StepFailureError, integrate, step, stored_stage_rows
 from gark.mesh import DIRICHLET, TimeGrid
 from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
@@ -138,12 +137,14 @@ def _make_problem(args: argparse.Namespace):
     return problem
 
 
-def _time_grid(problem, tableau, dt: float) -> TimeGrid:
+def _time_grid(problem, tableau, dt: float, mu_partitions=()) -> TimeGrid:
     """The uniform grid of step dt over the problem's interval; exits naming
     --dt when dt is not positive or does not divide the interval, and --dt
-    and --t-final, before building it, when its stored run would not fit."""
+    and --t-final, before building it, when its stored run and a sweep
+    storing the mu of mu_partitions would not fit (_stored_run_bytes)."""
     steps = (problem.t_final - problem.t0) / dt if dt > 0 else 0.0
-    if _final_pair_bytes(problem, tableau, steps) > PHYSICAL_MEMORY:
+    if _stored_run_bytes(problem, tableau, steps,
+                         mu_partitions) > PHYSICAL_MEMORY:
         raise SystemExit(
             f"--dt {dt!r}, --t-final {problem.t_final!r}: a stored run of "
             f"{steps:.4g} steps and its adjoint sweep would store more than "
@@ -188,13 +189,16 @@ def _final_pair(problem, tableau, grid: TimeGrid):
     return traj.states[-1], adjoint_sweep(traj, mu_partitions=()).lam[0]
 
 
-def _final_pair_bytes(problem, tableau, num_steps: float) -> float:
-    """Bytes that _final_pair's stored run of num_steps steps and its sweep
-    keep: N + 1 states, N rows per stored stage value and N + 1 adjoint
-    states (infinite for num_steps = inf)."""
+def _stored_run_bytes(problem, tableau, num_steps: float,
+                      mu_partitions=()) -> float:
+    """Bytes that a stored run of num_steps steps and its adjoint sweep
+    keep: N + 1 states, N rows per stored stage value, N + 1 adjoint states
+    and N rows per stage of mu_partitions, whose mu the sweep stores
+    (infinite for num_steps = inf).  _final_pair's sweep stores no mu, an
+    estimate's that of its weighed_partitions."""
     system = problem.system
-    rows = sum(map(len, stored_stage_rows(align_tableau(tableau, system),
-                                          system)))
+    rows = sum(map(len, stored_stage_rows(tableau, system)))
+    rows += sum(tableau.stage_counts[q] for q in mu_partitions)
     return 8 * system.dim * ((2 + rows) * num_steps + 2)
 
 
@@ -210,16 +214,17 @@ def cmd_converge(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
     tableau = _tableau(args)
     # halvings of a step that divides [t0, T] divide it too, so a bad --dt
-    # fails at level 0, and the reference bounds every level's size
-    dts = [args.dt / 2 ** level for level in range(args.levels)]
-    grids = [_time_grid(problem, tableau, dts[0])]
+    # fails at level 0, and the reference bounds every level's size: it is
+    # checked before any finer step is computed, which could overflow
+    grids = [_time_grid(problem, tableau, args.dt)]
     ref_steps = grids[0].num_steps * 2 ** args.ref_exponent
-    if _final_pair_bytes(problem, tableau, ref_steps) > PHYSICAL_MEMORY:
+    if _stored_run_bytes(problem, tableau, ref_steps) > PHYSICAL_MEMORY:
         raise SystemExit(
             f"--ref-exponent {args.ref_exponent}: the reference run of "
             f"{grids[0].num_steps} * 2**{args.ref_exponent} steps and its "
             "adjoint sweep would store more than the "
             f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
+    dts = [args.dt / 2 ** level for level in range(args.levels)]
     grids += [_time_grid(problem, tableau, dt) for dt in dts[1:]]
     args.out.mkdir(parents=True, exist_ok=True)
     ref_dt = args.dt / 2 ** args.ref_exponent
@@ -259,7 +264,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
     tableau = _tableau(args)
-    grid = _time_grid(problem, tableau, args.dt)
+    grid = _time_grid(problem, tableau, args.dt,
+                      weighed_partitions(tableau, problem.system))
     bundle = estimate_errors(problem, tableau, grid)
     report = bundle.report
     args.out.mkdir(parents=True, exist_ok=True)
@@ -279,7 +285,10 @@ def cmd_refine(args: argparse.Namespace) -> int:
         raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
     tableau = _tableau(args)
-    grid = _time_grid(problem, tableau, args.dt)
+    # guards stage 0's estimate; the stages after it refine their grids
+    # inside the campaign, unguarded
+    grid = _time_grid(problem, tableau, args.dt,
+                      weighed_partitions(tableau, problem.system))
     campaign = run_campaign(problem, tableau, grid,
                             RefinementConfig(num_stages=args.stages),
                             out_dir=args.out)
@@ -317,12 +326,12 @@ def _linear_system(*mats) -> SplitOdeSystem:
 def _check_scalar_growth() -> bool:
     h = 0.3
     tab = build_imex22()
-    explicit = step(_linear_system([[-0.7]], [[0.0]]), tab, 0.0, h,
+    explicit = step(_linear_system([[0.0]], [[-0.7]]), tab, 0.0, h,
                     np.array([1.0])).y_next[0]
     z = -0.7 * h
     if abs(explicit - (1 + z + z * z / 2)) > 1e-13:
         return False
-    implicit = step(_linear_system([[0.0]], [[-2.0]]), tab, 0.0, h,
+    implicit = step(_linear_system([[-2.0]], [[0.0]]), tab, 0.0, h,
                     np.array([1.0])).y_next[0]
     g = GAMMA_MINUS
     A = np.array([[g, 0.0], [1 - g, g]])

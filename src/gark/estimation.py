@@ -36,7 +36,8 @@ from gark.forward import (ForwardTrajectory, LinearStageCache,
                           StepFailureError, combine_stage_argument,
                           integrate, step)
 from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
-from gark.systems import ProblemInstance, rebuild_on
+from gark.systems import ProblemInstance, SplitOdeSystem, rebuild_on
+from gark.tableau import GarkTableau
 
 
 def temporal_residual(trajectory: ForwardTrajectory, n: int,
@@ -86,16 +87,17 @@ def stage_residual(coarse: ForwardTrajectory, n: int, y_n: np.ndarray,
             - coarse.system.f(stage.q, t + stage.c * h, y_stage))
 
 
-def weighed_partitions(trajectory: ForwardTrajectory) -> tuple:
-    """The partitions whose restricted stage residuals can be nonzero.
+def weighed_partitions(tableau: GarkTableau, system: SplitOdeSystem) -> tuple:
+    """The partitions of system whose restricted stage residuals under
+    tableau can be nonzero.
 
     A pointwise partition (Partition.pointwise) commutes with injection,
-    so its residual is exactly zero when all its stages in the aligned
-    tableau are explicit; with an implicit stage it is weighed as every
-    other partition is.
+    so its residual is exactly zero when all its stages in the tableau are
+    explicit; with an implicit stage it is weighed as every other
+    partition is.
     """
-    implicit = trajectory.tableau.implicit_partitions
-    return tuple(q for q, part in enumerate(trajectory.system.partitions)
+    implicit = tableau.implicit_partitions
+    return tuple(q for q, part in enumerate(system.partitions)
                  if not part.pointwise or q in implicit)
 
 
@@ -103,10 +105,10 @@ def spatial_residuals(coarse: ForwardTrajectory, fine) -> list:
     """stage_residual of every stage of every coarse step, one
     (num_steps, s_q, dim) array per partition.
 
-    fine is a fine run on the coarse trajectory's time grid and (aligned)
-    tableau, restricted to the coarse space grid: num_steps, its states
-    (num_steps, dim) and slopes[q] (num_steps, s_q, dim).  A fine run of
-    another step count raises ValueError.
+    fine is a fine run on the coarse trajectory's time grid and tableau,
+    restricted to the coarse space grid: num_steps, its states (num_steps,
+    dim) and slopes[q] (num_steps, s_q, dim).  A fine run of another step
+    count raises ValueError.
     """
     if fine.num_steps != coarse.num_steps:
         raise ValueError(
@@ -320,7 +322,7 @@ def estimate_errors(problem: ProblemInstance, tableau,
     fine_time = time_grid.halve_all_steps()
 
     numerical = _named_run("numerical", problem, tableau, time_grid)
-    weighed = weighed_partitions(numerical)
+    weighed = weighed_partitions(tableau, problem.system)
     sums = _WeightedSums(numerical,
                          adjoint_sweep(numerical, mu_partitions=weighed),
                          spatial=True)
@@ -346,7 +348,7 @@ def estimate_errors(problem: ProblemInstance, tableau,
     sums.lam = numerical.factors = None
     restrict = GridTransfer.between(fine_grid, problem.grid).restrict_state
 
-    weighed_stages = [st for st in numerical.tableau.plan if st.q in weighed]
+    weighed_stages = [st for st in tableau.plan if st.q in weighed]
 
     def weigh_stages(n, y_n, result):
         y_n = restrict(y_n)

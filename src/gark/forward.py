@@ -178,37 +178,6 @@ class LinearStageCache:
         return lu
 
 
-def align_tableau(tableau: GarkTableau, system: SplitOdeSystem) -> GarkTableau:
-    """Permute tableau partitions so implicit schemes treat stiff partitions.
-
-    Problems list their partitions by physics (diffusion first), while a
-    tableau lists its schemes by construction (explicit first); the returned
-    tableau is reindexed so scheme q applies to system partition q.
-    """
-    if tableau.num_partitions != system.num_partitions:
-        raise UnsupportedTableauError(
-            f"tableau has {tableau.num_partitions} partitions, "
-            f"system has {system.num_partitions}")
-    stiff = system.stiff_flags
-    if not any(stiff):
-        return tableau
-    implicit = tableau.implicit_partitions
-    explicit = tuple(q for q in range(tableau.num_partitions)
-                     if q not in implicit)
-    stiff_parts = [q for q, s in enumerate(stiff) if s]
-    loose_parts = [q for q, s in enumerate(stiff) if not s]
-    if len(implicit) != len(stiff_parts):
-        raise UnsupportedTableauError(
-            f"{len(stiff_parts)} stiff partitions but {len(implicit)} "
-            "implicit schemes; cannot align")
-    perm = [0] * tableau.num_partitions
-    for part, scheme in zip(stiff_parts + loose_parts, implicit + explicit):
-        perm[part] = scheme
-    if perm == list(range(tableau.num_partitions)):
-        return tableau
-    return tableau.permute_partitions(tuple(perm))
-
-
 def combine_stage_argument(y: np.ndarray, h: float, terms: tuple,
                            slopes: dict) -> np.ndarray:
     """y + h * sum a k^(m)_j over terms, (m, j, a) in their order.  The sum
@@ -238,9 +207,9 @@ class StepResult:
 
 def step(system: SplitOdeSystem, tableau: GarkTableau, t: float, h: float,
          y: np.ndarray, cache: LinearStageCache | None = None) -> StepResult:
-    """Advance one step of size h from (t, y); no partition alignment here.
-    A cache made for another system raises ValueError: it does not hold
-    this system's stage matrices."""
+    """Advance one step of size h from (t, y), partition q of the tableau
+    on partition q of the system.  A cache made for another system raises
+    ValueError: it does not hold this system's stage matrices."""
     if cache is None:
         cache = LinearStageCache(system)
     elif cache.system is not system:
@@ -299,10 +268,10 @@ def _newton_stage(system, cache, stage, t_i, coef, rhs, predictor):
 
 
 def stored_stage_rows(tableau: GarkTableau, system: SplitOdeSystem) -> tuple:
-    """Per partition of the aligned tableau, {stage i: row} of the stage
-    values a stored run keeps, rows in stage order.  A linear partition
-    keeps none, as its Jacobian ignores the state, and neither does an
-    explicit stage that reads no slope: its value is y_n bitwise."""
+    """Per partition, {stage i: row} of the stage values a stored run
+    keeps, rows in stage order.  A linear partition keeps none, as its
+    Jacobian ignores the state, and neither does an explicit stage that
+    reads no slope: its value is y_n bitwise."""
     moved = {(st.q, st.i) for st in tableau.plan if st.a_ii != 0.0 or st.reads}
     rows = []
     for q, (part, s) in enumerate(zip(system.partitions,
@@ -374,7 +343,8 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
               factors: LinearStageCache | None = None) -> ForwardTrajectory:
     """Integrate the problem over the time grid from problem.y0.
 
-    The tableau is validated and aligned to the system's partitions first.
+    The tableau is validated first, and must have as many partitions as
+    the system: its partition q is the system's partition q.
     A step whose new state is not finite raises StepFailureError; numpy's
     overflow and invalid-value warnings are off, as that check reports them.
     Without a consumer the trajectory keeps every state, the stage values
@@ -389,9 +359,11 @@ def integrate(problem: ProblemInstance, tableau: GarkTableau,
     report = tableau.validate()
     if not report.ok:
         raise UnsupportedTableauError(f"invalid tableau: {report}")
-    tableau = align_tableau(tableau, problem.system)
-
     system = problem.system
+    if tableau.num_partitions != system.num_partitions:
+        raise UnsupportedTableauError(
+            f"tableau has {tableau.num_partitions} partitions, "
+            f"system has {system.num_partitions}")
     y = np.array(problem.y0, dtype=float)
     if y.shape != (system.dim,):
         raise ValueError(f"initial state has shape {y.shape}, "

@@ -9,7 +9,9 @@ its transpose in the vjp, through SciPy's compiled sparse kernels bound to
 the operator's arrays at build, after checking the vector's shape.  One
 builder makes every diffusion partition; with no coefficient field it also
 gives the operator's tensor-product form (SeparableLaplacian), from which
-the stage solver diagonalizes it and takes a stage's slope.
+the stage solver diagonalizes it and takes a stage's slope.  Every problem
+lists its stiff diffusion partition first and its reaction second, the
+order of build_imex22's implicit and explicit schemes.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class Partition:
     rhs: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Callable[[float, np.ndarray], sp.spmatrix]
     linear: bool = False
-    stiff: bool = False
     vjp: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     pointwise: bool = False
     separable: SeparableLaplacian | None = None
@@ -127,10 +128,6 @@ class SplitOdeSystem:
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
-
-    @property
-    def stiff_flags(self) -> tuple[bool, ...]:
-        return tuple(p.stiff for p in self.partitions)
 
     @property
     def partition_names(self) -> tuple[str, ...]:
@@ -258,7 +255,7 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
 
     return Partition("diffusion",
                      lambda t, y: apply(_sparsetools.csr_matvec, y),
-                     lambda t, y: op, linear=True, stiff=True,
+                     lambda t, y: op, linear=True,
                      vjp=lambda t, y, w: apply(_sparsetools.csc_matvec, w),
                      separable=(separable_laplacian(grid, diffusivities)
                                 if coefficient is None else None))

@@ -93,7 +93,8 @@ class GarkTableau:
 
     coupling[q][m] holds A^{q,m} with shape (s_q, s_m); weights[q] holds
     b^(q).  stage_schedule lists (partition, stage) pairs, 0-based, in the
-    order the forward step evaluates them.
+    order the forward step evaluates them.  Partition q of a tableau is
+    partition q of every system it integrates.
     """
 
     coupling: tuple[tuple[np.ndarray, ...], ...]
@@ -238,21 +239,6 @@ class GarkTableau:
 
         return ValidationReport(tuple(bad))
 
-    def permute_partitions(self, perm: tuple[int, ...]) -> "GarkTableau":
-        """Reorder partitions; perm[new_index] = old_index."""
-        P = self.num_partitions
-        if sorted(perm) != list(range(P)):
-            raise InvalidParameterError(f"not a permutation of 0..{P - 1}: {perm}")
-        inverse = [0] * P
-        for new, old in enumerate(perm):
-            inverse[old] = new
-        coupling = tuple(tuple(self.coupling[perm[q]][perm[m]] for m in range(P))
-                         for q in range(P))
-        weights = tuple(self.weights[perm[q]] for q in range(P))
-        schedule = tuple((inverse[q], i) for q, i in self.stage_schedule)
-        return GarkTableau(coupling, weights, schedule,
-                           declared_order=self.declared_order)
-
 
 def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
     """Transform forward coefficients into reversed-sweep coefficients.
@@ -284,8 +270,10 @@ def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
 
 def build_imex22(gamma: float = GAMMA_MINUS,
                  alpha: float | None = None) -> GarkTableau:
-    """Two-stage implicit-explicit pair: partition 1 explicit, partition 2
-    a stiffly accurate two-stage singly diagonally implicit scheme.
+    """Two-stage implicit-explicit pair: partition 1 is the stiffly
+    accurate two-stage singly diagonally implicit scheme (implicit),
+    partition 2 explicit, the order in which every problem lists its
+    stiff partition and the rest.
 
     Second order, which validate() checks, requires gamma = 1 +- sqrt(2)/2;
     alpha is free, nonzero and finite, and defaults to gamma, which makes
@@ -303,8 +291,8 @@ def build_imex22(gamma: float = GAMMA_MINUS,
     a_ii = np.array([[gamma, 0.0], [1.0 - gamma, gamma]])
     b_e = np.array([1.0 - alpha, alpha])
     b_i = np.array([1.0 - gamma, gamma])
-    schedule = ((0, 0), (1, 0), (0, 1), (1, 1))
-    return GarkTableau(coupling=((a_ee, a_ei), (a_ie, a_ii)),
-                       weights=(b_e, b_i),
+    schedule = ((1, 0), (0, 0), (1, 1), (0, 1))
+    return GarkTableau(coupling=((a_ii, a_ie), (a_ei, a_ee)),
+                       weights=(b_i, b_e),
                        stage_schedule=schedule,
                        declared_order=2)

@@ -46,19 +46,19 @@ def wrap(system: SplitOdeSystem, y0, t_final: float, t0: float = 0.0,
                            exact_solution=exact)
 
 
-def _linear_partition(name: str, A: np.ndarray, stiff: bool = False) -> Partition:
+def _linear_partition(name: str, A: np.ndarray) -> Partition:
     A_sp = sp.csr_matrix(A)
     return Partition(name=name,
                      rhs=lambda t, y, A_sp=A_sp: A_sp @ y,
                      jacobian=lambda t, y, A_sp=A_sp: A_sp,
-                     linear=True, stiff=stiff)
+                     linear=True)
 
 
-def scalar_split(lam_a: float, lam_b: float,
-                 stiff=(False, False)) -> SplitOdeSystem:
-    """Scalar y' = lam_a*y + lam_b*y as a two-partition system."""
-    parts = (_linear_partition("a", np.array([[lam_a]]), stiff[0]),
-             _linear_partition("b", np.array([[lam_b]]), stiff[1]))
+def scalar_split(lam_a: float, lam_b: float) -> SplitOdeSystem:
+    """Scalar y' = lam_a*y + lam_b*y as a two-partition system; the IMEX
+    pair treats lam_a implicitly and lam_b explicitly."""
+    parts = (_linear_partition("a", np.array([[lam_a]])),
+             _linear_partition("b", np.array([[lam_b]])))
     return SplitOdeSystem(dim=1, partitions=parts)
 
 
@@ -83,7 +83,7 @@ def stiff_relaxation(dim: int = 5, rate: float = 40.0) -> SplitOdeSystem:
     def soft_jac(t, y):
         return sp.diags(np.cos(y)).tocsr()
 
-    parts = (_linear_partition("decay", L, stiff=True),
+    parts = (_linear_partition("decay", L),
              Partition(name="soft", rhs=soft_rhs, jacobian=soft_jac))
     return SplitOdeSystem(dim=dim, partitions=parts)
 
@@ -103,8 +103,7 @@ def nonlinear_stiff(dim: int = 4, rate: float = 30.0) -> SplitOdeSystem:
     def drift_jac(t, y):
         return sp.diags(-np.sin(y)).tocsr()
 
-    parts = (Partition(name="stiff", rhs=stiff_rhs, jacobian=stiff_jac,
-                       stiff=True),
+    parts = (Partition(name="stiff", rhs=stiff_rhs, jacobian=stiff_jac),
              Partition(name="drift", rhs=drift_rhs, jacobian=drift_jac))
     return SplitOdeSystem(dim=dim, partitions=parts)
 
@@ -368,23 +367,26 @@ def mu_theta(trajectory, adjoint):
 
 # --- stage loops that scan the whole tableau: oracles for the stage plan ----
 
+def swap_partitions(tableau):
+    """The two-partition tableau with its partitions swapped, built from
+    its own arrays: of build_imex22(), the pair that lists its explicit
+    scheme first."""
+    from gark.tableau import GarkTableau
+
+    (a00, a01), (a10, a11) = tableau.coupling
+    return GarkTableau(((a11, a10), (a01, a00)), tableau.weights[::-1],
+                       tuple((1 - q, i) for q, i in tableau.stage_schedule),
+                       declared_order=tableau.declared_order)
+
+
 def plan_cases():
     """(id, problem, time grid, tableau) on which the planned stage loops
     are checked against the scanning ones: three problems, equal and
-    unequal weights, and both partition orders.  Stiff flags are cleared so
-    integrate runs each tableau as given: the plain tableau treats
-    partition 1 implicitly, the permuted one partition 0."""
-    import dataclasses
-
+    unequal weights, and both partition orders: build_imex22() treats
+    partition 0 implicitly, its swap_partitions partition 1."""
     from gark.mesh import TimeGrid
     from gark.systems import build_problem, default_grid
     from gark.tableau import build_imex22
-
-    def nonstiff(problem):
-        parts = tuple(dataclasses.replace(p, stiff=False)
-                      for p in problem.system.partitions)
-        return dataclasses.replace(problem, system=SplitOdeSystem(
-            dim=problem.system.dim, partitions=parts))
 
     grid = TimeGrid.uniform(0.0, 0.2, 0.02)
     problems = (
@@ -398,13 +400,12 @@ def plan_cases():
     cases = []
     for name, problem, time_grid in problems:
         for alpha in (None, 0.33):
-            for permuted in (False, True):
+            for order in ("implicit-first", "explicit-first"):
                 tableau = build_imex22(alpha=alpha)
-                if permuted:
-                    tableau = tableau.permute_partitions((1, 0))
-                cases.append((f"{name}-alpha{alpha}-"
-                              f"{'permuted' if permuted else 'plain'}",
-                              nonstiff(problem), time_grid, tableau))
+                if order == "explicit-first":
+                    tableau = swap_partitions(tableau)
+                cases.append((f"{name}-alpha{alpha}-{order}", problem,
+                              time_grid, tableau))
     return cases
 
 

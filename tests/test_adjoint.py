@@ -76,7 +76,7 @@ class TestDegenerate:
             np.testing.assert_array_equal(theta, np.zeros_like(theta))
 
     def test_single_step_shapes(self):
-        problem = wrap(scalar_split(-1.0, 0.0), [2.0], t_final=0.1,
+        problem = wrap(scalar_split(0.0, -1.0), [2.0], t_final=0.1,
                        goal=linear_goal([3.0]))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.1, 0.1))
@@ -88,7 +88,7 @@ class TestDegenerate:
         assert adj.theta is None
 
     def test_unknown_method_rejected(self):
-        problem = wrap(scalar_split(-1.0, 0.0), [1.0], t_final=0.1)
+        problem = wrap(scalar_split(0.0, -1.0), [1.0], t_final=0.1)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.1, 0.1))
         for method in ("psi", "theta", "ell"):
@@ -96,7 +96,7 @@ class TestDegenerate:
                 adjoint_sweep(traj, method=method)
 
     def test_needs_stored_stages(self):
-        problem = wrap(scalar_split(-1.0, 0.0), [1.0], t_final=0.1)
+        problem = wrap(scalar_split(0.0, -1.0), [1.0], t_final=0.1)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.1, 0.1),
                          consumer=lambda n, y_n, result: None)
@@ -106,7 +106,7 @@ class TestDegenerate:
     def test_ell_needs_nonzero_weights(self):
         # alpha = 1 zeroes the first explicit weight; the mu sweep runs,
         # and the reversed-method form divides by weights and must refuse
-        problem = wrap(scalar_split(-1.0, -0.5), [1.0], t_final=0.2)
+        problem = wrap(scalar_split(-0.5, -1.0), [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(alpha=1.0),
                          TimeGrid.uniform(0.0, 0.2, 0.1))
         adjoint_sweep(traj)
@@ -118,7 +118,7 @@ class TestScalarRecursions:
     @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
     def test_explicit_part_adjoint_matches_growth_power(self, method):
         lam_val, dt, n = -0.6, 0.2, 5
-        problem = wrap(scalar_split(lam_val, 0.0), [1.0], t_final=1.0)
+        problem = wrap(scalar_split(0.0, lam_val), [1.0], t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, dt))
         lam = form_lam(traj, method)  # sum goal: lam_N = 1
@@ -129,7 +129,7 @@ class TestScalarRecursions:
     def test_implicit_part_adjoint_matches_growth_power(self, method):
         from test_forward import implicit_scalar_growth
         lam_val, dt, n = -2.5, 0.2, 5
-        problem = wrap(scalar_split(0.0, lam_val), [1.0], t_final=1.0)
+        problem = wrap(scalar_split(lam_val, 0.0), [1.0], t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, dt))
         lam = form_lam(traj, method)  # sum goal: lam_N = 1

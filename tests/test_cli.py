@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,19 @@ class TestConverge:
                      "--out", str(tmp_path)])
         assert built == [0.15]
 
+    def test_reference_check_precedes_the_level_step_sizes(self, tmp_path):
+        # 0.15 / 2**1099 does not fit a float: the reference check refuses
+        # the run before any level's step size is computed
+        proc = run_module("converge", "--problem", "calvo", "--nx", "4",
+                          "--ny", "2", "--levels", "1100", "--ref-exponent",
+                          "1100", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert re.fullmatch(r"--ref-exponent 1100: the reference run of 10 "
+                            r"\* 2\*\*1100 steps .* physical memory\n",
+                            proc.stderr)
+        assert not any(tmp_path.iterdir())
+
     def test_memory_guard_counts_what_the_run_and_its_sweep_hold(
             self, monkeypatch):
         # the stored run's states and stage values and the sweep's arrays
@@ -146,7 +160,7 @@ class TestConverge:
         tableau = gark.cli._tableau(args)
         grid = gark.cli._time_grid(problem, tableau, args.dt)
         gark.cli._final_pair(problem, tableau, grid)
-        assert gark.cli._final_pair_bytes(problem, tableau, grid.num_steps) \
+        assert gark.cli._stored_run_bytes(problem, tableau, grid.num_steps) \
             == sum(a.nbytes for a in held if a is not None)
 
     def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
@@ -201,6 +215,38 @@ class TestEstimate:
         with pytest.raises(SystemExit, match="^--dt: dt=0.0 must be positive"):
             run_cli(["estimate", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--dt", "0", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("name, cells, flags", [
+        ("gray_scott", "4", ["--t-final", "1.0", "--dt", "0.001"]),
+        ("bsvd", "6", ["--t-final", "1.0", "--dt", "0.001"]),
+        ("calvo", "8", ["--dt", "0.0015"])])
+    def test_memory_guard_counts_what_the_estimate_holds(
+            self, name, cells, flags, tmp_path, monkeypatch):
+        # the guard counts the stored run, lam and the mu of the weighed
+        # partitions; at 1000 steps the estimate's traced peak is that count
+        # plus less than 15%
+        counted, peaks = [], []
+        count, estimate = gark.cli._stored_run_bytes, gark.cli.estimate_errors
+
+        def stored_run_bytes(*args):
+            counted.append(count(*args))
+            return counted[-1]
+
+        def estimate_errors(*args):
+            tracemalloc.start()
+            try:
+                bundle = estimate(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return bundle
+
+        monkeypatch.setattr(gark.cli, "_stored_run_bytes", stored_run_bytes)
+        monkeypatch.setattr(gark.cli, "estimate_errors", estimate_errors)
+        assert run_cli(["estimate", "--problem", name, "--nx", cells, "--ny",
+                        cells, *flags, "--out", str(tmp_path)]) == 0
+        assert len(counted) == len(peaks) == 1
+        assert counted[0] <= peaks[0] < 1.15 * counted[0]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -9,15 +9,15 @@ import scipy.sparse.linalg
 
 from helpers import (StepRecorder, assert_bitwise, at_coarse_nodes,
                      linear_pair, nonlinear_stiff, plan_cases, scalar_split,
-                     scan_step, stiff_relaxation, sum_goal, thrice_refined,
-                     wrap)
+                     scan_step, stiff_relaxation, sum_goal, swap_partitions,
+                     thrice_refined, wrap)
 
 from gark import forward
 from gark.adjoint import adjoint_sweep
 from gark.estimation import estimate_errors, temporal_residuals
 from gark.forward import (LinearStageCache, SeparableStageSolver,
-                          StepFailureError, SuperLUStageSolver,
-                          align_tableau, factorize, integrate, step)
+                          StepFailureError, SuperLUStageSolver, factorize,
+                          integrate, step)
 from gark.mesh import TimeGrid
 from gark.oracle import dense_step_propagator
 from gark.systems import (Partition, SplitOdeSystem, build_problem,
@@ -46,7 +46,7 @@ class TestSingleStep:
         # slope assigned only to the explicit scheme: one step multiplies
         # the state by 1 + z + z^2/2 regardless of alpha
         lam, h = -0.7, 0.3
-        system = scalar_split(lam, 0.0)
+        system = scalar_split(0.0, lam)
         tableau = build_imex22(alpha=alpha)
         result = step(system, tableau, 0.0, h, np.array([1.0]))
         z = lam * h
@@ -55,7 +55,7 @@ class TestSingleStep:
 
     def test_implicit_part_alone_matches_resolvent_formula(self):
         lam, h = -2.1, 0.4
-        system = scalar_split(0.0, lam)
+        system = scalar_split(lam, 0.0)
         result = step(system, build_imex22(), 0.0, h, np.array([1.0]))
         np.testing.assert_allclose(result.y_next[0],
                                    implicit_scalar_growth(lam * h), rtol=1e-13)
@@ -64,13 +64,13 @@ class TestSingleStep:
         # the implicit scheme alone must damp z = -100, the explicit one
         # would blow up there
         assert abs(implicit_scalar_growth(-100.0)) < 1.0
-        system = scalar_split(0.0, -1000.0)
+        system = scalar_split(-1000.0, 0.0)
         result = step(system, build_imex22(), 0.0, 0.1, np.array([1.0]))
         assert abs(result.y_next[0]) < 1.0
 
     def test_stage_times_use_own_abscissae(self):
         # each partition's rhs must be called at its own stage times:
-        # partition 0 is explicit and partition 1 linear implicit, one call
+        # partition 0 is linear implicit and partition 1 explicit, one call
         # per stage each (a linear stage's slope comes from its solve)
         seen = ([], [])
 
@@ -85,15 +85,15 @@ class TestSingleStep:
                                                    partition(1)))
         step(system, build_imex22(), 2.0, 0.5, np.array([1.0]))
         assert len(seen[0]) == 2 and len(seen[1]) == 2
-        assert seen[0][0] == 2.0
-        np.testing.assert_allclose(seen[0][1], 2.0 + 0.5 / (2.0 * GAMMA_MINUS))
-        np.testing.assert_allclose(seen[1][0], 2.0 + 0.5 * GAMMA_MINUS)
-        np.testing.assert_allclose(seen[1][1], 2.5)
+        assert seen[1][0] == 2.0
+        np.testing.assert_allclose(seen[1][1], 2.0 + 0.5 / (2.0 * GAMMA_MINUS))
+        np.testing.assert_allclose(seen[0][0], 2.0 + 0.5 * GAMMA_MINUS)
+        np.testing.assert_allclose(seen[0][1], 2.5)
 
     def test_schedule_missing_dependency_raises(self):
         tableau = build_imex22()
         bad = dataclasses.replace(tableau,
-                                  stage_schedule=((0, 1), (0, 0), (1, 0), (1, 1)))
+                                  stage_schedule=((1, 1), (1, 0), (0, 0), (0, 1)))
         with pytest.raises(UnsupportedTableauError, match="needs slope"):
             bad.plan
         system = scalar_split(-1.0, -1.0)
@@ -152,12 +152,10 @@ class TestStepCompletion:
     weighted sum of the slopes otherwise; the bits are the same either
     way."""
 
-    def test_imex22_and_its_alignment_carry_the_weights(self):
+    def test_imex22_in_either_partition_order_carries_the_weights(self):
         tableau = build_imex22()
         assert tableau.last_stage_is_step
-        aligned = align_tableau(tableau, make_calvo(default_grid("calvo", 4,
-                                                                 2)).system)
-        assert aligned is not tableau and aligned.last_stage_is_step
+        assert swap_partitions(tableau).last_stage_is_step
         assert build_imex22(alpha=0.33).last_stage_is_step
 
     def test_adjoint_coefficients_do_not_carry_the_weights(self):
@@ -168,10 +166,10 @@ class TestStepCompletion:
         # a last row 1e-13 off the weights passes validate(), but the
         # stage's value would not be y_{n+1}'s bits
         base = build_imex22()
-        (a_ee, a_ei), (a_ie, a_ii) = base.coupling
+        (a_ii, a_ie), (a_ei, a_ee) = base.coupling
         a_ie = a_ie.copy()
         a_ie[1, 0] += 1e-13
-        near = GarkTableau(((a_ee, a_ei), (a_ie, a_ii)), base.weights,
+        near = GarkTableau(((a_ii, a_ie), (a_ei, a_ee)), base.weights,
                            base.stage_schedule)
         assert near.validate().ok
         assert not near.last_stage_is_step
@@ -220,49 +218,33 @@ def test_step_never_writes_into_its_input(case):
 
 @pytest.mark.parametrize("case", plan_cases(), ids=lambda case: case[0])
 def test_implicit_partitions_hold_the_plan_s_implicit_stages(case):
-    name, problem, _, tableau = case
-    aligned = align_tableau(tableau, problem.system)
-    implicit = aligned.implicit_partitions
-    assert implicit is aligned.implicit_partitions
-    assert implicit == tuple(sorted({st.q for st in aligned.plan
+    name, _, _, tableau = case
+    implicit = tableau.implicit_partitions
+    assert implicit is tableau.implicit_partitions
+    assert implicit == tuple(sorted({st.q for st in tableau.plan
                                      if st.a_ii != 0.0}))
-    assert implicit == ((0,) if name.endswith("permuted") else (1,))
+    assert implicit == ((0,) if name.endswith("implicit-first") else (1,))
 
 
-class TestAlignment:
-    def test_identity_when_nothing_is_stiff(self):
-        system = scalar_split(-1.0, -1.0)
+class TestIntegrate:
+    @pytest.mark.parametrize("name", ["calvo", "gray_scott", "bsvd"])
+    def test_runs_the_tableau_it_is_given(self, name):
+        # partition q of the tableau is partition q of the system: no copy
+        problem = build_problem(name, default_grid(name, 4, 4))
         tableau = build_imex22()
-        assert align_tableau(tableau, system) is tableau
-
-    def test_stiff_first_partition_gets_the_implicit_scheme(self):
-        system = stiff_relaxation()
-        aligned = align_tableau(build_imex22(), system)
-        assert np.any(np.diag(aligned.coupling[0][0]) != 0.0)
-        assert not np.any(np.diag(aligned.coupling[1][1]) != 0.0)
-        assert aligned.implicit_partitions == (0,)
-        assert aligned.validate().ok
-
-    def test_alignment_preserved_on_calvo(self):
-        problem = make_calvo(default_grid("calvo", 8, 4))
-        aligned = align_tableau(build_imex22(), problem.system)
-        assert np.any(np.diag(aligned.coupling[0][0]) != 0.0)
+        traj = integrate(problem, tableau, TimeGrid.uniform(0.0, 0.1, 0.05))
+        assert traj.tableau is tableau
 
     def test_partition_count_mismatch_raises(self):
         system = SplitOdeSystem(dim=1, partitions=(
             Partition(name="only",
                       rhs=lambda t, y: -y,
                       jacobian=lambda t, y: sp.csr_matrix([[-1.0]])),))
-        with pytest.raises(UnsupportedTableauError, match="partitions"):
-            align_tableau(build_imex22(), system)
+        with pytest.raises(UnsupportedTableauError,
+                           match="^tableau has 2 partitions, system has 1$"):
+            integrate(wrap(system, [1.0], t_final=0.1), build_imex22(),
+                      TimeGrid.uniform(0.0, 0.1, 0.1))
 
-    def test_two_stiff_partitions_cannot_align_to_imex(self):
-        system = scalar_split(-1.0, -1.0, stiff=(True, True))
-        with pytest.raises(UnsupportedTableauError, match="cannot align"):
-            align_tableau(build_imex22(), system)
-
-
-class TestIntegrate:
     def test_linear_convergence_order_two(self):
         system, total = linear_pair(seed=11)
         y0 = np.linspace(0.4, 1.0, system.dim)
@@ -315,7 +297,7 @@ class TestIntegrate:
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.2, 0.02), consumer=recorded)
         assert recorded.stage_consistency_residual(traj) == 0.0
-        system, q = traj.system, 0  # q: diffusion after alignment
+        system, q = traj.system, 0  # q: diffusion
         assert system.partitions[q].linear
         slopes, values = recorded.stage_slopes[q], recorded.stage_values[q]
         for n in range(traj.num_steps):
@@ -331,8 +313,8 @@ class TestIntegrate:
         recorded = StepRecorder()  # no run stores a linear stage's values
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.5, 0.05), consumer=recorded)
-        # implicit scheme sits on partition 0 after alignment; its last
-        # stage value must reproduce y_{n+1} bitwise
+        # the implicit scheme is partition 0's; its last stage value must
+        # reproduce y_{n+1} bitwise
         for n in range(traj.num_steps):
             assert_bitwise(recorded.stage_values[0][n, -1],
                            recorded.states[n + 1])
@@ -391,7 +373,7 @@ class TestIntegrate:
         # an equal system is another object, whose stage matrices the cache
         # does not hold
         one, other = stiff_relaxation(), stiff_relaxation()
-        tableau = align_tableau(build_imex22(), one)
+        tableau = build_imex22()
         y, cache = np.zeros(one.dim), LinearStageCache(one)
         step(one, tableau, 0.0, 0.01, y, cache)
         with pytest.raises(ValueError, match="another system"):
@@ -435,7 +417,7 @@ class TestIntegrate:
             problem = make_random_nonlinear(int(variant))
             traj = integrate(problem, build_imex22(),
                              TimeGrid.uniform(0.0, 0.1, 0.05))
-            q, t, y, coefs = 1, 0.2, traj.stage_values[1][0, 0], (0.3,)
+            q, t, y, coefs = 0, 0.2, traj.stage_values[0][0, 0], (0.3,)
             seed = int(variant)
         else:  # diffusion
             grid = (thrice_refined(name) if variant == "refined"
@@ -464,8 +446,8 @@ class TestIntegrate:
         system = nonlinear_stiff()
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.3)
         monkeypatch.setattr("gark.forward.MAX_NEWTON_ITERATIONS", 0)
-        # aligned, the stiff partition is scheme 1; its first stage sits
-        # at t_0 + gamma h
+        # the stiff partition is the pair's implicit partition 1; its first
+        # stage sits at t_0 + gamma h
         where = (r"^step 0, stage \(1,1\) of partition 'stiff' at "
                  r"t_i = 0\.0087868: Newton stalled at residual ")
         with pytest.raises(StepFailureError, match=where) as err:
@@ -477,7 +459,7 @@ class TestIntegrate:
 
     def test_y0_override_and_shape_check(self):
         # a run starts from problem.y0; another start is another problem
-        system = scalar_split(-1.0, 0.0)
+        system = scalar_split(0.0, -1.0)
         problem = wrap(system, [1.0], t_final=0.1)
         traj = integrate(dataclasses.replace(problem, y0=np.array([2.0])),
                          build_imex22(), TimeGrid.uniform(0.0, 0.1, 0.1))
@@ -488,7 +470,7 @@ class TestIntegrate:
 
     def test_blow_up_names_the_step_and_its_time(self):
         # growth ~1e198 per step: step 0 stays finite, step 1 overflows
-        problem = wrap(scalar_split(1e100, 0.0), [1.0], t_final=0.3)
+        problem = wrap(scalar_split(0.0, 1e100), [1.0], t_final=0.3)
         finished = []
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 StepFailureError, match=r"^step 1, from t = 0\.1 to 0\.2: "
@@ -503,8 +485,8 @@ class TestIntegrate:
     def test_invalid_tableau_is_rejected(self):
         tableau = build_imex22()
         bad = dataclasses.replace(
-            tableau, weights=(tableau.weights[0] * 0.9, tableau.weights[1]))
-        system = scalar_split(-1.0, 0.0)
+            tableau, weights=(tableau.weights[0], tableau.weights[1] * 0.9))
+        system = scalar_split(0.0, -1.0)
         with pytest.raises(UnsupportedTableauError, match="invalid tableau"):
             integrate(wrap(system, [1.0], t_final=0.1), bad,
                       TimeGrid.uniform(0.0, 0.1, 0.1))
@@ -560,7 +542,7 @@ class TestIntegrate:
         lambda traj: dense_step_propagator(traj, 0),
     ], ids=["adjoint_sweep", "dense_step_propagator"])
     def test_streamed_run_refuses_stored_reads(self, use):
-        problem = wrap(scalar_split(-1.0, -0.5), [1.0], t_final=0.2)
+        problem = wrap(scalar_split(-0.5, -1.0), [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.2, 0.05),
                          consumer=lambda n, y_n, result: None)
@@ -568,11 +550,11 @@ class TestIntegrate:
             use(traj)
 
     def test_stage_time_accessor(self):
-        system = scalar_split(-1.0, -0.5)
+        system = scalar_split(-0.5, -1.0)
         problem = wrap(system, [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.2, 0.1))
-        np.testing.assert_allclose(traj.stage_time(1, 1, 0),
+        np.testing.assert_allclose(traj.stage_time(1, 0, 0),
                                    0.1 + 0.1 * GAMMA_MINUS)
 
 

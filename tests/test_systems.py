@@ -14,6 +14,7 @@ from gark.systems import (GRAY_SCOTT_DU, GRAY_SCOTT_DV, _calvo_g, _calvo_gxx,
                           discretize_laplacian, integral_goal, make_bsvd,
                           make_calvo, make_gray_scott, make_random_nonlinear,
                           rebuild_on)
+from gark.tableau import build_imex22
 
 
 def interior_mask(grid):
@@ -235,7 +236,8 @@ class TestCalvo:
     def test_partition_layout(self):
         p = make_calvo(self.grid())
         assert p.system.partition_names == ("diffusion", "reaction")
-        assert p.system.stiff_flags == (True, False)
+        # the IMEX pair's implicit scheme is partition 0: the diffusion
+        assert build_imex22().implicit_partitions == (0,)
         assert tuple(part.linear for part in p.system.partitions) \
             == (True, False)
 

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from helpers import swap_partitions
+
 from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, GarkTableau,
                           InvalidParameterError, UnsupportedTableauError,
                           adjoint_coefficients, build_imex22)
@@ -21,8 +23,8 @@ def test_gamma_branches():
 def test_imex22_default_coefficients():
     g = GAMMA_MINUS
     t = build_imex22()
-    a_ee, a_ei = t.coupling[0]
-    a_ie, a_ii = t.coupling[1]
+    a_ii, a_ie = t.coupling[0]
+    a_ei, a_ee = t.coupling[1]
     np.testing.assert_allclose(a_ee, [[0.0, 0.0], [1.0 / (2.0 * g), 0.0]],
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(a_ei, a_ee, rtol=0, atol=0)
@@ -30,10 +32,10 @@ def test_imex22_default_coefficients():
     np.testing.assert_allclose(a_ii, [[g, 0.0], [1.0 - g, g]], rtol=0, atol=1e-15)
     np.testing.assert_allclose(t.weights[0], [1.0 - g, g], rtol=0, atol=1e-15)
     np.testing.assert_allclose(t.weights[1], [1.0 - g, g], rtol=0, atol=1e-15)
-    assert t.stage_schedule == ((0, 0), (1, 0), (0, 1), (1, 1))
+    assert t.stage_schedule == ((1, 0), (0, 0), (1, 1), (0, 1))
     # second explicit abscissa sits beyond the step end for this gamma
-    assert t.abscissae(0)[1] == pytest.approx(1.0 + SQRT2 / 2.0, abs=1e-14)
-    np.testing.assert_allclose(t.abscissae(1), [g, 1.0], rtol=0, atol=1e-15)
+    assert t.abscissae(1)[1] == pytest.approx(1.0 + SQRT2 / 2.0, abs=1e-14)
+    np.testing.assert_allclose(t.abscissae(0), [g, 1.0], rtol=0, atol=1e-15)
 
 
 def test_abscissae_are_summed_once_and_frozen():
@@ -51,8 +53,8 @@ def test_abscissae_are_summed_once_and_frozen():
 
 def test_imex22_alpha_half():
     t = build_imex22(alpha=0.5)
-    assert t.coupling[0][0][1, 0] == pytest.approx(1.0, abs=0.0)
-    np.testing.assert_allclose(t.weights[0], [0.5, 0.5], rtol=0, atol=0)
+    assert t.coupling[1][1][1, 0] == pytest.approx(1.0, abs=0.0)
+    np.testing.assert_allclose(t.weights[1], [0.5, 0.5], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("gamma", [GAMMA_MINUS, GAMMA_PLUS])
@@ -74,7 +76,7 @@ def test_imex22_order_two_sums():
 def test_imex22_stiff_accuracy_row():
     t = build_imex22(alpha=0.41)
     q_last, i_last = t.stage_schedule[-1]
-    assert (q_last, i_last) == (1, 1)
+    assert (q_last, i_last) == (0, 1)
     for m in range(2):
         np.testing.assert_allclose(t.coupling[q_last][m][i_last, :],
                                    t.weights[m], rtol=0, atol=1e-14)
@@ -103,13 +105,13 @@ def test_imex22_order_breaking_gamma_fails_order_two():
                                    1234.567])
 def test_imex22_validity_rests_on_gamma_alone(gamma, alpha):
     # any finite, nonzero alpha keeps the weight sums, internal consistency
-    # and partition 1's order-2 conditions: the report is gamma's
+    # and partition 2's order-2 conditions: the report is gamma's
     def violations(tableau):
         return [(v.name, v.detail) for v in tableau.validate().violations]
 
     found = violations(build_imex22(gamma, alpha))
     assert found == violations(build_imex22(gamma))
-    assert all(name == "order-2" and detail.startswith("b^(2)")
+    assert all(name == "order-2" and detail.startswith("b^(1)")
                for name, detail in found)
     assert (not found) == (gamma in (GAMMA_MINUS, GAMMA_PLUS))
 
@@ -159,7 +161,7 @@ def test_validate_reports_a_misshapen_coupling(block):
 def test_validate_reports_schedule_cycle():
     t = build_imex22()
     # (E,2) reads (I,1); scheduling (I,1) after (E,2) breaks the ordering
-    bad = GarkTableau(t.coupling, t.weights, ((0, 0), (0, 1), (1, 0), (1, 1)),
+    bad = GarkTableau(t.coupling, t.weights, ((1, 0), (1, 1), (0, 0), (0, 1)),
                       declared_order=2)
     report = bad.validate()
     assert any(v.name == "schedule-order" for v in report.violations)
@@ -167,7 +169,7 @@ def test_validate_reports_schedule_cycle():
 
 def test_validate_reports_incomplete_schedule():
     t = build_imex22()
-    bad = GarkTableau(t.coupling, t.weights, ((0, 0), (1, 0), (0, 1), (0, 1)))
+    bad = GarkTableau(t.coupling, t.weights, ((1, 0), (0, 0), (1, 1), (1, 1)))
     report = bad.validate()
     assert any(v.name == "schedule" for v in report.violations)
 
@@ -183,11 +185,11 @@ def test_adjoint_coefficient_values():
     g = GAMMA_MINUS
     adj = adjoint_coefficients(build_imex22())
     # abar^{E,E}_{1,2} = b^E_2 a^{EE}_{2,1} / b^E_1 = 1 / (2 (1 - gamma))
-    assert adj.coupling[0][0][0, 1] == pytest.approx(0.7071067811865475, abs=1e-15)
+    assert adj.coupling[1][1][0, 1] == pytest.approx(0.7071067811865475, abs=1e-15)
     # abar^{I,I}_{2,2} keeps the diagonal entry
-    assert adj.coupling[1][1][1, 1] == pytest.approx(g, abs=1e-15)
+    assert adj.coupling[0][0][1, 1] == pytest.approx(g, abs=1e-15)
     # reversed evaluation order
-    assert adj.stage_schedule == ((1, 1), (0, 1), (1, 0), (0, 0))
+    assert adj.stage_schedule == ((0, 1), (1, 1), (0, 0), (1, 0))
 
 
 def test_adjoint_transform_matches_definition():
@@ -235,34 +237,17 @@ def test_adjoint_rejects_zero_weight():
 
 def test_implicit_partitions():
     t = build_imex22()
-    assert t.implicit_partitions == (1,)
+    assert t.implicit_partitions == (0,)
     assert t.implicit_partitions is t.implicit_partitions
-    assert t.permute_partitions((1, 0)).implicit_partitions == (0,)
-    # the reversed sweep keeps the diagonal of A^{2,2}
-    assert adjoint_coefficients(t).implicit_partitions == (1,)
-
-
-def test_permute_partitions_round_trip_and_validity():
-    t = build_imex22(alpha=0.52)
-    p = t.permute_partitions((1, 0))
-    assert p.validate().ok
-    # the implicit scheme now sits in partition 1
-    stages = {(st.q, st.i): st for st in p.plan}
-    assert stages[(0, 0)].a_ii != 0.0 and stages[(1, 0)].a_ii == 0.0
-    np.testing.assert_array_equal(p.coupling[0][0], t.coupling[1][1])
-    np.testing.assert_array_equal(p.coupling[0][1], t.coupling[1][0])
-    assert p.stage_schedule == ((1, 0), (0, 0), (1, 1), (0, 1))
-    back = p.permute_partitions((1, 0))
-    for q in range(2):
-        for m in range(2):
-            np.testing.assert_array_equal(back.coupling[q][m], t.coupling[q][m])
-    assert back.stage_schedule == t.stage_schedule
+    assert swap_partitions(t).implicit_partitions == (1,)
+    # the reversed sweep keeps the diagonal of A^{1,1}
+    assert adjoint_coefficients(t).implicit_partitions == (0,)
 
 
 @pytest.mark.parametrize("tableau", [
     build_imex22(), build_imex22(alpha=0.33),
-    build_imex22(alpha=0.33).permute_partitions((1, 0))],
-    ids=["equal-weights", "unequal-weights", "permuted"])
+    swap_partitions(build_imex22(alpha=0.33))],
+    ids=["equal-weights", "unequal-weights", "explicit-first"])
 def test_stage_plan_lists_the_nonzero_couplings(tableau):
     plan = tableau.plan
     assert plan is tableau.plan
