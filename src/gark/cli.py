@@ -29,10 +29,12 @@ from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
                           Partition, ProblemInstance, SplitOdeSystem,
                           build_problem, default_grid, make_random_nonlinear)
-from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, InvalidParameterError,
-                          adjoint_coefficients, build_imex22)
+from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, adjoint_coefficients,
+                          build_imex22)
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# the one pair every command runs: gamma = GAMMA_MINUS, alpha = gamma
+TABLEAU = build_imex22()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -46,8 +48,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-final", type=float, default=None,
                         help="override the problem's final time "
                              "(where the problem accepts one)")
-    parser.add_argument("--gamma", type=float, default=GAMMA_MINUS)
-    parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override flags")
@@ -137,14 +137,13 @@ def _make_problem(args: argparse.Namespace):
     return problem
 
 
-def _time_grid(problem, tableau, dt: float, mu_partitions=()) -> TimeGrid:
+def _time_grid(problem, dt: float, mu_partitions=()) -> TimeGrid:
     """The uniform grid of step dt over the problem's interval; exits naming
     --dt when dt is not positive or does not divide the interval, and --dt
     and --t-final, before building it, when its stored run and a sweep
     storing the mu of mu_partitions would not fit (_stored_run_bytes)."""
     steps = (problem.t_final - problem.t0) / dt if dt > 0 else 0.0
-    if _stored_run_bytes(problem, tableau, steps,
-                         mu_partitions) > PHYSICAL_MEMORY:
+    if _stored_run_bytes(problem, steps, mu_partitions) > PHYSICAL_MEMORY:
         raise SystemExit(
             f"--dt {dt!r}, --t-final {problem.t_final!r}: a stored run of "
             f"{steps:.4g} steps and its adjoint sweep would store more than "
@@ -160,45 +159,31 @@ def _format_accuracy(accuracy: float | None) -> str:
     return "n/a" if accuracy is None else f"{accuracy:+.4f}"
 
 
-def _tableau(args: argparse.Namespace):
-    """The IMEX pair of --gamma and --alpha.  validate() judges gamma on
-    the pair with alpha at its default, gamma, then alpha on the pair; a
-    refusal exits naming its flag."""
+def _make_out(out: Path) -> None:
+    """Create the --out directory, called after a command's flag checks and
+    before its first run; exits naming --out when it cannot be made."""
     try:
-        gamma_ok = build_imex22(gamma=args.gamma).validate().ok
-    except InvalidParameterError:  # alpha = gamma is zero or not finite
-        gamma_ok = False
-    if not gamma_ok:
-        raise SystemExit(f"--gamma must be GAMMA_MINUS = {GAMMA_MINUS!r} or "
-                         f"GAMMA_PLUS = {GAMMA_PLUS!r} (1 -+ sqrt(2)/2, "
-                         f"second order), not {args.gamma!r}")
-    try:
-        tableau = build_imex22(gamma=args.gamma, alpha=args.alpha)
-    except InvalidParameterError as err:
-        raise SystemExit(f"--alpha: {err}") from err
-    report = tableau.validate()
-    if not report.ok:
-        raise SystemExit(f"--alpha: the pair fails validate(): {report}")
-    return tableau
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SystemExit(f"--out: {err}") from err
 
 
-def _final_pair(problem, tableau, grid: TimeGrid):
+def _final_pair(problem, grid: TimeGrid):
     """Final state y_N and initial adjoint lambda_0 of one run on grid; the
     sweep stores no mu, as only lam is read."""
-    traj = integrate(problem, tableau, grid)
+    traj = integrate(problem, TABLEAU, grid)
     return traj.states[-1], adjoint_sweep(traj, mu_partitions=()).lam[0]
 
 
-def _stored_run_bytes(problem, tableau, num_steps: float,
-                      mu_partitions=()) -> float:
+def _stored_run_bytes(problem, num_steps: float, mu_partitions=()) -> float:
     """Bytes that a stored run of num_steps steps and its adjoint sweep
     keep: N + 1 states, N rows per stored stage value, N + 1 adjoint states
     and N rows per stage of mu_partitions, whose mu the sweep stores
     (infinite for num_steps = inf).  _final_pair's sweep stores no mu, an
     estimate's that of its weighed_partitions."""
     system = problem.system
-    rows = sum(map(len, stored_stage_rows(tableau, system)))
-    rows += sum(tableau.stage_counts[q] for q in mu_partitions)
+    rows = sum(map(len, stored_stage_rows(TABLEAU, system)))
+    rows += sum(TABLEAU.stage_counts[q] for q in mu_partitions)
     return 8 * system.dim * ((2 + rows) * num_steps + 2)
 
 
@@ -212,29 +197,27 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if args.ref_exponent < args.levels:
         raise SystemExit("--ref-exponent must be at least --levels")
     problem = _make_problem(args)
-    tableau = _tableau(args)
     # halvings of a step that divides [t0, T] divide it too, so a bad --dt
     # fails at level 0, and the reference bounds every level's size: it is
     # checked before any finer step is computed, which could overflow
-    grids = [_time_grid(problem, tableau, args.dt)]
+    grids = [_time_grid(problem, args.dt)]
     ref_steps = grids[0].num_steps * 2 ** args.ref_exponent
-    if _stored_run_bytes(problem, tableau, ref_steps) > PHYSICAL_MEMORY:
+    if _stored_run_bytes(problem, ref_steps) > PHYSICAL_MEMORY:
         raise SystemExit(
             f"--ref-exponent {args.ref_exponent}: the reference run of "
             f"{grids[0].num_steps} * 2**{args.ref_exponent} steps and its "
             "adjoint sweep would store more than the "
             f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
     dts = [args.dt / 2 ** level for level in range(args.levels)]
-    grids += [_time_grid(problem, tableau, dt) for dt in dts[1:]]
-    args.out.mkdir(parents=True, exist_ok=True)
+    grids += [_time_grid(problem, dt) for dt in dts[1:]]
+    _make_out(args.out)
     ref_dt = args.dt / 2 ** args.ref_exponent
     run, rows = "reference", []  # run names the run in a StepFailureError
     try:
-        y_ref, lam0_ref = _final_pair(problem, tableau,
-                                      _time_grid(problem, tableau, ref_dt))
+        y_ref, lam0_ref = _final_pair(problem, _time_grid(problem, ref_dt))
         for dt, grid in zip(dts, grids):
             run = f"dt={dt:.6g}"
-            y_n, lam0 = _final_pair(problem, tableau, grid)
+            y_n, lam0 = _final_pair(problem, grid)
             rows.append((dt, _rel_l2(y_n, y_ref), _rel_l2(lam0, lam0_ref)))
     except StepFailureError as err:
         err.run = run
@@ -263,12 +246,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
-    tableau = _tableau(args)
-    grid = _time_grid(problem, tableau, args.dt,
-                      weighed_partitions(tableau, problem.system))
-    bundle = estimate_errors(problem, tableau, grid)
-    report = bundle.report
-    args.out.mkdir(parents=True, exist_ok=True)
+    grid = _time_grid(problem, args.dt,
+                      weighed_partitions(TABLEAU, problem.system))
+    _make_out(args.out)
+    report = estimate_errors(problem, TABLEAU, grid).report
     (args.out / "report.json").write_text(report.to_json() + "\n")
     report.write_csv(args.out / "report.csv")
     parts = ", ".join(f"{name}={value:.4e}" for name, value
@@ -284,12 +265,12 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if args.stages < 1:
         raise SystemExit("--stages must be at least 1")
     problem = _make_problem(args)
-    tableau = _tableau(args)
     # guards stage 0's estimate; the stages after it refine their grids
     # inside the campaign, unguarded
-    grid = _time_grid(problem, tableau, args.dt,
-                      weighed_partitions(tableau, problem.system))
-    campaign = run_campaign(problem, tableau, grid,
+    grid = _time_grid(problem, args.dt,
+                      weighed_partitions(TABLEAU, problem.system))
+    _make_out(args.out)
+    campaign = run_campaign(problem, TABLEAU, grid,
                             RefinementConfig(num_stages=args.stages),
                             out_dir=args.out)
     for record in campaign.records:
@@ -325,13 +306,12 @@ def _linear_system(*mats) -> SplitOdeSystem:
 
 def _check_scalar_growth() -> bool:
     h = 0.3
-    tab = build_imex22()
-    explicit = step(_linear_system([[0.0]], [[-0.7]]), tab, 0.0, h,
+    explicit = step(_linear_system([[0.0]], [[-0.7]]), TABLEAU, 0.0, h,
                     np.array([1.0])).y_next[0]
     z = -0.7 * h
     if abs(explicit - (1 + z + z * z / 2)) > 1e-13:
         return False
-    implicit = step(_linear_system([[-2.0]], [[0.0]]), tab, 0.0, h,
+    implicit = step(_linear_system([[-2.0]], [[0.0]]), TABLEAU, 0.0, h,
                     np.array([1.0])).y_next[0]
     g = GAMMA_MINUS
     A = np.array([[g, 0.0], [1 - g, g]])
@@ -345,7 +325,7 @@ def _check_scalar_growth() -> bool:
 def _check_duality(seed: int) -> bool:
     problem = make_random_nonlinear(seed=seed, dim=6)
     grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
-    traj = integrate(problem, build_imex22(), grid)
+    traj = integrate(problem, TABLEAU, grid)
     adj = adjoint_sweep(traj)
     chain = propagator_chain_adjoint(
         traj, problem.goal.gradient(traj.states[-1]))
@@ -356,9 +336,9 @@ def _check_duality(seed: int) -> bool:
 def _check_gradient(seed: int) -> bool:
     problem = make_random_nonlinear(seed=seed + 1, dim=5)
     grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
-    traj = integrate(problem, build_imex22(), grid)
+    traj = integrate(problem, TABLEAU, grid)
     lam0 = adjoint_sweep(traj).lam[0]
-    fd = fd_goal_gradient(problem, build_imex22(), grid)
+    fd = fd_goal_gradient(problem, TABLEAU, grid)
     return bool(np.max(np.abs(lam0 - fd))
                 < 1e-4 * max(1.0, np.max(np.abs(fd))))
 
@@ -375,8 +355,8 @@ def _check_telescoping(seed: int) -> bool:
                               y0=rng.standard_normal(dim), t0=0.0,
                               t_final=0.6, goal=goal)
     grid = TimeGrid.uniform(0.0, 0.6, 0.1)
-    traj = integrate(problem, build_imex22(), grid)
-    fine = integrate(problem, build_imex22(),
+    traj = integrate(problem, TABLEAU, grid)
+    fine = integrate(problem, TABLEAU,
                      grid.halve_all_steps().halve_all_steps())
     adj = adjoint_sweep(traj)
     report = assemble_report(traj, adj,

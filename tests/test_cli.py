@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gark
@@ -17,10 +20,6 @@ from gark.cli import build_parser, main, parse_args
 from gark.forward import StepFailureError
 from gark.mesh import TimeGrid
 from gark.systems import PROBLEM_BUILDERS
-
-
-GAMMA_REFUSED = (f"--gamma must be GAMMA_MINUS = {gark.GAMMA_MINUS!r} or "
-                 f"GAMMA_PLUS = {gark.GAMMA_PLUS!r}")
 
 
 def run_cli(argv):
@@ -35,6 +34,22 @@ def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "gark.cli", *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def subcommand_options(command) -> set:
+    """The long options, without their dashes, that `command --help`
+    lists."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+        parse_args([command, "--help"])
+    return set(re.findall(r"--([a-z][a-z-]*)", text.getvalue()))
+
+
+def no_runs(monkeypatch):
+    """Make every run of the commands fail, so that a test reaching one
+    fails."""
+    for runner in ("integrate", "estimate_errors", "run_campaign"):
+        monkeypatch.setattr(gark.cli, runner, None)
 
 
 def zero_gap(module, monkeypatch):
@@ -157,10 +172,9 @@ class TestConverge:
         args = parse_args(["converge", "--problem", "calvo", "--nx", "8",
                            "--ny", "4", "--dt", "0.15"])
         problem = gark.cli._make_problem(args)
-        tableau = gark.cli._tableau(args)
-        grid = gark.cli._time_grid(problem, tableau, args.dt)
-        gark.cli._final_pair(problem, tableau, grid)
-        assert gark.cli._stored_run_bytes(problem, tableau, grid.num_steps) \
+        grid = gark.cli._time_grid(problem, args.dt)
+        gark.cli._final_pair(problem, grid)
+        assert gark.cli._stored_run_bytes(problem, grid.num_steps) \
             == sum(a.nbytes for a in held if a is not None)
 
     def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
@@ -407,7 +421,7 @@ class TestPlumbing:
             assert exit_info.value.code == 2
             assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["alpha", "t_final", "nx"])
+    @pytest.mark.parametrize("key", ["problem", "t_final", "nx"])
     def test_null_config_entry_rejected(self, key, tmp_path, monkeypatch,
                                         capsys):
         # a null cannot reset a flag: it would reach argparse as 'None'
@@ -450,22 +464,24 @@ class TestPlumbing:
     OPTION_VALUES = {
         "problem": ("bsvd", "heat"), "nx": (4, "x"), "ny": (3, 2.5),
         "dt": (0.05, "fast"), "t-final": (2.0, "never"),
-        "gamma": (0.2928932188134524, "g"), "alpha": (-0.5, "a"),
         "out": ("some/dir", None), "levels": (3, "3.5"),
         "ref-exponent": (6, "x"), "stages": (2, "two"), "seed": (7, "x"),
     }
+    # each subcommand's options besides --help and --config
+    COMMON = {"problem", "nx", "ny", "dt", "t-final", "out"}
+    OPTIONS = {"converge": COMMON | {"levels", "ref-exponent"},
+               "estimate": COMMON, "refine": COMMON | {"stages"},
+               "oracle-check": {"seed"}}
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine",
                                          "oracle-check"])
     def test_flags_and_config_entries_parse_alike(self, command, tmp_path,
                                                   capsys):
-        with pytest.raises(SystemExit):
-            parse_args([command, "--help"])
-        options = set(re.findall(r"--([a-z][a-z-]*)",
-                                 capsys.readouterr().out))
-        assert options - {"help", "config"} <= set(self.OPTION_VALUES)
+        options = subcommand_options(command) - {"help", "config"}
+        assert options == self.OPTIONS[command]
+        assert set(self.OPTION_VALUES) == set().union(*self.OPTIONS.values())
         cfg = tmp_path / "cfg.json"
-        for option in sorted(options - {"help", "config"}):
+        for option in sorted(options):
             good, bad = self.OPTION_VALUES[option]
             # config keys may spell the flag's dashes as underscores
             cfg.write_text(json.dumps({option.replace("-", "_"): good}))
@@ -560,9 +576,7 @@ class TestPlumbing:
     def test_bad_grid_flags_are_named_before_any_run(self, command, flags,
                                                      message, tmp_path,
                                                      monkeypatch):
-        monkeypatch.setattr(gark.cli, "integrate", None)
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        no_runs(monkeypatch)
         with pytest.raises(SystemExit, match=f"^{message}$"):
             run_cli([command, "--problem", "bsvd", "--nx", "4", "--ny", "4",
                      "--dt", "0.1", "--out", str(tmp_path), *flags])
@@ -573,9 +587,7 @@ class TestPlumbing:
     def test_calvo_needs_two_cells_a_side(self, command, flag, tmp_path,
                                           monkeypatch):
         # calvo's Dirichlet edges leave one cell between them no unknowns
-        monkeypatch.setattr(gark.cli, "integrate", None)
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        monkeypatch.setattr(gark.cli, "run_campaign", None)
+        no_runs(monkeypatch)
         with pytest.raises(SystemExit, match=f"^{flag} must be at least 2, "
                                              "not 1$"):
             run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
@@ -583,42 +595,82 @@ class TestPlumbing:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
-    @pytest.mark.parametrize("flags, message", [
-        (["--gamma", "0.5"], GAMMA_REFUSED),
-        (["--alpha", "0"], "--alpha: alpha must be nonzero"),
-        # GAMMA_MINUS + 1e-12 leaves b . c 1.4e-12 off 1/2
-        (["--gamma", "0.2928932188144524"], GAMMA_REFUSED),
-        (["--gamma", "nan"], GAMMA_REFUSED),
-        (["--gamma", "inf"], GAMMA_REFUSED),
-        (["--alpha", "nan"], "--alpha: alpha must be nonzero and finite"),
-        (["--alpha", "inf"], "--alpha: alpha must be nonzero and finite"),
-        (["--alpha", "1e17"], "--alpha: the pair fails validate(): "
-         "weight-sum")],
-        ids=["gamma", "alpha", "gamma_near_root", "gamma_nan", "gamma_inf",
-             "alpha_nan", "alpha_inf", "alpha_huge"])
-    def test_bad_tableau_flags_are_named_before_any_run(self, command, flags,
-                                                        message, tmp_path,
-                                                        monkeypatch):
-        monkeypatch.setattr(gark.cli, "integrate", None)
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        monkeypatch.setattr(gark.cli, "run_campaign", None)
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", gark.GAMMA_MINUS), ("alpha", 0.5)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tableau_is_no_option(self, command, key, value, source,
+                                  tmp_path, monkeypatch, capsys):
+        # every command runs cli.TABLEAU: gamma and alpha are neither flags
+        # nor config keys, even at the value TABLEAU has
+        no_runs(monkeypatch)
+        if source == "flag":
+            extra, named = [f"--{key}", repr(value)], f"--{key}"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            extra, named = ["--config", str(cfg)], f"--{key}={value!r}"
         with pytest.raises(SystemExit) as exit_info:
             run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
-                     "--out", str(tmp_path), *flags])
-        assert str(exit_info.value.code).startswith(message)
-        assert not any(tmp_path.iterdir())
+                     "--out", str(tmp_path / "out"), *extra])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("entry, named", [
-        ({"gamma": 0.5}, "--gamma must be"), ({"alpha": 0}, "--alpha:")])
-    def test_tableau_checks_read_the_config_file(self, entry, named,
-                                                 tmp_path, monkeypatch):
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entry))
-        with pytest.raises(SystemExit, match=f"^{named}"):
-            run_cli(["estimate", "--problem", "calvo", "--nx", "4", "--ny",
-                     "2", "--out", str(tmp_path / "out"), "--config",
-                     str(cfg)])
+    def test_the_cli_builds_its_pair_once(self):
+        # the commands and the run checks of oracle-check read TABLEAU;
+        # only the tableau-identities check builds pairs of its own
+        assert scopes_naming("build_imex22") == {
+            "build_imex22": {"cli", "cli._check_tableau_identities"}}
+
+    def test_the_cli_pair_is_the_default_imex22(self):
+        # gamma = GAMMA_MINUS and alpha = gamma, the pair the flags' defaults
+        # built before the flags went
+        pair = gark.build_imex22(gark.GAMMA_MINUS, alpha=gark.GAMMA_MINUS)
+        assert gark.cli.TABLEAU.validate().ok
+        for q in range(2):
+            for m in range(2):
+                assert np.array_equal(gark.cli.TABLEAU.coupling[q][m],
+                                      pair.coupling[q][m])
+
+    @pytest.mark.parametrize("command, runner", [
+        ("converge", "integrate"), ("estimate", "estimate_errors"),
+        ("refine", "run_campaign")])
+    def test_each_command_runs_the_cli_pair(self, command, runner, tmp_path,
+                                            monkeypatch):
+        # each runner takes (problem, tableau, grid, ...); the first call
+        # stops the command
+        seen = []
+
+        def record(problem, tableau, *rest, **kwargs):
+            seen.append(tableau)
+            raise StopIteration
+
+        no_runs(monkeypatch)
+        monkeypatch.setattr(gark.cli, runner, record)
+        with pytest.raises(StopIteration):
+            run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
+                     "--out", str(tmp_path / "out")])
+        assert len(seen) == 1 and seen[0] is gark.cli.TABLEAU
+
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
+    @pytest.mark.parametrize("out, error", [
+        ("taken", "File exists"), ("taken/sub", "Not a directory")],
+        ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_that_cannot_be_a_directory_is_named_before_any_run(
+            self, command, out, error, source, tmp_path, monkeypatch):
+        no_runs(monkeypatch)
+        (tmp_path / "taken").write_text("kept")
+        if source == "flag":
+            extra = ["--out", str(tmp_path / out)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out": str(tmp_path / out)}))
+            extra = ["--config", str(cfg)]
+        with pytest.raises(SystemExit, match=f"^--out: .*{error}"):
+            run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
+                     *extra])
+        assert (tmp_path / "taken").read_text() == "kept"
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -632,6 +684,18 @@ class TestPlumbing:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: {argv}")
+
+    def test_readme_names_only_flags_that_exist(self):
+        # every --flag that the Command line section names, in prose or in
+        # a command, is an option of some subcommand; --key=value stands
+        # for any of them
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## Command line\n")[1]
+        section = section.split("\n## ")[0]
+        named = set(re.findall(r"--([a-z][a-z-]*)", section)) - {"key"}
+        options = set().union(*map(subcommand_options, self.OPTIONS))
+        assert named
+        assert named - options == set()
 
     def test_every_export_resolves(self):
         # a stale name in __all__ breaks only `from gark import *`
