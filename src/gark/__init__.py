@@ -14,16 +14,15 @@ from gark.systems import (GoalFunction, Partition, ProblemInstance,
                           discretize_laplacian, integral_goal, make_bsvd,
                           make_calvo, make_gray_scott, make_random_nonlinear,
                           rebuild_on)
-from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, GarkTableau,
-                          InvalidParameterError, UnsupportedTableauError,
+from gark.tableau import (GAMMA_MINUS, GarkTableau, UnsupportedTableauError,
                           adjoint_coefficients, build_imex22)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA_MINUS", "GAMMA_PLUS", "AdjointTrajectory",
+    "GAMMA_MINUS", "AdjointTrajectory",
     "CampaignResult", "ErrorReport", "EstimateBundle", "ForwardTrajectory",
-    "GarkTableau", "GoalFunction", "GridTransfer", "InvalidParameterError",
+    "GarkTableau", "GoalFunction", "GridTransfer",
     "Partition", "ProblemInstance", "RefinementConfig", "SplitOdeSystem",
     "StageRecord", "StepFailureError", "TensorGrid2D",
     "TimeGrid", "UnsupportedTableauError", "adjoint_coefficients",

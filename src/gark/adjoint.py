@@ -45,12 +45,12 @@ class AdjointTrajectory:
 
 
 def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
-                  mu_partitions=None) -> AdjointTrajectory:
+                  mu_partitions=()) -> AdjointTrajectory:
     """Propagate the problem's goal gradient at y_N backwards through the
     trajectory.
 
-    The sweep stores mu[q] for the partitions q in mu_partitions, every
-    partition when it is None, and sets mu[q] = None for the others.
+    The sweep stores mu[q] for the partitions q in mu_partitions, none by
+    default, and sets mu[q] = None for the others.
     method must be "mu", the one form there is; the keyword remains
     because perfbench's workloads still pass it.
     """
@@ -66,8 +66,7 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
 
     lam = np.empty((n_steps + 1, dim))
     lam[n_steps] = trajectory.problem.goal.gradient(trajectory.states[n_steps])
-    mu_arr = [np.zeros((n_steps, s, dim))
-              if mu_partitions is None or q in mu_partitions else None
+    mu_arr = [np.zeros((n_steps, s, dim)) if q in mu_partitions else None
               for q, s in enumerate(tableau.stage_counts)]
 
     reverse_plan = tuple(reversed(tableau.plan))

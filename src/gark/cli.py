@@ -29,11 +29,10 @@ from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
 from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
                           Partition, ProblemInstance, SplitOdeSystem,
                           build_problem, default_grid, make_random_nonlinear)
-from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, adjoint_coefficients,
-                          build_imex22)
+from gark.tableau import GAMMA_MINUS, adjoint_coefficients, build_imex22
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-# the one pair every command runs: gamma = GAMMA_MINUS, alpha = gamma
+# the one pair every command runs
 TABLEAU = build_imex22()
 
 
@@ -159,20 +158,28 @@ def _format_accuracy(accuracy: float | None) -> str:
     return "n/a" if accuracy is None else f"{accuracy:+.4f}"
 
 
-def _make_out(out: Path) -> None:
+def _make_out(out: Path, files: tuple, dirs: tuple = ()) -> None:
     """Create the --out directory, called after a command's flag checks and
-    before its first run; exits naming --out when it cannot be made."""
+    before its first run, for the files and subdirectories the command
+    writes in it; exits naming --out when it cannot be made, when one of
+    files is a directory, or when one of dirs is something else."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise SystemExit(f"--out: {err}") from err
+    for name in files:
+        if (out / name).is_dir():
+            raise SystemExit(f"--out: {out / name} is a directory")
+    for name in dirs:
+        if (out / name).exists() and not (out / name).is_dir():
+            raise SystemExit(f"--out: {out / name} is not a directory")
 
 
 def _final_pair(problem, grid: TimeGrid):
     """Final state y_N and initial adjoint lambda_0 of one run on grid; the
     sweep stores no mu, as only lam is read."""
     traj = integrate(problem, TABLEAU, grid)
-    return traj.states[-1], adjoint_sweep(traj, mu_partitions=()).lam[0]
+    return traj.states[-1], adjoint_sweep(traj).lam[0]
 
 
 def _stored_run_bytes(problem, num_steps: float, mu_partitions=()) -> float:
@@ -210,7 +217,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
     dts = [args.dt / 2 ** level for level in range(args.levels)]
     grids += [_time_grid(problem, dt) for dt in dts[1:]]
-    _make_out(args.out)
+    _make_out(args.out, ("convergence.csv", "convergence.json"))
     ref_dt = args.dt / 2 ** args.ref_exponent
     run, rows = "reference", []  # run names the run in a StepFailureError
     try:
@@ -248,7 +255,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     problem = _make_problem(args)
     grid = _time_grid(problem, args.dt,
                       weighed_partitions(TABLEAU, problem.system))
-    _make_out(args.out)
+    _make_out(args.out, ("report.json", "report.csv"))
     report = estimate_errors(problem, TABLEAU, grid).report
     (args.out / "report.json").write_text(report.to_json() + "\n")
     report.write_csv(args.out / "report.csv")
@@ -269,7 +276,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     # inside the campaign, unguarded
     grid = _time_grid(problem, args.dt,
                       weighed_partitions(TABLEAU, problem.system))
-    _make_out(args.out)
+    _make_out(args.out, ("campaign.jsonl",), ("grids",))
     campaign = run_campaign(problem, TABLEAU, grid,
                             RefinementConfig(num_stages=args.stages),
                             out_dir=args.out)
@@ -283,16 +290,14 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _check_tableau_identities() -> bool:
-    for gamma in (GAMMA_MINUS, GAMMA_PLUS):
-        tableau = build_imex22(gamma=gamma)
-        if not tableau.validate().ok:
-            return False
-        twice = adjoint_coefficients(adjoint_coefficients(tableau))
-        for q in range(2):
-            for m in range(2):
-                if np.max(np.abs(twice.coupling[q][m]
-                                 - tableau.coupling[q][m])) > 1e-13:
-                    return False
+    if not TABLEAU.validate().ok:
+        return False
+    twice = adjoint_coefficients(adjoint_coefficients(TABLEAU))
+    for q in range(2):
+        for m in range(2):
+            if np.max(np.abs(twice.coupling[q][m]
+                             - TABLEAU.coupling[q][m])) > 1e-13:
+                return False
     return True
 
 

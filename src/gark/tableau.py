@@ -18,15 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-SQRT2 = math.sqrt(2.0)
-GAMMA_MINUS = 1.0 - SQRT2 / 2.0
-GAMMA_PLUS = 1.0 + SQRT2 / 2.0
+# build_imex22's gamma, a root of the order-2 condition 2 gamma - gamma^2 = 1/2
+GAMMA_MINUS = 1.0 - math.sqrt(2.0) / 2.0
 # validate() flags an order-condition or structure residual above this
 VALIDATION_TOL = 1e-12
-
-
-class InvalidParameterError(ValueError):
-    """A tableau parameter is outside its admissible range."""
 
 
 class UnsupportedTableauError(ValueError):
@@ -268,31 +263,22 @@ def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
                        declared_order=tableau.declared_order)
 
 
-def build_imex22(gamma: float = GAMMA_MINUS,
-                 alpha: float | None = None) -> GarkTableau:
+def build_imex22() -> GarkTableau:
     """Two-stage implicit-explicit pair: partition 1 is the stiffly
     accurate two-stage singly diagonally implicit scheme (implicit),
     partition 2 explicit, the order in which every problem lists its
     stiff partition and the rest.
 
-    Second order, which validate() checks, requires gamma = 1 +- sqrt(2)/2;
-    alpha is free, nonzero and finite, and defaults to gamma, which makes
-    the two weight vectors equal.
+    gamma = GAMMA_MINUS, and both partitions carry the weights
+    (1 - gamma, gamma), so the implicit stages read the explicit slopes
+    with the implicit scheme's coefficients.
     """
-    if alpha is None:
-        alpha = gamma
-    if alpha == 0.0 or not math.isfinite(alpha):
-        raise InvalidParameterError(
-            f"alpha must be nonzero and finite, not {alpha!r}")
-
-    a_ee = np.array([[0.0, 0.0], [1.0 / (2.0 * alpha), 0.0]])
-    a_ei = np.array([[0.0, 0.0], [1.0 / (2.0 * alpha), 0.0]])
-    a_ie = np.array([[gamma, 0.0], [1.0 - alpha, alpha]])
-    a_ii = np.array([[gamma, 0.0], [1.0 - gamma, gamma]])
-    b_e = np.array([1.0 - alpha, alpha])
-    b_i = np.array([1.0 - gamma, gamma])
+    g = GAMMA_MINUS
+    a_e = np.array([[0.0, 0.0], [1.0 / (2.0 * g), 0.0]])
+    a_i = np.array([[g, 0.0], [1.0 - g, g]])
+    b = np.array([1.0 - g, g])
     schedule = ((1, 0), (0, 0), (1, 1), (0, 1))
-    return GarkTableau(coupling=((a_ii, a_ie), (a_ei, a_ee)),
-                       weights=(b_i, b_e),
+    return GarkTableau(coupling=((a_i, a_i), (a_e, a_e)),
+                       weights=(b, b),
                        stage_schedule=schedule,
                        declared_order=2)

@@ -1,5 +1,7 @@
 """Small problem builders shared by the test modules."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -341,7 +343,8 @@ def stored_estimate(problem, tableau, time_grid):
     restricted = stored_space_refined(problem, tableau, time_grid)
     reference = integrate(fine_problem, tableau, fine_time)
 
-    adjoint = adjoint_sweep(numerical)
+    adjoint = adjoint_sweep(numerical,
+                            mu_partitions=range(problem.system.num_partitions))
     temporal = temporal_residuals(numerical,
                                   at_coarse_nodes(time_refined, time_grid))
     spatial = spatial_residuals(numerical, restricted)
@@ -365,6 +368,27 @@ def mu_theta(trajectory, adjoint):
     return theta
 
 
+# IMEX22's other root of its order-2 condition 2 gamma - gamma^2 = 1/2
+GAMMA_PLUS = 1.0 + math.sqrt(2.0) / 2.0
+
+
+def imex22_family(gamma, alpha):
+    """The IMEX22 pair with its two free parameters, by build_imex22's
+    formulas: gamma sets the implicit scheme and its weights (1 - gamma,
+    gamma), alpha the explicit weights (1 - alpha, alpha).  Second order
+    needs gamma = GAMMA_MINUS or GAMMA_PLUS; alpha = gamma = GAMMA_MINUS is
+    build_imex22(), and any other member gives the tests a variant pair
+    (unequal or zero weights, a broken order) that no run uses."""
+    from gark.tableau import GarkTableau
+
+    a_e = np.array([[0.0, 0.0], [1.0 / (2.0 * alpha), 0.0]])
+    a_ie = np.array([[gamma, 0.0], [1.0 - alpha, alpha]])
+    a_ii = np.array([[gamma, 0.0], [1.0 - gamma, gamma]])
+    weights = (np.array([1.0 - gamma, gamma]), np.array([1.0 - alpha, alpha]))
+    return GarkTableau(((a_ii, a_ie), (a_e, a_e)), weights,
+                       ((1, 0), (0, 0), (1, 1), (0, 1)), declared_order=2)
+
+
 # --- stage loops that scan the whole tableau: oracles for the stage plan ----
 
 def swap_partitions(tableau):
@@ -381,12 +405,13 @@ def swap_partitions(tableau):
 
 def plan_cases():
     """(id, problem, time grid, tableau) on which the planned stage loops
-    are checked against the scanning ones: three problems, equal and
-    unequal weights, and both partition orders: build_imex22() treats
-    partition 0 implicitly, its swap_partitions partition 1."""
+    are checked against the scanning ones: three problems, equal weights
+    (build_imex22()) and unequal ones (imex22_family with alpha 0.33), and
+    both partition orders: build_imex22() treats partition 0 implicitly,
+    its swap_partitions partition 1."""
     from gark.mesh import TimeGrid
     from gark.systems import build_problem, default_grid
-    from gark.tableau import build_imex22
+    from gark.tableau import GAMMA_MINUS, build_imex22
 
     grid = TimeGrid.uniform(0.0, 0.2, 0.02)
     problems = (
@@ -401,7 +426,8 @@ def plan_cases():
     for name, problem, time_grid in problems:
         for alpha in (None, 0.33):
             for order in ("implicit-first", "explicit-first"):
-                tableau = build_imex22(alpha=alpha)
+                tableau = (build_imex22() if alpha is None
+                           else imex22_family(GAMMA_MINUS, alpha))
                 if order == "explicit-first":
                     tableau = swap_partitions(tableau)
                 cases.append((f"{name}-alpha{alpha}-{order}", problem,

@@ -22,10 +22,10 @@ from gark.mesh import GridTransfer, TimeGrid
 from gark.oracle import dense_step_propagator, fd_goal_gradient
 from gark.systems import (build_problem, default_grid, make_calvo,
                           make_random_nonlinear)
-from gark.tableau import GAMMA_PLUS, build_imex22
+from gark.tableau import build_imex22
 
-from helpers import (StepRecorder, mu_theta, nonlinear_stiff,
-                     scan_adjoint_sweep, wrap)
+from helpers import (GAMMA_PLUS, StepRecorder, imex22_family, mu_theta,
+                     nonlinear_stiff, scan_adjoint_sweep, wrap)
 
 TABLEAU = build_imex22()
 
@@ -136,7 +136,7 @@ def test_criterion_4_formulation_equivalence(capsys):
         # the program sweeps mu; theta and ell come from the tests' scan
         theta_lam, stores = scan_adjoint_sweep(traj, "theta")
         theta = stores["theta"]
-        mu = adjoint_sweep(traj)
+        mu = adjoint_sweep(traj, mu_partitions=(0, 1))
         ell_lam, stores = scan_adjoint_sweep(traj, "ell")
         ell = stores["ell"]
         lam_scale = np.max(np.abs(theta_lam))
@@ -256,7 +256,7 @@ def test_criterion_8_invariant_suites(capsys):
 
     checks["tableau order conditions"] = (
         build_imex22().validate().ok
-        and build_imex22(GAMMA_PLUS, alpha=0.4).validate().ok)
+        and imex22_family(GAMMA_PLUS, 0.4).validate().ok)
 
     problem = make_calvo(default_grid("calvo", 8, 4))
     traj = integrate(problem, TABLEAU, TimeGrid.uniform(0.0, 1.5, 0.15))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (form_lam, linear_goal, linear_pair, mu_theta,
-                     nonlinear_stiff, plan_cases, scalar_split,
+from helpers import (form_lam, imex22_family, linear_goal, linear_pair,
+                     mu_theta, nonlinear_stiff, plan_cases, scalar_split,
                      scan_adjoint_sweep, wrap)
 
 from gark.adjoint import adjoint_sweep
@@ -15,7 +15,7 @@ from gark.oracle import (dense_step_propagator, fd_goal_gradient,
                          propagator_chain_adjoint)
 from gark.systems import (Partition, SplitOdeSystem, default_grid,
                           make_calvo, make_gray_scott, make_random_nonlinear)
-from gark.tableau import UnsupportedTableauError, build_imex22
+from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
 
 
 def zero_system(dim: int = 3) -> SplitOdeSystem:
@@ -40,7 +40,7 @@ def test_planned_sweeps_match_schedule_scan(case, method):
     # h b Lambda = mu
     _, problem, grid, tableau = case
     traj = integrate(problem, tableau, grid)
-    adj = adjoint_sweep(traj)
+    adj = adjoint_sweep(traj, mu_partitions=(0, 1))
     lam, stores = scan_adjoint_sweep(traj, method)
     if method == "mu":
         np.testing.assert_array_equal(adj.lam, lam)
@@ -69,7 +69,7 @@ class TestDegenerate:
         problem = wrap(zero_system(), np.ones(3), t_final=1.0)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.0, 0.25))
-        adj = adjoint_sweep(traj)
+        adj = adjoint_sweep(traj, mu_partitions=(0, 1))
         for n in range(traj.num_steps + 1):
             np.testing.assert_array_equal(adj.lam[n], np.ones(3))
         for theta in mu_theta(traj, adj):
@@ -80,7 +80,7 @@ class TestDegenerate:
                        goal=linear_goal([3.0]))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.1, 0.1))
-        adj = adjoint_sweep(traj)
+        adj = adjoint_sweep(traj, mu_partitions=(0, 1))
         assert adj.lam.shape == (2, 1)
         assert adj.lam[1, 0] == 3.0
         assert adj.ell is None
@@ -107,7 +107,7 @@ class TestDegenerate:
         # alpha = 1 zeroes the first explicit weight; the mu sweep runs,
         # and the reversed-method form divides by weights and must refuse
         problem = wrap(scalar_split(-0.5, -1.0), [1.0], t_final=0.2)
-        traj = integrate(problem, build_imex22(alpha=1.0),
+        traj = integrate(problem, imex22_family(GAMMA_MINUS, 1.0),
                          TimeGrid.uniform(0.0, 0.2, 0.1))
         adjoint_sweep(traj)
         with pytest.raises(UnsupportedTableauError, match="weight"):
@@ -238,7 +238,7 @@ class TestFormulationAgreement:
         # by stage
         traj = self.make_trajectory()
         th_lam, th = scan_adjoint_sweep(traj, "theta")
-        mu = adjoint_sweep(traj)
+        mu = adjoint_sweep(traj, mu_partitions=(0, 1))
         _, el = scan_adjoint_sweep(traj, "ell")
         via_mu = mu_theta(traj, mu)
         hs = traj.time_grid.steps
@@ -276,21 +276,22 @@ class TestFormulationAgreement:
                               for p in system.partitions))
         fallback = dataclasses.replace(
             traj, problem=dataclasses.replace(problem, system=assembled))
-        a = adjoint_sweep(traj)
-        b = adjoint_sweep(fallback)
+        a = adjoint_sweep(traj, mu_partitions=(0, 1))
+        b = adjoint_sweep(fallback, mu_partitions=(0, 1))
         assert a.lam.tobytes() == b.lam.tobytes()
         for q in range(system.num_partitions):
             assert a.mu[q].tobytes() == b.mu[q].tobytes()
 
     @pytest.mark.parametrize("kept", [(), (0,), (1,)])
     def test_mu_partitions_name_the_stored_mu(self, kept):
-        # a partition left out gets None; lam and every stored mu are the
-        # full sweep's, bitwise
+        # a partition left out gets None, and the default leaves every one
+        # out; lam and every stored mu are the full sweep's, bitwise
         problem = make_calvo(default_grid("calvo", 8, 4))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
-        full = adjoint_sweep(traj)
-        some = adjoint_sweep(traj, mu_partitions=kept)
+        full = adjoint_sweep(traj, mu_partitions=(0, 1))
+        some = (adjoint_sweep(traj, mu_partitions=kept) if kept
+                else adjoint_sweep(traj))
         assert some.lam.tobytes() == full.lam.tobytes()
         for q, mu in enumerate(some.mu):
             if q in kept:

@@ -351,6 +351,24 @@ class TestOracleCheck:
         assert out.count("ok  ") == 5
         assert "FAIL" not in out
 
+    def test_a_failing_check_is_named_and_the_others_still_run(
+            self, capsys, monkeypatch):
+        # a transform that moves every coupling by 1e-9 is no involution
+        real = gark.cli.adjoint_coefficients
+
+        def perturbed(tableau):
+            adj = real(tableau)
+            return gark.GarkTableau(
+                tuple(tuple(a + 1e-9 for a in row) for row in adj.coupling),
+                adj.weights, adj.stage_schedule)
+
+        monkeypatch.setattr(gark.cli, "adjoint_coefficients", perturbed)
+        assert run_cli(["oracle-check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL tableau-identities", "ok   scalar-growth",
+            "ok   propagator-duality", "ok   gradient-vs-differences",
+            "ok   estimator-telescoping"]
+
     def test_negative_seed_is_named_before_any_check(self, capsys):
         with pytest.raises(SystemExit,
                            match="^--seed must be non-negative, not -1$"):
@@ -617,15 +635,11 @@ class TestPlumbing:
         assert not (tmp_path / "out").exists()
 
     def test_the_cli_builds_its_pair_once(self):
-        # the commands and the run checks of oracle-check read TABLEAU;
-        # only the tableau-identities check builds pairs of its own
-        assert scopes_naming("build_imex22") == {
-            "build_imex22": {"cli", "cli._check_tableau_identities"}}
+        # the commands and every check of oracle-check read TABLEAU
+        assert scopes_naming("build_imex22") == {"build_imex22": {"cli"}}
 
     def test_the_cli_pair_is_the_default_imex22(self):
-        # gamma = GAMMA_MINUS and alpha = gamma, the pair the flags' defaults
-        # built before the flags went
-        pair = gark.build_imex22(gark.GAMMA_MINUS, alpha=gark.GAMMA_MINUS)
+        pair = gark.build_imex22()
         assert gark.cli.TABLEAU.validate().ok
         for q in range(2):
             for m in range(2):
@@ -671,6 +685,35 @@ class TestPlumbing:
             run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
                      *extra])
         assert (tmp_path / "taken").read_text() == "kept"
+
+    @pytest.mark.parametrize("command, entry, kind", [
+        ("converge", "convergence.csv", "directory"),
+        ("converge", "convergence.json", "directory"),
+        ("estimate", "report.json", "directory"),
+        ("estimate", "report.csv", "directory"),
+        ("refine", "campaign.jsonl", "directory"),
+        ("refine", "grids", "file")])
+    def test_out_entry_in_the_way_is_named_before_any_run(
+            self, command, entry, kind, tmp_path, monkeypatch):
+        # a directory where the command writes a file, or a file where
+        # refine makes its grids directory
+        no_runs(monkeypatch)
+        blocker = tmp_path / entry
+        if kind == "directory":
+            blocker.mkdir()
+            message = "is a directory"
+        else:
+            blocker.write_text("kept")
+            message = "is not a directory"
+        with pytest.raises(SystemExit, match=f"^--out: "
+                           f"{re.escape(str(blocker))} {message}$"):
+            run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
+                     "--out", str(tmp_path)])
+        assert [path.name for path in tmp_path.iterdir()] == [entry]
+        if kind == "directory":
+            assert not any(blocker.iterdir())
+        else:
+            assert blocker.read_text() == "kept"
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -730,8 +773,9 @@ class TestPlumbing:
         assert unused == []
 
     def test_every_definition_is_read_by_the_program(self):
-        # a function, method or class that only the tests read is a
-        # capability no run uses; the program is gark and the benchmark
+        # a function, method, class or module constant that only the tests
+        # read is a capability no run uses; the program is gark and the
+        # benchmark, and gark/__init__.py's re-exports read nothing
         src = sorted(Path(gark.__file__).parent.glob("*.py"))
         bench = sorted((Path(__file__).resolve().parents[1] / "perfbench")
                        .glob("*.py"))
@@ -749,14 +793,26 @@ class TestPlumbing:
                     visit(child, scope)
 
         for path in src:
-            visit(ast.parse(path.read_text()), path.stem)
+            tree = ast.parse(path.read_text())
+            visit(tree, path.stem)
+            for node in tree.body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, ast.AnnAssign) else [])
+                defined += [(f"{path.stem}.{name.id}", name.id)
+                            for target in targets
+                            for name in ast.walk(target)
+                            if isinstance(name, ast.Name)
+                            and not re.fullmatch(r"__\w+__", name.id)]
         for path in src + bench:
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
+                elif isinstance(node, ast.ImportFrom) \
+                        and path != Path(gark.__file__):
                     read.update(alias.name for alias in node.names)
         assert [where for where, name in defined if name not in read] == []
 

@@ -273,7 +273,7 @@ class TestAssembleReport:
         problem = make_calvo(default_grid("calvo", 8, 4))
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 1.5, 0.15))
-        adj = adjoint_sweep(traj)
+        adj = adjoint_sweep(traj, mu_partitions=(0, 1))
         rng = np.random.default_rng(5)
         temporal = rng.standard_normal(traj.states[1:].shape)
         spatial = [rng.standard_normal(mu.shape) for mu in adj.mu]
@@ -335,7 +335,7 @@ class TestFourSolutionPipeline:
         fine_run = RestrictedRun(traj_c, transfer)
         traj_f = integrate(linear_heat(fine), build_imex22(), grid,
                            consumer=fine_run)
-        adj = adjoint_sweep(traj_c)
+        adj = adjoint_sweep(traj_c, mu_partitions=(0, 1))
         res = spatial_residuals(traj_c, fine_run)
         report = assemble_report(traj_c, adj,
                                  temporal_residuals(traj_c, traj_c.states),

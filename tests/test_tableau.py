@@ -4,20 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from helpers import swap_partitions
+from helpers import GAMMA_PLUS, assert_bitwise, imex22_family, swap_partitions
 
-from gark.tableau import (GAMMA_MINUS, GAMMA_PLUS, GarkTableau,
-                          InvalidParameterError, UnsupportedTableauError,
+from gark.tableau import (GAMMA_MINUS, GarkTableau, UnsupportedTableauError,
                           adjoint_coefficients, build_imex22)
 
 SQRT2 = math.sqrt(2.0)
 
 
-def test_gamma_branches():
+def test_gamma_minus_is_an_order_two_root():
     assert GAMMA_MINUS == pytest.approx(0.2928932188134524, abs=1e-15)
-    assert GAMMA_PLUS == pytest.approx(1.7071067811865476, abs=1e-15)
-    for g in (GAMMA_MINUS, GAMMA_PLUS):
-        assert abs(2.0 * g - g * g - 0.5) < 1e-14
+    assert abs(2.0 * GAMMA_MINUS - GAMMA_MINUS ** 2 - 0.5) < 1e-14
 
 
 def test_imex22_default_coefficients():
@@ -38,8 +35,20 @@ def test_imex22_default_coefficients():
     np.testing.assert_allclose(t.abscissae(0), [g, 1.0], rtol=0, atol=1e-15)
 
 
+def test_imex22_family_at_gamma_minus_is_build_imex22():
+    # the tests' variant pairs come from the same formulas as the one pair
+    # the library builds
+    family, t = imex22_family(GAMMA_MINUS, GAMMA_MINUS), build_imex22()
+    for q in range(2):
+        assert_bitwise(family.weights[q], t.weights[q])
+        for m in range(2):
+            assert_bitwise(family.coupling[q][m], t.coupling[q][m])
+    assert family.stage_schedule == t.stage_schedule
+    assert family.declared_order == t.declared_order
+
+
 def test_abscissae_are_summed_once_and_frozen():
-    t = build_imex22(alpha=0.37)
+    t = imex22_family(GAMMA_MINUS, 0.37)
     for q in range(2):
         for m in (None, 0, 1):
             first, again = t.abscissae(q, m), t.abscissae(q, m)
@@ -52,7 +61,7 @@ def test_abscissae_are_summed_once_and_frozen():
 
 
 def test_imex22_alpha_half():
-    t = build_imex22(alpha=0.5)
+    t = imex22_family(GAMMA_MINUS, 0.5)
     assert t.coupling[1][1][1, 0] == pytest.approx(1.0, abs=0.0)
     np.testing.assert_allclose(t.weights[1], [0.5, 0.5], rtol=0, atol=0)
 
@@ -60,13 +69,13 @@ def test_imex22_alpha_half():
 @pytest.mark.parametrize("gamma", [GAMMA_MINUS, GAMMA_PLUS])
 @pytest.mark.parametrize("alpha", [None, 0.5, 0.31])
 def test_imex22_validates(gamma, alpha):
-    t = build_imex22(gamma, alpha)
+    t = imex22_family(gamma, gamma if alpha is None else alpha)
     report = t.validate()
     assert report.ok, str(report)
 
 
 def test_imex22_order_two_sums():
-    t = build_imex22(alpha=0.37)
+    t = imex22_family(GAMMA_MINUS, 0.37)
     for q in range(2):
         assert t.weights[q].sum() == pytest.approx(1.0, abs=1e-14)
         for m in range(2):
@@ -74,7 +83,7 @@ def test_imex22_order_two_sums():
 
 
 def test_imex22_stiff_accuracy_row():
-    t = build_imex22(alpha=0.41)
+    t = imex22_family(GAMMA_MINUS, 0.41)
     q_last, i_last = t.stage_schedule[-1]
     assert (q_last, i_last) == (0, 1)
     for m in range(2):
@@ -82,20 +91,8 @@ def test_imex22_stiff_accuracy_row():
                                    t.weights[m], rtol=0, atol=1e-14)
 
 
-def test_imex22_zero_alpha_rejected():
-    with pytest.raises(InvalidParameterError):
-        build_imex22(alpha=0.0)
-
-
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_imex22_non_finite_alpha_rejected(alpha):
-    with pytest.raises(InvalidParameterError,
-                       match="alpha must be nonzero and finite"):
-        build_imex22(alpha=alpha)
-
-
 def test_imex22_order_breaking_gamma_fails_order_two():
-    report = build_imex22(gamma=0.3).validate()
+    report = imex22_family(0.3, 0.3).validate()
     assert {v.name for v in report.violations} == {"order-2"}
 
 
@@ -109,8 +106,8 @@ def test_imex22_validity_rests_on_gamma_alone(gamma, alpha):
     def violations(tableau):
         return [(v.name, v.detail) for v in tableau.validate().violations]
 
-    found = violations(build_imex22(gamma, alpha))
-    assert found == violations(build_imex22(gamma))
+    found = violations(imex22_family(gamma, alpha))
+    assert found == violations(imex22_family(gamma, gamma))
     assert all(name == "order-2" and detail.startswith("b^(1)")
                for name, detail in found)
     assert (not found) == (gamma in (GAMMA_MINUS, GAMMA_PLUS))
@@ -127,7 +124,7 @@ EVERY_RESIDUAL = {"non-finite", "weight-sum", "order-2",
 def test_validate_flags_non_finite_coefficients(gamma, alpha, names):
     # each `resid > tol` test is false for NaN: the entries are flagged
     # as such, and so is every residual they spoil
-    report = build_imex22(gamma, alpha).validate()
+    report = imex22_family(gamma, alpha).validate()
     assert {v.name for v in report.violations} == names
     # a NaN differs from itself, yet no check compares a vector with itself
     assert not [v.detail for v in report.violations
@@ -175,7 +172,7 @@ def test_validate_reports_incomplete_schedule():
 
 
 def test_adjoint_weights_equal_forward_weights():
-    t = build_imex22(alpha=0.45)
+    t = imex22_family(GAMMA_MINUS, 0.45)
     adj = adjoint_coefficients(t)
     for q in range(2):
         np.testing.assert_allclose(adj.weights[q], t.weights[q], rtol=0, atol=0)
@@ -193,7 +190,7 @@ def test_adjoint_coefficient_values():
 
 
 def test_adjoint_transform_matches_definition():
-    t = build_imex22(alpha=0.39)
+    t = imex22_family(GAMMA_MINUS, 0.39)
     adj = adjoint_coefficients(t)
     for q in range(2):
         for m in range(2):
@@ -206,7 +203,7 @@ def test_adjoint_transform_matches_definition():
 
 
 def test_adjoint_transform_is_involutive():
-    t = build_imex22(alpha=0.47)
+    t = imex22_family(GAMMA_MINUS, 0.47)
     back = adjoint_coefficients(adjoint_coefficients(t))
     for q in range(2):
         for m in range(2):
@@ -219,7 +216,8 @@ def test_adjoint_transform_is_involutive():
 def test_adjoint_tableau_validates(alpha):
     # the reversed sweep keeps the weights, the order and a usable
     # schedule; its abscissae differ across the partitions it reads
-    adj = adjoint_coefficients(build_imex22(alpha=alpha))
+    adj = adjoint_coefficients(
+        imex22_family(GAMMA_MINUS, GAMMA_MINUS if alpha is None else alpha))
     assert isinstance(adj, GarkTableau)
     found = {(v.name, v.detail) for v in adj.validate().violations}
     assert found == {
@@ -245,8 +243,8 @@ def test_implicit_partitions():
 
 
 @pytest.mark.parametrize("tableau", [
-    build_imex22(), build_imex22(alpha=0.33),
-    swap_partitions(build_imex22(alpha=0.33))],
+    build_imex22(), imex22_family(GAMMA_MINUS, 0.33),
+    swap_partitions(imex22_family(GAMMA_MINUS, 0.33))],
     ids=["equal-weights", "unequal-weights", "explicit-first"])
 def test_stage_plan_lists_the_nonzero_couplings(tableau):
     plan = tableau.plan
