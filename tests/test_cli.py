@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -16,10 +17,11 @@ import pytest
 import gark
 import gark.adaptivity
 import gark.cli
-from gark.cli import build_parser, main, parse_args
+from gark.cli import build_parser, main
 from gark.forward import StepFailureError
 from gark.mesh import TimeGrid
 from gark.systems import PROBLEM_BUILDERS
+from helpers import GAMMA_PLUS, imex22_family
 
 
 def run_cli(argv):
@@ -41,7 +43,7 @@ def subcommand_options(command) -> set:
     lists."""
     text = io.StringIO()
     with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
-        parse_args([command, "--help"])
+        build_parser().parse_args([command, "--help"])
     return set(re.findall(r"--([a-z][a-z-]*)", text.getvalue()))
 
 
@@ -99,13 +101,6 @@ class TestConverge:
             run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
                      "2", "--dt", "0.7", "--out", str(tmp_path)])
         assert not tmp_path.joinpath("convergence.csv").exists()
-
-    def test_level_checks_read_the_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"levels": 1}))
-        with pytest.raises(SystemExit, match="--levels"):
-            run_cli(["converge", "--problem", "calvo", "--nx", "4", "--ny",
-                     "2", "--out", str(tmp_path), "--config", str(cfg)])
 
     def test_reference_beyond_physical_memory_names_ref_exponent(
             self, tmp_path, monkeypatch):
@@ -169,8 +164,9 @@ class TestConverge:
 
         monkeypatch.setattr(gark.cli, "integrate", integrate)
         monkeypatch.setattr(gark.cli, "adjoint_sweep", adjoint_sweep)
-        args = parse_args(["converge", "--problem", "calvo", "--nx", "8",
-                           "--ny", "4", "--dt", "0.15"])
+        args = build_parser().parse_args(["converge", "--problem", "calvo",
+                                          "--nx", "8", "--ny", "4", "--dt",
+                                          "0.15"])
         problem = gark.cli._make_problem(args)
         grid = gark.cli._time_grid(problem, args.dt)
         gark.cli._final_pair(problem, grid)
@@ -300,18 +296,6 @@ class TestRefine:
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_space_pct_is_not_a_known_option(self, tmp_path, monkeypatch,
-                                             capsys):
-        monkeypatch.setattr(gark.cli, "run_campaign", None)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"space-pct": 90}))
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli(["refine", "--problem", "calvo", "--nx", "4", "--ny",
-                     "2", "--out", str(tmp_path), "--config", str(cfg)])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --space-pct=90" \
-            in capsys.readouterr().err
-
     # dt 0.5 is far beyond the explicit reaction's stability limit on bsvd:
     # the numerical run at dt 0.5 stays finite to t = 1, the time-refined
     # run at dt 0.25 overflows, before any stage is logged
@@ -335,6 +319,21 @@ class TestRefine:
         assert proc.stdout == ""
         assert proc.stderr == self.BLOW_UP_MESSAGE + "\n"
 
+    def test_rerun_in_same_out_is_byte_identical(self, tmp_path):
+        argv = ["refine", "--problem", "calvo", "--nx", "4", "--ny", "2",
+                "--dt", "0.15", "--stages", "2", "--out", str(tmp_path)]
+
+        def written():
+            return {path.relative_to(tmp_path): path.read_bytes()
+                    for path in tmp_path.rglob("*") if path.is_file()}
+
+        assert run_cli(argv) == 0
+        first = written()
+        assert run_cli(argv) == 0
+        assert written() == first
+        assert sorted(map(str, first)) == [
+            "campaign.jsonl", "grids/stage-0.json", "grids/stage-1.json"]
+
     def test_zero_reference_gap_prints_na(self, tmp_path, capsys,
                                           monkeypatch):
         zero_gap(gark.adaptivity, monkeypatch)
@@ -346,7 +345,7 @@ class TestRefine:
 
 class TestOracleCheck:
     def test_all_diagnostics_pass(self, capsys):
-        assert run_cli(["oracle-check", "--seed", "3"]) == 0
+        assert run_cli(["oracle-check"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok  ") == 5
         assert "FAIL" not in out
@@ -369,11 +368,76 @@ class TestOracleCheck:
             "ok   propagator-duality", "ok   gradient-vs-differences",
             "ok   estimator-telescoping"]
 
-    def test_negative_seed_is_named_before_any_check(self, capsys):
-        with pytest.raises(SystemExit,
-                           match="^--seed must be non-negative, not -1$"):
-            run_cli(["oracle-check", "--seed", "-1"])
-        assert capsys.readouterr().out == ""
+    def test_a_failing_scalar_growth_is_named_and_the_others_still_run(
+            self, capsys, monkeypatch):
+        # a step that moves y by 1e-9 grows it by no stability function
+        real = gark.cli.step
+
+        def perturbed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, y_next=result.y_next + 1e-9)
+
+        monkeypatch.setattr(gark.cli, "step", perturbed)
+        assert run_cli(["oracle-check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "ok   tableau-identities", "FAIL scalar-growth",
+            "ok   propagator-duality", "ok   gradient-vs-differences",
+            "ok   estimator-telescoping"]
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_scalar_growth_steps_each_partition(self, q, monkeypatch):
+        # a step that is wrong only where partition q carries the rate
+        real = gark.cli.step
+
+        def perturbed(system, *args):
+            result = real(system, *args)
+            if system.partitions[q].jacobian(0.0, None).toarray().any():
+                result = dataclasses.replace(result,
+                                             y_next=result.y_next + 1e-9)
+            return result
+
+        monkeypatch.setattr(gark.cli, "step", perturbed)
+        assert not gark.cli._check_scalar_growth()
+
+    # each run check, the function it alone calls, and a change to that
+    # function's result far beyond the check's tolerance
+    RUN_CHECK_FAULTS = {
+        "propagator-duality": ("propagator_chain_adjoint",
+                               lambda chain: chain * (1 + 1e-6)),
+        "gradient-vs-differences": (
+            "fd_goal_gradient",
+            lambda fd: fd + 1e-3 * (1.0 + np.abs(fd).max())),
+        "estimator-telescoping": (
+            "assemble_report",
+            lambda report: dataclasses.replace(
+                report, e_temporal=report.e_temporal + 1e-6)),
+    }
+
+    @pytest.mark.parametrize("name", list(RUN_CHECK_FAULTS))
+    def test_a_failing_run_check_is_named_and_the_others_still_run(
+            self, name, capsys, monkeypatch):
+        function, fault = self.RUN_CHECK_FAULTS[name]
+        real = getattr(gark.cli, function)
+        monkeypatch.setattr(gark.cli, function,
+                            lambda *args: fault(real(*args)))
+        assert run_cli(["oracle-check"]) == 1
+        names = ["tableau-identities", "scalar-growth", "propagator-duality",
+                 "gradient-vs-differences", "estimator-telescoping"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{'FAIL' if check == name else 'ok  '} {check}"
+            for check in names]
+
+    @pytest.mark.parametrize("check", [
+        "_check_tableau_identities", "_check_scalar_growth",
+        "_check_duality", "_check_gradient", "_check_telescoping"])
+    @pytest.mark.parametrize("gamma", [gark.GAMMA_MINUS, GAMMA_PLUS],
+                             ids=["gamma_minus", "gamma_plus"])
+    def test_each_check_measures_the_pair_it_is_given(self, check, gamma,
+                                                      monkeypatch):
+        # no check holds only for cli.TABLEAU's coefficients: swapped for
+        # another valid pair of the family, with unequal weights, each holds
+        monkeypatch.setattr(gark.cli, "TABLEAU", imex22_family(gamma, 0.4))
+        assert getattr(gark.cli, check)()
 
 
 def scopes_naming(*names) -> dict:
@@ -396,139 +460,36 @@ def scopes_naming(*names) -> dict:
 
 
 class TestPlumbing:
-    def test_config_file_overrides_flags(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dt": 0.075, "levels": 2}))
-        out = tmp_path / "out"
-        assert run_cli(["converge", "--problem", "calvo", "--nx", "8",
-                        "--ny", "4", "--dt", "0.15", "--levels", "3",
-                        "--ref-exponent", "4", "--out", str(out),
-                        "--config", str(cfg)]) == 0
-        with open(out / "convergence.csv") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 2
-        assert float(rows[0]["dt"]) == 0.075
-
-    def test_unknown_config_key_rejected(self, tmp_path, monkeypatch,
-                                         capsys):
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"step_size": 0.1}))
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli(["estimate", "--config", str(cfg)])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --step-size=0.1" \
-            in capsys.readouterr().err
-
-    def test_config_key_of_no_option_rejected(self, tmp_path, monkeypatch,
-                                              capsys):
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        cfg = tmp_path / "cfg.json"
-        for entry, named in (
-                # a namespace attribute but no option of estimate
-                ({"command": "converge"},
-                 "unrecognized arguments: --command=converge"),
-                # a config file that printed help or named another config
-                # file would run nothing, or skip that file's entries
-                ({"help": 1}, "config key 'help': a config file cannot"),
-                ({"config": "other.json"}, "config key 'config': a config"),
-                ({"conf": "other.json"}, "config key 'conf': a config")):
-            cfg.write_text(json.dumps(entry))
-            with pytest.raises(SystemExit) as exit_info:
-                run_cli(["estimate", "--config", str(cfg)])
-            assert exit_info.value.code == 2
-            assert named in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["problem", "t_final", "nx"])
-    def test_null_config_entry_rejected(self, key, tmp_path, monkeypatch,
-                                        capsys):
-        # a null cannot reset a flag: it would reach argparse as 'None'
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dt": 0.5, key: None}))
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli(["estimate", "--config", str(cfg)])
-        assert exit_info.value.code == 2
-        assert f"config key {key!r}: null is no value" \
-            in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text", ["[1, 2]", "3", "{\"dt\": "])
-    def test_config_file_that_is_no_json_object_rejected(self, text,
-                                                         tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        with pytest.raises(SystemExit, match="cfg.json"):
-            run_cli(["estimate", "--config", str(cfg)])
-
-    def test_config_values_parse_like_flags(self, tmp_path, monkeypatch,
-                                            capsys):
-        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
-        cfg.write_text(json.dumps({"nx": "4", "ny": 2, "dt": "0.5",
-                                   "problem": "calvo", "out": str(out)}))
-        assert run_cli(["estimate", "--config", str(cfg)]) == 0
-        assert (out / "report.json").is_file()
-        monkeypatch.setattr(gark.cli, "estimate_errors", None)
-        for bad, named in (({"nx": "x"}, "argument --nx: invalid int"),
-                           ({"nx": 2.5}, "argument --nx: invalid int"),
-                           ({"problem": "heat"},
-                            "argument --problem: invalid choice: 'heat'")):
-            cfg.write_text(json.dumps(bad))
-            with pytest.raises(SystemExit) as exit_info:
-                run_cli(["estimate", "--config", str(cfg)])
-            assert exit_info.value.code == 2
-            assert named in capsys.readouterr().err
-
     # one good and (where the type rejects any) one bad value per option
     OPTION_VALUES = {
         "problem": ("bsvd", "heat"), "nx": (4, "x"), "ny": (3, 2.5),
         "dt": (0.05, "fast"), "t-final": (2.0, "never"),
         "out": ("some/dir", None), "levels": (3, "3.5"),
-        "ref-exponent": (6, "x"), "stages": (2, "two"), "seed": (7, "x"),
+        "ref-exponent": (6, "x"), "stages": (2, "two"),
     }
-    # each subcommand's options besides --help and --config
+    # each subcommand's options besides --help
     COMMON = {"problem", "nx", "ny", "dt", "t-final", "out"}
     OPTIONS = {"converge": COMMON | {"levels", "ref-exponent"},
                "estimate": COMMON, "refine": COMMON | {"stages"},
-               "oracle-check": {"seed"}}
+               "oracle-check": set()}
 
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine",
                                          "oracle-check"])
-    def test_flags_and_config_entries_parse_alike(self, command, tmp_path,
-                                                  capsys):
-        options = subcommand_options(command) - {"help", "config"}
+    def test_options_and_their_values_by_flag(self, command, capsys):
+        options = subcommand_options(command) - {"help"}
         assert options == self.OPTIONS[command]
         assert set(self.OPTION_VALUES) == set().union(*self.OPTIONS.values())
-        cfg = tmp_path / "cfg.json"
         for option in sorted(options):
             good, bad = self.OPTION_VALUES[option]
-            # config keys may spell the flag's dashes as underscores
-            cfg.write_text(json.dumps({option.replace("-", "_"): good}))
-            by_flag = vars(parse_args([command, f"--{option}", str(good)]))
-            by_config = vars(parse_args([command, "--config", str(cfg)]))
-            assert (by_flag.pop("config"), by_config.pop("config")) \
-                == (None, cfg)
-            assert by_config == by_flag, option
+            args = build_parser().parse_args([command, f"--{option}",
+                                              str(good)])
+            assert str(getattr(args, option.replace("-", "_"))) == str(good)
             if bad is None:
                 continue
-            cfg.write_text(json.dumps({option: bad}))
-            failures = []
-            for argv in ([command, f"--{option}", str(bad)],
-                         [command, "--config", str(cfg)]):
-                with pytest.raises(SystemExit) as exit_info:
-                    parse_args(argv)
-                failures.append((exit_info.value.code,
-                                 capsys.readouterr().err))
-            assert failures[0] == failures[1], option
-            assert failures[0][0] == 2
-            assert f"argument --{option}: invalid" in failures[0][1]
-
-    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
-    def test_seed_is_an_oracle_check_flag_only(self, command, tmp_path,
-                                               capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli([command, "--seed", "1", "--out", str(tmp_path)])
-        assert exit_info.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([command, f"--{option}", str(bad)])
+            assert exit_info.value.code == 2
+            assert f"argument --{option}: invalid" in capsys.readouterr().err
 
     def test_calvo_rejects_time_override(self, tmp_path):
         with pytest.raises(SystemExit, match="t-final"):
@@ -615,24 +576,51 @@ class TestPlumbing:
     @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     @pytest.mark.parametrize("key, value", [
         ("gamma", gark.GAMMA_MINUS), ("alpha", 0.5)])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_tableau_is_no_option(self, command, key, value, source,
-                                  tmp_path, monkeypatch, capsys):
-        # every command runs cli.TABLEAU: gamma and alpha are neither flags
-        # nor config keys, even at the value TABLEAU has
+    def test_tableau_is_no_option(self, command, key, value, tmp_path,
+                                  monkeypatch, capsys):
+        # every command runs cli.TABLEAU: gamma and alpha are no flags, even
+        # at the value TABLEAU has
         no_runs(monkeypatch)
-        if source == "flag":
-            extra, named = [f"--{key}", repr(value)], f"--{key}"
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({key: value}))
-            extra, named = ["--config", str(cfg)], f"--{key}={value!r}"
         with pytest.raises(SystemExit) as exit_info:
             run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
-                     "--out", str(tmp_path / "out"), *extra])
+                     "--out", str(tmp_path / "out"), f"--{key}", repr(value)])
         assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {named}" in capsys.readouterr().err
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("converge", "--config", "cfg.json"),
+        ("estimate", "--config", "cfg.json"),
+        ("refine", "--config", "cfg.json"),
+        ("oracle-check", "--config", "cfg.json"),
+        ("converge", "--seed", "3"),
+        ("estimate", "--seed", "3"),
+        ("refine", "--seed", "3"),
+        ("oracle-check", "--seed", "3")])
+    def test_removed_options_are_unrecognized(self, command, flag, value,
+                                              tmp_path, monkeypatch, capsys):
+        # no config file stands for the flags, and oracle-check runs its
+        # checks at the one seed
+        no_runs(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"dt": 0.5}))
+        out = [] if command == "oracle-check" else ["--out", "out"]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, *out, flag, value])
+        assert exit_info.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"unrecognized arguments: {flag}" in printed.err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_a_subcommand_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([])
+        assert exit_info.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "the following arguments are required: command" \
+            in printed.err
 
     def test_the_cli_builds_its_pair_once(self):
         # the commands and every check of oracle-check read TABLEAU
@@ -670,20 +658,13 @@ class TestPlumbing:
     @pytest.mark.parametrize("out, error", [
         ("taken", "File exists"), ("taken/sub", "Not a directory")],
         ids=["file", "under_a_file"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_that_cannot_be_a_directory_is_named_before_any_run(
-            self, command, out, error, source, tmp_path, monkeypatch):
+            self, command, out, error, tmp_path, monkeypatch):
         no_runs(monkeypatch)
         (tmp_path / "taken").write_text("kept")
-        if source == "flag":
-            extra = ["--out", str(tmp_path / out)]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"out": str(tmp_path / out)}))
-            extra = ["--config", str(cfg)]
         with pytest.raises(SystemExit, match=f"^--out: .*{error}"):
             run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
-                     *extra])
+                     "--out", str(tmp_path / out)])
         assert (tmp_path / "taken").read_text() == "kept"
 
     @pytest.mark.parametrize("command, entry, kind", [
@@ -692,15 +673,17 @@ class TestPlumbing:
         ("estimate", "report.json", "directory"),
         ("estimate", "report.csv", "directory"),
         ("refine", "campaign.jsonl", "directory"),
-        ("refine", "grids", "file")])
+        ("refine", "grids", "file"),
+        ("refine", "grids/stage-0.json", "directory")])
     def test_out_entry_in_the_way_is_named_before_any_run(
             self, command, entry, kind, tmp_path, monkeypatch):
-        # a directory where the command writes a file, or a file where
-        # refine makes its grids directory
+        # a directory where the command writes a file or refine removes an
+        # earlier campaign's grid file, or a file where refine makes its
+        # grids directory
         no_runs(monkeypatch)
         blocker = tmp_path / entry
         if kind == "directory":
-            blocker.mkdir()
+            blocker.mkdir(parents=True)
             message = "is a directory"
         else:
             blocker.write_text("kept")
@@ -709,11 +692,37 @@ class TestPlumbing:
                            f"{re.escape(str(blocker))} {message}$"):
             run_cli([command, "--problem", "calvo", "--nx", "4", "--ny", "2",
                      "--out", str(tmp_path)])
-        assert [path.name for path in tmp_path.iterdir()] == [entry]
+        assert [path.name for path in tmp_path.iterdir()] \
+            == [Path(entry).parts[0]]
         if kind == "directory":
             assert not any(blocker.iterdir())
         else:
             assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("converge", ["--levels", "2", "--ref-exponent", "2"]),
+        ("estimate", []), ("refine", ["--stages", "2"])],
+        ids=["converge", "estimate", "refine"])
+    def test_make_out_is_told_every_entry_a_command_writes(
+            self, command, flags, tmp_path, monkeypatch):
+        # an entry that _make_out is not told of escapes its check for
+        # something in the way
+        told = []
+        make_out = gark.cli._make_out
+
+        def record(out, files, dirs=()):
+            told.append((files, dirs))
+            make_out(out, files, dirs)
+
+        monkeypatch.setattr(gark.cli, "_make_out", record)
+        assert run_cli([command, "--problem", "calvo", "--nx", "4", "--ny",
+                        "2", "--out", str(tmp_path), *flags]) == 0
+        [(files, dirs)] = told
+        entries = set(tmp_path.rglob("*"))
+        assert {path for path in entries if path.is_file()} \
+            == {path for pattern in files for path in tmp_path.glob(pattern)}
+        assert {path for path in entries if path.is_dir()} \
+            == {tmp_path / name for name in dirs}
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -729,16 +738,14 @@ class TestPlumbing:
                 pytest.fail(f"README command does not parse: {argv}")
 
     def test_readme_names_only_flags_that_exist(self):
-        # every --flag that the Command line section names, in prose or in
-        # a command, is an option of some subcommand; --key=value stands
-        # for any of them
+        # the --flags that the Command line section names, in prose or in
+        # a command, are exactly the options of the subcommands
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text().split("\n## Command line\n")[1]
         section = section.split("\n## ")[0]
-        named = set(re.findall(r"--([a-z][a-z-]*)", section)) - {"key"}
+        named = set(re.findall(r"--([a-z][a-z-]*)", section))
         options = set().union(*map(subcommand_options, self.OPTIONS))
-        assert named
-        assert named - options == set()
+        assert named == options - {"help"}
 
     def test_every_export_resolves(self):
         # a stale name in __all__ breaks only `from gark import *`
