@@ -12,10 +12,9 @@ from gark.mesh import GridTransfer, TensorGrid2D, TimeGrid
 from gark.systems import (GoalFunction, Partition, ProblemInstance,
                           SplitOdeSystem, build_problem, default_grid,
                           discretize_laplacian, integral_goal, make_bsvd,
-                          make_calvo, make_gray_scott, make_random_nonlinear,
-                          rebuild_on)
+                          make_calvo, make_gray_scott, rebuild_on)
 from gark.tableau import (GAMMA_MINUS, GarkTableau, UnsupportedTableauError,
-                          adjoint_coefficients, build_imex22)
+                          build_imex22)
 
 __version__ = "0.1.0"
 
@@ -25,11 +24,11 @@ __all__ = [
     "GarkTableau", "GoalFunction", "GridTransfer",
     "Partition", "ProblemInstance", "RefinementConfig", "SplitOdeSystem",
     "StageRecord", "StepFailureError", "TensorGrid2D",
-    "TimeGrid", "UnsupportedTableauError", "adjoint_coefficients",
+    "TimeGrid", "UnsupportedTableauError",
     "adjoint_sweep", "assemble_report", "build_imex22",
     "build_problem", "default_grid", "discretize_laplacian",
     "estimate_errors", "integral_goal", "integrate", "make_bsvd",
-    "make_calvo", "make_gray_scott", "make_random_nonlinear",
+    "make_calvo", "make_gray_scott",
     "mark_percentile", "rebuild_on", "refine_stage", "run_campaign",
     "spatial_residuals", "step", "temporal_residuals",
 ]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from gark.estimation import ErrorReport, estimate_errors
+from gark.forward import StepFailureError
 from gark.mesh import TensorGrid2D, TimeGrid
 from gark.systems import ProblemInstance, rebuild_on
 from gark.tableau import GarkTableau
@@ -112,7 +113,9 @@ def run_campaign(problem: ProblemInstance, tableau: GarkTableau,
     """Chain refinement stages, optionally logging each one to disk.
 
     Writes campaign.jsonl (one summary line per stage) and
-    grids/stage-<k>.json (the grids the stage ran on) under out_dir.
+    grids/stage-<k>.json (the grids the stage ran on) under out_dir.  A
+    StepFailureError from stage k's estimate leaves with its run named
+    "stage k, <run>".
     """
     cfg = cfg or RefinementConfig()
     result = CampaignResult()
@@ -128,7 +131,11 @@ def run_campaign(problem: ProblemInstance, tableau: GarkTableau,
         log_path.write_text("")
 
     for stage in range(cfg.num_stages):
-        record = refine_stage(problem, tableau, time_grid, stage=stage)
+        try:
+            record = refine_stage(problem, tableau, time_grid, stage=stage)
+        except StepFailureError as err:
+            err.run = f"stage {stage}, {err.run}"
+            raise
         result.records.append(record)
         if out_dir is not None:
             with open(log_path, "a") as handle:

@@ -1,10 +1,9 @@
 """Command line front end.
 
 Subcommands: converge (time-convergence study of the forward and adjoint
-solutions), estimate (four-solution split error report), refine
-(adaptive refinement campaign), oracle-check (self-diagnostics against
-independent formulas).  All outputs are deterministic: a rerun with the
-same settings writes byte-identical files.
+solutions), estimate (four-solution split error report) and refine
+(adaptive refinement campaign).  All outputs are deterministic: a rerun
+with the same settings writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,19 +16,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from gark.adaptivity import RefinementConfig, run_campaign
 from gark.adjoint import adjoint_sweep
-from gark.estimation import (assemble_report, estimate_errors,
-                             temporal_residuals, weighed_partitions)
-from gark.forward import StepFailureError, integrate, step, stored_stage_rows
+from gark.estimation import estimate_errors, weighed_partitions
+from gark.forward import StepFailureError, integrate, stored_stage_rows
 from gark.mesh import DIRICHLET, TimeGrid
-from gark.oracle import fd_goal_gradient, propagator_chain_adjoint
-from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, GoalFunction,
-                          Partition, ProblemInstance, SplitOdeSystem,
-                          build_problem, default_grid, make_random_nonlinear)
-from gark.tableau import adjoint_coefficients, build_imex22
+from gark.systems import (PROBLEM_BUILDERS, PROBLEM_DOMAINS, build_problem,
+                          default_grid)
+from gark.tableau import build_imex22
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 # the one pair every command runs
@@ -74,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ref)
     ref.add_argument("--stages", type=int, default=4)
     ref.set_defaults(run=cmd_refine)
-
-    orc = sub.add_parser("oracle-check",
-                         help="self-check against independent formulas")
-    orc.set_defaults(run=cmd_oracle_check)
     return parser
 
 
@@ -257,103 +248,6 @@ def cmd_refine(args: argparse.Namespace) -> int:
               f"total {entry['e_total']:.4e}, "
               f"accuracy {_format_accuracy(entry['accuracy'])}")
     return 0
-
-
-def _check_tableau_identities() -> bool:
-    if not TABLEAU.validate().ok:
-        return False
-    twice = adjoint_coefficients(adjoint_coefficients(TABLEAU))
-    for q in range(2):
-        for m in range(2):
-            if np.max(np.abs(twice.coupling[q][m]
-                             - TABLEAU.coupling[q][m])) > 1e-13:
-                return False
-    return True
-
-
-def _linear_system(*mats) -> SplitOdeSystem:
-    """The split system y' = sum_q A_q y, one linear partition per matrix."""
-    parts = tuple(Partition(name=f"p{q}", rhs=lambda t, y, A=A: A @ y,
-                            jacobian=lambda t, y, A=A: A, linear=True)
-                  for q, A in enumerate(map(sp.csr_matrix, mats)))
-    return SplitOdeSystem(dim=len(mats[0]), partitions=parts)
-
-
-def _check_scalar_growth() -> bool:
-    """A step of y' = -lam y on partition q alone, the other partition
-    zero, grows y by q's stability function 1 + z b^T (I - z A)^-1 1,
-    z = -lam h, A = A^{q,q}, b = b^(q)."""
-    h = 0.3
-    for q, lam in enumerate((2.0, 0.7)):
-        rates = [[[0.0]], [[0.0]]]
-        rates[q] = [[-lam]]
-        grown = step(_linear_system(*rates), TABLEAU, 0.0, h,
-                     np.array([1.0])).y_next[0]
-        A, b, z = TABLEAU.coupling[q][q], TABLEAU.weights[q], -lam * h
-        resolvent = 1 + z * float(b @ np.linalg.solve(np.eye(len(b)) - z * A,
-                                                      np.ones(len(b))))
-        if abs(grown - resolvent) > 1e-13:
-            return False
-    return True
-
-
-def _check_duality() -> bool:
-    problem = make_random_nonlinear(seed=0, dim=6)
-    grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
-    traj = integrate(problem, TABLEAU, grid)
-    adj = adjoint_sweep(traj)
-    chain = propagator_chain_adjoint(
-        traj, problem.goal.gradient(traj.states[-1]))
-    scale = np.max(np.abs(chain))
-    return bool(np.max(np.abs(adj.lam - chain)) < 1e-9 * scale)
-
-
-def _check_gradient() -> bool:
-    problem = make_random_nonlinear(seed=1, dim=5)
-    grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
-    traj = integrate(problem, TABLEAU, grid)
-    lam0 = adjoint_sweep(traj).lam[0]
-    fd = fd_goal_gradient(problem, TABLEAU, grid)
-    return bool(np.max(np.abs(lam0 - fd))
-                < 1e-4 * max(1.0, np.max(np.abs(fd))))
-
-
-def _check_telescoping() -> bool:
-    rng = np.random.default_rng(2)
-    dim = 6
-    system = _linear_system(*(rng.standard_normal((dim, dim)) / dim
-                              - 0.5 * np.eye(dim) for _ in range(2)))
-    w = np.ones(dim)
-    goal = GoalFunction(evaluate=lambda y: float(w @ y),
-                        gradient=lambda y: w.copy())
-    problem = ProblemInstance(name="check", system=system, grid=None,
-                              y0=rng.standard_normal(dim), t0=0.0,
-                              t_final=0.6, goal=goal)
-    grid = TimeGrid.uniform(0.0, 0.6, 0.1)
-    traj = integrate(problem, TABLEAU, grid)
-    fine = integrate(problem, TABLEAU,
-                     grid.halve_all_steps().halve_all_steps())
-    adj = adjoint_sweep(traj)
-    report = assemble_report(traj, adj,
-                             temporal_residuals(traj, fine.states[::4]))
-    gap = goal.evaluate(fine.states[-1]) - goal.evaluate(traj.states[-1])
-    return abs(report.e_temporal - gap) < 1e-9 * max(1.0, abs(gap))
-
-
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    checks = (
-        ("tableau-identities", _check_tableau_identities),
-        ("scalar-growth", _check_scalar_growth),
-        ("propagator-duality", _check_duality),
-        ("gradient-vs-differences", _check_gradient),
-        ("estimator-telescoping", _check_telescoping),
-    )
-    failed = 0
-    for name, run in checks:
-        ok = run()
-        failed += 0 if ok else 1
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

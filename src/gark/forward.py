@@ -55,8 +55,8 @@ COEF_RTOL = 1e-10
 
 class StepFailureError(RuntimeError):
     """Newton stalled on an implicit stage (iterations, residual_norm), or a
-    step's new state is not finite; integrate adds the step index and
-    estimate_errors the name of its run."""
+    step's new state is not finite; integrate adds the step index,
+    estimate_errors the name of its run and run_campaign the stage."""
 
     def __init__(self, message: str, iterations: int | None = None,
                  residual_norm: float | None = None,
@@ -331,10 +331,6 @@ class ForwardTrajectory:
         Jacobian ignores it, or an explicit stage whose value is y_n)."""
         row = self._stage_rows[q].get(i)
         return self.states[n] if row is None else self.stage_values[q][n, row]
-
-    def stage_time(self, n: int, q: int, i: int) -> float:
-        return float(self.time_grid.nodes[n]
-                     + self.tableau.abscissae(q)[i] * self.time_grid.steps[n])
 
 
 @np.errstate(over="ignore", invalid="ignore")

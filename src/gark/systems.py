@@ -464,41 +464,6 @@ def make_bsvd(grid: TensorGrid2D, t_final: float = 7.0) -> ProblemInstance:
                            params={"t_final": t_final})
 
 
-# --- seeded dense systems for verification ---------------------------------
-
-def make_random_nonlinear(seed: int, dim: int = 8) -> ProblemInstance:
-    """Small dense system of two smooth nonlinear partitions on [0, 0.5]
-    with a quadratic goal; used by the sensitivity and duality checks."""
-    rng = np.random.default_rng(seed)
-    partitions = []
-    for q in range(2):
-        a = rng.standard_normal((dim, dim)) / math.sqrt(dim)
-        a -= 0.8 * np.eye(dim)
-        c = 0.5 * rng.standard_normal(dim)
-        g = 0.3 * rng.standard_normal(dim)
-
-        def rhs(t, y, a=a, c=c, g=g):
-            return a @ y + c * np.sin(y) + g * math.cos(t)
-
-        def jac(t, y, a=a, c=c):
-            return sp.csr_matrix(a + np.diag(c * np.cos(y)))
-
-        partitions.append(Partition(f"part{q + 1}", rhs, jac))
-
-    w = rng.standard_normal(dim)
-    m = 0.5 * rng.standard_normal(dim)
-    goal = GoalFunction(
-        evaluate=lambda y: float(w @ y + 0.5 * (m * y) @ y),
-        gradient=lambda y: w + m * y)
-
-    return ProblemInstance(name=f"random-{seed}",
-                           system=SplitOdeSystem(dim, tuple(partitions)),
-                           grid=None,
-                           y0=rng.standard_normal(dim),
-                           t0=0.0, t_final=0.5, goal=goal,
-                           params={"seed": seed, "dim": dim})
-
-
 # --- registry ---------------------------------------------------------------
 
 PROBLEM_BUILDERS = {

@@ -235,34 +235,6 @@ class GarkTableau:
         return ValidationReport(tuple(bad))
 
 
-def adjoint_coefficients(tableau: GarkTableau) -> GarkTableau:
-    """Transform forward coefficients into reversed-sweep coefficients.
-
-    abar^{q,m}_{i,j} = b^(m)_j a^{m,q}_{j,i} / b^(q)_i and bbar = b, with
-    the forward schedule reversed.  Every weight must be nonzero for the
-    division to make sense.  Applying the transform twice recovers the
-    original coefficients.  The result keeps the declared order; its
-    abscissae differ across the partitions it reads, so validate() reports
-    it not internally consistent.
-    """
-    P = len(tableau.weights)
-    for q in range(P):
-        zero = np.nonzero(tableau.weights[q] == 0.0)[0]
-        if zero.size:
-            i = int(zero[0])
-            raise UnsupportedTableauError(
-                f"zero weight b^({q + 1})_{i + 1}: stage ({q + 1},{i + 1}) "
-                "has no reversed-sweep form")
-    coupling = tuple(
-        tuple(np.diag(1.0 / tableau.weights[q]) @ tableau.coupling[m][q].T
-              @ np.diag(tableau.weights[m]) for m in range(P))
-        for q in range(P))
-    weights = tuple(np.array(b, dtype=float) for b in tableau.weights)
-    schedule = tuple(reversed(tableau.stage_schedule))
-    return GarkTableau(coupling, weights, schedule,
-                       declared_order=tableau.declared_order)
-
-
 def build_imex22() -> GarkTableau:
     """Two-stage implicit-explicit pair: partition 1 is the stiffly
     accurate two-stage singly diagonally implicit scheme (implicit),

@@ -1,4 +1,7 @@
-"""Small problem builders shared by the test modules."""
+"""Problem builders and independent references shared by the test
+modules: loop forms of the vectorized operators, the dense step
+propagator, finite-difference gradients and the adjoint coefficient
+transform."""
 
 import math
 
@@ -54,6 +57,40 @@ def _linear_partition(name: str, A: np.ndarray) -> Partition:
                      rhs=lambda t, y, A_sp=A_sp: A_sp @ y,
                      jacobian=lambda t, y, A_sp=A_sp: A_sp,
                      linear=True)
+
+
+def make_random_nonlinear(seed: int, dim: int = 8) -> ProblemInstance:
+    """Small dense system of two smooth nonlinear partitions on [0, 0.5]
+    with a quadratic goal; used by the sensitivity and duality checks.  Both
+    partitions are nonlinear, so the implicit stages take Newton's path."""
+    rng = np.random.default_rng(seed)
+    partitions = []
+    for q in range(2):
+        a = rng.standard_normal((dim, dim)) / math.sqrt(dim)
+        a -= 0.8 * np.eye(dim)
+        c = 0.5 * rng.standard_normal(dim)
+        g = 0.3 * rng.standard_normal(dim)
+
+        def rhs(t, y, a=a, c=c, g=g):
+            return a @ y + c * np.sin(y) + g * math.cos(t)
+
+        def jac(t, y, a=a, c=c):
+            return sp.csr_matrix(a + np.diag(c * np.cos(y)))
+
+        partitions.append(Partition(f"part{q + 1}", rhs, jac))
+
+    w = rng.standard_normal(dim)
+    m = 0.5 * rng.standard_normal(dim)
+    goal = GoalFunction(
+        evaluate=lambda y: float(w @ y + 0.5 * (m * y) @ y),
+        gradient=lambda y: w + m * y)
+
+    return ProblemInstance(name=f"random-{seed}",
+                           system=SplitOdeSystem(dim, tuple(partitions)),
+                           grid=None,
+                           y0=rng.standard_normal(dim),
+                           t0=0.0, t_final=0.5, goal=goal,
+                           params={"seed": seed, "dim": dim})
 
 
 def scalar_split(lam_a: float, lam_b: float) -> SplitOdeSystem:
@@ -368,6 +405,36 @@ def mu_theta(trajectory, adjoint):
     return theta
 
 
+def adjoint_coefficients(tableau):
+    """Transform forward coefficients into reversed-sweep coefficients.
+
+    abar^{q,m}_{i,j} = b^(m)_j a^{m,q}_{j,i} / b^(q)_i and bbar = b, with
+    the forward schedule reversed.  Every weight must be nonzero for the
+    division to make sense.  Applying the transform twice recovers the
+    original coefficients.  The result keeps the declared order; its
+    abscissae differ across the partitions it reads, so validate() reports
+    it not internally consistent.
+    """
+    from gark.tableau import GarkTableau, UnsupportedTableauError
+
+    P = len(tableau.weights)
+    for q in range(P):
+        zero = np.nonzero(tableau.weights[q] == 0.0)[0]
+        if zero.size:
+            i = int(zero[0])
+            raise UnsupportedTableauError(
+                f"zero weight b^({q + 1})_{i + 1}: stage ({q + 1},{i + 1}) "
+                "has no reversed-sweep form")
+    coupling = tuple(
+        tuple(np.diag(1.0 / tableau.weights[q]) @ tableau.coupling[m][q].T
+              @ np.diag(tableau.weights[m]) for m in range(P))
+        for q in range(P))
+    weights = tuple(np.array(b, dtype=float) for b in tableau.weights)
+    schedule = tuple(reversed(tableau.stage_schedule))
+    return GarkTableau(coupling, weights, schedule,
+                       declared_order=tableau.declared_order)
+
+
 # IMEX22's other root of its order-2 condition 2 gamma - gamma^2 = 1/2
 GAMMA_PLUS = 1.0 + math.sqrt(2.0) / 2.0
 
@@ -387,6 +454,107 @@ def imex22_family(gamma, alpha):
     weights = (np.array([1.0 - gamma, gamma]), np.array([1.0 - alpha, alpha]))
     return GarkTableau(((a_ii, a_ie), (a_e, a_e)), weights,
                        ((1, 0), (0, 0), (1, 1), (0, 1)), declared_order=2)
+
+
+# --- dense propagators and differences: oracles for the adjoint sweep -----
+#
+# The one-step propagator dY/dy is built by dense block forward substitution
+# along the stage schedule, with Jacobians evaluated at each stage's
+# ForwardTrajectory.stage_point (its stored value; y_n where none is
+# stored).  Adjoints and sensitivities derived from these dense matrices
+# share no code path with the sparse sweep they are checked against.
+
+MAX_DENSE_DIM = 64
+# central differences shift y_0[j] by FD_REL_STEP * (1 + |y_0[j]|)
+FD_REL_STEP = 1e-6
+
+
+def stage_time(trajectory, n: int, q: int, i: int) -> float:
+    """The time at which stage (q, i) of step n of trajectory is taken."""
+    grid = trajectory.time_grid
+    return float(grid.nodes[n]
+                 + trajectory.tableau.abscissae(q)[i] * grid.steps[n])
+
+
+def dense_step_propagator(trajectory, n: int) -> np.ndarray:
+    """d y_{n+1} / d y_n as a dense matrix, from the stored stages; refuses
+    a system of more than MAX_DENSE_DIM unknowns and a streamed run."""
+    system = trajectory.system
+    if system.dim > MAX_DENSE_DIM:
+        raise ValueError(f"dense propagator capped at {MAX_DENSE_DIM} "
+                         f"unknowns, got {system.dim}")
+    trajectory.require_stored("dense propagator")
+    tableau = trajectory.tableau
+    h = float(trajectory.time_grid.steps[n])
+    dim = system.dim
+    eye = np.eye(dim)
+
+    slope_derivs: dict = {}
+    for q, i in tableau.stage_schedule:
+        t_i = stage_time(trajectory, n, q, i)
+        y_stage = trajectory.stage_point(n, q, i)
+        jac = np.asarray(system.jac(q, t_i, y_stage).todense())
+        basis = eye.copy()
+        for (m, j), deriv in slope_derivs.items():
+            a = tableau.coupling[q][m][i, j]
+            if a != 0.0:
+                basis = basis + (h * a) * deriv
+        a_ii = float(tableau.coupling[q][q][i, i])
+        if a_ii != 0.0:
+            stage_deriv = np.linalg.solve(eye - (h * a_ii) * jac, basis)
+        else:
+            stage_deriv = basis
+        slope_derivs[(q, i)] = jac @ stage_deriv
+
+    phi = eye.copy()
+    for q, i in tableau.stage_schedule:
+        b = tableau.weights[q][i]
+        if b != 0.0:
+            phi = phi + (h * b) * slope_derivs[(q, i)]
+    return phi
+
+
+def propagator_chain_adjoint(trajectory, terminal: np.ndarray) -> np.ndarray:
+    """lambda_n = Phi_n^T lambda_{n+1} rolled back step by step."""
+    n_steps = trajectory.num_steps
+    lam = np.empty((n_steps + 1, trajectory.system.dim))
+    lam[n_steps] = terminal
+    for n in range(n_steps - 1, -1, -1):
+        lam[n] = dense_step_propagator(trajectory, n).T @ lam[n + 1]
+    return lam
+
+
+def fd_goal_gradient(problem, tableau, time_grid) -> np.ndarray:
+    """Central-difference gradient of Q(y_N) with respect to y_0."""
+    from dataclasses import replace
+
+    from gark.forward import integrate
+
+    base = np.array(problem.y0, dtype=float)
+    grad = np.empty_like(base)
+    for j in range(base.size):
+        delta = FD_REL_STEP * (1.0 + abs(base[j]))
+        values = []
+        for sign in (1.0, -1.0):
+            shifted = base.copy()
+            shifted[j] += sign * delta
+            traj = integrate(replace(problem, y0=shifted), tableau,
+                             time_grid, consumer=lambda n, y_n, result: None)
+            values.append(problem.goal.evaluate(traj.states[-1]))
+        grad[j] = (values[0] - values[1]) / (2.0 * delta)
+    return grad
+
+
+def identity_pairs() -> dict:
+    """build_imex22() and the two second-order pairs with unequal weights
+    (alpha 0.4, at either root gamma), by id: the pairs on which the
+    tableau, growth, duality, gradient and telescoping identities are
+    checked, so that none holds only for build_imex22()'s coefficients."""
+    from gark.tableau import GAMMA_MINUS, build_imex22
+
+    return {"imex22": build_imex22(),
+            "gamma_minus_alpha0.4": imex22_family(GAMMA_MINUS, 0.4),
+            "gamma_plus_alpha0.4": imex22_family(GAMMA_PLUS, 0.4)}
 
 
 # --- stage loops that scan the whole tableau: oracles for the stage plan ----
@@ -499,8 +667,6 @@ def scan_adjoint_sweep(trajectory, method):
     lam and the per-stage stores by name.  Its mu sweep checks the
     program's, and its theta and ell sweeps are the only ones there are:
     criterion 4's routes to the same adjoint by other recursions."""
-    from gark.tableau import adjoint_coefficients
-
     system, tableau = trajectory.system, trajectory.tableau
     n_steps, dim = trajectory.num_steps, system.dim
     abar = adjoint_coefficients(tableau) if method == "ell" else None
@@ -522,7 +688,7 @@ def scan_adjoint_sweep(trajectory, method):
         h = float(trajectory.time_grid.steps[n])
         lam_next, theta, ell = lam[n + 1], {}, {}
         for q, i in reverse_schedule:
-            t_i = trajectory.stage_time(n, q, i)
+            t_i = stage_time(trajectory, n, q, i)
             y_stage = trajectory.stage_point(n, q, i)
             h_aii = h * float(tableau.coupling[q][q][i, i])
             if method == "ell":

@@ -19,13 +19,12 @@ from gark.estimation import (assemble_report, estimate_errors,
                              temporal_residuals)
 from gark.forward import integrate
 from gark.mesh import GridTransfer, TimeGrid
-from gark.oracle import dense_step_propagator, fd_goal_gradient
-from gark.systems import (build_problem, default_grid, make_calvo,
-                          make_random_nonlinear)
+from gark.systems import build_problem, default_grid, make_calvo
 from gark.tableau import build_imex22
 
-from helpers import (GAMMA_PLUS, StepRecorder, imex22_family, mu_theta,
-                     nonlinear_stiff, scan_adjoint_sweep, wrap)
+from helpers import (GAMMA_PLUS, StepRecorder, dense_step_propagator,
+                     fd_goal_gradient, imex22_family, make_random_nonlinear,
+                     mu_theta, nonlinear_stiff, scan_adjoint_sweep, wrap)
 
 TABLEAU = build_imex22()
 

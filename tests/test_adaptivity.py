@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import gark.adaptivity
 from gark.adaptivity import (SPACE_PERCENTILE, TIME_PERCENTILE,
                              RefinementConfig, mark_percentile,
                              refine_stage, run_campaign)
+from gark.forward import StepFailureError
 from gark.mesh import TimeGrid
 from gark.systems import build_problem, default_grid, make_calvo
 from gark.tableau import build_imex22
@@ -142,6 +144,28 @@ class TestCampaign:
         assert second.space_grid.num_unknowns > \
             first.space_grid.num_unknowns
         assert abs(second.report.e_ref) < abs(first.report.e_ref)
+
+    def test_a_failure_names_its_stage(self, monkeypatch):
+        # the second stage's estimate fails in its numerical run
+        real, calls = refine_stage, []
+
+        def fail_second(*args, **kwargs):
+            calls.append(kwargs["stage"])
+            if len(calls) < 2:
+                return real(*args, **kwargs)
+            err = StepFailureError("the new state is not finite",
+                                   step_index=3)
+            err.run = "numerical"
+            raise err
+
+        monkeypatch.setattr(gark.adaptivity, "refine_stage", fail_second)
+        with pytest.raises(StepFailureError) as raised:
+            run_campaign(make_calvo(default_grid("calvo", 8, 4)),
+                         build_imex22(), TimeGrid.uniform(0.0, 1.5, 0.15),
+                         RefinementConfig(num_stages=3))
+        assert calls == [0, 1]
+        assert str(raised.value) == ("stage 1, numerical run, step 3, "
+                                    "the new state is not finite")
 
     def test_campaign_logs(self, tmp_path):
         problem = make_calvo(default_grid("calvo", 8, 4))

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (form_lam, imex22_family, linear_goal, linear_pair,
-                     mu_theta, nonlinear_stiff, plan_cases, scalar_split,
+from helpers import (dense_step_propagator, fd_goal_gradient, form_lam,
+                     identity_pairs, imex22_family, linear_goal, linear_pair,
+                     make_random_nonlinear, mu_theta, nonlinear_stiff,
+                     plan_cases, propagator_chain_adjoint, scalar_split,
                      scan_adjoint_sweep, wrap)
 
 from gark.adjoint import adjoint_sweep
 from gark.forward import integrate, step
 from gark.mesh import TimeGrid
-from gark.oracle import (dense_step_propagator, fd_goal_gradient,
-                         propagator_chain_adjoint)
 from gark.systems import (Partition, SplitOdeSystem, default_grid,
-                          make_calvo, make_gray_scott, make_random_nonlinear)
+                          make_calvo, make_gray_scott)
 from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
 
 
@@ -28,6 +28,9 @@ def zero_system(dim: int = 3) -> SplitOdeSystem:
 
 def explicit_growth(z: float) -> float:
     return 1.0 + z + z * z / 2.0
+
+
+PAIRS = identity_pairs()
 
 
 @pytest.mark.parametrize("method", ["theta", "mu", "ell"])
@@ -152,15 +155,15 @@ class TestPropagatorOracle:
         np.testing.assert_allclose(moved - base, phi @ u, rtol=1e-12,
                                    atol=1e-13)
 
-    def test_single_step_duality(self):
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=list(PAIRS))
+    def test_single_step_duality(self, pair):
         system = nonlinear_stiff()
         rng = np.random.default_rng(11)
         v = rng.standard_normal(system.dim)
         u = rng.standard_normal(system.dim)
         problem = wrap(system, np.full(system.dim, 0.4), t_final=0.05,
                        goal=linear_goal(v))
-        traj = integrate(problem, build_imex22(),
-                         TimeGrid.uniform(0.0, 0.05, 0.05))
+        traj = integrate(problem, pair, TimeGrid.uniform(0.0, 0.05, 0.05))
         adj = adjoint_sweep(traj)
         phi = dense_step_propagator(traj, 0)
         np.testing.assert_allclose(float(adj.lam[0] @ u),
@@ -301,13 +304,14 @@ class TestFormulationAgreement:
 
 
 class TestFiniteDifferenceGradient:
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=list(PAIRS))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_adjoint_gradient_matches_central_differences(self, seed):
+    def test_adjoint_gradient_matches_central_differences(self, seed, pair):
         problem = make_random_nonlinear(seed=seed, dim=6)
         grid = TimeGrid.uniform(problem.t0, problem.t_final, 0.05)
-        traj = integrate(problem, build_imex22(), grid)
+        traj = integrate(problem, pair, grid)
         adj = adjoint_sweep(traj)
-        fd = fd_goal_gradient(problem, build_imex22(), grid)
+        fd = fd_goal_gradient(problem, pair, grid)
         np.testing.assert_allclose(adj.lam[0], fd, rtol=1e-5, atol=1e-8)
 
     def test_terminal_defaults_to_goal_gradient(self):

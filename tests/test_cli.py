@@ -1,7 +1,7 @@
 import ast
 import contextlib
 import csv
-import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -21,7 +21,6 @@ from gark.cli import build_parser, main
 from gark.forward import StepFailureError
 from gark.mesh import TimeGrid
 from gark.systems import PROBLEM_BUILDERS
-from helpers import GAMMA_PLUS, imex22_family
 
 
 def run_cli(argv):
@@ -301,8 +300,8 @@ class TestRefine:
     # run at dt 0.25 overflows, before any stage is logged
     BLOW_UP = ["refine", "--problem", "bsvd", "--nx", "2", "--ny", "2",
                "--dt", "0.5", "--t-final", "1", "--stages", "2"]
-    BLOW_UP_MESSAGE = ("time-refined run, step 3, from t = 0.75 to 1: the "
-                       "new state is not finite")
+    BLOW_UP_MESSAGE = ("stage 0, time-refined run, step 3, from t = 0.75 "
+                       "to 1: the new state is not finite")
 
     def test_blow_up_fails_naming_the_step(self, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
@@ -310,7 +309,8 @@ class TestRefine:
         assert exit_info.value.code == self.BLOW_UP_MESSAGE
         failure = exit_info.value.__cause__
         assert isinstance(failure, StepFailureError)
-        assert (failure.run, failure.step_index) == ("time-refined", 3)
+        assert (failure.run, failure.step_index) \
+            == ("stage 0, time-refined", 3)
         assert (tmp_path / "campaign.jsonl").read_text() == ""
 
     def test_blow_up_exits_with_one_line_and_no_traceback(self, tmp_path):
@@ -343,103 +343,6 @@ class TestRefine:
         assert capsys.readouterr().out.rstrip().endswith("accuracy n/a")
 
 
-class TestOracleCheck:
-    def test_all_diagnostics_pass(self, capsys):
-        assert run_cli(["oracle-check"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok  ") == 5
-        assert "FAIL" not in out
-
-    def test_a_failing_check_is_named_and_the_others_still_run(
-            self, capsys, monkeypatch):
-        # a transform that moves every coupling by 1e-9 is no involution
-        real = gark.cli.adjoint_coefficients
-
-        def perturbed(tableau):
-            adj = real(tableau)
-            return gark.GarkTableau(
-                tuple(tuple(a + 1e-9 for a in row) for row in adj.coupling),
-                adj.weights, adj.stage_schedule)
-
-        monkeypatch.setattr(gark.cli, "adjoint_coefficients", perturbed)
-        assert run_cli(["oracle-check"]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "FAIL tableau-identities", "ok   scalar-growth",
-            "ok   propagator-duality", "ok   gradient-vs-differences",
-            "ok   estimator-telescoping"]
-
-    def test_a_failing_scalar_growth_is_named_and_the_others_still_run(
-            self, capsys, monkeypatch):
-        # a step that moves y by 1e-9 grows it by no stability function
-        real = gark.cli.step
-
-        def perturbed(*args, **kwargs):
-            result = real(*args, **kwargs)
-            return dataclasses.replace(result, y_next=result.y_next + 1e-9)
-
-        monkeypatch.setattr(gark.cli, "step", perturbed)
-        assert run_cli(["oracle-check"]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "ok   tableau-identities", "FAIL scalar-growth",
-            "ok   propagator-duality", "ok   gradient-vs-differences",
-            "ok   estimator-telescoping"]
-
-    @pytest.mark.parametrize("q", [0, 1])
-    def test_scalar_growth_steps_each_partition(self, q, monkeypatch):
-        # a step that is wrong only where partition q carries the rate
-        real = gark.cli.step
-
-        def perturbed(system, *args):
-            result = real(system, *args)
-            if system.partitions[q].jacobian(0.0, None).toarray().any():
-                result = dataclasses.replace(result,
-                                             y_next=result.y_next + 1e-9)
-            return result
-
-        monkeypatch.setattr(gark.cli, "step", perturbed)
-        assert not gark.cli._check_scalar_growth()
-
-    # each run check, the function it alone calls, and a change to that
-    # function's result far beyond the check's tolerance
-    RUN_CHECK_FAULTS = {
-        "propagator-duality": ("propagator_chain_adjoint",
-                               lambda chain: chain * (1 + 1e-6)),
-        "gradient-vs-differences": (
-            "fd_goal_gradient",
-            lambda fd: fd + 1e-3 * (1.0 + np.abs(fd).max())),
-        "estimator-telescoping": (
-            "assemble_report",
-            lambda report: dataclasses.replace(
-                report, e_temporal=report.e_temporal + 1e-6)),
-    }
-
-    @pytest.mark.parametrize("name", list(RUN_CHECK_FAULTS))
-    def test_a_failing_run_check_is_named_and_the_others_still_run(
-            self, name, capsys, monkeypatch):
-        function, fault = self.RUN_CHECK_FAULTS[name]
-        real = getattr(gark.cli, function)
-        monkeypatch.setattr(gark.cli, function,
-                            lambda *args: fault(real(*args)))
-        assert run_cli(["oracle-check"]) == 1
-        names = ["tableau-identities", "scalar-growth", "propagator-duality",
-                 "gradient-vs-differences", "estimator-telescoping"]
-        assert capsys.readouterr().out.splitlines() == [
-            f"{'FAIL' if check == name else 'ok  '} {check}"
-            for check in names]
-
-    @pytest.mark.parametrize("check", [
-        "_check_tableau_identities", "_check_scalar_growth",
-        "_check_duality", "_check_gradient", "_check_telescoping"])
-    @pytest.mark.parametrize("gamma", [gark.GAMMA_MINUS, GAMMA_PLUS],
-                             ids=["gamma_minus", "gamma_plus"])
-    def test_each_check_measures_the_pair_it_is_given(self, check, gamma,
-                                                      monkeypatch):
-        # no check holds only for cli.TABLEAU's coefficients: swapped for
-        # another valid pair of the family, with unequal weights, each holds
-        monkeypatch.setattr(gark.cli, "TABLEAU", imex22_family(gamma, 0.4))
-        assert getattr(gark.cli, check)()
-
-
 def scopes_naming(*names) -> dict:
     """Per name, the scopes of the gark sources (module.function or
     module.Class.method) that refer to it as a variable or attribute."""
@@ -470,11 +373,9 @@ class TestPlumbing:
     # each subcommand's options besides --help
     COMMON = {"problem", "nx", "ny", "dt", "t-final", "out"}
     OPTIONS = {"converge": COMMON | {"levels", "ref-exponent"},
-               "estimate": COMMON, "refine": COMMON | {"stages"},
-               "oracle-check": set()}
+               "estimate": COMMON, "refine": COMMON | {"stages"}}
 
-    @pytest.mark.parametrize("command", ["converge", "estimate", "refine",
-                                         "oracle-check"])
+    @pytest.mark.parametrize("command", ["converge", "estimate", "refine"])
     def test_options_and_their_values_by_flag(self, command, capsys):
         options = subcommand_options(command) - {"help"}
         assert options == self.OPTIONS[command]
@@ -592,21 +493,17 @@ class TestPlumbing:
         ("converge", "--config", "cfg.json"),
         ("estimate", "--config", "cfg.json"),
         ("refine", "--config", "cfg.json"),
-        ("oracle-check", "--config", "cfg.json"),
         ("converge", "--seed", "3"),
         ("estimate", "--seed", "3"),
-        ("refine", "--seed", "3"),
-        ("oracle-check", "--seed", "3")])
+        ("refine", "--seed", "3")])
     def test_removed_options_are_unrecognized(self, command, flag, value,
                                               tmp_path, monkeypatch, capsys):
-        # no config file stands for the flags, and oracle-check runs its
-        # checks at the one seed
+        # no config file stands for the flags
         no_runs(monkeypatch)
         monkeypatch.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"dt": 0.5}))
-        out = [] if command == "oracle-check" else ["--out", "out"]
         with pytest.raises(SystemExit) as exit_info:
-            run_cli([command, *out, flag, value])
+            run_cli([command, "--out", "out", flag, value])
         assert exit_info.value.code == 2
         printed = capsys.readouterr()
         assert printed.out == ""
@@ -622,8 +519,25 @@ class TestPlumbing:
         assert "the following arguments are required: command" \
             in printed.err
 
+    @pytest.mark.parametrize("removed", [
+        "oracle-check", "gark.oracle", "make_random_nonlinear",
+        "adjoint_coefficients"])
+    def test_the_self_check_is_not_shipped(self, removed, capsys):
+        # the references the self-check ran live with the tests
+        if removed == "oracle-check":
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli([removed])
+            assert exit_info.value.code == 2
+            printed = capsys.readouterr()
+            assert printed.out == ""
+            assert "invalid choice: 'oracle-check'" in printed.err
+        elif removed == "gark.oracle":
+            assert importlib.util.find_spec(removed) is None
+        else:
+            assert not hasattr(gark, removed)
+
     def test_the_cli_builds_its_pair_once(self):
-        # the commands and every check of oracle-check read TABLEAU
+        # every command reads TABLEAU
         assert scopes_naming("build_imex22") == {"build_imex22": {"cli"}}
 
     def test_the_cli_pair_is_the_default_imex22(self):
@@ -729,7 +643,7 @@ class TestPlumbing:
         lines = readme.read_text().replace("\\\n", " ").splitlines()
         commands = [line.split()[3:] for line in lines
                     if line.startswith("python3 -m gark.cli ")]
-        assert len(commands) == 4
+        assert len(commands) == 3
         parser = build_parser()
         for argv in commands:
             try:
@@ -753,7 +667,10 @@ class TestPlumbing:
             == []
 
     def test_no_module_imports_a_name_it_never_uses(self):
-        # an import inside a function must be used in that function
+        # an imported name must be loaded in the module that imports it,
+        # and one imported inside a function in that function; __init__.py
+        # loads its re-exports through __all__.  No linter runs on the
+        # sources, so this test is what catches an import left behind
         unused = []
         for path in sorted(Path(gark.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -768,7 +685,8 @@ class TestPlumbing:
                     continue
                 nodes = list(ast.walk(scope))
                 used = exported | {node.id for node in nodes
-                                   if isinstance(node, ast.Name)}
+                                   if isinstance(node, ast.Name)
+                                   and isinstance(node.ctx, ast.Load)}
                 unused += [
                     f"{path.name}:{node.lineno} {name}"
                     for node in nodes

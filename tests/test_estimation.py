@@ -12,8 +12,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
-                     linear_pair, nonlinear_stiff, scalar_split,
-                     stored_estimate, stored_space_refined,
+                     identity_pairs, linear_pair, nonlinear_stiff,
+                     scalar_split, stored_estimate, stored_space_refined,
                      swap_partitions, wrap)
 
 import gark.estimation
@@ -155,14 +155,17 @@ class TestTemporalResiduals:
 
 
 class TestLinearTelescoping:
-    def test_weighted_residual_sum_equals_goal_gap(self):
+    PAIRS = identity_pairs()
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=list(PAIRS))
+    def test_weighted_residual_sum_equals_goal_gap(self, pair):
         # for a linear system and linear goal the estimate telescopes to
         # Q(reference) - Q(numerical) exactly
         system, _ = linear_pair(seed=21, dim=6)
         problem = wrap(system, np.linspace(0.5, 1.1, 6), t_final=0.8)
         grid = TimeGrid.uniform(0.0, 0.8, 0.1)
-        traj = integrate(problem, build_imex22(), grid)
-        fine = integrate(problem, build_imex22(),
+        traj = integrate(problem, pair, grid)
+        fine = integrate(problem, pair,
                          grid.halve_all_steps().halve_all_steps())
         adj = adjoint_sweep(traj)
         res = temporal_residuals(traj, at_coarse_nodes(fine, grid))

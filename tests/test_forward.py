@@ -7,10 +7,12 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import (StepRecorder, assert_bitwise, at_coarse_nodes,
-                     imex22_family, linear_pair, nonlinear_stiff, plan_cases,
-                     scalar_split, scan_step, stiff_relaxation, sum_goal,
-                     swap_partitions, thrice_refined, wrap)
+from helpers import (StepRecorder, adjoint_coefficients, assert_bitwise,
+                     at_coarse_nodes, dense_step_propagator, identity_pairs,
+                     imex22_family, linear_pair, make_random_nonlinear, nonlinear_stiff,
+                     plan_cases, scalar_split, scan_step, stage_time,
+                     stiff_relaxation, sum_goal, swap_partitions,
+                     thrice_refined, wrap)
 
 from gark import forward
 from gark.adjoint import adjoint_sweep
@@ -19,12 +21,10 @@ from gark.forward import (LinearStageCache, SeparableStageSolver,
                           StepFailureError, SuperLUStageSolver, factorize,
                           integrate, step)
 from gark.mesh import TimeGrid
-from gark.oracle import dense_step_propagator
 from gark.systems import (Partition, SplitOdeSystem, build_problem,
-                          default_grid, make_bsvd, make_calvo,
-                          make_random_nonlinear)
+                          default_grid, make_bsvd, make_calvo)
 from gark.tableau import (GAMMA_MINUS, GarkTableau, UnsupportedTableauError,
-                          adjoint_coefficients, build_imex22)
+                          build_imex22)
 
 
 def implicit_scalar_growth(z: float, gamma: float = GAMMA_MINUS) -> float:
@@ -33,6 +33,9 @@ def implicit_scalar_growth(z: float, gamma: float = GAMMA_MINUS) -> float:
     b = np.array([1.0 - gamma, gamma])
     ones = np.ones(2)
     return 1.0 + z * float(b @ np.linalg.solve(np.eye(2) - z * A, ones))
+
+
+PAIRS = identity_pairs()
 
 
 class TestSingleStep:
@@ -54,12 +57,20 @@ class TestSingleStep:
         np.testing.assert_allclose(result.y_next[0], 1.0 + z + z * z / 2.0,
                                    rtol=1e-14)
 
-    def test_implicit_part_alone_matches_resolvent_formula(self):
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=list(PAIRS))
+    def test_each_part_alone_matches_its_resolvent_formula(self, pair, q):
+        # a slope on partition q alone grows the state by q's stability
+        # function 1 + z b^T (I - z A)^-1 1, A = A^{q,q}, b = b^(q)
         lam, h = -2.1, 0.4
-        system = scalar_split(lam, 0.0)
-        result = step(system, build_imex22(), 0.0, h, np.array([1.0]))
-        np.testing.assert_allclose(result.y_next[0],
-                                   implicit_scalar_growth(lam * h), rtol=1e-13)
+        z = lam * h
+        rates = [0.0, 0.0]
+        rates[q] = lam
+        result = step(scalar_split(*rates), pair, 0.0, h, np.array([1.0]))
+        A, b = pair.coupling[q][q], pair.weights[q]
+        growth = 1.0 + z * float(b @ np.linalg.solve(
+            np.eye(len(b)) - z * A, np.ones(len(b))))
+        np.testing.assert_allclose(result.y_next[0], growth, rtol=1e-13)
 
     def test_implicit_growth_bounded_for_stiff_z(self):
         # the implicit scheme alone must damp z = -100, the explicit one
@@ -304,7 +315,7 @@ class TestIntegrate:
         for n in range(traj.num_steps):
             for i in range(traj.tableau.stage_counts[q]):
                 slope = slopes[n, i]
-                f_val = system.f(q, traj.stage_time(n, q, i), values[n, i])
+                f_val = system.f(q, stage_time(traj, n, q, i), values[n, i])
                 assert np.linalg.norm(slope - f_val) \
                     <= 1e-13 * np.linalg.norm(f_val)
 
@@ -555,7 +566,7 @@ class TestIntegrate:
         problem = wrap(system, [1.0], t_final=0.2)
         traj = integrate(problem, build_imex22(),
                          TimeGrid.uniform(0.0, 0.2, 0.1))
-        np.testing.assert_allclose(traj.stage_time(1, 0, 0),
+        np.testing.assert_allclose(stage_time(traj, 1, 0, 0),
                                    0.1 + 0.1 * GAMMA_MINUS)
 
 

@@ -7,13 +7,12 @@ import pytest
 from gark.mesh import TensorGrid2D
 import scipy.sparse as sp
 
-from helpers import (assert_bitwise, loop_laplacian, nested_grids,
-                     thrice_refined)
+from helpers import (assert_bitwise, loop_laplacian, make_random_nonlinear,
+                     nested_grids, thrice_refined)
 from gark.systems import (GRAY_SCOTT_DU, GRAY_SCOTT_DV, _calvo_g, _calvo_gxx,
                           bsvd_diffusivity, build_problem, default_grid,
                           discretize_laplacian, integral_goal, make_bsvd,
-                          make_calvo, make_gray_scott, make_random_nonlinear,
-                          rebuild_on)
+                          make_calvo, make_gray_scott, rebuild_on)
 from gark.tableau import build_imex22
 
 

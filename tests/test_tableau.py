@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import GAMMA_PLUS, assert_bitwise, imex22_family, swap_partitions
+from helpers import (GAMMA_PLUS, adjoint_coefficients, assert_bitwise,
+                     identity_pairs, imex22_family, swap_partitions)
 
 from gark.tableau import (GAMMA_MINUS, GarkTableau, UnsupportedTableauError,
-                          adjoint_coefficients, build_imex22)
+                          build_imex22)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,7 +68,7 @@ def test_imex22_alpha_half():
 
 
 @pytest.mark.parametrize("gamma", [GAMMA_MINUS, GAMMA_PLUS])
-@pytest.mark.parametrize("alpha", [None, 0.5, 0.31])
+@pytest.mark.parametrize("alpha", [None, 0.5, 0.4, 0.31])
 def test_imex22_validates(gamma, alpha):
     t = imex22_family(gamma, gamma if alpha is None else alpha)
     report = t.validate()
@@ -202,8 +203,13 @@ def test_adjoint_transform_matches_definition():
                         expect, abs=1e-15)
 
 
-def test_adjoint_transform_is_involutive():
-    t = imex22_family(GAMMA_MINUS, 0.47)
+INVOLUTION_PAIRS = {"gamma_minus_alpha0.47": imex22_family(GAMMA_MINUS, 0.47),
+                    **identity_pairs()}
+
+
+@pytest.mark.parametrize("t", INVOLUTION_PAIRS.values(),
+                         ids=list(INVOLUTION_PAIRS))
+def test_adjoint_transform_is_involutive(t):
     back = adjoint_coefficients(adjoint_coefficients(t))
     for q in range(2):
         for m in range(2):
