@@ -17,11 +17,13 @@ operator is solved by fast diagonalization, four small matrix products on
 its 1-D eigenbases, and a stage's slope is one such round trip with no f
 call (SeparableStageSolver); any other partition by SuperLU with a
 symmetric minimum-degree column ordering (MMD on A^T + A), and a stage's
-slope is one f call and one solve (SuperLUStageSolver).  Every stage
-solver comes from one LinearStageCache made for its system, which keeps the
-solvers of partitions with constant Jacobians, one per (partition, h a_ii)
-up to step-size jitter, and refactors Newton stages; step refuses a cache
-of another system.  integrate stores what the adjoint sweep reads (every
+slope is one f call and one solve (SuperLUStageSolver).  SciPy is imported
+on the first SuperLU factorization, so a run whose stage solves are all
+separable never loads it.  Every stage solver comes from one
+LinearStageCache made for its system, which keeps the solvers of partitions
+with constant Jacobians, one per (partition, h a_ii) up to step-size
+jitter, and refactors Newton stages; step refuses a cache of another
+system.  integrate stores what the adjoint sweep reads (every
 state, the stage values of the nonlinear partitions, and the cache), or
 hands each finished step, its stage values and slopes included, to a
 consumer and keeps only y_N.  A linear partition's Jacobian ignores the
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from gark.mesh import TimeGrid
 from gark.systems import ProblemInstance, SeparableLaplacian, SplitOdeSystem
@@ -80,11 +80,14 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
     solve(b) solves the stage system (I - coef J) x = b, solve_transposed(b)
     its transpose, and on a linear partition slope(t, rhs) is its stage's
     slope k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition gets a
-    SeparableStageSolver; any other a SuperLUStageSolver.
+    SeparableStageSolver; any other a SuperLUStageSolver, for which SciPy
+    is imported here.
     """
     separable = system.partitions[q].separable
     if separable is not None:
         return SeparableStageSolver(separable, coef)
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     jac = system.jac(q, t, y)
     matrix = sp.identity(system.dim, format="csr") - coef * jac
     return SuperLUStageSolver(

@@ -244,8 +244,9 @@ class GridTransfer:
         return cls(fine, coarse, injected[coarse.unknown_mask()])
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
-        """Injection along the last axis; + 0.0 turns -0.0 into 0.0 as the
-        product with the injection matrix does."""
+        """Injection along the last axis; + 0.0 turns -0.0 into 0.0, which
+        keeps the signed zeros that restriction by a sparse injection
+        product gave."""
         return v[..., self.injection] + 0.0
 
     def restrict_state(self, v: np.ndarray) -> np.ndarray:

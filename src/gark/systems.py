@@ -4,28 +4,32 @@ States are nodal vectors over a grid's unknowns, species-major for
 multi-species problems.  Every partition exposes its right-hand side and an
 assembled sparse Jacobian, and may add a matrix-free vector-Jacobian product
 ``vjp`` that the adjoint sweep uses instead of assembling; the mass matrix is
-the identity throughout.  A diffusion partition applies its operator, and
-its transpose in the vjp, through SciPy's compiled sparse kernels bound to
-the operator's arrays at build, after checking the vector's shape.  One
-builder makes every diffusion partition; with no coefficient field it also
-gives the operator's tensor-product form (SeparableLaplacian), from which
-the stage solver diagonalizes it and takes a stage's slope.  Every problem
-lists its stiff diffusion partition first and its reaction second, the
-order of build_imex22's implicit and explicit schemes.
+the identity throughout.  One builder makes every diffusion partition, and
+checks the shape of each vector it applies its operator, or in the vjp its
+transpose, to.  With no coefficient field it sums the products in NumPy,
+bitwise as SciPy's compiled sparse kernels do, assembles its Jacobian on the
+first call, and gives the operator's tensor-product form
+(SeparableLaplacian), from which the stage solver diagonalizes it and takes
+a stage's slope: building and running calvo or Gray-Scott imports no SciPy.
+A coefficient field (bsvd) assembles the operator at build and calls those
+kernels on its arrays.  SciPy is imported where a sparse matrix is made.
+Every problem lists its stiff diffusion partition first and its reaction
+second, the order of build_imex22's implicit and explicit schemes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from gark.mesh import DIRICHLET, NEUMANN, TensorGrid2D, trapezoid_weights
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -171,15 +175,12 @@ class ProblemInstance:
     params: dict = field(default_factory=dict)
 
 
-def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
-    """Flux-form div(c grad u) on the grid's unknowns, with c = 1 or the
-    callable coefficient(X, Y) on the nodal meshgrid.
-
-    Face coefficients are arithmetic means of the nodal coefficient field;
-    Neumann edges carry zero flux, Dirichlet edges hold value zero and their
-    nodes are eliminated.  Exact on quadratics over uniform spacing, and the
-    all-Neumann operator conserves the trapezoid integral for any state.
-    """
+def _face_coefficients(grid: TensorGrid2D, coefficient=None) -> tuple:
+    """(idx, has_face, neighbor, coef) of discretize_laplacian's flux
+    form: the unknown index per node, and per node and face E, W, N, S
+    whether the node has the face, the neighbour's unknown index (-1 where
+    it has none or it is eliminated) and the face coefficient (0.0 where
+    the node has no face)."""
     ny, nx = grid.node_shape
     if coefficient is None:
         D = np.ones((ny, nx))
@@ -204,7 +205,21 @@ def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
         has_face[here + (f,)] = True
         neighbor[here + (f,)] = idx[there]
         coef[here + (f,)] = 0.5 * (D[here] + D[there]) / hw
+    return idx, has_face, neighbor, coef
 
+
+def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
+    """Flux-form div(c grad u) on the grid's unknowns, with c = 1 or the
+    callable coefficient(X, Y) on the nodal meshgrid.
+
+    Face coefficients are arithmetic means of the nodal coefficient field;
+    Neumann edges carry zero flux, Dirichlet edges hold value zero and their
+    nodes are eliminated.  Exact on quadratics over uniform spacing, and the
+    all-Neumann operator conserves the trapezoid integral for any state.
+    """
+    import scipy.sparse as sp
+
+    idx, has_face, neighbor, coef = _face_coefficients(grid, coefficient)
     # Triplets per node, face, then (diagonal, neighbour): the same order as
     # a node-by-node loop, so duplicates on the diagonal sum in that order.
     keep = has_face & (idx >= 0)[:, :, None]
@@ -215,6 +230,55 @@ def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
     vals = np.stack([-coef, coef], axis=-1)[keep]
     n = grid.num_unknowns
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+_PAD = np.zeros(1)  # the value that _stencil's missing entries read
+_PAD.setflags(write=False)
+# The slot of each face E, W, N, S in a row's CSR column order S, W, D, E,
+# N; the diagonal D takes slot 2, and the slot opposite slot k is 4 - k.
+_FACE_SLOTS = (3, 1, 4, 0)
+
+
+def _stencil(grid: TensorGrid2D, scales: tuple[float, ...]) -> tuple:
+    """The slots of the operator scales[k] * discretize_laplacian(grid) on
+    species k, and of its transpose: two (cols, vals) pairs of shape
+    (5, N) for N unknowns, row r's entries in slots (S, W, D, E, N), the
+    CSR column order.  A missing entry reads column N, a zero pad, with
+    value 0.0.  The transpose's slots of row c hold the operator's entries
+    (r, c) with r ascending, the order in which the CSC product sums them.
+    """
+    idx, _, neighbor, coef = _face_coefficients(grid)
+    unknown = idx >= 0
+    n = grid.num_unknowns
+    rows = np.arange(n)
+    # minus the faces in face order, as scipy sums the duplicate diagonal
+    # triplets; a missing face's -0.0 changes no sum
+    diagonal = -coef[..., 0]
+    for f in range(1, 4):
+        diagonal = diagonal - coef[..., f]
+    cols = np.full((5, n), -1)
+    vals = np.zeros((5, n))
+    cols[2], vals[2] = rows, diagonal[unknown]
+    for f, slot in enumerate(_FACE_SLOTS):
+        there = neighbor[..., f][unknown]
+        has = there >= 0
+        cols[slot, has] = there[has]
+        vals[slot, has] = coef[..., f][unknown][has]
+
+    t_cols, t_vals = np.full_like(cols, -1), np.zeros_like(vals)
+    for slot in range(5):
+        has = cols[slot] >= 0
+        t_cols[4 - slot, cols[slot, has]] = rows[has]
+        t_vals[4 - slot, cols[slot, has]] = vals[slot, has]
+
+    pad = len(scales) * n
+
+    def stacked(cols, vals):
+        return (np.concatenate([np.where(cols < 0, pad, cols + k * n)
+                                for k in range(len(scales))], axis=1),
+                np.concatenate([s * vals for s in scales], axis=1))
+
+    return stacked(cols, vals), stacked(t_cols, t_vals)
 
 
 def integral_goal(grid: TensorGrid2D, num_species: int = 1) -> GoalFunction:
@@ -233,39 +297,74 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
     discretize_laplacian(grid, coefficient) on species k; with no
     coefficient field it also carries op's separable_laplacian form.
 
-    rhs and vjp call the compiled kernels that op @ y and op.T @ w end in,
-    csr_matvec and csc_matvec on op's own arrays, bound here once: the same
-    bits without scipy.sparse's per-call dispatch, as long as no caller
-    changes op in place.  The kernels read any vector without checking its
-    length, so a vector whose shape is not (n,) raises ValueError first, as
-    op @ y does.
+    With no coefficient field, rhs and vjp sum _stencil's slots in NumPy,
+    each output from 0.0 in the order in which csr_matvec and csc_matvec,
+    the compiled kernels of op @ y and op.T @ w, sum its entries: the same
+    bits, and no SciPy import.  op itself is assembled on the first
+    jacobian call, which no run makes, as stage solves and slopes go
+    through the eigenbasis.  A coefficient field assembles op here and
+    calls those kernels on op's own arrays, bound once, without
+    scipy.sparse's per-call dispatch, as long as no caller changes op in
+    place.  That branch keeps SciPy: its stage solves need SciPy's SuperLU
+    anyway, and its campaigns run on thousands of unknowns, where the
+    kernels take under half the NumPy slots' time (13.3 against 32.7 us at
+    3 422 unknowns on a 2-core Xeon).  A vector whose shape is not (n,)
+    raises ValueError first, as op @ y does.
     """
-    lap = discretize_laplacian(grid, coefficient)
-    op = sp.block_diag([s * lap for s in diffusivities], format="csr")
-    n = op.shape[0]
-    arrays = (op.indptr, op.indices, op.data)
+    n = len(diffusivities) * grid.num_unknowns
 
-    def apply(kernel, v: np.ndarray) -> np.ndarray:
+    def checked(v: np.ndarray) -> np.ndarray:
         if v.shape != (n,):
             raise ValueError(f"the diffusion operator on {n} unknowns "
                              f"cannot apply to a vector of shape {v.shape}")
-        out = np.zeros(n)
-        kernel(n, n, *arrays, v, out)
-        return out
+        return v
 
-    return Partition("diffusion",
-                     lambda t, y: apply(_sparsetools.csr_matvec, y),
-                     lambda t, y: op, linear=True,
-                     vjp=lambda t, y, w: apply(_sparsetools.csc_matvec, w),
-                     separable=(separable_laplacian(grid, diffusivities)
-                                if coefficient is None else None))
+    def assemble():
+        import scipy.sparse as sp
+        lap = discretize_laplacian(grid, coefficient)
+        return sp.block_diag([s * lap for s in diffusivities], format="csr")
+
+    if coefficient is None:
+        slots = _stencil(grid, diffusivities)
+        assembled = cache(assemble)
+
+        def product(transposed: int, v: np.ndarray) -> np.ndarray:
+            cols, vals = slots[transposed]
+            padded = np.concatenate((checked(v), _PAD))
+            return np.add.reduce(vals * padded[cols], axis=0, initial=0.0)
+
+        def jacobian(t, y):
+            return assembled()
+
+        separable = separable_laplacian(grid, diffusivities)
+    else:
+        from scipy.sparse import _sparsetools
+        op = assemble()
+        arrays = (op.indptr, op.indices, op.data)
+        kernels = (_sparsetools.csr_matvec, _sparsetools.csc_matvec)
+
+        def product(transposed: int, v: np.ndarray) -> np.ndarray:
+            out = np.zeros(n)
+            kernels[transposed](n, n, *arrays, checked(v), out)
+            return out
+
+        def jacobian(t, y):
+            return op
+
+        separable = None
+    return Partition("diffusion", lambda t, y: product(0, y), jacobian,
+                     linear=True, vjp=lambda t, y, w: product(1, w),
+                     separable=separable)
 
 
 def _pointwise_reaction(rhs, slope) -> Partition:
     """A reaction rhs(t, y) acting node by node, with diagonal Jacobian
     slope(y): a pointwise partition."""
-    return Partition("reaction", rhs,
-                     lambda t, y: sp.diags(slope(y), format="csr"),
+    def jacobian(t, y):
+        import scipy.sparse as sp
+        return sp.diags(slope(y), format="csr")
+
+    return Partition("reaction", rhs, jacobian,
                      vjp=lambda t, y, w: slope(y) * w, pointwise=True)
 
 
@@ -394,6 +493,7 @@ def make_gray_scott(grid: TensorGrid2D, feed: float = 0.024,
         return (-v * v - feed, -2.0 * u * v, v * v, 2.0 * u * v - decay)
 
     def reaction_jac(t: float, y: np.ndarray) -> sp.spmatrix:
+        import scipy.sparse as sp
         uu, uv, vu, vv = reaction_blocks(y)
         return sp.bmat([[sp.diags(uu), sp.diags(uv)],
                         [sp.diags(vu), sp.diags(vv)]], format="csr")

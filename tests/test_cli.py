@@ -27,14 +27,19 @@ def run_cli(argv):
     return main(argv)
 
 
-def run_module(*argv):
-    """python -m gark.cli argv in a child process that imports the same
-    gark as this process, installed or not."""
+def run_python(*argv):
+    """python argv in a child process that imports the same gark as this
+    process, installed or not."""
     src = str(Path(gark.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gark.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(*argv):
+    """python -m gark.cli argv in a child process (run_python)."""
+    return run_python("-m", "gark.cli", *argv)
 
 
 def subcommand_options(command) -> set:
@@ -791,3 +796,39 @@ class TestPlumbing:
         proc = run_module("--help")
         assert proc.returncode == 0
         assert "converge" in proc.stdout
+
+    def test_separable_runs_import_no_scipy(self, tmp_path):
+        # A fresh interpreter: this one has SciPy from the tests' imports.
+        # It prints the SciPy modules loaded after each run, as JSON.
+        script = f"""
+import json, sys
+import gark, gark.cli
+from gark import build_imex22, build_problem, default_grid, estimate_errors
+from gark.mesh import TimeGrid
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+seen = {{}}
+problem = build_problem("gray_scott", default_grid("gray_scott", 4, 4),
+                        t_final=1.0)
+estimate_errors(problem, build_imex22(), TimeGrid.uniform(0.0, 1.0, 0.25))
+gark.cli.main(["converge", "--problem", "calvo", "--nx", "8", "--ny", "4",
+               "--levels", "2", "--ref-exponent", "3",
+               "--out", {str(tmp_path)!r}])
+seen["separable"] = loaded()
+bsvd = build_problem("bsvd", default_grid("bsvd", 6, 6), t_final=0.1)
+seen["bsvd built"] = loaded()
+estimate_errors(bsvd, build_imex22(), TimeGrid.uniform(0.0, 0.1, 0.05))
+seen["bsvd estimated"] = loaded()
+print(json.dumps(seen))
+"""
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["separable"] == []
+        assert "scipy.sparse" in seen["bsvd built"]
+        assert "scipy.sparse.linalg" not in seen["bsvd built"]
+        assert "scipy.sparse.linalg" in seen["bsvd estimated"]
+        assert (tmp_path / "convergence.json").is_file()

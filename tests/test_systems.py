@@ -366,17 +366,23 @@ class TestBsvd:
 
 
 class TestDiffusionKernels:
-    """The diffusion partition calls scipy.sparse's private compiled
-    kernels directly; these pin them to the public products."""
+    """A separable diffusion partition sums its products in NumPy, and a
+    coefficient field's calls scipy.sparse's private compiled kernels
+    directly; these pin both to the public sparse products, on grids that
+    cover every boundary and spacing case."""
 
-    @pytest.fixture(params=[("calvo", 8, 4), ("gray_scott", 4, 4),
-                            ("bsvd", 6, 6)], ids=lambda p: p[0])
+    @pytest.fixture(params=[("calvo", 8, 4, 4, 2), ("gray_scott", 4, 4, 1, 1),
+                            ("bsvd", 6, 6, 1, 1)], ids=lambda p: p[0])
     def problems(self, request):
-        """The problem on its coarse grid and on its refine_uniform."""
-        name, nx, ny = request.param
+        """The problem on its coarse grid, on its refine_uniform, on the
+        marked, non-uniform thrice_refined grid and on its smallest grid
+        (calvo's has one row of unknowns)."""
+        name, nx, ny, smallest_nx, smallest_ny = request.param
         coarse = default_grid(name, nx, ny)
         return [build_problem(name, grid)
-                for grid in (coarse, coarse.refine_uniform())]
+                for grid in (coarse, coarse.refine_uniform(),
+                             thrice_refined(name),
+                             default_grid(name, smallest_nx, smallest_ny))]
 
     def test_products_equal_the_sparse_ones_bitwise(self, problems):
         rng = np.random.default_rng(3)
