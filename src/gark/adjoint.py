@@ -4,17 +4,21 @@ The sweep walks the stages of every step in reverse schedule order and
 propagates lambda_n = lambda_{n+1} + sum_i theta_i in the mu form: mu is
 the stage's pre-Jacobian solve vector and theta = J^T mu its increment.
 Each stage reads its transposed couplings from the stage plan's read_by.
-An implicit stage solves with (I - h a_ii J)^T by solve_transposed of its
-stage solver in the trajectory's factor cache: constant-Jacobian stages
-hit the solvers the forward run stored, and Newton stages are factored at
-their stored (converged) stage values; a linear partition, whose values no
-run stores, is read at y_n (ForwardTrajectory.stage_point), as is an
-explicit stage that reads no slope.  Each stage applies its Jacobian only
-as a vector-Jacobian product ``system.vjp``, so partitions that supply
-``vjp`` are never assembled here.  The sweep stores mu only for the
-partitions its caller names; the others get None.  The theta and ell forms
-of the same adjoint, which criterion 4 checks this one against, are the
-tests' coefficient-scanning sweeps (tests/helpers.py, scan_adjoint_sweep).
+An implicit stage solves (I - h a_ii J)^T mu = h (b lambda_{n+1} + its
+read_by terms) and takes mu and theta from adjoint of its stage solver in
+the trajectory's factor cache, as a forward stage takes its slope from the
+solver: constant-Jacobian stages hit the solvers the forward run stored,
+and Newton stages are factored at their stored (converged) stage values; a
+linear partition, whose values no run stores, is read at y_n
+(ForwardTrajectory.stage_point), as is an explicit stage that reads no
+slope.  A separable partition's solver takes theta in its eigenbasis, on
+the same transform as mu; every other stage applies its Jacobian only as a
+vector-Jacobian product ``system.vjp``, so partitions that supply ``vjp``
+are never assembled here.  The sweep stores mu only for the partitions its
+caller names, and a separable solver computes it only for those; the
+others get None.  The theta and ell forms of the same adjoint, which
+criterion 4 checks this one against, are the tests' coefficient-scanning
+sweeps (tests/helpers.py, scan_adjoint_sweep).
 """
 
 from __future__ import annotations
@@ -86,11 +90,14 @@ def adjoint_sweep(trajectory: ForwardTrajectory, method: str = "mu",
             for m, j, coef in stage.read_by:
                 acc += coef * theta[(m, j)]
             mu = h * acc
+            keep_mu = mu_arr[q] is not None
             if h_aii != 0.0:
-                mu = factors.get(q, t_i, y_stage, h_aii).solve_transposed(mu)
-            if mu_arr[q] is not None:
+                solver = factors.get(q, t_i, y_stage, h_aii)
+                mu, theta[(q, i)] = solver.adjoint(t_i, y_stage, mu, keep_mu)
+            else:
+                theta[(q, i)] = system.vjp(q, t_i, y_stage, mu)
+            if keep_mu:
                 mu_arr[q][n, i] = mu
-            theta[(q, i)] = system.vjp(q, t_i, y_stage, mu)
 
         # lambda_n = lambda_{n+1} + the stage terms in reverse_plan's order,
         # summed in its row of lam; a generator, so no container keeps this

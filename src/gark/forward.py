@@ -11,20 +11,22 @@ value when the tableau is stiffly accurate (GarkTableau.last_stage_is_step)
 and that stage is explicit or linear implicit, as that value then is y_n +
 h sum b k bitwise; otherwise it is that weighted sum (combine_step).  A
 stage solver's solve(b) solves the stage system (I - h a_ii J) x = b, for
-Newton, and solve_transposed(b) its transpose, for the adjoint
-(factorize).  A diffusion partition with a separable constant-coefficient
-operator is solved by fast diagonalization, four small matrix products on
-its 1-D eigenbases, and a stage's slope is one such round trip with no f
-call (SeparableStageSolver); any other partition by SuperLU with a
-symmetric minimum-degree column ordering (MMD on A^T + A), and a stage's
-slope is one f call and one solve (SuperLUStageSolver).  SciPy is imported
-on the first SuperLU factorization, so a run whose stage solves are all
-separable never loads it.  Every stage solver comes from one
-LinearStageCache made for its system, which keeps the solvers of partitions
-with constant Jacobians, one per (partition, h a_ii) up to step-size
-jitter, and refactors Newton stages; step refuses a cache of another
-system.  integrate stores what the adjoint sweep reads (every
-state, the stage values of the nonlinear partitions, and the cache), or
+Newton, and its adjoint(t, y, x, keep_mu) takes the adjoint sweep's stage:
+mu = (I - h a_ii J)^-T x and theta = J^T mu (factorize).  A diffusion
+partition with a separable constant-coefficient operator is solved by fast
+diagonalization, four small matrix products on its 1-D eigenbases, and a
+stage's slope, or its theta, is one such round trip with no f or vjp call
+(SeparableStageSolver); any other partition by SuperLU with a symmetric
+minimum-degree column ordering (MMD on A^T + A), and a stage's slope is one
+f call and one solve, its theta one solve and one vjp call
+(SuperLUStageSolver).  SciPy is imported on the first SuperLU
+factorization, so a run whose stage solves are all separable never loads
+it.  Every stage solver comes from one LinearStageCache made for its
+system, which keeps the solvers of partitions with constant Jacobians, one
+per (partition, h a_ii) up to step-size jitter, and refactors Newton
+stages; step refuses a cache of another system.  integrate stores what the
+adjoint sweep reads (every state, the stage values of the nonlinear
+partitions, and the cache), or
 hands each finished step, its stage values and slopes included, to a
 consumer and keeps only y_N.  A linear partition's Jacobian ignores the
 state, so no reader needs its stage values and no run stores them; an
@@ -77,9 +79,11 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
               coef: float):
     """A solver of the stage matrix I - coef * J^(q)(t, y).
 
-    solve(b) solves the stage system (I - coef J) x = b, solve_transposed(b)
-    its transpose, and on a linear partition slope(t, rhs) is its stage's
-    slope k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition gets a
+    solve(b) solves the stage system (I - coef J) x = b; adjoint(t, y, x,
+    keep_mu) gives the adjoint stage's (mu, theta), mu = (I - coef J)^-T x,
+    or None unless keep_mu, and theta = J^T mu with J taken at (t, y); and
+    on a linear partition slope(t, rhs) is its stage's slope
+    k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition gets a
     SeparableStageSolver; any other a SuperLUStageSolver, for which SciPy
     is imported here.
     """
@@ -99,7 +103,8 @@ class SuperLUStageSolver:
     are ordered by minimum degree on the structure of A^T + A, which fits
     the structurally symmetric diffusion stencils better than SuperLU's
     default COLAMD.  solve takes SuperLU's faster transposed kernel, and
-    solve_transposed the plain one; slope is one f call and one solve."""
+    adjoint's mu the plain one; slope is one f call and one solve, and
+    adjoint's theta one vjp call on that mu."""
 
     __slots__ = ("system", "q", "lu")
 
@@ -109,11 +114,13 @@ class SuperLUStageSolver:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.lu.solve(b, trans="T")
 
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b)
-
     def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
         return self.solve(self.system.f(self.q, t, rhs))
+
+    def adjoint(self, t: float, y: np.ndarray, x: np.ndarray,
+                keep_mu: bool) -> tuple:
+        mu = self.lu.solve(x)
+        return (mu if keep_mu else None), self.system.vjp(self.q, t, y, mu)
 
 
 class SeparableStageSolver:
@@ -121,10 +128,11 @@ class SeparableStageSolver:
     diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): each
     species' (ny, nx) array goes into the operator's eigenbasis by two small
     matrix products, is scaled there, and comes back by two more, or by the
-    four's transposes in solve_transposed.  Both solves scale by 1 / (1 -
-    coef s lam); slope, as J is s lam in that basis and the partition's rhs
-    is J y, by s lam / (1 - coef s lam), with no f call.  The basis is the
-    partition's, computed once; a solver keeps only its two scalings.
+    four's transposes in adjoint.  solve and adjoint's mu scale by 1 / (1 -
+    coef s lam); slope and adjoint's theta, as J is s lam in that basis and
+    the partition's rhs is J y, by s lam / (1 - coef s lam), with no f or
+    vjp call.  The basis is the partition's, computed once; a solver keeps
+    only its two scalings.
     """
 
     def __init__(self, separable: SeparableLaplacian, coef: float):
@@ -144,11 +152,20 @@ class SeparableStageSolver:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._round_trip(b, self._forward, self._scaling)
 
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        return self._round_trip(b, self._transposed, self._scaling)
-
     def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
         return self._round_trip(rhs, self._forward, self._slope_scaling)
+
+    def adjoint(self, t: float, y: np.ndarray, x: np.ndarray,
+                keep_mu: bool) -> tuple:
+        # theta is taken before z is scaled in place, so its bits do not
+        # depend on keep_mu
+        into_a, into_b, out_a, out_b = self._transposed
+        z = into_a @ x.reshape(self._shape) @ into_b
+        theta = (out_a @ (z * self._slope_scaling) @ out_b).reshape(-1)
+        if not keep_mu:
+            return None, theta
+        z *= self._scaling
+        return (out_a @ z @ out_b).reshape(-1), theta
 
 
 class LinearStageCache:

@@ -300,9 +300,11 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
     With no coefficient field, rhs and vjp sum _stencil's slots in NumPy,
     each output from 0.0 in the order in which csr_matvec and csc_matvec,
     the compiled kernels of op @ y and op.T @ w, sum its entries: the same
-    bits, and no SciPy import.  op itself is assembled on the first
-    jacobian call, which no run makes, as stage solves and slopes go
-    through the eigenbasis.  A coefficient field assembles op here and
+    bits, and no SciPy import.  Implicit stages take their solves, slopes
+    and adjoint thetas in the eigenbasis, so these products run only in the
+    estimate's stage residuals (f) and in tableaux that step diffusion
+    explicitly.  op itself is assembled on the first jacobian call, which
+    no run makes.  A coefficient field assembles op here and
     calls those kernels on op's own arrays, bound once, without
     scipy.sparse's per-call dispatch, as long as no caller changes op in
     place.  That branch keeps SciPy: its stage solves need SciPy's SuperLU
@@ -421,6 +423,7 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
     gx, gxxc = _calvo_g(xc), _calvo_gxx(xc)
     qy = yc * yc - 1.0
     gq = gx * qy
+    gq3 = gq ** 3
     lap_gq = gxxc * qy + 2.0 * gx  # the Laplacian of gq, time-independent
 
     def s(t: float) -> float:
@@ -430,12 +433,12 @@ def make_calvo(grid: TensorGrid2D, nu: float = 0.1) -> ProblemInstance:
         return -math.pi * math.sin(math.pi * t) / 30.0
 
     def forcing(t: float) -> np.ndarray:
+        # u_t - nu lap(u) - u + u^3 at u = s(t) gq, gq's powers precomputed
         st = s(t)
-        u = st * gq
-        return (s_dot(t) * gq - nu * st * lap_gq - u + u ** 3)
+        return (s_dot(t) - st) * gq - (nu * st) * lap_gq + st ** 3 * gq3
 
     def reaction_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return y - y ** 3 + forcing(t)
+        return y - y * y * y + forcing(t)
 
     system = SplitOdeSystem(
         dim=grid.num_unknowns,

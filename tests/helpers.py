@@ -678,11 +678,18 @@ def scan_adjoint_sweep(trajectory, method):
     lam = np.empty((n_steps + 1, dim))
     lam[n_steps] = trajectory.problem.goal.gradient(trajectory.states[-1])
 
+    def adjoint_stage(q, t_i, y_stage, coef, rhs):
+        # mu = (I - coef J)^-T rhs and theta = J^T mu; an implicit stage's
+        # pair comes from one stage solver call, as in the program's sweep
+        if coef == 0.0:
+            return rhs, system.vjp(q, t_i, y_stage, rhs)
+        solver = trajectory.factors.get(q, t_i, y_stage, coef)
+        return solver.adjoint(t_i, y_stage, rhs, True)
+
     def solve(q, t_i, y_stage, coef, rhs):
         if coef == 0.0:
             return rhs
-        solver = trajectory.factors.get(q, t_i, y_stage, coef)
-        return solver.solve_transposed(rhs)
+        return adjoint_stage(q, t_i, y_stage, coef, rhs)[0]
 
     for n in range(n_steps - 1, -1, -1):
         h = float(trajectory.time_grid.steps[n])
@@ -713,9 +720,8 @@ def scan_adjoint_sweep(trajectory, method):
                     q, t_i, y_stage, h_aii,
                     h * system.vjp(q, t_i, y_stage, acc))
             else:
-                mu = stores["mu"][q][n, i] = solve(q, t_i, y_stage, h_aii,
-                                                   h * acc)
-                vec = system.vjp(q, t_i, y_stage, mu)
+                stores["mu"][q][n, i], vec = adjoint_stage(q, t_i, y_stage,
+                                                           h_aii, h * acc)
             theta[(q, i)] = vec
 
         lam_n = lam_next.copy()

@@ -13,8 +13,8 @@ from helpers import (dense_step_propagator, fd_goal_gradient, form_lam,
 from gark.adjoint import adjoint_sweep
 from gark.forward import integrate, step
 from gark.mesh import TimeGrid
-from gark.systems import (Partition, SplitOdeSystem, default_grid,
-                          make_calvo, make_gray_scott)
+from gark.systems import (Partition, SplitOdeSystem, build_problem,
+                          default_grid, make_calvo, make_gray_scott)
 from gark.tableau import GAMMA_MINUS, UnsupportedTableauError, build_imex22
 
 
@@ -284,6 +284,31 @@ class TestFormulationAgreement:
         assert a.lam.tobytes() == b.lam.tobytes()
         for q in range(system.num_partitions):
             assert a.mu[q].tobytes() == b.mu[q].tobytes()
+
+    @pytest.mark.parametrize("name, kept", [("calvo", ()),
+                                            ("gray_scott", (0,))])
+    def test_separable_stages_call_no_vjp(self, name, kept):
+        # an implicit diffusion stage takes theta = J^T mu in its stage
+        # solver's eigenbasis, whether the sweep keeps its mu or not: the
+        # diffusion partition's vjp is never called, the reaction's once
+        # per stage
+        problem = build_problem(name, default_grid(name, 8, 4))
+        calls = [0, 0]
+
+        def counted(q, vjp):
+            def wrapped(t, y, w):
+                calls[q] += 1
+                return vjp(t, y, w)
+            return wrapped
+
+        system = problem.system
+        problem.system = SplitOdeSystem(system.dim, tuple(
+            dataclasses.replace(p, vjp=counted(q, p.vjp))
+            for q, p in enumerate(system.partitions)))
+        tableau, grid = build_imex22(), TimeGrid.uniform(0.0, 0.6, 0.15)
+        traj = integrate(problem, tableau, grid)
+        adjoint_sweep(traj, mu_partitions=kept)
+        assert calls == [0, tableau.stage_counts[1] * grid.num_steps]
 
     @pytest.mark.parametrize("kept", [(), (0,), (1,)])
     def test_mu_partitions_name_the_stored_mu(self, kept):

@@ -766,8 +766,8 @@ class TestPlumbing:
     def test_solve_directions_are_named_by_the_solvers(self):
         # SuperLU's trans flag, and its "T"/"N" letters, stay inside
         # SuperLUStageSolver: every other module asks a stage solver for
-        # solve or solve_transposed, and the adjoint sweep asks itself
-        trans, letters, transposed = set(), set(), set()
+        # solve, slope or adjoint, and only the adjoint sweep asks for adjoint
+        trans, letters, adjoint_calls = set(), set(), set()
 
         def visit(node, scope):
             for child in ast.iter_child_nodes(node):
@@ -780,8 +780,8 @@ class TestPlumbing:
                                  and node.arg == "trans"):
                     letters.add(scope)
                 if isinstance(child, ast.Attribute) \
-                        and child.attr == "solve_transposed":
-                    transposed.add(scope)
+                        and child.attr == "adjoint":
+                    adjoint_calls.add(scope)
                 visit(child, f"{scope}.{child.name}"
                       if isinstance(child, (ast.FunctionDef, ast.ClassDef))
                       else scope)
@@ -790,7 +790,7 @@ class TestPlumbing:
             visit(ast.parse(path.read_text()), path.stem)
         assert trans == {"forward.SuperLUStageSolver.solve"}
         assert letters == set()
-        assert transposed == {"adjoint.adjoint_sweep"}
+        assert adjoint_calls == {"adjoint.adjoint_sweep"}
 
     def test_module_entry_point(self):
         proc = run_module("--help")
