@@ -10,16 +10,16 @@ explicit update, and no stage copies y_n.  y_{n+1} is the last stage's
 value when the tableau is stiffly accurate (GarkTableau.last_stage_is_step)
 and that stage is explicit or linear implicit, as that value then is y_n +
 h sum b k bitwise; otherwise it is that weighted sum (combine_step).  A
-stage solver's solve(b) solves the stage system (I - h a_ii J) x = b, for
-Newton, and its adjoint(t, y, x, keep_mu) takes the adjoint sweep's stage:
-mu = (I - h a_ii J)^-T x and theta = J^T mu (factorize).  A diffusion
-partition with a separable constant-coefficient operator is solved by fast
-diagonalization, four small matrix products on its 1-D eigenbases, and a
-stage's slope, or its theta, is one such round trip with no f or vjp call
-(SeparableStageSolver); any other partition by SuperLU with a symmetric
-minimum-degree column ordering (MMD on A^T + A), and a stage's slope is one
-f call and one solve, its theta one solve and one vjp call
-(SuperLUStageSolver).  SciPy is imported on the first SuperLU
+stage solver's adjoint(t, y, x, keep_mu) takes the adjoint sweep's stage:
+mu = (I - h a_ii J)^-T x and theta = J^T mu (factorize), and a SuperLU
+solver's solve(b) the Newton stage's system (I - h a_ii J) x = b.  A
+diffusion partition with a separable constant-coefficient operator is
+solved by fast diagonalization, four small matrix products on its 1-D
+eigenbases, and a stage's slope, or its theta, is one such round trip with
+no f or vjp call (SeparableStageSolver); any other partition by SuperLU
+with a symmetric minimum-degree column ordering (MMD on A^T + A), and a
+stage's slope is one f call and one solve, its theta one solve and one vjp
+call (SuperLUStageSolver).  SciPy is imported on the first SuperLU
 factorization, so a run whose stage solves are all separable never loads
 it.  Every stage solver comes from one LinearStageCache made for its
 system, which keeps the solvers of partitions with constant Jacobians, one
@@ -56,16 +56,12 @@ COEF_RTOL = 1e-10
 
 
 class StepFailureError(RuntimeError):
-    """Newton stalled on an implicit stage (iterations, residual_norm), or a
-    step's new state is not finite; integrate adds the step index,
-    estimate_errors the name of its run and run_campaign the stage."""
+    """Newton stalled on an implicit stage, or a step's new state is not
+    finite; integrate adds the step index, estimate_errors the name of its
+    run and run_campaign the stage."""
 
-    def __init__(self, message: str, iterations: int | None = None,
-                 residual_norm: float | None = None,
-                 step_index: int | None = None):
+    def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
-        self.iterations = iterations
-        self.residual_norm = residual_norm
         self.step_index = step_index
         self.run = None
 
@@ -79,13 +75,13 @@ def factorize(system: SplitOdeSystem, q: int, t: float, y: np.ndarray,
               coef: float):
     """A solver of the stage matrix I - coef * J^(q)(t, y).
 
-    solve(b) solves the stage system (I - coef J) x = b; adjoint(t, y, x,
-    keep_mu) gives the adjoint stage's (mu, theta), mu = (I - coef J)^-T x,
-    or None unless keep_mu, and theta = J^T mu with J taken at (t, y); and
-    on a linear partition slope(t, rhs) is its stage's slope
-    k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition gets a
-    SeparableStageSolver; any other a SuperLUStageSolver, for which SciPy
-    is imported here.
+    adjoint(t, y, x, keep_mu) gives the adjoint stage's (mu, theta),
+    mu = (I - coef J)^-T x, or None unless keep_mu, and theta = J^T mu with
+    J taken at (t, y); and on a linear partition slope(t, rhs) is its
+    stage's slope k = (I - coef J)^-1 f^(q)(t, rhs).  A separable partition
+    gets a SeparableStageSolver; any other a SuperLUStageSolver, for which
+    SciPy is imported here, whose solve(b) solves (I - coef J) x = b for
+    Newton.
     """
     separable = system.partitions[q].separable
     if separable is not None:
@@ -128,11 +124,12 @@ class SeparableStageSolver:
     diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): each
     species' (ny, nx) array goes into the operator's eigenbasis by two small
     matrix products, is scaled there, and comes back by two more, or by the
-    four's transposes in adjoint.  solve and adjoint's mu scale by 1 / (1 -
-    coef s lam); slope and adjoint's theta, as J is s lam in that basis and
-    the partition's rhs is J y, by s lam / (1 - coef s lam), with no f or
-    vjp call.  The basis is the partition's, computed once; a solver keeps
-    only its two scalings.
+    four's transposes in adjoint.  adjoint's mu scales by 1 / (1 - coef s
+    lam); slope and adjoint's theta, as J is s lam in that basis and the
+    partition's rhs is J y, by s lam / (1 - coef s lam), with no f or vjp
+    call.  It has no solve: only Newton stages call one, and a separable
+    partition is linear.  The basis is the partition's, computed once; a
+    solver keeps only its two scalings.
     """
 
     def __init__(self, separable: SeparableLaplacian, coef: float):
@@ -142,18 +139,11 @@ class SeparableStageSolver:
         self._scaling = 1.0 / (1.0 - coef * eigenvalues)
         self._slope_scaling = eigenvalues * self._scaling
 
-    def _round_trip(self, b: np.ndarray, products: tuple,
-                    scaling: np.ndarray) -> np.ndarray:
-        into_a, into_b, out_a, out_b = products
-        z = into_a @ b.reshape(self._shape) @ into_b
-        z *= scaling
-        return (out_a @ z @ out_b).reshape(-1)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._round_trip(b, self._forward, self._scaling)
-
     def slope(self, t: float, rhs: np.ndarray) -> np.ndarray:
-        return self._round_trip(rhs, self._forward, self._slope_scaling)
+        into_a, into_b, out_a, out_b = self._forward
+        z = into_a @ rhs.reshape(self._shape) @ into_b
+        z *= self._slope_scaling
+        return (out_a @ z @ out_b).reshape(-1)
 
     def adjoint(self, t: float, y: np.ndarray, x: np.ndarray,
                 keep_mu: bool) -> tuple:
@@ -283,8 +273,7 @@ def _newton_stage(system, cache, stage, t_i, coef, rhs, predictor):
     raise StepFailureError(
         f"stage ({q + 1},{stage.i + 1}) of partition "
         f"{system.partitions[q].name!r} at t_i = {t_i:.6g}: Newton stalled "
-        f"at residual {res:.3e} after {MAX_NEWTON_ITERATIONS} iterations",
-        iterations=MAX_NEWTON_ITERATIONS, residual_norm=res)
+        f"at residual {res:.3e} after {MAX_NEWTON_ITERATIONS} iterations")
 
 
 def stored_stage_rows(tableau: GarkTableau, system: SplitOdeSystem) -> tuple:

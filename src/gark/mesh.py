@@ -75,14 +75,6 @@ class TimeGrid:
     def num_steps(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def t0(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def t_final(self) -> float:
-        return float(self.nodes[-1])
-
     def halve_all_steps(self) -> "TimeGrid":
         """Insert the midpoint t_n + h_n/2 of every step; old nodes persist."""
         return TimeGrid(_bisect(self.nodes, range(self.num_steps)))
@@ -230,7 +222,6 @@ class GridTransfer:
     """
 
     fine: TensorGrid2D
-    coarse: TensorGrid2D
     injection: np.ndarray
 
     @classmethod
@@ -241,7 +232,7 @@ class GridTransfer:
         iys = _match_indices(coarse.ys, fine.ys, "y")
         # every coarse unknown is a fine unknown under one shared tag
         injected = fine.unknown_index()[np.ix_(iys, ixs)]
-        return cls(fine, coarse, injected[coarse.unknown_mask()])
+        return cls(fine, injected[coarse.unknown_mask()])
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         """Injection along the last axis; + 0.0 turns -0.0 into 0.0, which

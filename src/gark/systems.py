@@ -4,15 +4,18 @@ States are nodal vectors over a grid's unknowns, species-major for
 multi-species problems.  Every partition exposes its right-hand side and an
 assembled sparse Jacobian, and may add a matrix-free vector-Jacobian product
 ``vjp`` that the adjoint sweep uses instead of assembling; the mass matrix is
-the identity throughout.  One builder makes every diffusion partition, and
-checks the shape of each vector it applies its operator, or in the vjp its
-transpose, to.  With no coefficient field it sums the products in NumPy,
-bitwise as SciPy's compiled sparse kernels do, assembles its Jacobian on the
-first call, and gives the operator's tensor-product form
-(SeparableLaplacian), from which the stage solver diagonalizes it and takes
-a stage's slope: building and running calvo or Gray-Scott imports no SciPy.
-A coefficient field (bsvd) assembles the operator at build and calls those
-kernels on its arrays.  SciPy is imported where a sparse matrix is made.
+the identity throughout.  One function, _stencil, builds the flux-form
+Laplacian, as five (column, value) slots per row; discretize_laplacian is
+their CSR view.  One builder makes every diffusion partition, and checks
+the shape of each vector it applies its operator, or in the vjp its
+transpose, to.  With no coefficient field it sums its rhs over the slots
+in NumPy, bitwise as SciPy's compiled sparse kernel does, assembles its
+Jacobian on the first jacobian or vjp call, and gives the operator's
+tensor-product form (SeparableLaplacian), from which the stage solver
+diagonalizes it and takes a stage's slope: building and running calvo or
+Gray-Scott imports no SciPy.  A coefficient field (bsvd) assembles the
+operator at build and calls SciPy's kernels on its arrays.  SciPy is
+imported where a sparse matrix is made.
 Every problem lists its stiff diffusion partition first and its reaction
 second, the order of build_imex22's implicit and explicit schemes.
 """
@@ -175,19 +178,52 @@ class ProblemInstance:
     params: dict = field(default_factory=dict)
 
 
-def _face_coefficients(grid: TensorGrid2D, coefficient=None) -> tuple:
-    """(idx, has_face, neighbor, coef) of discretize_laplacian's flux
-    form: the unknown index per node, and per node and face E, W, N, S
-    whether the node has the face, the neighbour's unknown index (-1 where
-    it has none or it is eliminated) and the face coefficient (0.0 where
-    the node has no face)."""
+def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
+    """Flux-form div(c grad u) on the grid's unknowns, with c = 1 or the
+    callable coefficient(X, Y) on the nodal meshgrid.
+
+    Face coefficients are arithmetic means of the nodal coefficient field;
+    Neumann edges carry zero flux, Dirichlet edges hold value zero and their
+    nodes are eliminated.  Exact on quadratics over uniform spacing, and the
+    all-Neumann operator conserves the trapezoid integral for any state.
+    The CSR matrix holds _stencil's slots that have a column, row by row.
+    """
+    import scipy.sparse as sp
+
+    cols, vals = _stencil(grid, coefficient=coefficient)
+    n = grid.num_unknowns
+    present = (cols < n).T
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+    return sp.csr_matrix((vals.T[present], cols.T[present], indptr),
+                         shape=(n, n))
+
+
+_PAD = np.zeros(1)  # the value that _stencil's missing entries read
+_PAD.setflags(write=False)
+# The slot of each face E, W, N, S in a row's CSR column order S, W, D, E,
+# N; the diagonal D takes slot 2.
+_FACE_SLOTS = (3, 1, 4, 0)
+
+
+def _stencil(grid: TensorGrid2D, scales: tuple[float, ...] = (1.0,),
+             coefficient=None) -> tuple:
+    """The slots (cols, vals), each of shape (5, N) for N unknowns, of the
+    operator scales[k] * discretize_laplacian(grid, coefficient) on species
+    k: row r's entries in slots (S, W, D, E, N), the CSR column order.  A
+    missing entry reads column N, a zero pad, with value 0.0.
+
+    A face's coefficient is the mean of the nodal field D over h * w, with
+    h the face's spacing and w the node's trapezoid weight; the diagonal is
+    minus the faces in the order E, W, N, S, the order in which a node loop
+    sums them.
+    """
     ny, nx = grid.node_shape
     if coefficient is None:
         D = np.ones((ny, nx))
     else:
         X, Y = np.meshgrid(grid.xs, grid.ys)
         D = np.broadcast_to(np.asarray(coefficient(X, Y), dtype=float),
-                            (ny, nx)).copy()
+                            (ny, nx))
 
     idx = grid.unknown_index()
     hx, hy = np.diff(grid.xs), np.diff(grid.ys)
@@ -198,87 +234,27 @@ def _face_coefficients(grid: TensorGrid2D, coefficient=None) -> tuple:
              ((every, tail), (every, head), hx * wx[1:]),
              ((head, every), (tail, every), (hy * wy[:-1])[:, None]),
              ((tail, every), (head, every), (hy * wy[1:])[:, None]))
-    has_face = np.zeros((ny, nx, 4), dtype=bool)
-    neighbor = np.full((ny, nx, 4), -1)
-    coef = np.zeros((ny, nx, 4))
-    for f, (here, there, hw) in enumerate(faces):
-        has_face[here + (f,)] = True
-        neighbor[here + (f,)] = idx[there]
-        coef[here + (f,)] = 0.5 * (D[here] + D[there]) / hw
-    return idx, has_face, neighbor, coef
+    cols = np.full((5, ny, nx), -1)
+    vals = np.zeros((5, ny, nx))
+    # -0.0 - c is -c bitwise, the first face's negated coefficient
+    diagonal = np.full((ny, nx), -0.0)
+    for slot, (here, there, hw) in zip(_FACE_SLOTS, faces):
+        coef = 0.5 * (D[here] + D[there]) / hw
+        diagonal[here] -= coef
+        cols[(slot, *here)] = idx[there]
+        vals[(slot, *here)] = np.where(idx[there] >= 0, coef, 0.0)
+    cols[2], vals[2] = idx, diagonal
+    # compress keeps the slots in C order, on which rhs's gather and reduce
+    # run about twice as fast as on the F order of boolean indexing
+    unknown = (idx >= 0).ravel()
+    cols, vals = (np.compress(unknown, a.reshape(5, -1), axis=1)
+                  for a in (cols, vals))
 
-
-def discretize_laplacian(grid: TensorGrid2D, coefficient=None) -> sp.csr_matrix:
-    """Flux-form div(c grad u) on the grid's unknowns, with c = 1 or the
-    callable coefficient(X, Y) on the nodal meshgrid.
-
-    Face coefficients are arithmetic means of the nodal coefficient field;
-    Neumann edges carry zero flux, Dirichlet edges hold value zero and their
-    nodes are eliminated.  Exact on quadratics over uniform spacing, and the
-    all-Neumann operator conserves the trapezoid integral for any state.
-    """
-    import scipy.sparse as sp
-
-    idx, has_face, neighbor, coef = _face_coefficients(grid, coefficient)
-    # Triplets per node, face, then (diagonal, neighbour): the same order as
-    # a node-by-node loop, so duplicates on the diagonal sum in that order.
-    keep = has_face & (idx >= 0)[:, :, None]
-    keep = np.stack([keep, keep & (neighbor >= 0)], axis=-1)
-    rows = np.broadcast_to(idx[:, :, None, None], keep.shape)[keep]
-    cols = np.stack([np.broadcast_to(idx[:, :, None], neighbor.shape),
-                     neighbor], axis=-1)[keep]
-    vals = np.stack([-coef, coef], axis=-1)[keep]
     n = grid.num_unknowns
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-_PAD = np.zeros(1)  # the value that _stencil's missing entries read
-_PAD.setflags(write=False)
-# The slot of each face E, W, N, S in a row's CSR column order S, W, D, E,
-# N; the diagonal D takes slot 2, and the slot opposite slot k is 4 - k.
-_FACE_SLOTS = (3, 1, 4, 0)
-
-
-def _stencil(grid: TensorGrid2D, scales: tuple[float, ...]) -> tuple:
-    """The slots of the operator scales[k] * discretize_laplacian(grid) on
-    species k, and of its transpose: two (cols, vals) pairs of shape
-    (5, N) for N unknowns, row r's entries in slots (S, W, D, E, N), the
-    CSR column order.  A missing entry reads column N, a zero pad, with
-    value 0.0.  The transpose's slots of row c hold the operator's entries
-    (r, c) with r ascending, the order in which the CSC product sums them.
-    """
-    idx, _, neighbor, coef = _face_coefficients(grid)
-    unknown = idx >= 0
-    n = grid.num_unknowns
-    rows = np.arange(n)
-    # minus the faces in face order, as scipy sums the duplicate diagonal
-    # triplets; a missing face's -0.0 changes no sum
-    diagonal = -coef[..., 0]
-    for f in range(1, 4):
-        diagonal = diagonal - coef[..., f]
-    cols = np.full((5, n), -1)
-    vals = np.zeros((5, n))
-    cols[2], vals[2] = rows, diagonal[unknown]
-    for f, slot in enumerate(_FACE_SLOTS):
-        there = neighbor[..., f][unknown]
-        has = there >= 0
-        cols[slot, has] = there[has]
-        vals[slot, has] = coef[..., f][unknown][has]
-
-    t_cols, t_vals = np.full_like(cols, -1), np.zeros_like(vals)
-    for slot in range(5):
-        has = cols[slot] >= 0
-        t_cols[4 - slot, cols[slot, has]] = rows[has]
-        t_vals[4 - slot, cols[slot, has]] = vals[slot, has]
-
     pad = len(scales) * n
-
-    def stacked(cols, vals):
-        return (np.concatenate([np.where(cols < 0, pad, cols + k * n)
-                                for k in range(len(scales))], axis=1),
-                np.concatenate([s * vals for s in scales], axis=1))
-
-    return stacked(cols, vals), stacked(t_cols, t_vals)
+    return (np.concatenate([np.where(cols < 0, pad, cols + k * n)
+                            for k in range(len(scales))], axis=1),
+            np.concatenate([s * vals for s in scales], axis=1))
 
 
 def integral_goal(grid: TensorGrid2D, num_species: int = 1) -> GoalFunction:
@@ -297,21 +273,21 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
     discretize_laplacian(grid, coefficient) on species k; with no
     coefficient field it also carries op's separable_laplacian form.
 
-    With no coefficient field, rhs and vjp sum _stencil's slots in NumPy,
-    each output from 0.0 in the order in which csr_matvec and csc_matvec,
-    the compiled kernels of op @ y and op.T @ w, sum its entries: the same
-    bits, and no SciPy import.  Implicit stages take their solves, slopes
-    and adjoint thetas in the eigenbasis, so these products run only in the
-    estimate's stage residuals (f) and in tableaux that step diffusion
-    explicitly.  op itself is assembled on the first jacobian call, which
-    no run makes.  A coefficient field assembles op here and
-    calls those kernels on op's own arrays, bound once, without
-    scipy.sparse's per-call dispatch, as long as no caller changes op in
-    place.  That branch keeps SciPy: its stage solves need SciPy's SuperLU
-    anyway, and its campaigns run on thousands of unknowns, where the
-    kernels take under half the NumPy slots' time (13.3 against 32.7 us at
-    3 422 unknowns on a 2-core Xeon).  A vector whose shape is not (n,)
-    raises ValueError first, as op @ y does.
+    With no coefficient field, rhs sums _stencil's slots in NumPy, each
+    output from 0.0 in the order in which csr_matvec, the compiled kernel of
+    op @ y, sums its entries: the same bits, and no SciPy import.  Implicit
+    stages take their solves, slopes and adjoint thetas in the eigenbasis,
+    so rhs runs only in the estimate's stage residuals and in tableaux that
+    step diffusion explicitly, and vjp, op.T @ w, in none.  op itself is
+    assembled on the first jacobian or vjp call, which no run makes.  A
+    coefficient field assembles op here and calls csr_matvec and
+    csc_matvec, the kernels of op @ y and op.T @ w, on op's own arrays,
+    bound once, without scipy.sparse's per-call dispatch, as long as no
+    caller changes op in place.  That branch keeps SciPy: its stage solves
+    need SciPy's SuperLU anyway, and its campaigns run on thousands of
+    unknowns, where the kernels take under half the NumPy slots' time (13.3
+    against 32.7 us at 3 422 unknowns on a 2-core Xeon).  A vector whose
+    shape is not (n,) raises ValueError first, as op @ y does.
     """
     n = len(diffusivities) * grid.num_unknowns
 
@@ -321,42 +297,42 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
                              f"cannot apply to a vector of shape {v.shape}")
         return v
 
-    def assemble():
+    @cache
+    def assembled():
         import scipy.sparse as sp
         lap = discretize_laplacian(grid, coefficient)
         return sp.block_diag([s * lap for s in diffusivities], format="csr")
 
     if coefficient is None:
-        slots = _stencil(grid, diffusivities)
-        assembled = cache(assemble)
+        cols, vals = _stencil(grid, diffusivities)
 
-        def product(transposed: int, v: np.ndarray) -> np.ndarray:
-            cols, vals = slots[transposed]
-            padded = np.concatenate((checked(v), _PAD))
+        def rhs(t, y):
+            padded = np.concatenate((checked(y), _PAD))
             return np.add.reduce(vals * padded[cols], axis=0, initial=0.0)
 
-        def jacobian(t, y):
-            return assembled()
+        def vjp(t, y, w):
+            return assembled().T @ checked(w)
 
         separable = separable_laplacian(grid, diffusivities)
     else:
-        from scipy.sparse import _sparsetools
-        op = assemble()
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+        op = assembled()
         arrays = (op.indptr, op.indices, op.data)
-        kernels = (_sparsetools.csr_matvec, _sparsetools.csc_matvec)
 
-        def product(transposed: int, v: np.ndarray) -> np.ndarray:
+        def product(kernel, v: np.ndarray) -> np.ndarray:
             out = np.zeros(n)
-            kernels[transposed](n, n, *arrays, checked(v), out)
+            kernel(n, n, *arrays, checked(v), out)
             return out
 
-        def jacobian(t, y):
-            return op
+        def rhs(t, y):
+            return product(csr_matvec, y)
+
+        def vjp(t, y, w):
+            return product(csc_matvec, w)
 
         separable = None
-    return Partition("diffusion", lambda t, y: product(0, y), jacobian,
-                     linear=True, vjp=lambda t, y, w: product(1, w),
-                     separable=separable)
+    return Partition("diffusion", rhs, lambda t, y: assembled(), linear=True,
+                     vjp=vjp, separable=separable)
 
 
 def _pointwise_reaction(rhs, slope) -> Partition:

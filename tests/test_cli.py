@@ -763,6 +763,12 @@ class TestPlumbing:
         assert scopes_naming("separable_laplacian") == {
             "separable_laplacian": {"systems._diffusion"}}
 
+    def test_diffusion_operator_has_one_builder(self):
+        # _stencil builds the Laplacian's slots; discretize_laplacian is
+        # their CSR view and _diffusion sums its rhs over them
+        assert scopes_naming("_stencil") == {
+            "_stencil": {"systems.discretize_laplacian", "systems._diffusion"}}
+
     def test_solve_directions_are_named_by_the_solvers(self):
         # SuperLU's trans flag, and its "T"/"N" letters, stay inside
         # SuperLUStageSolver: every other module asks a stage solver for

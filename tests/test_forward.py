@@ -426,11 +426,11 @@ class TestIntegrate:
         "bsvd", "random_nonlinear-3", "random_nonlinear-11", "calvo-uniform",
         "calvo-refined", "gray_scott-uniform", "gray_scott-refined"])
     def test_solve_directions_meet_the_stage_system(self, case):
-        # every solver kind: solve meets (I - cJ) x = b, and adjoint's mu
-        # (I - cJ)^T mu = b with theta = J^T mu, theta's bits not depending
-        # on whether mu is kept; SuperLU's, holding factors of the
-        # transpose, are its transposed and its plain kernel, and its theta
-        # is the system's vjp
+        # every solver kind: adjoint's mu meets (I - cJ)^T mu = b with
+        # theta = J^T mu, theta's bits not depending on whether mu is kept;
+        # SuperLU's solve, for Newton, meets (I - cJ) x = b, and its solve
+        # and mu, holding factors of the transpose, are its transposed and
+        # its plain kernel, and its theta is the system's vjp
         name, _, variant = case.partition("-")
         if name == "random_nonlinear":  # a Newton stage, not symmetric
             problem = make_random_nonlinear(int(variant))
@@ -454,7 +454,10 @@ class TestIntegrate:
                 assert abs(matrix - matrix.T).max() > 0.1
             b = rng.standard_normal(system.dim)
             mu, theta = solver.adjoint(t, y, b, True)
-            for m, x in ((matrix, solver.solve(b)), (matrix.T, mu)):
+            directions = [(matrix.T, mu)]
+            if kind is SuperLUStageSolver:
+                directions.append((matrix, solver.solve(b)))
+            for m, x in directions:
                 assert x.shape == b.shape
                 assert np.linalg.norm(m @ x - b) <= 1e-13 * np.linalg.norm(b)
             jac_t_mu = system.jac(q, t, y).T @ mu
@@ -476,13 +479,12 @@ class TestIntegrate:
         # the stiff partition is the pair's implicit partition 1; its first
         # stage sits at t_0 + gamma h
         where = (r"^step 0, stage \(1,1\) of partition 'stiff' at "
-                 r"t_i = 0\.0087868: Newton stalled at residual ")
+                 r"t_i = 0\.0087868: Newton stalled at residual "
+                 r"\d\.\d{3}e[+-]\d+ after 0 iterations$")
         with pytest.raises(StepFailureError, match=where) as err:
             integrate(problem, build_imex22(),
                       TimeGrid.uniform(0.0, 0.3, 0.03))
         assert err.value.step_index == 0
-        assert err.value.iterations == 0
-        assert np.isfinite(err.value.residual_norm)
 
     def test_y0_override_and_shape_check(self):
         # a run starts from problem.y0; another start is another problem
@@ -506,7 +508,6 @@ class TestIntegrate:
                       TimeGrid.uniform(0.0, 0.3, 0.1),
                       consumer=lambda n, y_n, result: finished.append(n))
         assert err.value.step_index == 1
-        assert err.value.iterations is None
         assert finished == [0]  # the failed step reaches no consumer
 
     def test_invalid_tableau_is_rejected(self):

@@ -34,7 +34,7 @@ class TestTimeGrid:
     def test_uniform_nodes(self):
         g = TimeGrid.uniform(0.0, 1.5, 0.15)
         assert g.num_steps == 10
-        assert g.t_final == 1.5
+        assert g.nodes[-1] == 1.5
         np.testing.assert_allclose(g.steps, 0.15, rtol=1e-12)
 
     def test_uniform_rejects_non_divisor(self):

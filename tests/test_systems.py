@@ -82,11 +82,17 @@ class TestLaplacian:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
+    # each problem's smallest grids: calvo's 2x2 has one unknown, whose row
+    # holds its diagonal alone, and its 4x2 and 2x4 one line of unknowns
+    SMALLEST_CELLS = {"calvo": ((2, 2), (4, 2), (2, 4)),
+                      "gray_scott": ((1, 1),), "bsvd": ((1, 1),)}
+
     @pytest.mark.parametrize("name", ["calvo", "gray_scott", "bsvd"])
     @pytest.mark.parametrize("coefficient", [None, "bsvd", "array"])
     def test_matches_node_loop_bitwise(self, name, coefficient):
         rng = np.random.default_rng(5)
-        for g in nested_grids(name):
+        for g in nested_grids(name) + [default_grid(name, *cells) for cells
+                                       in self.SMALLEST_CELLS[name]]:
             X, Y = np.meshgrid(g.xs, g.ys)
             field = {None: np.ones(g.node_shape),
                      "bsvd": bsvd_diffusivity(X, Y),
