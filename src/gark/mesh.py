@@ -21,7 +21,8 @@ class TransferError(ValueError):
     """Grids are not nested, so a transfer cannot be built."""
 
 
-def _frozen_array(values) -> np.ndarray:
+def frozen_array(values) -> np.ndarray:
+    """values as a read-only float array."""
     a = np.asarray(values, dtype=float)
     a.setflags(write=False)
     return a
@@ -44,10 +45,10 @@ class TimeGrid:
     steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = _frozen_array(self.nodes)
+        nodes = frozen_array(self.nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need at least two time nodes")
-        steps = _frozen_array(np.diff(nodes))
+        steps = frozen_array(np.diff(nodes))
         if not np.all(steps > 0):
             raise ValueError("time nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -103,7 +104,7 @@ class TensorGrid2D:
     bc: str
 
     def __post_init__(self):
-        xs, ys = _frozen_array(self.xs), _frozen_array(self.ys)
+        xs, ys = frozen_array(self.xs), frozen_array(self.ys)
         for name, c in (("xs", xs), ("ys", ys)):
             if c.ndim != 1 or len(c) < 2:
                 raise ValueError(f"{name} needs at least two coordinates")

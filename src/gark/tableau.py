@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gark.mesh import frozen_array
+
 # build_imex22's gamma, a root of the order-2 condition 2 gamma - gamma^2 = 1/2
 GAMMA_MINUS = 1.0 - math.sqrt(2.0) / 2.0
 # validate() flags an order-condition or structure residual above this
@@ -50,12 +52,6 @@ class ValidationReport:
             return "valid"
         return "; ".join(f"{v.name}: {v.detail} (|resid|={v.magnitude:.3e})"
                          for v in self.violations)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 class PlannedStage(NamedTuple):
@@ -98,8 +94,9 @@ class GarkTableau:
     declared_order: int = 2
 
     def __post_init__(self):
-        coupling = tuple(tuple(_freeze(a) for a in row) for row in self.coupling)
-        weights = tuple(_freeze(b) for b in self.weights)
+        coupling = tuple(tuple(frozen_array(a) for a in row)
+                         for row in self.coupling)
+        weights = tuple(frozen_array(b) for b in self.weights)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "stage_schedule",
@@ -108,7 +105,8 @@ class GarkTableau:
         # would only warn here first
         with np.errstate(invalid="ignore", over="ignore"):
             object.__setattr__(self, "_abscissae", tuple(
-                tuple(_freeze(a.sum(axis=1)) for a in row) for row in coupling))
+                tuple(frozen_array(a.sum(axis=1)) for a in row)
+                for row in coupling))
 
     @property
     def num_partitions(self) -> int:
