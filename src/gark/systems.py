@@ -8,14 +8,14 @@ the identity throughout.  One function, _stencil, builds the flux-form
 Laplacian, as five (column, value) slots per row; discretize_laplacian is
 their CSR view.  One builder makes every diffusion partition, and checks
 the shape of each vector it applies its operator, or in the vjp its
-transpose, to.  It assembles the operator on first use and applies it, and
-its transpose, through SciPy's sparse product, so building a problem
-imports no SciPy.  With no coefficient field it sums its rhs over the slots
-in NumPy instead, bitwise as SciPy's sparse product does, and gives the
-operator's tensor-product form (SeparableLaplacian), from which the stage
-solver diagonalizes it and takes a stage's slope: running calvo or
-Gray-Scott imports no SciPy.  SciPy is imported where a sparse matrix is
-made.
+transpose, to.  With no coefficient field it sums its rhs over the slots
+in NumPy, bitwise as SciPy's compiled sparse kernel does, assembles its
+Jacobian on the first jacobian or vjp call, and gives the operator's
+tensor-product form (SeparableLaplacian), from which the stage solver
+diagonalizes it and takes a stage's slope: building and running calvo or
+Gray-Scott imports no SciPy.  A coefficient field (bsvd) assembles the
+operator at build and calls SciPy's kernels on its arrays.  SciPy is
+imported where a sparse matrix is made.
 Every problem lists its stiff diffusion partition first and its reaction
 second, the order of build_imex22's implicit and explicit schemes.
 """
@@ -273,18 +273,19 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
     discretize_laplacian(grid, coefficient) on species k; with no
     coefficient field it also carries op's separable_laplacian form.
 
-    op is assembled on first use and op.T on the first vjp call, each once.
-    jacobian returns op itself, which callers must not change in place; rhs
-    is op @ y and vjp is op.T @ w.  With no coefficient field, rhs sums
-    _stencil's slots in NumPy instead, each output from 0.0 in the order in
-    which csr_matvec, the compiled kernel of op @ y, sums its entries: the
-    same bits, and no SciPy import.  Implicit stages then take their solves,
-    slopes and adjoint thetas in the eigenbasis, so rhs runs only in the
-    estimate's stage residuals and in tableaux that step diffusion
-    explicitly, and vjp in none: no calvo or Gray-Scott run assembles op.
-    A coefficient field (bsvd) keeps op @ y, as its stage solves need
-    SciPy's SuperLU anyway and its campaigns run on thousands of unknowns,
-    where the compiled kernel takes under half the NumPy slots' time (13.3
+    With no coefficient field, rhs sums _stencil's slots in NumPy, each
+    output from 0.0 in the order in which csr_matvec, the compiled kernel of
+    op @ y, sums its entries: the same bits, and no SciPy import.  Implicit
+    stages take their solves, slopes and adjoint thetas in the eigenbasis,
+    so rhs runs only in the estimate's stage residuals and in tableaux that
+    step diffusion explicitly, and vjp, op.T @ w, in none.  op itself is
+    assembled on the first jacobian or vjp call, which no run makes.  A
+    coefficient field assembles op here and calls csr_matvec and
+    csc_matvec, the kernels of op @ y and op.T @ w, on op's own arrays,
+    bound once, without scipy.sparse's per-call dispatch, as long as no
+    caller changes op in place.  That branch keeps SciPy: its stage solves
+    need SciPy's SuperLU anyway, and its campaigns run on thousands of
+    unknowns, where the kernels take under half the NumPy slots' time (13.3
     against 32.7 us at 3 422 unknowns on a 2-core Xeon).  A vector whose
     shape is not (n,) raises ValueError first, as op @ y does.
     """
@@ -302,10 +303,6 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
         lap = discretize_laplacian(grid, coefficient)
         return sp.block_diag([s * lap for s in diffusivities], format="csr")
 
-    @cache
-    def transposed():
-        return assembled().T
-
     if coefficient is None:
         cols, vals = _stencil(grid, diffusivities)
 
@@ -313,15 +310,29 @@ def _diffusion(grid: TensorGrid2D, diffusivities: tuple[float, ...] = (1.0,),
             padded = np.concatenate((checked(y), _PAD))
             return np.add.reduce(vals * padded[cols], axis=0, initial=0.0)
 
+        def vjp(t, y, w):
+            return assembled().T @ checked(w)
+
         separable = separable_laplacian(grid, diffusivities)
     else:
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+        op = assembled()
+        arrays = (op.indptr, op.indices, op.data)
+
+        def product(kernel, v: np.ndarray) -> np.ndarray:
+            out = np.zeros(n)
+            kernel(n, n, *arrays, checked(v), out)
+            return out
+
         def rhs(t, y):
-            return assembled() @ checked(y)
+            return product(csr_matvec, y)
+
+        def vjp(t, y, w):
+            return product(csc_matvec, w)
 
         separable = None
     return Partition("diffusion", rhs, lambda t, y: assembled(), linear=True,
-                     vjp=lambda t, y, w: transposed() @ checked(w),
-                     separable=separable)
+                     vjp=vjp, separable=separable)
 
 
 def _pointwise_reaction(rhs, slope) -> Partition:

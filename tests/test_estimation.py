@@ -17,7 +17,6 @@ from helpers import (RestrictedRun, assert_bitwise, at_coarse_nodes,
                      swap_partitions, wrap)
 
 import gark.estimation
-import gark.systems
 from gark.adjoint import adjoint_sweep
 from gark.cli import main
 from gark.estimation import (assemble_report, estimate_errors,
@@ -597,33 +596,29 @@ class TestStreamedCompanionRuns:
         assert peak - stores < 0.25 * stage_array
 
 
-def test_each_problem_assembles_its_diffusion_operator_once(monkeypatch):
-    # a grid problem's diffusion operator is assembled on first use and
-    # kept: every stage, residual and sweep product reads that one matrix,
-    # so the estimate assembles it once on the coarse grid and once on the
-    # fine one, never per call; the f calls per step do not change
-    calls = {"f": 0}
-    assembled = []
+def test_hot_loops_make_no_sparse_matmul(monkeypatch):
+    # every stage, residual and sweep product of a grid problem goes through
+    # the kernels its diffusion partition bound at build, never through
+    # scipy.sparse's @ dispatch; the f calls per step do not change
+    calls = {"matmul": 0, "f": 0}
 
-    def counted_f(*args, **kwargs):
-        calls["f"] += 1
-        return f(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_laplacian(grid, coefficient=None):
-        assembled.append(grid.num_unknowns)
-        return discretize_laplacian(grid, coefficient)
-
-    f = SplitOdeSystem.f
-    monkeypatch.setattr(SplitOdeSystem, "f", counted_f)
-    monkeypatch.setattr(gark.systems, "discretize_laplacian",
-                        counted_laplacian)
+    sparse_base = scipy.sparse._base._spbase
+    monkeypatch.setattr(sparse_base, "__matmul__",
+                        counted("matmul", sparse_base.__matmul__))
+    monkeypatch.setattr(SplitOdeSystem, "f", counted("f", SplitOdeSystem.f))
     problem = build_problem("bsvd", default_grid("bsvd", 6, 6), t_final=0.4)
     grid = TimeGrid.uniform(0.0, 0.4, 0.05)
     tableau = build_imex22()
-    assert assembled == []  # building the problem assembles nothing
     run = integrate(problem, tableau, grid)
     assert calls["f"] == 4 * grid.num_steps
     adjoint_sweep(run)
     estimate_errors(problem, tableau, grid)
-    assert assembled == [problem.grid.num_unknowns,
-                         problem.grid.refine_uniform().num_unknowns]
+    assert calls["matmul"] == 0
+    problem.system.jac(0, 0.0, problem.y0) @ problem.y0
+    assert calls["matmul"] == 1  # the patch sees the operator

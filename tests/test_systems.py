@@ -372,12 +372,10 @@ class TestBsvd:
 
 
 class TestDiffusionKernels:
-    """A separable diffusion partition sums its rhs in NumPy over
-    _stencil's slots, and every partition applies its operator's transpose,
-    and a coefficient field's partition the operator itself, through the
-    sparse matrix it assembled on first use; these pin all of them to the
-    public sparse products, on grids that cover every boundary and spacing
-    case."""
+    """A separable diffusion partition sums its products in NumPy, and a
+    coefficient field's calls scipy.sparse's private compiled kernels
+    directly; these pin both to the public sparse products, on grids that
+    cover every boundary and spacing case."""
 
     @pytest.fixture(params=[("calvo", 8, 4, 4, 2), ("gray_scott", 4, 4, 1, 1),
                             ("bsvd", 6, 6, 1, 1)], ids=lambda p: p[0])
